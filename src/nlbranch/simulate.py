@@ -19,8 +19,8 @@ from __future__ import annotations
 import json
 import math
 import struct
-from dataclasses import dataclass, field, asdict
-from typing import Optional, Sequence
+from dataclasses import asdict, dataclass
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -100,6 +100,14 @@ def _draws(seed, slot, counter, n, normal=False):
     return gen.standard_normal(n) if normal else gen.random(n)
 
 
+def _checkpoint(times, t):
+    """Index of the record time t in times."""
+    idx = int(np.argmin(np.abs(times - t)))
+    if abs(times[idx] - t) > 1e-9 * (1.0 + abs(t)):
+        raise DomainError(f"t = {t} is not a recorded checkpoint")
+    return idx
+
+
 @dataclass
 class SingleEnsemble:
     """N marginal paths sampled at the record times."""
@@ -116,10 +124,7 @@ class SingleEnsemble:
         return self.X.shape[1]
 
     def at(self, t):
-        idx = int(np.argmin(np.abs(self.times - t)))
-        if abs(self.times[idx] - t) > 1e-9 * (1.0 + abs(t)):
-            raise DomainError(f"t = {t} is not a recorded checkpoint")
-        return self.X[idx]
+        return self.X[_checkpoint(self.times, t)]
 
 
 @dataclass
@@ -142,19 +147,12 @@ class CoupledEnsemble:
     def n_paths(self):
         return self.X.shape[1]
 
-    def _index(self, t):
-        idx = int(np.argmin(np.abs(self.times - t)))
-        if abs(self.times[idx] - t) > 1e-9 * (1.0 + abs(t)):
-            raise DomainError(f"t = {t} is not a recorded checkpoint")
-        return idx
-
     def gap_at(self, t):
-        i = self._index(t)
+        i = _checkpoint(self.times, t)
         return self.X[i] - self.Y[i]
 
     def marginal_at(self, t, which="X"):
-        i = self._index(t)
-        return (self.X if which == "X" else self.Y)[i]
+        return (self.X if which == "X" else self.Y)[_checkpoint(self.times, t)]
 
 
 def _milstein_coef(coeffs, X):
@@ -169,7 +167,9 @@ def _milstein_coef(coeffs, X):
     return 0.25 * (coeffs.gamma1(X + d) - coeffs.gamma1(lo)) / (X + d - lo)
 
 
-def _jump_setup(nu, coeffs, cfg):
+def _jump_setup(nu, cfg):
+    if nu is None:
+        return 0.0, 0.0, 0.0
     nu_eps = nu.tail_mass(cfg.eps)
     mean_eps = nu.mean_above(cfg.eps) if nu_eps > 0 else 0.0
     small_var = nu.trunc_second_moment(cfg.eps) if \
@@ -187,102 +187,68 @@ def _record_plan(cfg):
     return n_steps, times, steps
 
 
-def simulate_single(coeffs: CoefficientSet, nu: Optional[LevyMeasure],
-                    x0: float, cfg: SimConfig) -> SingleEnsemble:
-    """Euler-Maruyama ensemble of the marginal SDE started at x0 >= 0."""
-    if x0 < 0:
-        raise DomainError("x0 must be nonnegative")
-    n = cfg.n_paths
-    nu_eps, mean_eps, small_var = _jump_setup(nu, coeffs, cfg) if nu is not None \
-        else (0.0, 0.0, 0.0)
-    n_steps, rec_times, rec_steps = _record_plan(cfg)
+class _Run(NamedTuple):
+    """Raw output of the kernel: snapshots per leg and the run's counters."""
 
-    X = np.full(n, float(x0))
-    flagged = np.zeros(n, dtype=bool)
-    snapshots = np.empty((rec_times.size, n))
-    for k in np.flatnonzero(rec_steps == 0):
-        snapshots[k] = X
-
-    counter = 0
-    max_p = 0.0
-    h = cfg.h
-    sqh = math.sqrt(h)
-    for step in range(1, n_steps + 1):
-        live = ~flagged
-        g0 = coeffs.gamma0(X)
-        g2 = coeffs.gamma2(X)
-        sig = coeffs.sigma(X)
-        xi = _draws(cfg.seed, _SLOT_BROWNIAN, counter, n, normal=True)
-        dX = g0 * h + sig * sqh * xi \
-            + _milstein_coef(coeffs, X) * (xi * xi - 1.0) * h
-        if nu_eps > 0:
-            dX -= g2 * mean_eps * h
-            if small_var > 0.0:
-                xi2 = _draws(cfg.seed, _SLOT_GAUSS_COMP, counter, n, normal=True)
-                dX = dX + np.sqrt(np.maximum(g2 * small_var * h, 0.0)) * xi2
-        Xn = np.maximum(X + dX, 0.0)
-        if nu_eps > 0:
-            # jump thinning in rounds of acceptance probability <= ~0.1; the
-            # drift map above never depends on the round count, so the law of
-            # a no-jump path is identical across ensembles
-            pmax = float(np.max(g2[live], initial=0.0)) * nu_eps * h
-            m = min(max(1, int(math.ceil(pmax / 0.1))), _MAX_SUBSTEPS)
-            for _ in range(m):
-                p = coeffs.gamma2(Xn) * nu_eps * (h / m)
-                max_p = max(max_p, float(np.max(p[live], initial=0.0)))
-                u = _draws(cfg.seed, _SLOT_JUMP_OCCUR, counter, n)
-                jumps = u < np.minimum(p, 1.0)
-                if np.any(jumps):
-                    us = _draws(cfg.seed, _SLOT_JUMP_SIZE, counter, n)
-                    z = np.asarray(nu.quantile_above(cfg.eps, us))
-                    Xn = np.where(jumps, Xn + z, Xn)
-                counter += 1
-        X = np.where(live, Xn, X)
-        bad = live & (~np.isfinite(X) | (X > _STATE_CAP))
-        if np.any(bad):
-            flagged |= bad
-            X = np.where(bad, np.nan, X)
-        counter += 1
-        for k in np.flatnonzero(rec_steps == step):
-            snapshots[k] = X
-    return SingleEnsemble(times=rec_times, X=snapshots, x0=float(x0),
-                          flagged=flagged, config=cfg.echo(), max_jump_prob=max_p)
+    times: np.ndarray           # (K,)
+    paths: np.ndarray           # (legs, K, N)
+    flagged: np.ndarray         # (N,)
+    coalescence: np.ndarray     # (N,)
+    order_violations: int
+    order_repairs: int
+    max_jump_prob: float
 
 
-def simulate_coupled(coeffs: CoefficientSet, nu: Optional[LevyMeasure],
-                     x0: float, y0: float, cfg: SimConfig) -> CoupledEnsemble:
-    """Coupled ensemble from x0 > y0 >= 0 (x0 = y0 starts coalesced).
+def _partner_jump(nu, cfg, refined, z, mark, gap, g2y):
+    """Displacement of Y for accepted X-jumps of size z: the row of the
+    refined basic coupling (or the common jump of the synchronous one) that
+    the mark on [0, gamma2(X)) selects, with rho evaluated at the gap."""
+    if not refined:
+        return np.where(mark < g2y, z, 0.0)
+    Uk = np.minimum(np.maximum(gap, 0.0), cfg.kappa)
+    a1 = 0.5 * g2y * np.asarray(nu.rho(-Uk, z))
+    a2 = a1 + 0.5 * g2y * np.asarray(nu.rho(Uk, z))
+    row1 = mark < a1
+    row2 = ~row1 & (mark < a2)
+    row3 = ~row1 & ~row2 & (mark < g2y)
+    return np.where(row1, z + Uk, np.where(row2, z - Uk, np.where(row3, z, 0.0)))
 
-    Per step, before coalescence: Brownian increments are reflected
-    (refined-basic) or shared (synchronous); jump proposals are thinned at the
-    dominating rate gamma2(X) nu((eps, oo)) and assigned to a displacement row
-    by a uniform mark on [0, gamma2(X)) using the overlap ratio rho evaluated
-    at the current gap.  After the gap first falls within delta_c the pair is
-    merged and evolves as a single path.
+
+def _simulate(coeffs, nu, x0, y0, cfg) -> _Run:
+    """The one time-step loop behind both simulators.
+
+    The state S is a (legs, N) array: row 0 is the X leg, row 1 the partner Y,
+    present only when y0 is not None.  The drift map, every draw and the
+    thinning rounds are driven by the X leg alone, so X follows the marginal
+    scheme whether or not a partner rides along.  With a partner, before
+    coalescence, the Brownian increments are reflected (refined-basic) or
+    shared (synchronous); jump proposals are thinned at the dominating rate
+    gamma2(X) nu((eps, oo)) and assigned to a displacement row by a uniform
+    mark on [0, gamma2(X)) using the overlap ratio rho at the current gap.
+    Once the gap falls within delta_c the pair is merged and Y copies X.
     """
-    if y0 < 0 or x0 < y0:
-        raise DomainError("need x0 >= y0 >= 0")
     n = cfg.n_paths
+    coupled = y0 is not None
     refined = cfg.coupling == "refined-basic"
-    delta_c = cfg.resolved_delta_c(x0)
-    nu_eps, mean_eps, small_var = _jump_setup(nu, coeffs, cfg) if nu is not None \
-        else (0.0, 0.0, 0.0)
+    nu_eps, mean_eps, small_var = _jump_setup(nu, cfg)
     n_steps, rec_times, rec_steps = _record_plan(cfg)
 
-    X = np.full(n, float(x0))
-    Y = np.full(n, float(y0))
+    S = np.full((2 if coupled else 1, n), float(x0))
     coal = np.full(n, math.inf)
-    if x0 - y0 <= delta_c:
-        Y[:] = X
-        coal[:] = 0.0
+    if coupled:
+        delta_c = cfg.resolved_delta_c(x0)
+        if x0 - y0 <= delta_c:
+            coal[:] = 0.0
+        else:
+            S[1] = y0
     flagged = np.zeros(n, dtype=bool)
     violations = 0
     repairs = 0
-    snapX = np.empty((rec_times.size, n))
-    snapY = np.empty((rec_times.size, n))
+    snaps = np.empty((S.shape[0], rec_times.size, n))
     for k in np.flatnonzero(rec_steps == 0):
-        snapX[k], snapY[k] = X, Y
+        snaps[:, k] = S
 
+    sign = np.ones_like(S)      # per-leg sign of the shared Gaussian draws
     counter = 0
     max_p = 0.0
     h = cfg.h
@@ -290,113 +256,103 @@ def simulate_coupled(coeffs: CoefficientSet, nu: Optional[LevyMeasure],
     for step in range(1, n_steps + 1):
         live = ~flagged
         alive = live & (coal == math.inf)
-        g0x, g0y = coeffs.gamma0(X), coeffs.gamma0(Y)
-        g2x, g2y = coeffs.gamma2(X), coeffs.gamma2(Y)
-        sigx, sigy = coeffs.sigma(X), coeffs.sigma(Y)
+        g0, g2, sig = coeffs.gamma0(S), coeffs.gamma2(S), coeffs.sigma(S)
+        if coupled:
+            # reflection until coalescence; shared noise afterwards
+            sign[1] = np.where(alive & refined, -1.0, 1.0)
         xi = _draws(cfg.seed, _SLOT_BROWNIAN, counter, n, normal=True)
-        # reflection until coalescence; shared noise afterwards
-        ysign = np.where(alive & refined, -1.0, 1.0)
-        mil = (xi * xi - 1.0) * h
-        dX = g0x * h + sigx * sqh * xi + _milstein_coef(coeffs, X) * mil
-        dY = g0y * h + sigy * sqh * ysign * xi + _milstein_coef(coeffs, Y) * mil
+        dS = g0 * h + sig * sqh * (sign * xi) \
+            + _milstein_coef(coeffs, S) * ((xi * xi - 1.0) * h)
         if nu_eps > 0:
-            dX -= g2x * mean_eps * h
-            dY -= g2y * mean_eps * h
+            dS -= g2 * mean_eps * h
             if small_var > 0.0:
                 xi2 = _draws(cfg.seed, _SLOT_GAUSS_COMP, counter, n, normal=True)
-                dX = dX + np.sqrt(np.maximum(g2x * small_var * h, 0.0)) * xi2
-                dY = dY + np.sqrt(np.maximum(g2y * small_var * h, 0.0)) \
-                    * ysign * xi2
-        Xn = np.maximum(X + dX, 0.0)
-        Yn = np.maximum(Y + dY, 0.0)
+                dS = dS + np.sqrt(np.maximum(g2 * small_var * h, 0.0)) * (sign * xi2)
+        Sn = np.maximum(S + dS, 0.0)
         # jumps act on the post-drift state in thinning rounds of acceptance
         # probability <= ~0.1 each: the row geometry (gap, rho) is evaluated
         # where the jump lands, so an exact-meeting row really produces gap 0
         # instead of gap minus one drift increment; and the drift map above
-        # never depends on the round count, so the marginal law matches the
-        # single-path scheme exactly
+        # never depends on the round count
         if nu_eps > 0:
-            pmax = float(np.max(g2x[live], initial=0.0)) * nu_eps * h
+            pmax = float(np.max(g2[0][live], initial=0.0)) * nu_eps * h
             m = min(max(1, int(math.ceil(pmax / 0.1))), _MAX_SUBSTEPS)
             for _ in range(m):
-                g2xr, g2yr = coeffs.gamma2(Xn), coeffs.gamma2(Yn)
-                p = g2xr * nu_eps * (h / m)
+                g2r = coeffs.gamma2(Sn)
+                p = g2r[0] * nu_eps * (h / m)
                 max_p = max(max_p, float(np.max(p[live], initial=0.0)))
                 u = _draws(cfg.seed, _SLOT_JUMP_OCCUR, counter, n)
                 events = live & (u < np.minimum(p, 1.0))
                 if np.any(events):
-                    us = _draws(cfg.seed, _SLOT_JUMP_SIZE, counter, n)
-                    um = _draws(cfg.seed, _SLOT_MARK, counter, n)
                     idx = np.flatnonzero(events)
+                    us = _draws(cfg.seed, _SLOT_JUMP_SIZE, counter, n)
                     z = np.asarray(nu.quantile_above(cfg.eps, us[idx]))
-                    mark = um[idx] * g2xr[idx]
-                    U = np.maximum(Xn[idx] - Yn[idx], 0.0)
-                    Uk = np.minimum(U, cfg.kappa)
-                    if refined:
-                        rho_minus = np.asarray(nu.rho(-Uk, z))
-                        rho_plus = np.asarray(nu.rho(Uk, z))
-                        a1 = 0.5 * g2yr[idx] * rho_minus
-                        a2 = a1 + 0.5 * g2yr[idx] * rho_plus
-                        a3 = g2yr[idx]
-                        row1 = mark < a1
-                        row2 = ~row1 & (mark < a2)
-                        row3 = ~row1 & ~row2 & (mark < a3)
-                        y_disp = np.where(row1, z + Uk,
-                                          np.where(row2, z - Uk,
-                                                   np.where(row3, z, 0.0)))
-                    else:
-                        common = mark < g2yr[idx]
-                        y_disp = np.where(common, z, 0.0)
-                    add_x = np.zeros(n)
-                    add_y = np.zeros(n)
-                    add_x[idx] = z
-                    add_y[idx] = y_disp
-                    Xn = Xn + add_x
-                    Yn = Yn + add_y
+                    if coupled:
+                        um = _draws(cfg.seed, _SLOT_MARK, counter, n)
+                        Sn[1, idx] += _partner_jump(
+                            nu, cfg, refined, z, um[idx] * g2r[0, idx],
+                            Sn[0, idx] - Sn[1, idx], g2r[1, idx])
+                    Sn[0, idx] += z
                 counter += 1
-        X = np.where(live, Xn, X)
-        Y = np.where(live, Yn, Y)
+        S = np.where(live, Sn, S)
 
-        gap = X - Y
-        # order bookkeeping (only meaningful pre-coalescence).  With an
-        # active diffusion part a sign change means the two paths crossed
-        # inside the step, i.e. they met: project to the midpoint and let
-        # the coalescence test pick the pair up.  On pure-jump paths the
-        # scheme preserves order exactly, so a negative gap beyond the
-        # rounding threshold is a genuine violation and is counted.
-        neg = alive & (gap < 0)
-        crossed = neg & (sigx + sigy > 0)
-        small_neg = (neg & ~crossed & (gap >= -delta_c)) | crossed
-        if np.any(small_neg):
-            repairs += int(np.count_nonzero(small_neg & ~crossed))
-            mid = 0.5 * (X + Y)
-            X = np.where(small_neg, mid, X)
-            Y = np.where(small_neg, mid, Y)
-            gap = X - Y
-        big_neg = neg & ~crossed & (gap < -delta_c)
-        violations += int(np.count_nonzero(big_neg))
+        if coupled:
+            # order bookkeeping (only meaningful pre-coalescence).  With an
+            # active diffusion part a sign change means the two paths crossed
+            # inside the step, i.e. they met: project to the midpoint and let
+            # the coalescence test pick the pair up.  On pure-jump paths the
+            # scheme preserves order exactly, so a negative gap beyond the
+            # rounding threshold is a genuine violation and is counted.
+            gap = S[0] - S[1]
+            neg = alive & (gap < 0)
+            crossed = neg & (sig[0] + sig[1] > 0)
+            small_neg = (neg & ~crossed & (gap >= -delta_c)) | crossed
+            if np.any(small_neg):
+                repairs += int(np.count_nonzero(small_neg & ~crossed))
+                S[:, small_neg] = 0.5 * (S[0] + S[1])[small_neg]
+                gap = S[0] - S[1]
+            violations += int(np.count_nonzero(neg & ~crossed & (gap < -delta_c)))
 
-        # coalescence detection and permanence (time at step resolution)
-        t_now = step * cfg.h
-        hit = alive & ((np.abs(gap) <= delta_c) | crossed)
-        if np.any(hit):
+            # coalescence detection and permanence (time at step resolution)
+            t_now = step * h
+            hit = alive & ((np.abs(gap) <= delta_c) | crossed)
             coal = np.where(hit, t_now, coal)
-        merged = live & (coal <= t_now)
-        Y = np.where(merged, X, Y)
+            merged = live & (coal <= t_now)
+            S[1] = np.where(merged, S[0], S[1])
 
-        bad = live & (~np.isfinite(X) | ~np.isfinite(Y)
-                      | (X > _STATE_CAP) | (Y > _STATE_CAP))
+        bad = live & np.any(~np.isfinite(S) | (S > _STATE_CAP), axis=0)
         if np.any(bad):
             flagged |= bad
-            X = np.where(bad, np.nan, X)
-            Y = np.where(bad, np.nan, Y)
+            S[:, bad] = np.nan
         counter += 1
         for k in np.flatnonzero(rec_steps == step):
-            snapX[k], snapY[k] = X, Y
-    return CoupledEnsemble(times=rec_times, X=snapX, Y=snapY, x0=float(x0),
-                           y0=float(y0), coalescence=coal,
-                           order_violations=violations, order_repairs=repairs,
-                           flagged=flagged, config=cfg.echo(), max_jump_prob=max_p)
+            snaps[:, k] = S
+    return _Run(rec_times, snaps, flagged, coal, violations, repairs, max_p)
+
+
+def simulate_single(coeffs: CoefficientSet, nu: Optional[LevyMeasure],
+                    x0: float, cfg: SimConfig) -> SingleEnsemble:
+    """Euler-Maruyama ensemble of the marginal SDE started at x0 >= 0."""
+    if x0 < 0:
+        raise DomainError("x0 must be nonnegative")
+    run = _simulate(coeffs, nu, x0, None, cfg)
+    return SingleEnsemble(times=run.times, X=run.paths[0], x0=float(x0),
+                          flagged=run.flagged, config=cfg.echo(),
+                          max_jump_prob=run.max_jump_prob)
+
+
+def simulate_coupled(coeffs: CoefficientSet, nu: Optional[LevyMeasure],
+                     x0: float, y0: float, cfg: SimConfig) -> CoupledEnsemble:
+    """Coupled ensemble from x0 > y0 >= 0 (x0 = y0 starts coalesced); its X
+    leg is the marginal run ``simulate_single`` makes at the same seed."""
+    if y0 < 0 or x0 < y0:
+        raise DomainError("need x0 >= y0 >= 0")
+    run = _simulate(coeffs, nu, x0, y0, cfg)
+    return CoupledEnsemble(times=run.times, X=run.paths[0], Y=run.paths[1],
+                           x0=float(x0), y0=float(y0), coalescence=run.coalescence,
+                           order_violations=run.order_violations,
+                           order_repairs=run.order_repairs, flagged=run.flagged,
+                           config=cfg.echo(), max_jump_prob=run.max_jump_prob)
 
 
 def marginal_consistency(coeffs, nu, x0, y0, cfg: SimConfig, checkpoints=None):

@@ -1,9 +1,11 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from scipy import stats
 
+from nlbranch.config import load_scenario
 from nlbranch.errors import DomainError, ValidationError
 from nlbranch.model import (CoefficientSet, StableTruncatedMeasure,
                             cir_coefficients)
@@ -178,9 +180,7 @@ def test_coupled_rejects_bad_starts():
 
 
 def test_order_and_permanence_case2(case2):
-    cfg = case2.sim
-    from dataclasses import replace
-    cfg = replace(cfg, n_paths=500, t_end=2.0,
+    cfg = replace(case2.sim, n_paths=500, t_end=2.0,
                   record_times=[0.0, 0.5, 1.0, 2.0])
     ens = simulate_coupled(case2.coeffs, case2.nu, case2.x0, case2.y0, cfg)
     assert ens.order_violations == 0
@@ -191,6 +191,20 @@ def test_order_and_permanence_case2(case2):
         assert np.all(gap[done] == 0.0)
         assert np.all(gap[~ens.flagged] >= 0.0)
     assert np.mean(np.isfinite(ens.coalescence)) > 0.1
+
+
+@pytest.mark.parametrize("name", ["cir", "case3-dyadic"])
+def test_coupled_x_leg_is_the_marginal_run(name):
+    # both simulators run one kernel: without order repairs (which move X to
+    # the midpoint of a crossing pair) the coupled X leg is the marginal run
+    sc = load_scenario(name)
+    cfg = replace(sc.sim, n_paths=200, t_end=0.3, record_times=None)
+    single = simulate_single(sc.coeffs, sc.nu, sc.x0, cfg)
+    coupled = simulate_coupled(sc.coeffs, sc.nu, sc.x0, sc.y0, cfg)
+    assert coupled.order_repairs == 0
+    assert np.array_equal(single.X, coupled.X)
+    assert np.array_equal(single.flagged, coupled.flagged)
+    assert single.max_jump_prob == coupled.max_jump_prob
 
 
 def test_synchronous_coupling_shares_noise():
