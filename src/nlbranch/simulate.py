@@ -8,10 +8,15 @@ is added instead.  The coupled scheme drives the Brownian parts by reflection
 four displacement rows of the refined basic coupling by a uniform mark thinned
 against the overlap ratio rho.
 
-Randomness is counter-based: every (step, draw-slot) pair owns a Philox stream
-keyed by the master seed, from which a full cross-section of N variates is
-generated at once.  Results are therefore bit-reproducible and independent of
-how the work is scheduled.
+Both simulators run one kernel: the marginal run is the X leg of the coupled
+pair without a partner, so each coupled leg follows the marginal scheme by
+construction.
+
+Randomness is counter-based: every (draw-slot, step, thinning-round) triple
+owns a Philox stream keyed by the master seed, and path i reads the i-th
+variate of each stream it needs.  Jumps are thinned path by path, each path
+taking its own number of rounds, so a path's values do not depend on the path
+count N: the first k paths of an N-path run are the k-path run, bit for bit.
 """
 
 from __future__ import annotations
@@ -249,7 +254,6 @@ def _simulate(coeffs, nu, x0, y0, cfg) -> _Run:
         snaps[:, k] = S
 
     sign = np.ones_like(S)      # per-leg sign of the shared Gaussian draws
-    counter = 0
     max_p = 0.0
     h = cfg.h
     sqh = math.sqrt(h)
@@ -260,40 +264,45 @@ def _simulate(coeffs, nu, x0, y0, cfg) -> _Run:
         if coupled:
             # reflection until coalescence; shared noise afterwards
             sign[1] = np.where(alive & refined, -1.0, 1.0)
-        xi = _draws(cfg.seed, _SLOT_BROWNIAN, counter, n, normal=True)
+        # step k owns the stream counters k (M + 1) + r, M = _MAX_SUBSTEPS:
+        # r = 0 for the Gaussian draws, r = 1..m_i <= M for thinning rounds
+        base = step * (_MAX_SUBSTEPS + 1)
+        xi = _draws(cfg.seed, _SLOT_BROWNIAN, base, n, normal=True)
         dS = g0 * h + sig * sqh * (sign * xi) \
             + _milstein_coef(coeffs, S) * ((xi * xi - 1.0) * h)
         if nu_eps > 0:
             dS -= g2 * mean_eps * h
             if small_var > 0.0:
-                xi2 = _draws(cfg.seed, _SLOT_GAUSS_COMP, counter, n, normal=True)
+                xi2 = _draws(cfg.seed, _SLOT_GAUSS_COMP, base, n, normal=True)
                 dS = dS + np.sqrt(np.maximum(g2 * small_var * h, 0.0)) * (sign * xi2)
         Sn = np.maximum(S + dS, 0.0)
         # jumps act on the post-drift state in thinning rounds of acceptance
         # probability <= ~0.1 each: the row geometry (gap, rho) is evaluated
         # where the jump lands, so an exact-meeting row really produces gap 0
         # instead of gap minus one drift increment; and the drift map above
-        # never depends on the round count
+        # never depends on the round count.  Thinning is Lewis-Shedler path by
+        # path: each path's round count m_i comes from its own X leg, so no
+        # path's draws depend on another path
         if nu_eps > 0:
-            pmax = float(np.max(g2[0][live], initial=0.0)) * nu_eps * h
-            m = min(max(1, int(math.ceil(pmax / 0.1))), _MAX_SUBSTEPS)
-            for _ in range(m):
+            rate = np.where(live, g2[0], 0.0) * nu_eps * h
+            m = np.clip(np.ceil(rate / 0.1), 1, _MAX_SUBSTEPS)
+            for r in range(1, int(m.max()) + 1):
                 g2r = coeffs.gamma2(Sn)
                 p = g2r[0] * nu_eps * (h / m)
-                max_p = max(max_p, float(np.max(p[live], initial=0.0)))
-                u = _draws(cfg.seed, _SLOT_JUMP_OCCUR, counter, n)
-                events = live & (u < np.minimum(p, 1.0))
+                active = live & (r <= m)
+                max_p = max(max_p, float(np.max(p[active], initial=0.0)))
+                u = _draws(cfg.seed, _SLOT_JUMP_OCCUR, base + r, n)
+                events = active & (u < np.minimum(p, 1.0))
                 if np.any(events):
                     idx = np.flatnonzero(events)
-                    us = _draws(cfg.seed, _SLOT_JUMP_SIZE, counter, n)
+                    us = _draws(cfg.seed, _SLOT_JUMP_SIZE, base + r, n)
                     z = np.asarray(nu.quantile_above(cfg.eps, us[idx]))
                     if coupled:
-                        um = _draws(cfg.seed, _SLOT_MARK, counter, n)
+                        um = _draws(cfg.seed, _SLOT_MARK, base + r, n)
                         Sn[1, idx] += _partner_jump(
                             nu, cfg, refined, z, um[idx] * g2r[0, idx],
                             Sn[0, idx] - Sn[1, idx], g2r[1, idx])
                     Sn[0, idx] += z
-                counter += 1
         S = np.where(live, Sn, S)
 
         if coupled:
@@ -324,7 +333,6 @@ def _simulate(coeffs, nu, x0, y0, cfg) -> _Run:
         if np.any(bad):
             flagged |= bad
             S[:, bad] = np.nan
-        counter += 1
         for k in np.flatnonzero(rec_steps == step):
             snaps[:, k] = S
     return _Run(rec_times, snaps, flagged, coal, violations, repairs, max_p)

@@ -75,6 +75,25 @@ def test_simulation_is_bit_identical_for_fixed_seed():
     assert np.array_equal(c.X, d.X)
 
 
+@pytest.mark.parametrize("name", ["case2-stable", "logistic", "case3-dyadic"])
+def test_paths_do_not_depend_on_path_count(name):
+    # streams are keyed per (slot, step, round) and each path thins on its
+    # own round count, so the first 200 paths of a larger run are the paths
+    # of the 200-path run, bit for bit
+    sc = load_scenario(name)
+    small = replace(sc.sim, n_paths=200, t_end=1.0, record_times=None)
+    big = replace(small, n_paths=1000)
+    a = simulate_single(sc.coeffs, sc.nu, sc.x0, small)
+    b = simulate_single(sc.coeffs, sc.nu, sc.x0, big)
+    assert np.array_equal(a.X, b.X[:, :200])
+    assert np.array_equal(a.flagged, b.flagged[:200])
+    c = simulate_coupled(sc.coeffs, sc.nu, sc.x0, sc.y0, small)
+    d = simulate_coupled(sc.coeffs, sc.nu, sc.x0, sc.y0, big)
+    assert np.array_equal(c.X, d.X[:, :200]) and np.array_equal(c.Y, d.Y[:, :200])
+    assert np.array_equal(c.coalescence, d.coalescence[:200])
+    assert np.array_equal(c.flagged, d.flagged[:200])
+
+
 def test_different_seeds_differ():
     cfg = SimConfig(h=1e-2, eps=0.1, t_end=0.5, n_paths=200, seed=7)
     cfg2 = SimConfig(h=1e-2, eps=0.1, t_end=0.5, n_paths=200, seed=8)
