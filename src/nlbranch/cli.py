@@ -167,8 +167,8 @@ def cmd_simulate(args):
         for i, t in enumerate(ens.times):
             x = ens.X[i][~ens.flagged]
             qs = np.quantile(x, [0.05, 0.5, 0.95])
-            fh.write(f"{float(t)!r},{float(np.mean(x))!r},{float(np.var(x))!r},"
-                     f"{qs[0]!r},{qs[1]!r},{qs[2]!r},{x.size}\n")
+            cells = (t, np.mean(x), np.var(x), *qs)
+            fh.write(",".join(repr(float(v)) for v in cells) + f",{x.size}\n")
     n_bad = int(np.count_nonzero(ens.flagged))
     print(f"wrote {path} (flagged {n_bad}/{ens.n_paths})")
     return 0 if n_bad <= 0.01 * ens.n_paths else 1
@@ -212,9 +212,6 @@ def build_parser():
         sp.add_argument("--seed", type=int, default=None)
         sp.add_argument("--paths", type=int, default=None)
         sp.add_argument("--step", type=float, default=None)
-        sp.add_argument("--threads", type=int, default=1,
-                        help="worker hint; the vectorized runner is "
-                             "deterministic regardless of this value")
         sp.set_defaults(fn=fn)
     return p
 
@@ -225,9 +222,6 @@ def main(argv=None):
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
-    if args.threads < 1:
-        print("--threads must be >= 1", file=sys.stderr)
-        return 2
     try:
         return args.fn(args)
     except (ValidationError, DomainError) as exc:

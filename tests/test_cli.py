@@ -161,6 +161,9 @@ def test_simulate_writes_summary(tmp_path, capsys):
     lines = (out / "case2-stable.single.csv").read_text().splitlines()
     assert lines[0] == "t,mean,var,q05,q50,q95,n"
     assert len(lines) > 1
+    for line in lines[1:]:
+        for cell in line.split(","):
+            float(cell)
 
 
 def test_seed_override_changes_ensemble(tmp_path):
@@ -181,5 +184,8 @@ def test_invariant_summary_command(tmp_path, capsys):
     assert "tail_w1" in text
 
 
-def test_threads_flag_validated(capsys):
-    assert main(["check", "--scenario", "cir", "--threads", "0"]) == 2
+def test_threads_flag_is_rejected(capsys):
+    # the flag was a worker hint nothing read; it is gone, so any value of it
+    # is now a usage error
+    assert main(["check", "--scenario", "cir", "--threads", "1"]) == 2
+    assert "--threads" in capsys.readouterr().err
