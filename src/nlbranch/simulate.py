@@ -397,26 +397,35 @@ def marginal_consistency(coeffs, nu, x0, y0, cfg: SimConfig, checkpoints=None):
 # serialization
 
 
+def _record_dtype(k):
+    """One path's record: id, seed, coalescence time and k (t, X, Y) triples,
+    packed little-endian."""
+    return np.dtype([("id", "<u8"), ("seed", "<u8"), ("coal", "<f8"),
+                     ("txy", "<f8", (k, 3))])
+
+
 def write_ensemble(path, ens: CoupledEnsemble):
-    """Binary record file: magic, version, JSON header, then per path
-    (id u64, seed u64, coalescence f64, K x (t, X, Y) f64), little-endian."""
+    """Binary record file: magic, version, JSON header, then one
+    ``_record_dtype`` record per path."""
     header = json.dumps({"config": ens.config, "x0": ens.x0, "y0": ens.y0,
                          "n_paths": int(ens.n_paths),
-                         "times": [float(t) for t in ens.times]},
+                         "times": [float(t) for t in ens.times],
+                         "order_violations": int(ens.order_violations),
+                         "order_repairs": int(ens.order_repairs),
+                         "max_jump_prob": float(ens.max_jump_prob)},
                         sort_keys=True).encode()
-    seed = int(ens.config.get("seed", 0))
-    K = ens.times.size
+    rec = np.empty(ens.n_paths, _record_dtype(ens.times.size))
+    rec["id"] = np.arange(ens.n_paths)
+    rec["seed"] = int(ens.config.get("seed", 0))
+    rec["coal"] = ens.coalescence
+    rec["txy"][:, :, 0] = ens.times
+    rec["txy"][:, :, 1] = ens.X.T
+    rec["txy"][:, :, 2] = ens.Y.T
     with open(path, "wb") as fh:
         fh.write(_MAGIC)
         fh.write(struct.pack("<II", _VERSION, len(header)))
         fh.write(header)
-        for p in range(ens.n_paths):
-            fh.write(struct.pack("<QQd", p, seed, float(ens.coalescence[p])))
-            triples = np.empty((K, 3))
-            triples[:, 0] = ens.times
-            triples[:, 1] = ens.X[:, p]
-            triples[:, 2] = ens.Y[:, p]
-            fh.write(triples.astype("<f8").tobytes())
+        rec.tofile(fh)
 
 
 def read_ensemble(path) -> CoupledEnsemble:
@@ -428,20 +437,16 @@ def read_ensemble(path) -> CoupledEnsemble:
             raise ValidationError(f"unsupported ensemble version {version}")
         header = json.loads(fh.read(hlen).decode())
         times = np.asarray(header["times"])
-        K, N = times.size, header["n_paths"]
-        X = np.empty((K, N))
-        Y = np.empty((K, N))
-        coal = np.empty(N)
-        for p in range(N):
-            _pid, _seed, c = struct.unpack("<QQd", fh.read(24))
-            coal[p] = c
-            triples = np.frombuffer(fh.read(K * 3 * 8), dtype="<f8").reshape(K, 3)
-            X[:, p] = triples[:, 1]
-            Y[:, p] = triples[:, 2]
+        rec = np.fromfile(fh, _record_dtype(times.size), count=header["n_paths"])
+    X = np.ascontiguousarray(rec["txy"][:, :, 1].T, dtype=float)
+    Y = np.ascontiguousarray(rec["txy"][:, :, 2].T, dtype=float)
     flagged = ~np.isfinite(X[-1]) | ~np.isfinite(Y[-1])
     return CoupledEnsemble(times=times, X=X, Y=Y, x0=header["x0"], y0=header["y0"],
-                           coalescence=coal, order_violations=0, order_repairs=0,
-                           flagged=flagged, config=header["config"])
+                           coalescence=rec["coal"].astype(float),
+                           order_violations=header["order_violations"],
+                           order_repairs=header["order_repairs"],
+                           flagged=flagged, config=header["config"],
+                           max_jump_prob=header["max_jump_prob"])
 
 
 def write_ensemble_csv(path, ens: CoupledEnsemble, max_paths=1000):

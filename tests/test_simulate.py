@@ -1,5 +1,5 @@
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -9,9 +9,9 @@ from nlbranch.config import load_scenario
 from nlbranch.errors import DomainError, ValidationError
 from nlbranch.model import (CoefficientSet, StableTruncatedMeasure,
                             cir_coefficients)
-from nlbranch.simulate import (SimConfig, read_ensemble, simulate_coupled,
-                               simulate_single, write_ensemble,
-                               write_ensemble_csv)
+from nlbranch.simulate import (CoupledEnsemble, SimConfig, read_ensemble,
+                               simulate_coupled, simulate_single,
+                               write_ensemble, write_ensemble_csv)
 
 STABLE15 = StableTruncatedMeasure(alpha=1.5, c0=1.0, zmax=1.0)
 
@@ -251,14 +251,25 @@ def test_ensemble_roundtrip(tmp_path):
     cfg = SimConfig(h=1e-2, eps=0.1, t_end=0.5, n_paths=50, seed=4,
                     record_times=[0.0, 0.25, 0.5])
     ens = simulate_coupled(linear_branching(), STABLE15, 1.0, 0.5, cfg)
+    # nonzero counters and a blown-up path, so that every field is exercised
+    ens = replace(ens, order_violations=3, order_repairs=5)
+    ens.X[1:, 7] = np.nan
+    ens.Y[1:, 7] = np.nan
+    ens.flagged[7] = True
     path = tmp_path / "ens.nlbe"
     write_ensemble(path, ens)
     back = read_ensemble(path)
-    assert np.array_equal(back.X, ens.X)
-    assert np.array_equal(back.Y, ens.Y)
-    assert np.array_equal(back.coalescence, ens.coalescence)
-    assert back.x0 == ens.x0 and back.y0 == ens.y0
-    assert list(back.times) == list(ens.times)
+    assert ens.max_jump_prob > 0
+    for f in fields(CoupledEnsemble):
+        a, b = getattr(back, f.name), getattr(ens, f.name)
+        if isinstance(b, np.ndarray):
+            assert np.array_equal(a, b, equal_nan=b.dtype.kind == "f"), f.name
+        else:
+            assert a == b, f.name
+    # the layout: magic, version, header length, header, fixed-size records
+    data = path.read_bytes()
+    hlen = int.from_bytes(data[8:12], "little")
+    assert len(data) == 12 + hlen + cfg.n_paths * (24 + 24 * ens.times.size)
 
 
 def test_read_ensemble_rejects_bad_magic(tmp_path):
