@@ -6,13 +6,11 @@ from .errors import (DomainError, NLBranchError, NoJumpError, QuadratureError,
 from .model import (AbsolutelyContinuousMeasure, AtomicMeasure, CoefficientSet,
                     LevyMeasure, MixtureMeasure, OverlapMeasure,
                     StableTruncatedMeasure, cir_coefficients, dyadic_atoms,
-                    logistic_coefficients, overlap, sample_jump_above,
-                    tail_mass, truncated_second_moment)
+                    logistic_coefficients)
 from .quad import DEFAULT_QUAD, QuadratureSpec, integrate_interval
 from .testfn import (ContractionConstants, DriftModulus, GFunction, PsiFunction,
                      TVTestFunction, assemble, build_g, build_psi,
-                     build_strong_psi, build_tv_fn, derive_constants,
-                     phi1_linear, phi1_log1p, phi1_xlog, phi1_zero,
+                     build_strong_psi, build_tv_fn, phi1_linear, phi1_log1p, phi1_xlog, phi1_zero,
                      phi2_linear, phi2_power)
 from .generator import (ConditionReport, apply_L, apply_coupling_L,
                         apply_coupling_L_sum, apply_synchronous_L,

@@ -35,7 +35,7 @@ _VERIFY_TOL = 1e-6
 
 
 class _C2:
-    """Uniform access to (f, f', f'') from an object, a tuple, or a callable."""
+    """Uniform access to (f, f', f'') from an object or a triple."""
 
     def __init__(self, f):
         if hasattr(f, "value") and hasattr(f, "d1") and hasattr(f, "d2"):
@@ -44,17 +44,8 @@ class _C2:
             self.d2 = lambda x: float(f.d2(np.asarray(x, dtype=float)))
         elif isinstance(f, (tuple, list)) and len(f) >= 3:
             self.f, self.d1, self.d2 = (lambda x, g=g: float(g(x)) for g in f[:3])
-        elif callable(f):
-            self.f = lambda x: float(f(x))
-            h = 1e-5
-            self.d1 = lambda x: (float(f(x + h)) - float(f(max(x - h, 0.0)))) \
-                / (h + min(h, x))
-            self.d2 = lambda x: (float(f(x + h)) - 2.0 * float(f(x))
-                                 + float(f(max(x - h, 0.0)))) / (h * min(h, x)
-                                                                 if x < h else h * h)
         else:
-            raise DomainError("f must expose value/d1/d2, be a (f, f', f'') triple, "
-                              "or be callable")
+            raise DomainError("f must expose value/d1/d2 or be a (f, f', f'') triple")
 
 
 def _nu_integral(nu: LevyMeasure, integrand, q: QuadratureSpec, weight=None,

@@ -292,16 +292,9 @@ class LevyMeasure:
     # -- sampling ---------------------------------------------------------
 
     def quantile_above(self, eps, u):
-        """Inverse CDF of nu restricted to (eps, oo) and normalized."""
+        """Inverse CDF of nu restricted to (eps, oo) and normalized; raises
+        NoJumpError when nu((eps, oo)) = 0."""
         raise NotImplementedError
-
-    def sample_above(self, eps, rng, size=None):
-        if eps <= 0:
-            raise DomainError("jump cutoff must be positive")
-        if self.tail_mass(eps) <= 0.0:
-            raise NoJumpError(f"nu((eps, oo)) = 0 for eps = {eps}")
-        u = rng.random() if size is None else rng.random(size)
-        return self.quantile_above(eps, u)
 
 
 class AbsolutelyContinuousMeasure(LevyMeasure):
@@ -351,6 +344,8 @@ class AbsolutelyContinuousMeasure(LevyMeasure):
             zs = np.linspace(eps, hi, 4097)
             dens = self.density(zs)
             cdf = np.concatenate(([0.0], np.cumsum((dens[1:] + dens[:-1]) * 0.5 * np.diff(zs))))
+            if not cdf[-1] > 0.0:
+                raise NoJumpError(f"nu((eps, oo)) = 0 for eps = {eps}")
             cdf /= cdf[-1]
             self._inv_cdf_cache[key] = (zs, cdf)
         zs, cdf = self._inv_cdf_cache[key]
@@ -400,6 +395,8 @@ class StableTruncatedMeasure(AbsolutelyContinuousMeasure):
         return self.c0 * (r ** (1.0 - a) - self.upper ** (1.0 - a)) / (a - 1.0)
 
     def quantile_above(self, eps, u):
+        if eps >= self.upper:
+            raise NoJumpError(f"nu((eps, oo)) = 0 for eps = {eps}")
         a = self.alpha
         lo, hi = eps ** -a, self.upper ** -a
         return (lo - np.asarray(u) * (lo - hi)) ** (-1.0 / a)
@@ -424,6 +421,8 @@ class AtomicMeasure(LevyMeasure):
     def quantile_above(self, eps, u):
         sel = self.atom_locations > eps
         locs, masses = self.atom_locations[sel], self.atom_masses[sel]
+        if not locs.size:
+            raise NoJumpError(f"nu((eps, oo)) = 0 for eps = {eps}")
         cum = np.cumsum(masses)
         idx = np.searchsorted(cum / cum[-1], np.asarray(u), side="right")
         return locs[np.clip(idx, 0, locs.size - 1)]
@@ -507,27 +506,3 @@ class MixtureMeasure(LevyMeasure):
             if np.any(sel):
                 out[sel] = m.quantile_above(eps, (u[sel] - lo) / (hi - lo))
         return out
-
-
-# ---------------------------------------------------------------------------
-# module-level convenience wrappers
-
-
-def tail_mass(nu: LevyMeasure, r: float) -> float:
-    """nu((r, oo)) for r > 0."""
-    return nu.tail_mass(r)
-
-
-def truncated_second_moment(nu: LevyMeasure, r: float) -> float:
-    """Integral of z^2 nu(dz) over (0, r]."""
-    return nu.trunc_second_moment(r)
-
-
-def overlap(nu: LevyMeasure, x: float) -> OverlapMeasure:
-    """The overlap measure mu_x = nu ^ (delta_x * nu)."""
-    return nu.overlap(x)
-
-
-def sample_jump_above(nu: LevyMeasure, eps: float, rng, size=None):
-    """Draw from nu restricted to (eps, oo), normalized."""
-    return nu.sample_above(eps, rng, size=size)

@@ -11,8 +11,9 @@ optionally a dissipation modulus Phi2 beyond l0):
 * ``build_strong_psi`` -- the bounded variant whose bridge integrates 1/Phi2;
 * ``build_tv_fn`` -- the bounded-below three-piece function used for total
                      variation estimates;
-* ``derive_constants`` -- the explicit constants (c0..c3, lambda, C)
-                     assembled exactly as the contraction argument prescribes.
+* ``assemble``    -- the explicit constants (c0..c3, lambda, C), assembled
+                     exactly as the contraction argument prescribes, paired
+                     with their test function.
 
 All evaluators are pure, vectorized and immutable after construction.
 """
@@ -769,12 +770,6 @@ def assemble(case: str, modulus: DriftModulus, params: dict, variant: str = "w1"
         b_tv=b_tv, theta_tv=theta_tv if variant in ("tv", "strong") else None,
         l0_star=l0_star)
     return constants, fn
-
-
-def derive_constants(case: str, modulus: DriftModulus, params: dict,
-                     variant: str = "w1") -> ContractionConstants:
-    """Constants only; see ``assemble`` for the paired test function."""
-    return assemble(case, modulus, params, variant)[0]
 
 
 def psi_table(fn, r_values):

@@ -17,7 +17,7 @@ from nlbranch.estimate import fit_rate, tv_upper, w1_upper
 from nlbranch.generator import (cir_expected_hitting_time,
                                 invariant_density_residual,
                                 invariant_measure_mass, verify_lyapunov)
-from nlbranch.model import StableTruncatedMeasure, overlap
+from nlbranch.model import StableTruncatedMeasure
 from nlbranch.simulate import marginal_consistency, simulate_coupled
 from nlbranch.testfn import (DriftModulus, assemble, build_g, phi1_log1p,
                              phi1_xlog, phi1_zero)
@@ -107,7 +107,7 @@ def test_criterion_3_test_function_suite(capsys):
 def test_criterion_4_overlap_measure(capsys):
     """Overlap mass closed form and the tail-mass domination bound."""
     stable_half = StableTruncatedMeasure(alpha=0.5, c0=1.0, zmax=1.0)
-    mass = overlap(stable_half, 0.25).mass
+    mass = stable_half.overlap(0.25).mass
     assert abs(mass - 2.0) <= 1e-8
     worst = 0.0
     for nu in (stable_half, StableTruncatedMeasure(alpha=1.5, c0=1.0, zmax=1.0)):

@@ -10,9 +10,7 @@ from nlbranch.errors import (DomainError, NLBranchError, NoJumpError,
 from nlbranch.model import (AbsolutelyContinuousMeasure, AtomicMeasure,
                             CoefficientSet, MixtureMeasure,
                             StableTruncatedMeasure, cir_coefficients,
-                            dyadic_atoms, logistic_coefficients, overlap,
-                            sample_jump_above, tail_mass,
-                            truncated_second_moment)
+                            dyadic_atoms, logistic_coefficients)
 
 STABLE15 = StableTruncatedMeasure(alpha=1.5, c0=1.0, zmax=1.0)
 STABLE05 = StableTruncatedMeasure(alpha=0.5, c0=1.0, zmax=1.0)
@@ -76,28 +74,28 @@ def test_sigma_is_sqrt_of_gamma1():
 
 def test_tail_mass_dyadic_atoms():
     # above 0.6 only the atom at 1 (mass 1) remains
-    assert tail_mass(DYADIC, 0.6) == pytest.approx(1.0)
+    assert DYADIC.tail_mass(0.6) == pytest.approx(1.0)
 
 
 def test_tail_mass_stable_closed_form():
-    assert tail_mass(STABLE15, 1.0) == 0.0
+    assert STABLE15.tail_mass(1.0) == 0.0
     expect = (0.5 ** -1.5 - 1.0) / 1.5
-    assert tail_mass(STABLE15, 0.5) == pytest.approx(expect, rel=1e-12)
+    assert STABLE15.tail_mass(0.5) == pytest.approx(expect, rel=1e-12)
 
 
 def test_tail_mass_requires_positive_radius():
     with pytest.raises(DomainError):
-        tail_mass(STABLE15, 0.0)
+        STABLE15.tail_mass(0.0)
 
 
 def test_truncated_second_moment_stable():
-    assert truncated_second_moment(STABLE15, 1.0) == pytest.approx(2.0, rel=1e-12)
+    assert STABLE15.trunc_second_moment(1.0) == pytest.approx(2.0, rel=1e-12)
 
 
 def test_truncated_second_moment_dyadic_partial_sum():
     j = np.arange(41)
     expect = float(np.sum(2.0 ** (1.5 * j) * (2.0 ** -j) ** 2))
-    assert truncated_second_moment(DYADIC, 1.0) == pytest.approx(expect, rel=1e-12)
+    assert DYADIC.trunc_second_moment(1.0) == pytest.approx(expect, rel=1e-12)
 
 
 @given(st.floats(min_value=1e-3, max_value=2.0),
@@ -105,8 +103,8 @@ def test_truncated_second_moment_dyadic_partial_sum():
 @settings(max_examples=30, deadline=None)
 def test_truncated_second_moment_monotone(r1, r2):
     lo, hi = sorted((r1, r2))
-    assert truncated_second_moment(STABLE15, lo) <= \
-        truncated_second_moment(STABLE15, hi) + 1e-12
+    assert STABLE15.trunc_second_moment(lo) <= \
+        STABLE15.trunc_second_moment(hi) + 1e-12
 
 
 def test_quadrature_agrees_with_closed_forms():
@@ -133,7 +131,7 @@ def test_divergent_moment_is_rejected():
 
 def test_overlap_mass_stable_alpha_half_closed_form():
     # decreasing density: mass = tail integral from the shift
-    assert abs(overlap(STABLE05, 0.25).mass - 2.0) <= 1e-8
+    assert abs(STABLE05.overlap(0.25).mass - 2.0) <= 1e-8
 
 
 def test_overlap_mass_bound_dyadic_grid():
@@ -145,13 +143,13 @@ def test_overlap_mass_bound_dyadic_grid():
 
 def test_overlap_mass_symmetry():
     for x in (0.1, 0.25, 0.5, 0.9):
-        m_plus = overlap(STABLE15, x).mass
-        m_minus = overlap(STABLE15, -x).mass
+        m_plus = STABLE15.overlap(x).mass
+        m_minus = STABLE15.overlap(-x).mass
         assert abs(m_plus - m_minus) <= 1e-8 * (1.0 + m_plus)
 
 
 def test_overlap_at_zero_is_parent_measure():
-    ov = overlap(STABLE15, 0.0)
+    ov = STABLE15.overlap(0.0)
     assert math.isinf(ov.mass)
     assert np.allclose(ov.rho(np.array([0.2, 0.7])), 1.0)
 
@@ -184,13 +182,13 @@ def test_atomic_overlap_exact_coincidence():
 
 
 def test_sample_above_respects_support(rng):
-    z = sample_jump_above(STABLE15, 0.5, rng, size=1000)
+    z = STABLE15.quantile_above(0.5, rng.random(1000))
     assert np.all(z > 0.5) and np.all(z <= 1.0)
 
 
 def test_sample_above_matches_restricted_cdf(rng):
     eps = 0.1
-    z = sample_jump_above(STABLE15, eps, rng, size=200_000)
+    z = STABLE15.quantile_above(eps, rng.random(200_000))
     lo, hi = eps ** -1.5, 1.0
 
     def cdf(t):
@@ -203,13 +201,13 @@ def test_sample_above_matches_restricted_cdf(rng):
 
 def test_sample_above_single_admissible_atom(rng):
     nu = AtomicMeasure([0.5, 1.0], [1.0, 1.0])
-    z = sample_jump_above(nu, 0.6, rng, size=100)
+    z = nu.quantile_above(0.6, rng.random(100))
     assert np.all(z == 1.0)
 
 
 def test_sample_above_empty_tail_raises(rng):
     with pytest.raises(NoJumpError):
-        sample_jump_above(STABLE15, 2.0, rng)
+        STABLE15.quantile_above(2.0, rng.random())
 
 
 def test_mixture_measure_additivity(rng):
@@ -219,7 +217,7 @@ def test_mixture_measure_additivity(rng):
         2.0 * STABLE15.tail_mass(r) + 3.0, rel=1e-10)
     assert mix.trunc_second_moment(r) == pytest.approx(
         2.0 * STABLE15.trunc_second_moment(r), rel=1e-10)
-    z = sample_jump_above(mix, 0.2, rng, size=2000)
+    z = mix.quantile_above(0.2, rng.random(2000))
     assert np.all((z > 0.2) & (z <= 1.0))
     # atoms land exactly on 0.5 with the expected frequency
     frac = np.mean(z == 0.5)

@@ -7,9 +7,8 @@ from hypothesis import given, settings, strategies as st
 from nlbranch.errors import DomainError, ValidationError
 from nlbranch.testfn import (ContractionConstants, DriftModulus, assemble,
                              build_g, build_psi, build_strong_psi, build_tv_fn,
-                             derive_constants, phi1_linear, phi1_log1p,
-                             phi1_xlog, phi1_zero, phi2_linear, phi2_power,
-                             psi_table)
+                             phi1_linear, phi1_log1p, phi1_xlog, phi1_zero,
+                             phi2_linear, phi2_power, psi_table)
 
 L0 = 1.0
 THETA = 0.5
@@ -243,7 +242,7 @@ def test_constants_a1_route():
     consts, _ = assemble("A1", mod, {"beta": 1.0, "k3": math.sqrt(2.0)})
     assert consts.theta_exp == pytest.approx(1.0)
     assert 0 < consts.lam <= 1.0 + 1e-12
-    assert derive_constants("A1", mod, {"beta": 1.0, "k3": math.sqrt(2.0)}).lam \
+    assert assemble("A1", mod, {"beta": 1.0, "k3": math.sqrt(2.0)})[0].lam \
         == pytest.approx(consts.lam)
 
 
