@@ -24,7 +24,7 @@ from __future__ import annotations
 import json
 import math
 import struct
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -204,13 +204,13 @@ class _Run(NamedTuple):
     max_jump_prob: float
 
 
-def _partner_jump(nu, cfg, refined, z, mark, gap, g2y):
+def _partner_jump(nu, kappa, refined, z, mark, gap, g2y):
     """Displacement of Y for accepted X-jumps of size z: the row of the
     refined basic coupling (or the common jump of the synchronous one) that
     the mark on [0, gamma2(X)) selects, with rho evaluated at the gap."""
     if not refined:
         return np.where(mark < g2y, z, 0.0)
-    Uk = np.minimum(np.maximum(gap, 0.0), cfg.kappa)
+    Uk = np.minimum(np.maximum(gap, 0.0), kappa)
     a1 = 0.5 * g2y * np.asarray(nu.rho(-Uk, z))
     a2 = a1 + 0.5 * g2y * np.asarray(nu.rho(Uk, z))
     row1 = mark < a1
@@ -286,9 +286,10 @@ def _simulate(coeffs, nu, x0, y0, cfg) -> _Run:
         if nu_eps > 0:
             rate = np.where(live, g2[0], 0.0) * nu_eps * h
             m = np.clip(np.ceil(rate / 0.1), 1, _MAX_SUBSTEPS)
+            h_round = h / m
             for r in range(1, int(m.max()) + 1):
                 g2r = coeffs.gamma2(Sn)
-                p = g2r[0] * nu_eps * (h / m)
+                p = g2r[0] * nu_eps * h_round
                 active = live & (r <= m)
                 max_p = max(max_p, float(np.max(p[active], initial=0.0)))
                 u = _draws(cfg.seed, _SLOT_JUMP_OCCUR, base + r, n)
@@ -300,7 +301,7 @@ def _simulate(coeffs, nu, x0, y0, cfg) -> _Run:
                     if coupled:
                         um = _draws(cfg.seed, _SLOT_MARK, base + r, n)
                         Sn[1, idx] += _partner_jump(
-                            nu, cfg, refined, z, um[idx] * g2r[0, idx],
+                            nu, cfg.kappa, refined, z, um[idx] * g2r[0, idx],
                             Sn[0, idx] - Sn[1, idx], g2r[1, idx])
                     Sn[0, idx] += z
         S = np.where(live, Sn, S)
@@ -373,9 +374,7 @@ def marginal_consistency(coeffs, nu, x0, y0, cfg: SimConfig, checkpoints=None):
     from scipy import stats
 
     single = simulate_single(coeffs, nu, x0, cfg)
-    from dataclasses import replace as _dc_replace
-    coupled = simulate_coupled(coeffs, nu, x0, y0,
-                               _dc_replace(cfg, seed=cfg.seed + 0x5D1F))
+    coupled = simulate_coupled(coeffs, nu, x0, y0, replace(cfg, seed=cfg.seed + 0x5D1F))
     if checkpoints is None:
         checkpoints = [t for t in single.times if t > 0]
     rows = []
