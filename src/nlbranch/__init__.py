@@ -10,8 +10,8 @@ from .model import (AbsolutelyContinuousMeasure, AtomicMeasure, CoefficientSet,
 from .quad import DEFAULT_QUAD, QuadratureSpec, integrate_interval
 from .testfn import (ContractionConstants, DriftModulus, GFunction, PsiFunction,
                      TVTestFunction, assemble, build_g, build_psi,
-                     build_strong_psi, build_tv_fn, phi1_linear, phi1_log1p, phi1_xlog, phi1_zero,
-                     phi2_linear, phi2_power)
+                     build_strong_psi, build_tv_fn, phi1_linear, phi1_log1p,
+                     phi1_xlog, phi1_zero, phi2_linear, phi2_power)
 from .generator import (ConditionReport, apply_L, apply_coupling_L,
                         apply_coupling_L_sum, apply_synchronous_L,
                         check_drift_condition, check_noise_conditions,
