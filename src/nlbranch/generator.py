@@ -26,6 +26,7 @@ from .quad import DEFAULT_QUAD, QuadratureSpec, integrate_interval
 HOLDS = "holds-on-grid"
 FAILS = "fails-at"
 INAPPLICABLE = "inapplicable"
+INCONCLUSIVE = "inconclusive"   # some grid points could not be evaluated
 
 _VERIFY_TOL = 1e-6
 
@@ -429,9 +430,12 @@ def verify_lyapunov(fn, constants, coeffs: CoefficientSet,
     """Report max over the grid of (L-tilde f + lambda f) (mode 'contraction')
     or (L-tilde f + lambda) (mode 'uniform', the strong-ergodicity target).
 
-    Holds-on-grid iff the max is <= tol.  Pairs (x, y) = (y + r, y) are scanned
-    over ``y_values`` for each r, so state dependence of the coefficients is
-    exercised, not just the difference process at y = 0.
+    Holds-on-grid iff the max is <= tol at every grid point.  A point whose
+    quadrature fails is skipped and listed under ``skipped``; with no witness
+    the verdict is then inconclusive, which does not hold.  Pairs
+    (x, y) = (y + r, y) are scanned over ``y_values`` for each r, so state
+    dependence of the coefficients is exercised, not just the difference
+    process at y = 0.
     """
     lam = constants.lam if hasattr(constants, "lam") else float(constants)
     if q is None:
@@ -443,6 +447,7 @@ def verify_lyapunov(fn, constants, coeffs: CoefficientSet,
     worst = -math.inf
     worst_point = None
     witnesses = []
+    skipped = []
     quad_notes = []
     for r in np.asarray(r_grid, dtype=float):
         target = lam * float(fn.value(np.asarray(r))) if mode == "contraction" else lam
@@ -451,6 +456,7 @@ def verify_lyapunov(fn, constants, coeffs: CoefficientSet,
             try:
                 val = apply_coupling_L(fn, x, y, coeffs, nu, kappa, q=q)
             except QuadratureError as exc:
+                skipped.append((float(r), float(y)))
                 quad_notes.append(f"r={r:.4g},y={y:.4g}: {exc}")
                 continue
             margin = val + target
@@ -458,12 +464,13 @@ def verify_lyapunov(fn, constants, coeffs: CoefficientSet,
                 worst, worst_point = margin, (float(r), float(y))
             if margin > tol:
                 witnesses.append(((float(r), float(y)), float(margin)))
-    verdict = HOLDS if not witnesses else FAILS
-    return ConditionReport(
-        "lyapunov", verdict, witnesses,
-        derived={"lambda": lam, "mode": mode, "max_margin": worst,
-                 "worst_point": worst_point},
-        message="; ".join(quad_notes[:3]))
+    derived = {"lambda": lam, "mode": mode, "max_margin": worst,
+               "worst_point": worst_point}
+    if skipped:
+        derived["skipped"] = skipped
+    verdict = FAILS if witnesses else INCONCLUSIVE if skipped else HOLDS
+    return ConditionReport("lyapunov", verdict, witnesses, derived=derived,
+                           message="; ".join(quad_notes[:3]))
 
 
 # ---------------------------------------------------------------------------

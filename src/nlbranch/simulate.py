@@ -17,10 +17,14 @@ owns a Philox stream keyed by the master seed, and path i reads the i-th
 variate of each stream it needs.  Jumps are thinned path by path, each path
 taking its own number of rounds, so a path's values do not depend on the path
 count N: the first k paths of an N-path run are the k-path run, bit for bit.
+Because streams are keyed, not consumed in sequence, a step reads only the
+streams it uses: the Gaussian one only when some live path carries a
+diffusion term, which changes no value.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import struct
@@ -94,14 +98,27 @@ class SimConfig:
         return d
 
 
+@functools.lru_cache(maxsize=32)
+def _stream(key, slot):
+    """The Philox generator of one (seed, slot) stream family.  The cache hands
+    every caller the same object; ``_draws`` sets its whole state before each
+    use, so no caller sees another's position."""
+    return np.random.Generator(np.random.Philox(
+        key=np.array([key, slot], dtype=np.uint64)))
+
+
 def _draws(seed, slot, counter, n, normal=False):
     """A cross-section of n variates from the (seed, slot, counter) stream."""
     # the step index lives in the high counter word: generation increments the
-    # counter from the low word, so streams of successive steps stay disjoint
-    bits = np.random.Philox(key=np.array([seed & 0xFFFFFFFFFFFFFFFF, slot],
-                                         dtype=np.uint64),
-                            counter=np.array([0, 0, 0, counter], dtype=np.uint64))
-    gen = np.random.Generator(bits)
+    # counter from the low word, so streams of successive steps stay disjoint.
+    # Resetting a cached generator to a fresh one's state (empty buffer) gives
+    # the variates a newly built Philox(key, counter) would
+    key = seed & 0xFFFFFFFFFFFFFFFF
+    gen = _stream(key, slot)
+    gen.bit_generator.state = {
+        "bit_generator": "Philox",
+        "state": {"counter": (0, 0, 0, counter), "key": (key, slot)},
+        "buffer": (0, 0, 0, 0), "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
     return gen.standard_normal(n) if normal else gen.random(n)
 
 
@@ -267,9 +284,15 @@ def _simulate(coeffs, nu, x0, y0, cfg) -> _Run:
         # step k owns the stream counters k (M + 1) + r, M = _MAX_SUBSTEPS:
         # r = 0 for the Gaussian draws, r = 1..m_i <= M for thinning rounds
         base = step * (_MAX_SUBSTEPS + 1)
-        xi = _draws(cfg.seed, _SLOT_BROWNIAN, base, n, normal=True)
-        dS = g0 * h + sig * sqh * (sign * xi) \
-            + _milstein_coef(coeffs, S) * ((xi * xi - 1.0) * h)
+        # the Gaussian stream is read only when a live path carries a
+        # diffusion term (a NaN term counts); a skipped draw shifts no other
+        # stream, and the terms it would feed are zero, so no value changes.
+        # Flagged paths hold NaN and would keep the draw on forever
+        mil = _milstein_coef(coeffs, S)
+        dS = g0 * h
+        if np.any(((sig != 0.0) | (mil != 0.0)) & live):
+            xi = _draws(cfg.seed, _SLOT_BROWNIAN, base, n, normal=True)
+            dS = dS + sig * sqh * (sign * xi) + mil * ((xi * xi - 1.0) * h)
         if nu_eps > 0:
             dS -= g2 * mean_eps * h
             if small_var > 0.0:
@@ -308,14 +331,19 @@ def _simulate(coeffs, nu, x0, y0, cfg) -> _Run:
 
         if coupled:
             # order bookkeeping (only meaningful pre-coalescence).  With an
-            # active diffusion part a sign change means the two paths crossed
-            # inside the step, i.e. they met: project to the midpoint and let
-            # the coalescence test pick the pair up.  On pure-jump paths the
-            # scheme preserves order exactly, so a negative gap beyond the
-            # rounding threshold is a genuine violation and is counted.
+            # active Gaussian part (the diffusion, or the small-jump term of
+            # gaussian-compensation, driven the same way) a sign change means
+            # the two paths crossed inside the step, i.e. they met: project to
+            # the midpoint and let the coalescence test pick the pair up.  On
+            # pure-jump paths the scheme preserves order exactly, so a
+            # negative gap beyond the rounding threshold is a genuine
+            # violation and is counted.
             gap = S[0] - S[1]
             neg = alive & (gap < 0)
-            crossed = neg & (sig[0] + sig[1] > 0)
+            noise = sig[0] + sig[1]
+            if small_var > 0.0:
+                noise = noise + small_var * (g2[0] + g2[1])
+            crossed = neg & (noise > 0)
             small_neg = (neg & ~crossed & (gap >= -delta_c)) | crossed
             if np.any(small_neg):
                 repairs += int(np.count_nonzero(small_neg & ~crossed))

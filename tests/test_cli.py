@@ -1,9 +1,12 @@
+import math
+
 import numpy as np
 import pytest
 
+from nlbranch import generator
 from nlbranch.cli import main
 from nlbranch.config import PRESETS, compile_expression, load_scenario
-from nlbranch.errors import ValidationError
+from nlbranch.errors import QuadratureError, ValidationError
 
 
 def run(tmp_path, *argv):
@@ -116,6 +119,23 @@ def test_check_rejects_pure_growth_with_witnesses(tmp_path, capsys):
     text = capsys.readouterr().out
     assert "fails-at" in text
     assert "witness" in text
+    assert "verdict = failed" in text
+
+
+def test_check_fails_on_skipped_lyapunov_points(tmp_path, capsys, monkeypatch):
+    apply = generator.apply_coupling_L
+
+    def failing_at_one_point(fn, x, y, *args, **kwargs):
+        if y == 2.0 and math.isclose(x - y, 1e-3):
+            raise QuadratureError("integrand refused")
+        return apply(fn, x, y, *args, **kwargs)
+
+    monkeypatch.setattr(generator, "apply_coupling_L", failing_at_one_point)
+    code, _ = run(tmp_path, "check", "--scenario", "case2-stable")
+    assert code == 1
+    text = capsys.readouterr().out
+    assert "condition lyapunov: inconclusive" in text
+    assert "skipped = [(0.001, 2.0)]" in text
     assert "verdict = failed" in text
 
 

@@ -3,9 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from nlbranch.errors import DomainError
-from nlbranch.generator import (FAILS, HOLDS, INAPPLICABLE, ConditionReport,
-                                apply_L, apply_coupling_L,
+from nlbranch import generator
+from nlbranch.errors import DomainError, QuadratureError
+from nlbranch.generator import (FAILS, HOLDS, INAPPLICABLE, INCONCLUSIVE,
+                                ConditionReport, apply_L, apply_coupling_L,
                                 apply_coupling_L_sum, apply_synchronous_L,
                                 check_drift_condition, check_noise_conditions,
                                 cir_expected_hitting_time,
@@ -267,6 +268,25 @@ def test_verify_lyapunov_uniform_mode(case2, case2_assembled):
                           mode="uniform")
     assert rep.holds
     assert rep.derived["mode"] == "uniform"
+
+
+def test_verify_lyapunov_skipped_point_is_inconclusive(case2, case2_assembled,
+                                                       monkeypatch):
+    consts, psi = case2_assembled
+    grid = small_grid()
+    apply = generator.apply_coupling_L
+
+    def failing_at_one_point(fn, x, y, *args, **kwargs):
+        if y == 0.5 and math.isclose(x - y, grid[3]):
+            raise QuadratureError("integrand refused")
+        return apply(fn, x, y, *args, **kwargs)
+
+    monkeypatch.setattr(generator, "apply_coupling_L", failing_at_one_point)
+    rep = verify_lyapunov(psi, consts, case2.coeffs, case2.nu,
+                          case2.params["kappa"], r_grid=grid)
+    assert rep.verdict == INCONCLUSIVE and not rep.holds
+    assert rep.derived["skipped"] == [(float(grid[3]), 0.5)]
+    assert "integrand refused" in rep.to_text()
 
 
 # ---------------------------------------------------------------------------

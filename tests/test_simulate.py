@@ -1,10 +1,12 @@
 import math
+from collections import Counter
 from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 from scipy import stats
 
+from nlbranch import simulate
 from nlbranch.config import load_scenario
 from nlbranch.errors import DomainError, ValidationError
 from nlbranch.model import (CoefficientSet, StableTruncatedMeasure,
@@ -28,6 +30,19 @@ def pure_drift():
         gamma0=lambda x: -np.asarray(x, dtype=float),
         gamma1=lambda x: np.zeros_like(np.asarray(x, dtype=float)),
         gamma2=lambda x: np.zeros_like(np.asarray(x, dtype=float)))
+
+
+def count_draws(monkeypatch):
+    """Route the kernel's draws through a counter of calls per slot."""
+    calls = Counter()
+    draws = simulate._draws
+
+    def counting(seed, slot, counter, n, normal=False):
+        calls[slot] += 1
+        return draws(seed, slot, counter, n, normal)
+
+    monkeypatch.setattr(simulate, "_draws", counting)
+    return calls
 
 
 # ---------------------------------------------------------------------------
@@ -92,6 +107,26 @@ def test_paths_do_not_depend_on_path_count(name):
     assert np.array_equal(c.X, d.X[:, :200]) and np.array_equal(c.Y, d.Y[:, :200])
     assert np.array_equal(c.coalescence, d.coalescence[:200])
     assert np.array_equal(c.flagged, d.flagged[:200])
+
+
+def test_draws_equal_a_freshly_built_stream():
+    # the kernel reuses one generator per (seed, slot); every call must still
+    # read its stream from the start, whatever the calls before it left behind
+    def fresh(seed, slot, counter, n, normal):
+        gen = np.random.Generator(np.random.Philox(
+            key=np.array([seed & 0xFFFFFFFFFFFFFFFF, slot], dtype=np.uint64),
+            counter=np.array([0, 0, 0, counter], dtype=np.uint64)))
+        return gen.standard_normal(n) if normal else gen.random(n)
+
+    calls = []
+    for seed in (7, -3, 2 ** 63 + 11):
+        for counter in (17, 18, 1234 * 17 + 3):
+            calls += [(seed, 0, counter, 5, True), (seed, 0, counter, 3, False),
+                      (seed, 1, counter, 7, False), (seed, 4, counter, 5, True)]
+    calls += calls[::-1]
+    for seed, slot, counter, n, normal in calls:
+        got = simulate._draws(seed, slot, counter, n, normal=normal)
+        assert np.array_equal(got, fresh(seed, slot, counter, n, normal))
 
 
 def test_different_seeds_differ():
@@ -160,15 +195,39 @@ def test_boundary_clamps_to_zero():
     assert np.all(ens.X >= 0.0)
 
 
-def test_blow_up_paths_are_flagged():
+def test_blow_up_paths_are_flagged(monkeypatch):
     coeffs = CoefficientSet(
         gamma0=lambda x: np.asarray(x, dtype=float) ** 3,
         gamma1=lambda x: np.zeros_like(np.asarray(x, dtype=float)),
         gamma2=lambda x: np.zeros_like(np.asarray(x, dtype=float)))
     cfg = SimConfig(h=1e-2, t_end=5.0, n_paths=4, seed=1)
+    calls = count_draws(monkeypatch)
     ens = simulate_single(coeffs, None, 10.0, cfg)
     assert np.all(ens.flagged)
     assert np.all(np.isnan(ens.at(5.0)))
+    # no diffusion, and flagged paths (NaN) do not count as noise
+    assert calls[simulate._SLOT_BROWNIAN] == 0
+
+
+def test_pure_jump_runs_skip_the_brownian_draw(monkeypatch):
+    # gamma1 = 0 on case2-stable: the Gaussian stream is never read
+    sc = load_scenario("case2-stable")
+    cfg = replace(sc.sim, n_paths=200, t_end=0.2, record_times=None)
+    calls = count_draws(monkeypatch)
+    simulate_single(sc.coeffs, sc.nu, sc.x0, cfg)
+    simulate_coupled(sc.coeffs, sc.nu, sc.x0, sc.y0, cfg)
+    assert calls[simulate._SLOT_JUMP_OCCUR] > 0
+    assert calls[simulate._SLOT_BROWNIAN] == 0
+
+
+def test_diffusion_runs_draw_brownian_once_per_step(monkeypatch):
+    sc = load_scenario("cir")
+    cfg = replace(sc.sim, n_paths=200, t_end=0.2, record_times=None)
+    calls = count_draws(monkeypatch)
+    simulate_single(sc.coeffs, sc.nu, sc.x0, cfg)
+    assert calls == {simulate._SLOT_BROWNIAN: 200}
+    simulate_coupled(sc.coeffs, sc.nu, sc.x0, sc.y0, cfg)
+    assert calls == {simulate._SLOT_BROWNIAN: 400}
 
 
 def test_at_rejects_unrecorded_time():
@@ -210,6 +269,18 @@ def test_order_and_permanence_case2(case2):
         assert np.all(gap[done] == 0.0)
         assert np.all(gap[~ens.flagged] >= 0.0)
     assert np.mean(np.isfinite(ens.coalescence)) > 0.1
+
+
+@pytest.mark.parametrize("name", ["case2-stable", "case3-dyadic"])
+def test_gaussian_compensation_keeps_order(name):
+    # the small-jump Gaussian term is reflected in Y like a diffusion, so a
+    # crossing it causes is a meeting, not an order violation
+    sc = load_scenario(name)
+    cfg = replace(sc.sim, n_paths=400, t_end=0.5, record_times=None,
+                  small_jump_policy="gaussian-compensation")
+    ens = simulate_coupled(sc.coeffs, sc.nu, sc.x0, sc.y0, cfg)
+    assert ens.order_violations == 0
+    assert np.any(np.isfinite(ens.coalescence))
 
 
 @pytest.mark.parametrize("name", ["cir", "case3-dyadic"])
