@@ -36,41 +36,43 @@ _VERIFY_TOL = 1e-6
 
 
 class _C2:
-    """Uniform access to (f, f', f'') from an object or a triple."""
+    """Uniform array access to (f, f', f'') from an object or a triple.
+
+    The object's ``value`` / ``d1`` / ``d2`` must be vectorized; the entries of
+    a triple may be scalar functions, which are vectorized here.
+    """
 
     def __init__(self, f):
         if hasattr(f, "value") and hasattr(f, "d1") and hasattr(f, "d2"):
-            self.f = lambda x: float(f.value(np.asarray(x, dtype=float)))
-            self.d1 = lambda x: float(f.d1(np.asarray(x, dtype=float)))
-            self.d2 = lambda x: float(f.d2(np.asarray(x, dtype=float)))
+            self.f, self.d1, self.d2 = f.value, f.d1, f.d2
         elif isinstance(f, (tuple, list)) and len(f) >= 3:
-            self.f, self.d1, self.d2 = (lambda x, g=g: float(g(x)) for g in f[:3])
+            self.f, self.d1, self.d2 = (np.vectorize(g, otypes=[float]) for g in f[:3])
         else:
             raise DomainError("f must expose value/d1/d2 or be a (f, f', f'') triple")
 
 
 def _nu_integral(nu: LevyMeasure, integrand, q: QuadratureSpec, weight=None,
-                 upper=None, points=()):
+                 points=()):
     """int integrand(z) [weight(z)] nu(dz): atoms summed, AC part by quadrature.
 
-    ``points`` marks interior locations where the integrand loses smoothness
-    (piece junctions of spline-backed test functions), so the adaptive routine
-    is not penalized for the kinks.
+    ``integrand`` and ``weight`` are vectorized.  ``points`` marks interior
+    locations where the integrand loses smoothness (piece junctions of
+    spline-backed test functions), so the adaptive routine is not penalized
+    for the kinks.
     """
     total = 0.0
     locs, masses = nu.atom_locations, nu.atom_masses
-    for z, m in zip(locs, masses):
-        w = 1.0 if weight is None else float(weight(z))
-        if w != 0.0:
-            total += m * w * integrand(z)
+    if locs.size:
+        w = masses if weight is None else masses * weight(locs)
+        hit = w != 0.0
+        if hit.any():
+            total += float(np.sum(w[hit] * integrand(locs[hit])))
     if nu.has_ac_part:
-        hi = nu.upper if upper is None else min(upper, nu.upper)
         if weight is None:
-            fn = lambda z: integrand(z) * float(nu.density(np.asarray(z)))
+            fn = lambda z: integrand(z) * nu.density(z)
         else:
-            fn = lambda z: integrand(z) * float(weight(z)) \
-                * float(nu.density(np.asarray(z)))
-        total += integrate_interval(fn, 0.0, hi, q, points=points)
+            fn = lambda z: integrand(z) * weight(z) * nu.density(z)
+        total += integrate_interval(fn, 0.0, nu.upper, q, points=points)
     return total
 
 
@@ -82,39 +84,22 @@ def _shifted_breakpoints(f, r):
     return tuple(b - r for b in bps() if b > r)
 
 
-def _compensated_integrand(c2f, r):
-    """z -> f(r+z) - f(r) - z f'(r) without small-z cancellation.
+def _compensated_integrand(c2f, x):
+    """z -> f(x+z) - f(x) - z f'(x) without small-z cancellation, vectorized.
 
-    Below z = r/10 the direct difference of (possibly interpolated) values
-    drowns in rounding noise, so the Taylor form (z^2/2) f''(r + z/3) is used
+    Below z = x/10 the direct difference of (possibly interpolated) values
+    drowns in rounding noise, so the Taylor form (z^2/2) f''(x + z/3) is used
     instead; it matches the true value to third order with the exact second
-    derivative.  Returns (integrand, switch point).
+    derivative.  At x = 0 there is no natural scale for the switch, so a fixed
+    small radius is used; the midpoint form keeps the bias there below
+    quadrature tolerance.  Returns (integrand, switch point).
     """
-    fr, dfr = c2f.f(r), c2f.d1(r)
-    zs = 0.1 * r
-
-    def integrand(z):
-        if z <= zs:
-            return 0.5 * z * z * c2f.d2(r + z / 3.0)
-        return c2f.f(r + z) - fr - dfr * z
-
-    return integrand, zs
-
-
-def _marginal_integrand(c2f, x):
-    """Like ``_compensated_integrand`` but anchored at a state x >= 0.
-
-    At x = 0 there is no natural scale for the Taylor switch, so a fixed small
-    radius is used; the midpoint form keeps the bias there below quadrature
-    tolerance.
-    """
-    fx, dfx = c2f.f(x), c2f.d1(x)
+    fx, dfx = float(c2f.f(x)), float(c2f.d1(x))
     zs = 0.1 * x if x > 0.0 else 1e-3
 
     def integrand(z):
-        if z <= zs:
-            return 0.5 * z * z * c2f.d2(x + z / 3.0)
-        return c2f.f(x + z) - fx - dfx * z
+        return np.where(z <= zs, 0.5 * z * z * c2f.d2(x + z / 3.0),
+                        c2f.f(x + z) - fx - dfx * z)
 
     return integrand, zs
 
@@ -132,9 +117,9 @@ def apply_L(f, x: float, coeffs: CoefficientSet, nu: LevyMeasure,
     g0 = float(coeffs.gamma0(np.asarray(x)))
     g1 = float(coeffs.gamma1(np.asarray(x)))
     g2 = float(coeffs.gamma2(np.asarray(x)))
-    out = g0 * c2.d1(x) + 0.5 * g1 * c2.d2(x)
+    out = g0 * float(c2.d1(x)) + 0.5 * g1 * float(c2.d2(x))
     if g2 != 0.0:
-        integrand, zs = _marginal_integrand(c2, x)
+        integrand, zs = _compensated_integrand(c2, x)
         out += g2 * _nu_integral(nu, integrand, q,
                                  points=_shifted_breakpoints(f, x) + (zs,))
     return out
@@ -142,8 +127,7 @@ def apply_L(f, x: float, coeffs: CoefficientSet, nu: LevyMeasure,
 
 def apply_coupling_L(f, x: float, y: float, coeffs: CoefficientSet,
                      nu: LevyMeasure, kappa: float,
-                     q: QuadratureSpec = DEFAULT_QUAD,
-                     split: Optional[float] = None) -> float:
+                     q: QuadratureSpec = DEFAULT_QUAD) -> float:
     """Reduced refined-basic coupling operator acting on f(r), r = x - y > 0.
 
     The value is
@@ -153,8 +137,7 @@ def apply_coupling_L(f, x: float, y: float, coeffs: CoefficientSet,
         + (gamma0(x) - gamma0(y)) f'(r)
         + (1/2) (sqrt(gamma1(x)) + sqrt(gamma1(y)))^2 f''(r)
 
-    with r_k = min(r, kappa).  ``split`` optionally adds an interior quadrature
-    breakpoint (the short/long jump split used by the contraction estimates).
+    with r_k = min(r, kappa).
     """
     if kappa <= 0:
         raise DomainError("kappa must be positive")
@@ -167,21 +150,20 @@ def apply_coupling_L(f, x: float, y: float, coeffs: CoefficientSet,
     g2x, g2y = float(coeffs.gamma2(np.asarray(x))), float(coeffs.gamma2(np.asarray(y)))
     sx, sy = float(coeffs.sigma(np.asarray(x))), float(coeffs.sigma(np.asarray(y)))
 
-    out = (g0x - g0y) * c2f.d1(r)
+    out = (g0x - g0y) * float(c2f.d1(r))
     if sx + sy > 0.0:
-        out += 0.5 * (sx + sy) ** 2 * c2f.d2(r)
+        out += 0.5 * (sx + sy) ** 2 * float(c2f.d2(r))
     if g2y > 0.0:
         mass = nu.overlap_mass(rk)
         if not math.isfinite(mass):
             raise DomainError("overlap mass is infinite; r = 0 is outside the domain")
-        out += 0.5 * g2y * (c2f.f(r + rk) + c2f.f(r - rk) - 2.0 * c2f.f(r)) * mass
+        bracket = float(c2f.f(r + rk)) + float(c2f.f(r - rk)) - 2.0 * float(c2f.f(r))
+        out += 0.5 * g2y * bracket * mass
     excess = g2x - g2y
     if excess != 0.0:
         integrand, zs = _compensated_integrand(c2f, r)
-        pts = _shifted_breakpoints(f, r) + (zs,)
-        if split is not None and 0.0 < split:
-            pts = pts + (split,)
-        out += excess * _nu_integral(nu, integrand, q, points=pts)
+        out += excess * _nu_integral(nu, integrand, q,
+                                     points=_shifted_breakpoints(f, r) + (zs,))
     return out
 
 
@@ -197,7 +179,7 @@ def apply_synchronous_L(f, x: float, y: float, coeffs: CoefficientSet,
     g0x, g0y = float(coeffs.gamma0(np.asarray(x))), float(coeffs.gamma0(np.asarray(y)))
     g2x, g2y = float(coeffs.gamma2(np.asarray(x))), float(coeffs.gamma2(np.asarray(y)))
     sx, sy = float(coeffs.sigma(np.asarray(x))), float(coeffs.sigma(np.asarray(y)))
-    out = (g0x - g0y) * c2f.d1(r) + 0.5 * (sx - sy) ** 2 * c2f.d2(r)
+    out = (g0x - g0y) * float(c2f.d1(r)) + 0.5 * (sx - sy) ** 2 * float(c2f.d2(r))
     excess = g2x - g2y
     if excess != 0.0:
         integrand, zs = _compensated_integrand(c2f, r)
@@ -226,12 +208,13 @@ def apply_coupling_L_sum(f, g, x: float, y: float, coeffs: CoefficientSet,
     g1x, g1y = float(coeffs.gamma1(np.asarray(x))), float(coeffs.gamma1(np.asarray(y)))
     g2x, g2y = float(coeffs.gamma2(np.asarray(x))), float(coeffs.gamma2(np.asarray(y)))
 
-    out = g0x * cf.d1(x) + g0y * cg.d1(y) + 0.5 * g1x * cf.d2(x) + 0.5 * g1y * cg.d2(y)
+    out = (g0x * float(cf.d1(x)) + g0y * float(cg.d1(y))
+           + 0.5 * g1x * float(cf.d2(x)) + 0.5 * g1y * float(cg.d2(y)))
 
     u = x - y
-    gy, dgy = cg.f(y), cg.d1(y)
-    comp_f, zsf = _marginal_integrand(cf, x)
-    comp_g, zsg = _marginal_integrand(cg, y)
+    dgy = float(cg.d1(y))
+    comp_f, zsf = _compensated_integrand(cf, x)
+    comp_g, zsg = _compensated_integrand(cg, y)
     pts = (_shifted_breakpoints(f, x) + _shifted_breakpoints(g, y)
            + (zsf, zsg))
 
@@ -464,6 +447,8 @@ def verify_lyapunov(fn, constants, coeffs: CoefficientSet,
                 worst, worst_point = margin, (float(r), float(y))
             if margin > tol:
                 witnesses.append(((float(r), float(y)), float(margin)))
+    if worst_point is None:
+        worst = math.nan  # no point was evaluated: there is no margin to report
     derived = {"lambda": lam, "mode": mode, "max_margin": worst,
                "worst_point": worst_point}
     if skipped:
@@ -485,9 +470,9 @@ def invariant_density_residual(f, q: QuadratureSpec = DEFAULT_QUAD) -> float:
     functions with f'(0) = 0 (integration by parts leaves -f'(0)).
     """
     c2 = _C2(f)
-    if abs(c2.d1(0.0)) > 1e-8:
+    if abs(float(c2.d1(0.0))) > 1e-8:
         raise DomainError("the residual identity needs f'(0) = 0")
-    return integrate_interval(lambda x: (c2.d2(x) - c2.d1(x)) * math.exp(-x),
+    return integrate_interval(lambda x: (c2.d2(x) - c2.d1(x)) * np.exp(-x),
                               0.0, math.inf, q)
 
 
@@ -520,9 +505,8 @@ def cir_expected_hitting_time(x: float, b: float, c: float, d: float,
     dc = d / c
 
     def integrand(z):
-        if z == 0.0:
-            return (x - 1.0) / b
-        return (math.exp(-z) - math.exp(-x * z)) / (b * z + c * z * z) \
+        # e^-z - e^-xz without cancellation at small z
+        return (np.expm1(-z) - np.expm1(-x * z)) / (b * z + c * z * z) \
             * (1.0 + c * z / b) ** dc
 
     return integrate_interval(integrand, 0.0, math.inf, q)

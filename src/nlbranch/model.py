@@ -277,8 +277,8 @@ class LevyMeasure:
                 total += self.tail_mass(x) if x < self.upper else 0.0
             else:
                 hi = self.upper + x if np.isfinite(self.upper) else math.inf
-                fn = lambda z: min(float(self.density(z)),
-                                   float(self.density(z - x)) if z > x else 0.0)
+                # the density vanishes off its support, so below the shift too
+                fn = lambda z: np.minimum(self.density(z), self.density(z - x))
                 total += integrate_interval(fn, x, hi, self.quad,
                                             points=(self.upper,) if np.isfinite(self.upper) else ())
         return total

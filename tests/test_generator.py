@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from nlbranch import generator
+from nlbranch.cli import main
+from nlbranch.config import PRESETS, load_scenario
 from nlbranch.errors import DomainError, QuadratureError
 from nlbranch.generator import (FAILS, HOLDS, INAPPLICABLE, INCONCLUSIVE,
                                 ConditionReport, apply_L, apply_coupling_L,
@@ -287,6 +289,48 @@ def test_verify_lyapunov_skipped_point_is_inconclusive(case2, case2_assembled,
     assert rep.verdict == INCONCLUSIVE and not rep.holds
     assert rep.derived["skipped"] == [(float(grid[3]), 0.5)]
     assert "integrand refused" in rep.to_text()
+
+
+def test_verify_lyapunov_all_points_skipped_reports_no_margin(case2, case2_assembled,
+                                                              monkeypatch):
+    consts, psi = case2_assembled
+
+    def always_failing(*args, **kwargs):
+        raise QuadratureError("integrand refused")
+
+    monkeypatch.setattr(generator, "apply_coupling_L", always_failing)
+    rep = verify_lyapunov(psi, consts, case2.coeffs, case2.nu,
+                          case2.params["kappa"], r_grid=small_grid()[:4])
+    assert rep.verdict == INCONCLUSIVE and not rep.holds
+    assert math.isnan(rep.derived["max_margin"])
+    assert rep.derived["worst_point"] is None
+    assert len(rep.derived["skipped"]) == 12
+
+
+# max_margin of `nlbranch check` (60 x 3 grid) for every preset that runs the
+# Lyapunov scan, as the scalar QUADPACK integrator computed it
+LYAPUNOV_MARGINS = {
+    "case2-stable": -0.003927175847040058,
+    "case3-dyadic": -0.005174372718475429,
+    "logistic": -0.0234729275943238,
+    "superexp": -0.0024569554117395043,
+    "xlog-drift": -0.05388719384034818,
+}
+
+
+def test_lyapunov_pins_cover_every_lyapunov_preset():
+    assert sorted(LYAPUNOV_MARGINS) == sorted(
+        name for name in PRESETS if "lyapunov" in load_scenario(name).checks)
+
+
+@pytest.mark.parametrize("name", sorted(LYAPUNOV_MARGINS))
+def test_lyapunov_verdict_and_margin_are_pinned(tmp_path, name):
+    assert main(["check", "--scenario", name, "--out", str(tmp_path)]) == 0
+    text = (tmp_path / f"{name}.check.txt").read_text()
+    section = text.split("condition lyapunov: ", 1)[1]
+    assert section.startswith(HOLDS)
+    margin = float(section.split("max_margin = ", 1)[1].split("\n", 1)[0])
+    assert margin == pytest.approx(LYAPUNOV_MARGINS[name], abs=1e-9)
 
 
 # ---------------------------------------------------------------------------
