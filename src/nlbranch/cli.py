@@ -136,6 +136,16 @@ def cmd_testfn(args):
     return 0
 
 
+def _warn_thinning(ens):
+    """Say on stderr when jump thinning hit its round cap or clipped a
+    probability: the jump part is then under-sampled."""
+    if ens.capped_steps or ens.clipped_jumps:
+        print(f"warning: jump thinning is approximate: capped_steps = "
+              f"{ens.capped_steps} path-steps hit the round cap, clipped_jumps = "
+              f"{ens.clipped_jumps} jump probabilities were clipped to 1; "
+              "a smaller --step avoids both", file=sys.stderr)
+
+
 def cmd_couple(args):
     sc = _load(args)
     out = _out_dir(args)
@@ -148,9 +158,12 @@ def cmd_couple(args):
         f"\nflagged = {n_bad}/{ens.n_paths}"
         f"\norder_violations = {ens.order_violations}"
         f"\norder_repairs = {ens.order_repairs}"
-        f"\nmax_jump_prob = {ens.max_jump_prob!r}")
+        f"\nmax_jump_prob = {ens.max_jump_prob!r}"
+        f"\ncapped_steps = {ens.capped_steps}"
+        f"\nclipped_jumps = {ens.clipped_jumps}")
     _write(os.path.join(out, f"{sc.name}.fit.txt"), summary)
     print(summary)
+    _warn_thinning(ens)
     if n_bad > 0.01 * ens.n_paths:
         print(f"too many flagged paths ({n_bad})", file=sys.stderr)
         return 1
@@ -171,6 +184,7 @@ def cmd_simulate(args):
             fh.write(",".join(repr(float(v)) for v in cells) + f",{x.size}\n")
     n_bad = int(np.count_nonzero(ens.flagged))
     print(f"wrote {path} (flagged {n_bad}/{ens.n_paths})")
+    _warn_thinning(ens)
     return 0 if n_bad <= 0.01 * ens.n_paths else 1
 
 

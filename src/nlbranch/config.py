@@ -145,7 +145,7 @@ def build_coefficients(spec: dict) -> CoefficientSet:
     if kind == "custom":
         return CoefficientSet(
             gamma0=compile_expression(spec.get("gamma0", "0*x")),
-            gamma1=compile_expression(spec.get("gamma1", "0*x")),
+            gamma1=compile_expression(spec["gamma1"]) if "gamma1" in spec else None,
             gamma2=compile_expression(spec.get("gamma2", "0*x")),
             gamma2_nondecreasing=spec.get("gamma2_nondecreasing",
                                           "true").lower() == "true",
@@ -206,7 +206,7 @@ def _preset_case2(name="case2-stable"):
         name=name,
         coeffs=CoefficientSet(
             gamma0=lambda x: -np.asarray(x, dtype=float),
-            gamma1=lambda x: np.zeros_like(np.asarray(x, dtype=float)),
+            gamma1=None,
             gamma2=lambda x: np.asarray(x, dtype=float),
             name="linear-branching"),
         nu=StableTruncatedMeasure(alpha=alpha, c0=1.0, zmax=1.0),
@@ -247,7 +247,7 @@ def _preset_case3(name="case3-dyadic"):
         name=name,
         coeffs=CoefficientSet(
             gamma0=lambda x: -np.asarray(x, dtype=float),
-            gamma1=lambda x: np.zeros_like(np.asarray(x, dtype=float)),
+            gamma1=None,
             gamma2=lambda x: np.asarray(x, dtype=float),
             name="linear-branching"),
         nu=dyadic_atoms(alpha=alpha, jmax=40),
@@ -301,7 +301,7 @@ def _preset_xlog_drift(name="xlog-drift"):
         name=name,
         coeffs=CoefficientSet(
             gamma0=gamma0,
-            gamma1=lambda x: np.zeros_like(np.asarray(x, dtype=float)),
+            gamma1=None,
             gamma2=lambda x: 4.0 * np.asarray(x, dtype=float),
             name="xlog-drift"),
         nu=StableTruncatedMeasure(alpha=alpha, c0=1.0, zmax=1.0),
@@ -331,7 +331,7 @@ def _preset_superexp(name="superexp"):
         name=name,
         coeffs=CoefficientSet(
             gamma0=gamma0,
-            gamma1=lambda x: np.zeros_like(np.asarray(x, dtype=float)),
+            gamma1=None,
             gamma2=lambda x: np.asarray(x, dtype=float),
             name="superexp-dissipation"),
         nu=StableTruncatedMeasure(alpha=alpha, c0=1.0, zmax=1.0),

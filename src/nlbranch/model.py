@@ -38,6 +38,10 @@ def _as_vectorized(fn):
     return fn
 
 
+def _no_diffusion(x):
+    return np.zeros_like(np.asarray(x, dtype=float))
+
+
 @dataclass(frozen=True)
 class CoefficientSet:
     """The triple (gamma0, gamma1, gamma2) defining the SDE.
@@ -45,20 +49,28 @@ class CoefficientSet:
     gamma0 is the drift (state/time), gamma1 the diffusion variance
     (state^2/time; the diffusion amplitude is its square root), gamma2 the
     branching-rate multiplier (1/time per unit nu-mass).  All three must be
-    vectorized over numpy arrays.
+    vectorized over numpy arrays.  ``gamma1=None`` states that the model has
+    no diffusion part (as ``nu=None`` states it has no jumps): gamma1 is then
+    stored as the zero function and ``has_diffusion`` is false, which lets
+    the simulator skip the diffusion terms altogether.
     """
 
     gamma0: Callable
-    gamma1: Callable
+    gamma1: Optional[Callable]
     gamma2: Callable
     gamma2_nondecreasing: bool = True
     gamma1_vanishes_at_zero: bool = True
     gamma2_vanishes_at_zero: bool = True
     name: str = ""
+    has_diffusion: bool = field(init=False)
 
     def __post_init__(self):
+        # the stored zero function keeps the flag through dataclasses.replace
+        no_diffusion = self.gamma1 is None or self.gamma1 is _no_diffusion
+        object.__setattr__(self, "has_diffusion", not no_diffusion)
         object.__setattr__(self, "gamma0", _as_vectorized(self.gamma0))
-        object.__setattr__(self, "gamma1", _as_vectorized(self.gamma1))
+        object.__setattr__(self, "gamma1",
+                           _no_diffusion if no_diffusion else _as_vectorized(self.gamma1))
         object.__setattr__(self, "gamma2", _as_vectorized(self.gamma2))
         grid = np.concatenate(([0.0], np.logspace(-6, 1.0, 140)))
         g0, g1, g2 = self.gamma0(grid), self.gamma1(grid), self.gamma2(grid)
@@ -111,7 +123,7 @@ def logistic_coefficients(b1, b2, c1=0.0, c2=1.0):
         raise DomainError("logistic parameters must be positive (c1, c2 nonnegative)")
     return CoefficientSet(
         gamma0=lambda x: b1 * np.asarray(x, dtype=float) - b2 * np.asarray(x, dtype=float) ** 2,
-        gamma1=lambda x: c1 * np.asarray(x, dtype=float),
+        gamma1=None if c1 == 0 else (lambda x: c1 * np.asarray(x, dtype=float)),
         gamma2=lambda x: c2 * np.asarray(x, dtype=float),
         name=f"logistic(b1={b1},b2={b2},c1={c1},c2={c2})",
     )

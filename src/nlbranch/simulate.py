@@ -19,7 +19,12 @@ taking its own number of rounds, so a path's values do not depend on the path
 count N: the first k paths of an N-path run are the k-path run, bit for bit.
 Because streams are keyed, not consumed in sequence, a step reads only the
 streams it uses: the Gaussian one only when some live path carries a
-diffusion term, which changes no value.
+diffusion term, which changes no value.  A model built with ``gamma1=None``
+has no diffusion term anywhere, so the kernel skips that work outright.
+
+Two counters report where the thinning scheme is only approximate:
+``capped_steps`` counts path-steps that wanted more than ``_MAX_SUBSTEPS``
+rounds, ``clipped_jumps`` the proposals whose probability exceeded 1.
 """
 
 from __future__ import annotations
@@ -140,6 +145,8 @@ class SingleEnsemble:
     flagged: np.ndarray         # (N,) bool, blown-up paths (excluded downstream)
     config: dict
     max_jump_prob: float = 0.0  # worst per-substep thinning probability seen
+    capped_steps: int = 0       # path-steps whose round count hit the cap
+    clipped_jumps: int = 0      # proposals whose probability was clipped to 1
 
     @property
     def n_paths(self):
@@ -164,6 +171,8 @@ class CoupledEnsemble:
     flagged: np.ndarray
     config: dict
     max_jump_prob: float = 0.0
+    capped_steps: int = 0
+    clipped_jumps: int = 0
 
     @property
     def n_paths(self):
@@ -219,6 +228,8 @@ class _Run(NamedTuple):
     order_violations: int
     order_repairs: int
     max_jump_prob: float
+    capped_steps: int
+    clipped_jumps: int
 
 
 def _partner_jump(nu, kappa, refined, z, mark, gap, g2y):
@@ -228,8 +239,10 @@ def _partner_jump(nu, kappa, refined, z, mark, gap, g2y):
     if not refined:
         return np.where(mark < g2y, z, 0.0)
     Uk = np.minimum(np.maximum(gap, 0.0), kappa)
-    a1 = 0.5 * g2y * np.asarray(nu.rho(-Uk, z))
-    a2 = a1 + 0.5 * g2y * np.asarray(nu.rho(Uk, z))
+    # rho(-U, z) and rho(U, z) in one call
+    rho = np.asarray(nu.rho(np.concatenate((-Uk, Uk)), np.concatenate((z, z))))
+    a1 = 0.5 * g2y * rho[:z.size]
+    a2 = a1 + 0.5 * g2y * rho[z.size:]
     row1 = mark < a1
     row2 = ~row1 & (mark < a2)
     row3 = ~row1 & ~row2 & (mark < g2y)
@@ -264,8 +277,12 @@ def _simulate(coeffs, nu, x0, y0, cfg) -> _Run:
         else:
             S[1] = y0
     flagged = np.zeros(n, dtype=bool)
+    live = ~flagged
+    all_live = True             # no path flagged yet: live is all True
     violations = 0
     repairs = 0
+    capped = 0
+    clipped = 0
     snaps = np.empty((S.shape[0], rec_times.size, n))
     for k in np.flatnonzero(rec_steps == 0):
         snaps[:, k] = S
@@ -275,29 +292,33 @@ def _simulate(coeffs, nu, x0, y0, cfg) -> _Run:
     h = cfg.h
     sqh = math.sqrt(h)
     for step in range(1, n_steps + 1):
-        live = ~flagged
         alive = live & (coal == math.inf)
-        g0, g2, sig = coeffs.gamma0(S), coeffs.gamma2(S), coeffs.sigma(S)
+        g0, g2 = coeffs.gamma0(S), coeffs.gamma2(S)
         if coupled:
             # reflection until coalescence; shared noise afterwards
             sign[1] = np.where(alive & refined, -1.0, 1.0)
         # step k owns the stream counters k (M + 1) + r, M = _MAX_SUBSTEPS:
         # r = 0 for the Gaussian draws, r = 1..m_i <= M for thinning rounds
         base = step * (_MAX_SUBSTEPS + 1)
-        # the Gaussian stream is read only when a live path carries a
-        # diffusion term (a NaN term counts); a skipped draw shifts no other
-        # stream, and the terms it would feed are zero, so no value changes.
-        # Flagged paths hold NaN and would keep the draw on forever
-        mil = _milstein_coef(coeffs, S)
         dS = g0 * h
-        if np.any(((sig != 0.0) | (mil != 0.0)) & live):
-            xi = _draws(cfg.seed, _SLOT_BROWNIAN, base, n, normal=True)
-            dS = dS + sig * sqh * (sign * xi) + mil * ((xi * xi - 1.0) * h)
+        if coeffs.has_diffusion:
+            # the Gaussian stream is read only when a live path carries a
+            # diffusion term (a NaN term counts); a skipped draw shifts no
+            # other stream, and the terms it would feed are zero, so no value
+            # changes.  Flagged paths hold NaN and would keep the draw on
+            # forever
+            sig = coeffs.sigma(S)
+            mil = _milstein_coef(coeffs, S)
+            if np.any(((sig != 0.0) | (mil != 0.0)) & live):
+                xi = _draws(cfg.seed, _SLOT_BROWNIAN, base, n, normal=True)
+                dS = dS + sig * sqh * (sign * xi if coupled else xi) \
+                    + mil * ((xi * xi - 1.0) * h)
         if nu_eps > 0:
             dS -= g2 * mean_eps * h
             if small_var > 0.0:
                 xi2 = _draws(cfg.seed, _SLOT_GAUSS_COMP, base, n, normal=True)
-                dS = dS + np.sqrt(np.maximum(g2 * small_var * h, 0.0)) * (sign * xi2)
+                dS = dS + np.sqrt(np.maximum(g2 * small_var * h, 0.0)) * (
+                    sign * xi2 if coupled else xi2)
         Sn = np.maximum(S + dS, 0.0)
         # jumps act on the post-drift state in thinning rounds of acceptance
         # probability <= ~0.1 each: the row geometry (gap, rho) is evaluated
@@ -305,29 +326,43 @@ def _simulate(coeffs, nu, x0, y0, cfg) -> _Run:
         # instead of gap minus one drift increment; and the drift map above
         # never depends on the round count.  Thinning is Lewis-Shedler path by
         # path: each path's round count m_i comes from its own X leg, so no
-        # path's draws depend on another path
+        # path's draws depend on another path.  When no path wants a second
+        # round, every path runs the one round over the whole step
         if nu_eps > 0:
-            rate = np.where(live, g2[0], 0.0) * nu_eps * h
-            m = np.clip(np.ceil(rate / 0.1), 1, _MAX_SUBSTEPS)
-            h_round = h / m
-            for r in range(1, int(m.max()) + 1):
-                g2r = coeffs.gamma2(Sn)
-                p = g2r[0] * nu_eps * h_round
-                active = live & (r <= m)
-                max_p = max(max_p, float(np.max(p[active], initial=0.0)))
+            rate = (g2[0] if all_live else np.where(live, g2[0], 0.0)) * nu_eps * h
+            # ceil and clip are monotone, so this is the largest m_i
+            want = np.ceil(rate.max() / 0.1)
+            m_max = int(np.clip(want, 1, _MAX_SUBSTEPS))
+            if m_max == 1:
+                h_round, active = h, live
+            else:
+                wants = np.ceil(rate / 0.1)
+                if want > _MAX_SUBSTEPS:
+                    capped += int(np.count_nonzero(wants > _MAX_SUBSTEPS))
+                m = np.clip(wants, 1, _MAX_SUBSTEPS)
+                h_round = h / m
+            for r in range(1, m_max + 1):
+                if m_max > 1:
+                    active = live & (r <= m)
+                g2x = coeffs.gamma2(Sn[0])
+                p = g2x * nu_eps * h_round
+                p_max = float(np.max(p, where=active, initial=0.0))
+                max_p = max(max_p, p_max)
+                if p_max > 1.0:
+                    clipped += int(np.count_nonzero(active & (p > 1.0)))
+                # u < 1, so u < p accepts a proposal of p > 1 as if clipped
                 u = _draws(cfg.seed, _SLOT_JUMP_OCCUR, base + r, n)
-                events = active & (u < np.minimum(p, 1.0))
-                if np.any(events):
-                    idx = np.flatnonzero(events)
+                idx = np.flatnonzero(active & (u < p))
+                if idx.size:
                     us = _draws(cfg.seed, _SLOT_JUMP_SIZE, base + r, n)
                     z = np.asarray(nu.quantile_above(cfg.eps, us[idx]))
                     if coupled:
                         um = _draws(cfg.seed, _SLOT_MARK, base + r, n)
                         Sn[1, idx] += _partner_jump(
-                            nu, cfg.kappa, refined, z, um[idx] * g2r[0, idx],
-                            Sn[0, idx] - Sn[1, idx], g2r[1, idx])
+                            nu, cfg.kappa, refined, z, um[idx] * g2x[idx],
+                            Sn[0, idx] - Sn[1, idx], coeffs.gamma2(Sn[1, idx]))
                     Sn[0, idx] += z
-        S = np.where(live, Sn, S)
+        S = Sn if all_live else np.where(live, Sn, S)
 
         if coupled:
             # order bookkeeping (only meaningful pre-coalescence).  With an
@@ -340,7 +375,7 @@ def _simulate(coeffs, nu, x0, y0, cfg) -> _Run:
             # violation and is counted.
             gap = S[0] - S[1]
             neg = alive & (gap < 0)
-            noise = sig[0] + sig[1]
+            noise = sig[0] + sig[1] if coeffs.has_diffusion else 0.0
             if small_var > 0.0:
                 noise = noise + small_var * (g2[0] + g2[1])
             crossed = neg & (noise > 0)
@@ -361,10 +396,13 @@ def _simulate(coeffs, nu, x0, y0, cfg) -> _Run:
         bad = live & np.any(~np.isfinite(S) | (S > _STATE_CAP), axis=0)
         if np.any(bad):
             flagged |= bad
+            live = ~flagged
+            all_live = False
             S[:, bad] = np.nan
         for k in np.flatnonzero(rec_steps == step):
             snaps[:, k] = S
-    return _Run(rec_times, snaps, flagged, coal, violations, repairs, max_p)
+    return _Run(rec_times, snaps, flagged, coal, violations, repairs, max_p,
+                capped, clipped)
 
 
 def simulate_single(coeffs: CoefficientSet, nu: Optional[LevyMeasure],
@@ -375,7 +413,9 @@ def simulate_single(coeffs: CoefficientSet, nu: Optional[LevyMeasure],
     run = _simulate(coeffs, nu, x0, None, cfg)
     return SingleEnsemble(times=run.times, X=run.paths[0], x0=float(x0),
                           flagged=run.flagged, config=cfg.echo(),
-                          max_jump_prob=run.max_jump_prob)
+                          max_jump_prob=run.max_jump_prob,
+                          capped_steps=run.capped_steps,
+                          clipped_jumps=run.clipped_jumps)
 
 
 def simulate_coupled(coeffs: CoefficientSet, nu: Optional[LevyMeasure],
@@ -389,7 +429,9 @@ def simulate_coupled(coeffs: CoefficientSet, nu: Optional[LevyMeasure],
                            x0=float(x0), y0=float(y0), coalescence=run.coalescence,
                            order_violations=run.order_violations,
                            order_repairs=run.order_repairs, flagged=run.flagged,
-                           config=cfg.echo(), max_jump_prob=run.max_jump_prob)
+                           config=cfg.echo(), max_jump_prob=run.max_jump_prob,
+                           capped_steps=run.capped_steps,
+                           clipped_jumps=run.clipped_jumps)
 
 
 def marginal_consistency(coeffs, nu, x0, y0, cfg: SimConfig, checkpoints=None):
@@ -439,7 +481,9 @@ def write_ensemble(path, ens: CoupledEnsemble):
                          "times": [float(t) for t in ens.times],
                          "order_violations": int(ens.order_violations),
                          "order_repairs": int(ens.order_repairs),
-                         "max_jump_prob": float(ens.max_jump_prob)},
+                         "max_jump_prob": float(ens.max_jump_prob),
+                         "capped_steps": int(ens.capped_steps),
+                         "clipped_jumps": int(ens.clipped_jumps)},
                         sort_keys=True).encode()
     rec = np.empty(ens.n_paths, _record_dtype(ens.times.size))
     rec["id"] = np.arange(ens.n_paths)
@@ -473,7 +517,10 @@ def read_ensemble(path) -> CoupledEnsemble:
                            order_violations=header["order_violations"],
                            order_repairs=header["order_repairs"],
                            flagged=flagged, config=header["config"],
-                           max_jump_prob=header["max_jump_prob"])
+                           max_jump_prob=header["max_jump_prob"],
+                           # files written before the counters existed lack them
+                           capped_steps=header.get("capped_steps", 0),
+                           clipped_jumps=header.get("clipped_jumps", 0))
 
 
 def write_ensemble_csv(path, ens: CoupledEnsemble, max_paths=1000):

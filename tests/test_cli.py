@@ -164,8 +164,10 @@ def test_couple_runs_and_is_idempotent(tmp_path, capsys):
     args = ("couple", "--scenario", "case2-stable", "--paths", "200")
     code, out = run(tmp_path, *args)
     assert code == 0
-    text = capsys.readouterr().out
-    assert "order_violations = 0" in text
+    captured = capsys.readouterr()
+    assert "order_violations = 0" in captured.out
+    assert "capped_steps = 0\nclipped_jumps = 0" in captured.out
+    assert "warning" not in captured.err
     first = (out / "case2-stable.ensemble.bin").read_bytes()
     first_curve = (out / "case2-stable.curve.csv").read_bytes()
     code2, _ = run(tmp_path, *args)
@@ -184,6 +186,46 @@ def test_simulate_writes_summary(tmp_path, capsys):
     for line in lines[1:]:
         for cell in line.split(","):
             float(cell)
+
+
+SATURATED_INI = """
+[scenario sat]
+x0 = 10.0
+y0 = 5.0
+
+[coefficients sat]
+type = custom
+gamma0 = -x
+gamma2 = 2000*minimum(x, 1)
+
+[measure sat]
+type = stable_truncated
+alpha = 1.5
+
+[sim sat]
+h = 0.001
+eps = 0.1
+t_end = 0.05
+n_paths = 50
+seed = 2
+record_times = 0.0,0.025,0.05
+"""
+
+
+def test_thinning_limits_warn_without_failing(tmp_path, capsys):
+    cfg = tmp_path / "sat.ini"
+    cfg.write_text(SATURATED_INI)
+    assert not load_scenario("sat", config_path=cfg).coeffs.has_diffusion
+    for command in ("couple", "simulate"):
+        code, out = run(tmp_path, command, "--config", str(cfg),
+                        "--scenario", "sat")
+        assert code == 0
+        err = capsys.readouterr().err
+        assert "warning: jump thinning is approximate" in err
+    fit = (out / "sat.fit.txt").read_text()
+    capped = int(fit.split("capped_steps = ")[1].split()[0])
+    clipped = int(fit.split("clipped_jumps = ")[1].split()[0])
+    assert capped > 0 and clipped > 0
 
 
 def test_seed_override_changes_ensemble(tmp_path):

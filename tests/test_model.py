@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -66,6 +67,22 @@ def test_sigma_is_sqrt_of_gamma1():
     c = cir_coefficients(1.0, 1.0, 1.0)
     x = np.array([0.0, 0.5, 4.0])
     assert np.allclose(c.sigma(x) ** 2, c.gamma1(x))
+    assert c.has_diffusion
+
+
+def test_gamma1_none_states_no_diffusion():
+    c = CoefficientSet(gamma0=lambda x: -np.asarray(x, dtype=float), gamma1=None,
+                       gamma2=lambda x: np.asarray(x, dtype=float))
+    x = np.array([0.0, 0.5, 4.0])
+    assert not c.has_diffusion
+    assert np.array_equal(c.gamma1(x), np.zeros(3))
+    assert np.array_equal(c.sigma(x), np.zeros(3))
+    # the flag survives a rebuild, and a zero gamma1 given as a function is
+    # taken as a diffusion coefficient
+    assert not replace(c, name="renamed").has_diffusion
+    assert replace(c, gamma1=lambda x: 0.0 * x).has_diffusion
+    assert not logistic_coefficients(1.0, 1.0, c1=0.0).has_diffusion
+    assert logistic_coefficients(1.0, 1.0, c1=0.5).has_diffusion
 
 
 # ---------------------------------------------------------------------------

@@ -230,6 +230,67 @@ def test_diffusion_runs_draw_brownian_once_per_step(monkeypatch):
     assert calls == {simulate._SLOT_BROWNIAN: 400}
 
 
+def _fields_equal(a, b):
+    """Every field of two ensembles equal, NaN matching NaN."""
+    for f in fields(a):
+        x, y = getattr(a, f.name), getattr(b, f.name)
+        if isinstance(x, np.ndarray):
+            assert np.array_equal(x, y, equal_nan=x.dtype.kind == "f"), f.name
+        else:
+            assert x == y, f.name
+
+
+@pytest.mark.parametrize("policy", ["drop-with-compensator",
+                                    "gaussian-compensation"])
+@pytest.mark.parametrize("name", ["case2-stable", "logistic"])
+def test_no_diffusion_path_equals_general_path(name, policy):
+    # gamma1=None skips the diffusion work; a zero gamma1 given as a function
+    # runs the general path.  Both must give the same ensembles bit for bit
+    sc = load_scenario(name)
+    bare = replace(sc.coeffs, gamma1=None)
+    zero = replace(sc.coeffs, gamma1=lambda x: 0.0 * x)
+    assert not bare.has_diffusion and zero.has_diffusion
+    cfg = replace(sc.sim, n_paths=200, t_end=1.0, record_times=None,
+                  small_jump_policy=policy)
+    _fields_equal(simulate_single(bare, sc.nu, sc.x0, cfg),
+                  simulate_single(zero, sc.nu, sc.x0, cfg))
+    _fields_equal(simulate_coupled(bare, sc.nu, sc.x0, sc.y0, cfg),
+                  simulate_coupled(zero, sc.nu, sc.x0, sc.y0, cfg))
+
+
+def saturated_branching():
+    """gamma2 = 2000 min(x, 1): against the truncated 1.5-stable measure
+    (nu((0.1, oo)) = 20.4) a 1e-3 step at x >= 1 has jump rate 40.8, so it
+    wants 409 thinning rounds, and each of the 16 it gets has probability
+    2.55."""
+    return CoefficientSet(
+        gamma0=lambda x: -np.asarray(x, dtype=float),
+        gamma1=None,
+        gamma2=lambda x: 2000.0 * np.minimum(np.asarray(x, dtype=float), 1.0))
+
+
+def test_thinning_limits_are_counted(tmp_path):
+    cfg = SimConfig(h=1e-3, eps=0.1, t_end=0.05, n_paths=50, seed=2)
+    single = simulate_single(saturated_branching(), STABLE15, 10.0, cfg)
+    assert single.capped_steps > 0 and single.clipped_jumps > 0
+    pair = simulate_coupled(saturated_branching(), STABLE15, 10.0, 5.0, cfg)
+    assert pair.capped_steps > 0 and pair.clipped_jumps > 0
+    path = tmp_path / "ens.nlbe"
+    write_ensemble(path, pair)
+    back = read_ensemble(path)
+    assert (back.capped_steps, back.clipped_jumps) == \
+        (pair.capped_steps, pair.clipped_jumps)
+
+
+def test_case2_hits_no_thinning_limit():
+    sc = load_scenario("case2-stable")
+    cfg = replace(sc.sim, n_paths=400)
+    for ens in (simulate_single(sc.coeffs, sc.nu, sc.x0, cfg),
+                simulate_coupled(sc.coeffs, sc.nu, sc.x0, sc.y0, cfg)):
+        assert 0.0 < ens.max_jump_prob <= 0.1
+        assert ens.capped_steps == 0 and ens.clipped_jumps == 0
+
+
 def test_at_rejects_unrecorded_time():
     cfg = SimConfig(h=1e-2, t_end=1.0, n_paths=3, seed=1,
                     record_times=[0.0, 1.0])
@@ -323,7 +384,8 @@ def test_ensemble_roundtrip(tmp_path):
                     record_times=[0.0, 0.25, 0.5])
     ens = simulate_coupled(linear_branching(), STABLE15, 1.0, 0.5, cfg)
     # nonzero counters and a blown-up path, so that every field is exercised
-    ens = replace(ens, order_violations=3, order_repairs=5)
+    ens = replace(ens, order_violations=3, order_repairs=5, capped_steps=2,
+                  clipped_jumps=9)
     ens.X[1:, 7] = np.nan
     ens.Y[1:, 7] = np.nan
     ens.flagged[7] = True
