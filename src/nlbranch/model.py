@@ -15,7 +15,7 @@ and restricted jump sampling.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
@@ -62,15 +62,11 @@ class CoefficientSet:
     gamma1_vanishes_at_zero: bool = True
     gamma2_vanishes_at_zero: bool = True
     name: str = ""
-    has_diffusion: bool = field(init=False)
 
     def __post_init__(self):
-        # the stored zero function keeps the flag through dataclasses.replace
-        no_diffusion = self.gamma1 is None or self.gamma1 is _no_diffusion
-        object.__setattr__(self, "has_diffusion", not no_diffusion)
         object.__setattr__(self, "gamma0", _as_vectorized(self.gamma0))
-        object.__setattr__(self, "gamma1",
-                           _no_diffusion if no_diffusion else _as_vectorized(self.gamma1))
+        object.__setattr__(self, "gamma1", _no_diffusion if self.gamma1 is None
+                           else _as_vectorized(self.gamma1))
         object.__setattr__(self, "gamma2", _as_vectorized(self.gamma2))
         grid = np.concatenate(([0.0], np.logspace(-6, 1.0, 140)))
         g0, g1, g2 = self.gamma0(grid), self.gamma1(grid), self.gamma2(grid)
@@ -87,6 +83,10 @@ class CoefficientSet:
             scale = 1.0 + np.max(np.abs(g2))
             if np.any(np.diff(g2) < -1e-9 * scale):
                 raise ValidationError("gamma2 must be non-decreasing on the validation grid")
+
+    @property
+    def has_diffusion(self):
+        return self.gamma1 is not _no_diffusion
 
     def sigma(self, x):
         """Diffusion amplitude sqrt(gamma1(x))."""

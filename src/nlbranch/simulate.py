@@ -278,7 +278,6 @@ def _simulate(coeffs, nu, x0, y0, cfg) -> _Run:
             S[1] = y0
     flagged = np.zeros(n, dtype=bool)
     live = ~flagged
-    all_live = True             # no path flagged yet: live is all True
     violations = 0
     repairs = 0
     capped = 0
@@ -311,14 +310,12 @@ def _simulate(coeffs, nu, x0, y0, cfg) -> _Run:
             mil = _milstein_coef(coeffs, S)
             if np.any(((sig != 0.0) | (mil != 0.0)) & live):
                 xi = _draws(cfg.seed, _SLOT_BROWNIAN, base, n, normal=True)
-                dS = dS + sig * sqh * (sign * xi if coupled else xi) \
-                    + mil * ((xi * xi - 1.0) * h)
+                dS = dS + sig * sqh * (sign * xi) + mil * ((xi * xi - 1.0) * h)
         if nu_eps > 0:
             dS -= g2 * mean_eps * h
             if small_var > 0.0:
                 xi2 = _draws(cfg.seed, _SLOT_GAUSS_COMP, base, n, normal=True)
-                dS = dS + np.sqrt(np.maximum(g2 * small_var * h, 0.0)) * (
-                    sign * xi2 if coupled else xi2)
+                dS = dS + np.sqrt(np.maximum(g2 * small_var * h, 0.0)) * (sign * xi2)
         Sn = np.maximum(S + dS, 0.0)
         # jumps act on the post-drift state in thinning rounds of acceptance
         # probability <= ~0.1 each: the row geometry (gap, rho) is evaluated
@@ -326,24 +323,19 @@ def _simulate(coeffs, nu, x0, y0, cfg) -> _Run:
         # instead of gap minus one drift increment; and the drift map above
         # never depends on the round count.  Thinning is Lewis-Shedler path by
         # path: each path's round count m_i comes from its own X leg, so no
-        # path's draws depend on another path.  When no path wants a second
-        # round, every path runs the one round over the whole step
+        # path's draws depend on another path
         if nu_eps > 0:
-            rate = (g2[0] if all_live else np.where(live, g2[0], 0.0)) * nu_eps * h
+            rate = np.where(live, g2[0], 0.0) * nu_eps * h
             # ceil and clip are monotone, so this is the largest m_i
             want = np.ceil(rate.max() / 0.1)
             m_max = int(np.clip(want, 1, _MAX_SUBSTEPS))
-            if m_max == 1:
-                h_round, active = h, live
-            else:
-                wants = np.ceil(rate / 0.1)
-                if want > _MAX_SUBSTEPS:
-                    capped += int(np.count_nonzero(wants > _MAX_SUBSTEPS))
-                m = np.clip(wants, 1, _MAX_SUBSTEPS)
-                h_round = h / m
+            wants = np.ceil(rate / 0.1)
+            if want > _MAX_SUBSTEPS:
+                capped += int(np.count_nonzero(wants > _MAX_SUBSTEPS))
+            m = np.clip(wants, 1, _MAX_SUBSTEPS)
+            h_round = h / m
             for r in range(1, m_max + 1):
-                if m_max > 1:
-                    active = live & (r <= m)
+                active = live & (r <= m)
                 g2x = coeffs.gamma2(Sn[0])
                 p = g2x * nu_eps * h_round
                 p_max = float(np.max(p, where=active, initial=0.0))
@@ -362,7 +354,7 @@ def _simulate(coeffs, nu, x0, y0, cfg) -> _Run:
                             nu, cfg.kappa, refined, z, um[idx] * g2x[idx],
                             Sn[0, idx] - Sn[1, idx], coeffs.gamma2(Sn[1, idx]))
                     Sn[0, idx] += z
-        S = Sn if all_live else np.where(live, Sn, S)
+        S = np.where(live, Sn, S)
 
         if coupled:
             # order bookkeeping (only meaningful pre-coalescence).  With an
@@ -397,7 +389,6 @@ def _simulate(coeffs, nu, x0, y0, cfg) -> _Run:
         if np.any(bad):
             flagged |= bad
             live = ~flagged
-            all_live = False
             S[:, bad] = np.nan
         for k in np.flatnonzero(rec_steps == step):
             snaps[:, k] = S
@@ -518,9 +509,8 @@ def read_ensemble(path) -> CoupledEnsemble:
                            order_repairs=header["order_repairs"],
                            flagged=flagged, config=header["config"],
                            max_jump_prob=header["max_jump_prob"],
-                           # files written before the counters existed lack them
-                           capped_steps=header.get("capped_steps", 0),
-                           clipped_jumps=header.get("clipped_jumps", 0))
+                           capped_steps=header["capped_steps"],
+                           clipped_jumps=header["clipped_jumps"])
 
 
 def write_ensemble_csv(path, ens: CoupledEnsemble, max_paths=1000):
