@@ -51,14 +51,13 @@ class Phi1:
     d3: Callable
     gint_closed: Callable = lambda theta: None
     is_zero: bool = False
-    label: str = "phi1"
 
 
 def phi1_zero():
     z = lambda r: np.zeros_like(np.asarray(r, dtype=float))
     return Phi1(value=z, d1=z, d2=z, d3=z,
                 gint_closed=lambda theta: (lambda r: np.zeros_like(np.asarray(r, dtype=float))),
-                is_zero=True, label="0")
+                is_zero=True)
 
 
 def phi1_linear(k1):
@@ -73,7 +72,7 @@ def phi1_linear(k1):
         d1=lambda r: np.full_like(np.asarray(r, dtype=float), k1),
         d2=lambda r: np.zeros_like(np.asarray(r, dtype=float)),
         d3=lambda r: np.zeros_like(np.asarray(r, dtype=float)),
-        gint_closed=closed, is_zero=(k1 == 0), label=f"{k1}*r")
+        gint_closed=closed, is_zero=(k1 == 0))
 
 
 def phi1_xlog(k1, l0):
@@ -97,7 +96,7 @@ def phi1_xlog(k1, l0):
         d1=lambda r: k1 * (L(r) - 1.0),
         d2=lambda r: -k1 / np.asarray(r, dtype=float),
         d3=lambda r: k1 / np.asarray(r, dtype=float) ** 2,
-        gint_closed=closed, is_zero=(k1 == 0), label=f"{k1}*r*log(4*{l0}/r)")
+        gint_closed=closed, is_zero=(k1 == 0))
 
 
 def phi1_log1p(b1):
@@ -117,51 +116,49 @@ def phi1_log1p(b1):
                             * (1.0 + np.asarray(r, dtype=float)) ** 2),
         d3=lambda r: b1 * (3.0 * np.asarray(r, dtype=float) + 1.0)
         / (np.asarray(r, dtype=float) ** 2 * (1.0 + np.asarray(r, dtype=float)) ** 3),
-        is_zero=(b1 == 0), label=f"{b1}*r*log(1+1/r)")
+        is_zero=(b1 == 0))
 
 
 @dataclass(frozen=True)
 class Phi2:
-    """Large-distance dissipation modulus on [l0, oo)."""
+    """Large-distance dissipation modulus on [l0, oo): coef * r**exponent."""
 
-    value: Callable
-    d1: Callable
-    d2: Callable
-    tail_convergent: bool  # int_l0^oo ds / Phi2(s) < oo
-    power: Optional[tuple] = None  # (coefficient, exponent) when Phi2 = coef * r**exp
-    label: str = "phi2"
+    coef: float
+    exponent: float
+
+    def value(self, r):
+        return self.coef * np.asarray(r, dtype=float) ** self.exponent
+
+    def d1(self, r):
+        return self.coef * self.exponent * np.asarray(r, dtype=float) ** (self.exponent - 1.0)
+
+    def d2(self, r):
+        return self.coef * self.exponent * (self.exponent - 1.0) \
+            * np.asarray(r, dtype=float) ** (self.exponent - 2.0)
+
+    @property
+    def tail_convergent(self):
+        """int_l0^oo ds / Phi2(s) < oo."""
+        return self.exponent > 1.0
 
     def tail_integral(self, r):
         """int_r^oo ds / Phi2(s)."""
         if not self.tail_convergent:
             return math.inf
-        if self.power is not None:
-            coef, expo = self.power
-            return r ** (1.0 - expo) / (coef * (expo - 1.0))
-        val, _ = integrate.quad(lambda s: 1.0 / self.value(s), r, math.inf, limit=200)
-        return val
+        return r ** (1.0 - self.exponent) / (self.coef * (self.exponent - 1.0))
 
 
 def phi2_linear(k2):
     if k2 <= 0:
         raise DomainError("k2 must be positive")
-    return Phi2(value=lambda r: k2 * np.asarray(r, dtype=float),
-                d1=lambda r: np.full_like(np.asarray(r, dtype=float), k2),
-                d2=lambda r: np.zeros_like(np.asarray(r, dtype=float)),
-                tail_convergent=False, power=(k2, 1.0), label=f"{k2}*r")
+    return Phi2(k2, 1.0)
 
 
 def phi2_power(coef, exponent):
     """Phi2(r) = coef * r**exponent; tail integrable iff exponent > 1."""
     if coef <= 0 or exponent <= 0:
         raise DomainError("coefficient and exponent must be positive")
-    return Phi2(
-        value=lambda r: coef * np.asarray(r, dtype=float) ** exponent,
-        d1=lambda r: coef * exponent * np.asarray(r, dtype=float) ** (exponent - 1.0),
-        d2=lambda r: coef * exponent * (exponent - 1.0)
-        * np.asarray(r, dtype=float) ** (exponent - 2.0),
-        tail_convergent=exponent > 1.0, power=(coef, exponent),
-        label=f"{coef}*r^{exponent}")
+    return Phi2(coef, exponent)
 
 
 @dataclass(frozen=True)
@@ -278,31 +275,36 @@ class GFunction:
         return out
 
 
-def build_g(modulus: DriftModulus, theta: float, c0g: float) -> GFunction:
-    """Construct g and certify its concavity pattern on (0, 2 l0]."""
+def _g_integral(modulus: DriftModulus, theta: float):
+    """r -> int_0^r Phi1(z) z^(theta-2) dz on [0, 2 l0]: the part of g that
+    does not depend on c0g, or None when Phi1 vanishes."""
     if not 0.0 < theta <= 1.0:
         raise DomainError("theta must lie in (0, 1]")
+    l0 = modulus.l0
+    phi1 = modulus.phi1
+    if phi1.is_zero:
+        return None
+    closed = phi1.gint_closed(theta)
+    if closed is not None:
+        return closed
+    integrand = lambda z: float(phi1.value(np.asarray(z))) * z ** (theta - 2.0)
+    probe, err = integrate.quad(integrand, 0.0, 2.0 * l0, limit=200,
+                                points=[min(1e-3, l0)])
+    if not np.isfinite(probe) or err > 1e-6 * (1.0 + abs(probe)):
+        raise DomainError(
+            "int_0^{2 l0} Phi1(z) z^(theta-2) dz diverges; g is undefined "
+            f"for theta = {theta}")
+    spline = _cumulative_spline(integrand, 2.0 * l0, n_nodes=2400)
+    return lambda r: spline(np.clip(np.asarray(r, dtype=float), 0.0, 2.0 * l0))
+
+
+def _certify_g(modulus: DriftModulus, theta: float, c0g: float, gint) -> GFunction:
+    """g on the integral ``gint``, with its concavity pattern certified on
+    (0, 2 l0]."""
     if c0g <= 0:
         raise DomainError("c0g must be positive")
     l0 = modulus.l0
     phi1 = modulus.phi1
-
-    gint = None
-    if not phi1.is_zero:
-        closed = phi1.gint_closed(theta)
-        if closed is not None:
-            gint = closed
-        else:
-            integrand = lambda z: float(phi1.value(np.asarray(z))) * z ** (theta - 2.0)
-            probe, err = integrate.quad(integrand, 0.0, 2.0 * l0, limit=200,
-                                        points=[min(1e-3, l0)])
-            if not np.isfinite(probe) or err > 1e-6 * (1.0 + abs(probe)):
-                raise DomainError(
-                    "int_0^{2 l0} Phi1(z) z^(theta-2) dz diverges; g is undefined "
-                    f"for theta = {theta}")
-            spline = _cumulative_spline(integrand, 2.0 * l0, n_nodes=2400)
-            gint = lambda r: spline(np.clip(np.asarray(r, dtype=float), 0.0, 2.0 * l0))
-
     g = GFunction(theta=theta, c0g=c0g, phi1=phi1, l0=l0, _gint=gint)
 
     grid = np.logspace(math.log10(2.0 * l0) - 8, math.log10(2.0 * l0), _SUP_GRID_POINTS)
@@ -319,6 +321,11 @@ def build_g(modulus: DriftModulus, theta: float, c0g: float) -> GFunction:
         raise ValidationError(
             f"sup(-r g''/g') = {sup_neg} exceeds the certified cap {2.0 - theta}")
     return replace(g, sup_neg_ratio=sup_neg, sup_r_gprime=sup_rgp, sup_combined=sup_comb)
+
+
+def build_g(modulus: DriftModulus, theta: float, c0g: float) -> GFunction:
+    """Construct g and certify its concavity pattern on (0, 2 l0]."""
+    return _certify_g(modulus, theta, c0g, _g_integral(modulus, theta))
 
 
 # ---------------------------------------------------------------------------
@@ -404,23 +411,15 @@ class PsiFunction:
     def _strong_bridge(self, s):
         s_in = np.asarray(s, dtype=float)
         s = np.atleast_1d(s_in)
-        if self.phi2.power is not None:
-            coef, expo = self.phi2.power
-            c = 2.0 * self.l0
-            if expo == 1.0:
-                jb = np.log1p(self.B * s / c) / (coef * self.B)
-                j1 = np.log1p(s / c) / coef
-            else:
-                jb = (c ** (1.0 - expo) - (self.B * s + c) ** (1.0 - expo)) \
-                    / (coef * self.B * (expo - 1.0))
-                j1 = (c ** (1.0 - expo) - (s + c) ** (1.0 - expo)) / (coef * (expo - 1.0))
+        coef, expo = self.phi2.coef, self.phi2.exponent
+        c = 2.0 * self.l0
+        if expo == 1.0:
+            jb = np.log1p(self.B * s / c) / (coef * self.B)
+            j1 = np.log1p(s / c) / coef
         else:
-            jb = np.array([integrate.quad(
-                lambda u: 1.0 / self.phi2.value(self.B * u + 2.0 * self.l0), 0.0, si,
-                limit=100)[0] for si in s])
-            j1 = np.array([integrate.quad(
-                lambda u: 1.0 / self.phi2.value(u + 2.0 * self.l0), 0.0, si,
-                limit=100)[0] for si in s])
+            jb = (c ** (1.0 - expo) - (self.B * s + c) ** (1.0 - expo)) \
+                / (coef * self.B * (expo - 1.0))
+            j1 = (c ** (1.0 - expo) - (s + c) ** (1.0 - expo)) / (coef * (expo - 1.0))
         out = self.A * jb + self.delta_bridge * self.A * j1
         return out.reshape(s_in.shape)
 
@@ -438,12 +437,8 @@ class PsiFunction:
         """sup of psi; finite only for the strong variant."""
         if self.variant != "strong":
             return math.inf
-        tail_b = self.phi2.tail_integral(2.0 * self.l0) / self.B \
-            if self.phi2.power is not None else integrate.quad(
-                lambda u: 1.0 / self.phi2.value(self.B * u + 2.0 * self.l0),
-                0.0, math.inf, limit=200)[0]
         tail_1 = self.phi2.tail_integral(2.0 * self.l0)
-        return self.psi_2l0 + self.A * tail_b + self.delta_bridge * self.A * tail_1
+        return self.psi_2l0 + self.A * (tail_1 / self.B) + self.delta_bridge * self.A * tail_1
 
 
 def _finish_psi(c1, c2, g, l0, **extra):
@@ -492,8 +487,7 @@ def build_strong_psi(g: GFunction, c1: float, c2: float, modulus: DriftModulus,
     else:
         raise DomainError("could not find delta > 0 with positive bridge coefficient")
     A = base.dpsi_2l0 * p2 / (delta + 1.0)
-    return _finish_psi(c1, c2, g, l0, variant="strong", phi2=phi2,
-                       A=A, B=B, delta_bridge=delta)
+    return replace(base, variant="strong", phi2=phi2, A=A, B=B, delta_bridge=delta)
 
 
 # ---------------------------------------------------------------------------
@@ -697,10 +691,11 @@ def assemble(case: str, modulus: DriftModulus, params: dict, variant: str = "w1"
     # when the certified jump activity dominates the Phi1 drift bump; when the
     # slope reaches 1 the constants genuinely do not assemble, so divergence
     # is reported rather than papered over.
+    gint = _g_integral(modulus, theta_exp)
     c3 = 1.0
     converged = False
     for _ in range(200):
-        g = build_g(modulus, theta_exp, c3)
+        g = _certify_g(modulus, theta_exp, c3, gint)
         S1, S2 = g.sup_neg_ratio, g.sup_r_gprime
         c0 = min(1.0 / l0, 1.0 / S1) if S1 > 0 else 1.0 / l0
         c2 = S1 / S2 if S1 > 0 else 1.0 / float(g.value(np.asarray(l0)))
@@ -722,7 +717,7 @@ def assemble(case: str, modulus: DriftModulus, params: dict, variant: str = "w1"
             "the c3 balance equation has no solution: the Phi1 drift bump "
             "exceeds what the certified jump/diffusion activity can absorb "
             "(try a larger noise coefficient or a smaller Phi1)")
-    g = build_g(modulus, theta_exp, c3)
+    g = _certify_g(modulus, theta_exp, c3, gint)
     S1, S2 = g.sup_neg_ratio, g.sup_r_gprime
     c0 = min(1.0 / l0, 1.0 / S1) if S1 > 0 else 1.0 / l0
     c2 = S1 / S2 if S1 > 0 else 1.0 / float(g.value(np.asarray(l0)))
