@@ -12,6 +12,10 @@ no panel on (0, oo) spans more than a factor 4, so that a power law is smooth
 enough on each panel for one Gauss-Kronrod pass; when the panel touching the
 origin needs refinement it becomes a fresh ladder.  A range ``[lo, oo)`` is
 mapped onto ``[0, 1)`` by ``z = lo + t / (1 - t)``.
+
+Every panel remembers the segment between the caller's edges that it lies in,
+so one adaptive run also yields each segment's integral
+(``integrate_segments``), e.g. the nodal values of a cumulative integral.
 """
 
 from __future__ import annotations
@@ -93,19 +97,23 @@ def _gauss_kronrod(fn, lo, hi, mapped, z0):
 
 
 def _graded(edges):
-    """Panel edges for the finite edges ``edges``: a ladder of rungs below the
-    first edge when the range starts at 0, and every panel on (0, oo) split
+    """Panels [lo_i, hi_i] over the finite edges ``edges`` and the segment
+    between consecutive edges each lies in: a ladder of rungs below the first
+    edge when the range starts at 0, and every panel on (0, oo) split
     geometrically so that no panel spans more than a factor 4."""
-    out = list(edges[1] * _LADDER[:-1]) if edges[0] == 0.0 else [edges[0]]
-    for lo, hi in zip(edges[:-1], edges[1:]):
+    cuts = list(edges[1] * _LADDER[:-1]) if edges[0] == 0.0 else [edges[0]]
+    seg = [0] * (len(cuts) - 1)
+    for k, (lo, hi) in enumerate(zip(edges[:-1], edges[1:])):
+        n = 1
         if lo > 0.0:
             n = max(1, math.ceil(math.log(hi / lo) / -math.log(_RUNG_RATIO) - 1e-9))
-            out += [lo * (hi / lo) ** (k / n) for k in range(1, n)]
-        out.append(hi)
-    return out
+            cuts += [lo * (hi / lo) ** (j / n) for j in range(1, n)]
+        cuts.append(hi)
+        seg += [k] * n
+    return np.array(cuts[:-1]), np.array(cuts[1:]), np.array(seg, dtype=np.intp)
 
 
-def _split(lo, hi, mapped):
+def _split(lo, hi, mapped, seg):
     """Children of the panels [lo_i, hi_i]: the panel touching the origin
     becomes a fresh ladder below its top, the others are halved."""
     origin = (lo == 0.0) & ~mapped
@@ -115,7 +123,48 @@ def _split(lo, hi, mapped):
     child_hi = np.concatenate((mid, hi[~origin], (top * _LADDER[1:]).ravel()))
     child_mapped = np.zeros(child_lo.size, dtype=bool)
     child_mapped[:2 * mid.size] = np.tile(mapped[~origin], 2)
-    return child_lo, child_hi, child_mapped
+    child_seg = np.concatenate((np.tile(seg[~origin], 2),
+                                np.repeat(seg[origin], _LADDER.size - 1)))
+    return child_lo, child_hi, child_mapped, child_seg
+
+
+def _integrate(fn, edges, infinite, spec):
+    """The adaptive loop over the segments between consecutive finite
+    ``edges``, plus [edges[-1], oo) when ``infinite``: the total and the
+    integral over each segment."""
+    lo, hi, seg = _graded(edges)
+    mapped = np.zeros(lo.size, dtype=bool)
+    if infinite:
+        lo, hi = np.append(lo, 0.0), np.append(hi, 1.0)
+        mapped = np.append(mapped, True)
+        seg = np.append(seg, len(edges) - 1)
+    z0 = edges[-1]
+
+    panels = (lo, hi, mapped, seg)
+    val, err = _gauss_kronrod(fn, *panels[:3], z0)
+    splits = 0
+    while True:
+        total, achieved = float(np.sum(val)), float(np.sum(err))
+        if not (math.isfinite(total) and math.isfinite(achieved)):
+            raise QuadratureError("integral did not converge (non-finite value)",
+                                  achieved=math.inf)
+        tol = spec.atol + spec.rtol * abs(total)
+        if achieved <= tol or splits >= spec.max_subdivisions:
+            break
+        # split every panel holding more than its even share of the tolerance
+        bad = err > tol / err.size
+        splits += int(np.count_nonzero(bad))
+        children = _split(*(p[bad] for p in panels))
+        child_val, child_err = _gauss_kronrod(fn, *children[:3], z0)
+        keep = ~bad
+        panels = tuple(np.concatenate((p[keep], c)) for p, c in zip(panels, children))
+        val = np.concatenate((val[keep], child_val))
+        err = np.concatenate((err[keep], child_err))
+    if achieved > 10.0 * max(tol, 1e-14):
+        raise QuadratureError(
+            f"integral error estimate {achieved:.3e} exceeds tolerance {tol:.3e}",
+            achieved=achieved)
+    return total, np.bincount(panels[3], weights=val, minlength=len(edges) - 1 + infinite)
 
 
 def integrate_interval(fn, a, b, spec=DEFAULT_QUAD, points=()):
@@ -134,36 +183,12 @@ def integrate_interval(fn, a, b, spec=DEFAULT_QUAD, points=()):
         edges.append(float(b))
     elif a == 0.0 and len(edges) == 1:
         edges.append(1.0)  # the ladder needs a finite first edge
-    edges = _graded(edges)
-    lo, hi = np.array(edges[:-1]), np.array(edges[1:])
-    mapped = np.zeros(lo.size, dtype=bool)
-    if infinite:
-        lo, hi = np.append(lo, 0.0), np.append(hi, 1.0)
-        mapped = np.append(mapped, True)
-    z0 = edges[-1]
+    return _integrate(fn, edges, infinite, spec)[0]
 
-    panels = (lo, hi, mapped)
-    val, err = _gauss_kronrod(fn, *panels, z0)
-    splits = 0
-    while True:
-        total, achieved = float(np.sum(val)), float(np.sum(err))
-        if not (math.isfinite(total) and math.isfinite(achieved)):
-            raise QuadratureError("integral did not converge (non-finite value)",
-                                  achieved=math.inf)
-        tol = spec.atol + spec.rtol * abs(total)
-        if achieved <= tol or splits >= spec.max_subdivisions:
-            break
-        # split every panel holding more than its even share of the tolerance
-        bad = err > tol / err.size
-        splits += int(np.count_nonzero(bad))
-        children = _split(*(p[bad] for p in panels))
-        child_val, child_err = _gauss_kronrod(fn, *children, z0)
-        keep = ~bad
-        panels = tuple(np.concatenate((p[keep], c)) for p, c in zip(panels, children))
-        val = np.concatenate((val[keep], child_val))
-        err = np.concatenate((err[keep], child_err))
-    if achieved > 10.0 * max(tol, 1e-14):
-        raise QuadratureError(
-            f"integral error estimate {achieved:.3e} exceeds tolerance {tol:.3e}",
-            achieved=achieved)
-    return total
+
+def integrate_segments(fn, edges, spec=DEFAULT_QUAD):
+    """Integrals of the vectorized ``fn`` over each segment between the
+    consecutive finite, increasing ``edges``, from one adaptive run whose
+    tolerance and errors are those of ``integrate_interval`` over the whole
+    range."""
+    return _integrate(fn, [float(e) for e in edges], False, spec)[1]

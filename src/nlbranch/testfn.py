@@ -25,12 +25,15 @@ from dataclasses import dataclass, field, replace
 from typing import Callable, Optional
 
 import numpy as np
-from scipy import integrate
 from scipy.interpolate import CubicSpline
 
-from .errors import DomainError, ValidationError
+from .errors import DomainError, QuadratureError, ValidationError
+from .quad import QuadratureSpec, integrate_segments
 
 _SUP_GRID_POINTS = 10_000
+# the spline's nodal values run down to ~1e-6 of the total; a tolerance far
+# below the default keeps them accurate relative to their own size
+_SPLINE_QUAD = QuadratureSpec(atol=1e-14, rtol=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -210,17 +213,18 @@ class DriftModulus:
 # cached cumulative integrals
 
 
-def _cumulative_spline(integrand, hi, n_nodes=800):
-    """CubicSpline through exact nodal values of int_0^x integrand."""
+def _cumulative_spline(integrand, hi, n_nodes):
+    """r -> int_0^r integrand on [0, hi] for the vectorized ``integrand``: a
+    CubicSpline through nodal values that come from one adaptive quadrature
+    run over all segments."""
     # Chebyshev-like clustering toward 0 where the integrand varies fastest
     t = np.sin(np.linspace(0.0, np.pi / 2, n_nodes)) ** 2
     nodes = hi * t
     nodes[0] = 0.0
-    vals = np.zeros(n_nodes)
-    for i in range(1, n_nodes):
-        seg, _ = integrate.quad(integrand, nodes[i - 1], nodes[i], limit=100)
-        vals[i] = vals[i - 1] + seg
-    return CubicSpline(nodes, vals)
+    vals = np.concatenate(([0.0], np.cumsum(integrate_segments(integrand, nodes,
+                                                               _SPLINE_QUAD))))
+    spline = CubicSpline(nodes, vals)
+    return lambda r: spline(np.clip(np.asarray(r, dtype=float), 0.0, hi))
 
 
 # ---------------------------------------------------------------------------
@@ -287,15 +291,13 @@ def _g_integral(modulus: DriftModulus, theta: float):
     closed = phi1.gint_closed(theta)
     if closed is not None:
         return closed
-    integrand = lambda z: float(phi1.value(np.asarray(z))) * z ** (theta - 2.0)
-    probe, err = integrate.quad(integrand, 0.0, 2.0 * l0, limit=200,
-                                points=[min(1e-3, l0)])
-    if not np.isfinite(probe) or err > 1e-6 * (1.0 + abs(probe)):
+    try:
+        return _cumulative_spline(lambda z: phi1.value(z) * z ** (theta - 2.0),
+                                  2.0 * l0, n_nodes=2400)
+    except QuadratureError as exc:
         raise DomainError(
             "int_0^{2 l0} Phi1(z) z^(theta-2) dz diverges; g is undefined "
-            f"for theta = {theta}")
-    spline = _cumulative_spline(integrand, 2.0 * l0, n_nodes=2400)
-    return lambda r: spline(np.clip(np.asarray(r, dtype=float), 0.0, 2.0 * l0))
+            f"for theta = {theta}") from exc
 
 
 def _certify_g(modulus: DriftModulus, theta: float, c0g: float, gint) -> GFunction:
@@ -442,10 +444,8 @@ class PsiFunction:
 
 
 def _finish_psi(c1, c2, g, l0, **extra):
-    expint_spline = _cumulative_spline(
-        lambda s: math.exp(-c2 * float(g.value(np.asarray(s)))), 2.0 * l0,
-        n_nodes=1200)
-    expint = lambda r: expint_spline(np.clip(np.asarray(r, dtype=float), 0.0, 2.0 * l0))
+    expint = _cumulative_spline(lambda s: np.exp(-c2 * g.value(s)), 2.0 * l0,
+                                n_nodes=1200)
     psi = PsiFunction(c1=c1, c2=c2, g=g, l0=l0, _expint=expint, **extra)
     r0 = 2.0 * l0
     return replace(psi,

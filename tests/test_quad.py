@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from nlbranch.errors import QuadratureError
-from nlbranch.quad import QuadratureSpec, integrate_interval
+from nlbranch.quad import QuadratureSpec, integrate_interval, integrate_segments
 
 
 def counting(fn):
@@ -46,6 +46,19 @@ def test_kink_at_interior_breakpoint():
     val = integrate_interval(fn, 0.0, 1.0, points=(0.3, 2.0, -1.0))
     assert val == pytest.approx(0.29, rel=1e-14)
     assert fn.calls == 1
+
+
+def test_segments_match_closed_forms_and_sum_to_the_interval():
+    spec = QuadratureSpec(atol=1e-14, rtol=1e-12)
+    edges = np.array([0.0, 1e-4, 0.01, 0.3, 1.0, 2.5, 6.0])
+    lo, hi = edges[:-1], edges[1:]
+    for fn, exact in ((lambda z: z ** -0.5, 2.0 * (np.sqrt(hi) - np.sqrt(lo))),
+                      (lambda z: np.exp(-z), -np.exp(-lo) * np.expm1(lo - hi))):
+        segs = integrate_segments(fn, edges, spec)
+        assert segs.shape == exact.shape
+        assert np.allclose(segs, exact, rtol=1e-14, atol=0.0)
+        total = integrate_interval(fn, edges[0], edges[-1], spec, points=edges[1:-1])
+        assert math.fsum(segs) == pytest.approx(total, rel=1e-15)
 
 
 def test_divergent_integrand_raises_with_achieved_error():

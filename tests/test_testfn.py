@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from nlbranch.errors import DomainError, ValidationError
-from nlbranch.testfn import (ContractionConstants, DriftModulus, assemble,
+from nlbranch.testfn import (ContractionConstants, DriftModulus, Phi1, assemble,
                              build_g, build_psi, build_strong_psi, build_tv_fn,
                              phi1_linear, phi1_log1p, phi1_xlog, phi1_zero,
                              phi2_linear, phi2_power, psi_table)
@@ -73,6 +73,36 @@ def test_g_rejects_bad_parameters():
         build_g(modulus_for(phi1_zero()), THETA, -1.0)
 
 
+def spline_nodes(hi, n):
+    """The nodes of testfn's cumulative-integral splines on [0, hi]."""
+    return hi * np.sin(np.linspace(0.0, np.pi / 2, n)) ** 2
+
+
+def test_g_integral_without_closed_form_matches_mpmath():
+    # Phi1(z) z^(theta-2) ~ z^(-1/2) log(1/z) is singular at 0; the first
+    # nodes next to 0 see it most
+    mpmath = pytest.importorskip("mpmath")
+    l0 = 0.01
+    g = build_g(DriftModulus(phi1=phi1_log1p(0.1), l0=l0, k2=0.5), THETA, 1.0)
+    integrand = lambda z: 0.1 * z * mpmath.log1p(1 / z) * z ** (THETA - 2.0)
+    nodes = spline_nodes(2.0 * l0, 2400)
+    for r in nodes[[1, 2, 3, 10, 100, 1000, 2399]]:
+        with mpmath.workdps(30):
+            exact = float(mpmath.quad(integrand, [0, r]))
+        assert float(g.value(r)) - math.sqrt(r) == pytest.approx(exact, rel=1e-12)
+
+
+def test_g_divergent_integral_is_a_domain_error():
+    # Phi1(z) = z^0.1 is a valid modulus with no closed-form g-integral, and
+    # int_0 z^0.1 z^(theta-2) dz diverges at theta = 1/2
+    p = 0.1
+    pw = lambda k: (lambda r: math.prod(p - j for j in range(k))
+                    * np.asarray(r, dtype=float) ** (p - k))
+    phi1 = Phi1(value=pw(0), d1=pw(1), d2=pw(2), d3=pw(3))
+    with pytest.raises(DomainError, match="diverges"):
+        build_g(modulus_for(phi1), THETA, 1.0)
+
+
 # ---------------------------------------------------------------------------
 # psi: structural invariants
 
@@ -90,6 +120,17 @@ def test_psi_invariants(name):
     vals = psi.value(r)
     assert np.all(vals >= lo * r - 1e-12)
     assert np.all(vals <= (psi.c1 + 1.0) * r + 1e-12)
+
+
+def test_psi_inner_integral_on_sqrt_g():
+    # g = sqrt(r): int_0^r exp(-c2 sqrt(s)) ds = 2/c2^2 [1 - e^(-u)(1 + u)],
+    # u = c2 sqrt(r), exactly at the spline's nodes
+    c1, c2 = 0.5, 1.3
+    psi = build_psi(build_g(modulus_for(phi1_zero()), THETA, 1.0), c1, c2, L0)
+    r = spline_nodes(2.0 * L0, 1200)
+    u = c2 * np.sqrt(r)
+    exact = 2.0 / c2 ** 2 * (-np.expm1(-u) - u * np.exp(-u))
+    assert np.max(np.abs(psi.value(r) - c1 * r - exact)) <= 1e-12
 
 
 @pytest.mark.parametrize("name", sorted(PHI1_INSTANCES))
