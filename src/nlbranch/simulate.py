@@ -63,7 +63,6 @@ class SimConfig:
     n_paths: int = 1000
     seed: int = 0
     small_jump_policy: str = "drop-with-compensator"
-    boundary: str = "clamp-to-zero"
     delta_c: Optional[float] = None   # default 1e-6 * (1 + x0) at run time
     kappa: float = 0.5
     coupling: str = "refined-basic"
@@ -81,8 +80,6 @@ class SimConfig:
         if self.small_jump_policy not in ("drop-with-compensator",
                                           "gaussian-compensation"):
             raise DomainError(f"unknown small-jump policy {self.small_jump_policy!r}")
-        if self.boundary != "clamp-to-zero":
-            raise DomainError(f"unknown boundary policy {self.boundary!r}")
         if self.coupling not in ("refined-basic", "synchronous"):
             raise DomainError(f"unknown coupling kind {self.coupling!r}")
 
@@ -512,13 +509,3 @@ def read_ensemble(path) -> CoupledEnsemble:
                            capped_steps=header["capped_steps"],
                            clipped_jumps=header["clipped_jumps"])
 
-
-def write_ensemble_csv(path, ens: CoupledEnsemble, max_paths=1000):
-    """CSV export for small ensembles: one row per (path, time)."""
-    n = min(ens.n_paths, max_paths)
-    with open(path, "w") as fh:
-        fh.write("path,t,X,Y,coalescence\n")
-        for p in range(n):
-            for i, t in enumerate(ens.times):
-                fh.write(f"{p},{t},{ens.X[i, p]!r},{ens.Y[i, p]!r},"
-                         f"{ens.coalescence[p]!r}\n")

@@ -13,7 +13,7 @@ from nlbranch.model import (CoefficientSet, StableTruncatedMeasure,
                             cir_coefficients)
 from nlbranch.simulate import (CoupledEnsemble, SimConfig, read_ensemble,
                                simulate_coupled, simulate_single,
-                               write_ensemble, write_ensemble_csv)
+                               write_ensemble)
 
 STABLE15 = StableTruncatedMeasure(alpha=1.5, c0=1.0, zmax=1.0)
 
@@ -58,8 +58,6 @@ def test_sim_config_validation():
         SimConfig(kappa=0.0)
     with pytest.raises(DomainError):
         SimConfig(small_jump_policy="ignore")
-    with pytest.raises(DomainError):
-        SimConfig(boundary="reflect")
     with pytest.raises(DomainError):
         SimConfig(coupling="independent")
     with pytest.raises(DomainError):
@@ -410,14 +408,3 @@ def test_read_ensemble_rejects_bad_magic(tmp_path):
     path.write_bytes(b"NOPE" + b"\x00" * 64)
     with pytest.raises(ValidationError):
         read_ensemble(path)
-
-
-def test_csv_export(tmp_path):
-    cfg = SimConfig(h=1e-2, eps=0.1, t_end=0.2, n_paths=5, seed=4,
-                    record_times=[0.0, 0.2])
-    ens = simulate_coupled(linear_branching(), STABLE15, 1.0, 0.5, cfg)
-    path = tmp_path / "ens.csv"
-    write_ensemble_csv(path, ens)
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "path,t,X,Y,coalescence"
-    assert len(lines) == 1 + 5 * 2
