@@ -1,0 +1,41 @@
+"""Smoke tests of the standalone drivers in scripts/, on two presets."""
+
+import importlib.util
+from pathlib import Path
+
+from nlbranch.config import PRESETS
+
+SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+SUBSET = ("case2-stable", "cir")
+
+
+def load_script(name, monkeypatch):
+    """Import scripts/<name>.py with its PRESETS cut down to SUBSET."""
+    spec = importlib.util.spec_from_file_location(name, SCRIPTS / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    monkeypatch.setattr(module, "PRESETS", {name: PRESETS[name] for name in SUBSET})
+    return module
+
+
+def test_run_all_scenarios_quick(tmp_path, monkeypatch, capsys):
+    script = load_script("run_all_scenarios", monkeypatch)
+    assert script.run(["--quick", "--out", str(tmp_path)]) == 0
+    summary = capsys.readouterr().out.split("=== summary ===", 1)[1].split()
+    assert summary == [word for name in SUBSET
+                       for word in (name, "check=0", "couple=0", "ok")]
+    for name in SUBSET:
+        assert (tmp_path / f"{name}.check.txt").is_file()
+        assert (tmp_path / f"{name}.fit.txt").is_file()
+
+
+def test_kernel_fingerprint(monkeypatch, capsys):
+    script = load_script("kernel_fingerprint", monkeypatch)
+    assert script.run() == 0
+    lines = capsys.readouterr().out.splitlines()
+    # two couplings x two small-jump policies x two simulators per preset
+    assert len(lines) == 8 * len(SUBSET)
+    for line in lines:
+        name, coupling, policy, simulator, digest = line.split()
+        assert name in SUBSET and simulator in ("coupled", "single")
+        assert len(digest) == 64 and int(digest, 16) >= 0
