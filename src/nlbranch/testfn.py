@@ -58,9 +58,7 @@ class Phi1:
 
 def phi1_zero():
     z = lambda r: np.zeros_like(np.asarray(r, dtype=float))
-    return Phi1(value=z, d1=z, d2=z, d3=z,
-                gint_closed=lambda theta: (lambda r: np.zeros_like(np.asarray(r, dtype=float))),
-                is_zero=True)
+    return Phi1(value=z, d1=z, d2=z, d3=z, is_zero=True)
 
 
 def phi1_linear(k1):
@@ -205,8 +203,8 @@ class DriftModulus:
             return self.k2
         if self.phi2 is None:
             raise DomainError("modulus carries no dissipation data")
-        r = np.logspace(math.log10(self.l0), math.log10(self.l0) + 4, 2000)
-        return float(np.min(self.phi2.value(r) / r))
+        # Phi2(r)/r = coef r^(exponent-1) is nondecreasing for a convex Phi2
+        return float(self.phi2.value(self.l0)) / self.l0
 
 
 # ---------------------------------------------------------------------------
@@ -218,9 +216,7 @@ def _cumulative_spline(integrand, hi, n_nodes):
     CubicSpline through nodal values that come from one adaptive quadrature
     run over all segments."""
     # Chebyshev-like clustering toward 0 where the integrand varies fastest
-    t = np.sin(np.linspace(0.0, np.pi / 2, n_nodes)) ** 2
-    nodes = hi * t
-    nodes[0] = 0.0
+    nodes = hi * np.sin(np.linspace(0.0, np.pi / 2, n_nodes)) ** 2
     vals = np.concatenate(([0.0], np.cumsum(integrate_segments(integrand, nodes,
                                                                _SPLINE_QUAD))))
     spline = CubicSpline(nodes, vals)
@@ -411,8 +407,7 @@ class PsiFunction:
         return out if out.shape else float(out)
 
     def _strong_bridge(self, s):
-        s_in = np.asarray(s, dtype=float)
-        s = np.atleast_1d(s_in)
+        s = np.asarray(s, dtype=float)
         coef, expo = self.phi2.coef, self.phi2.exponent
         c = 2.0 * self.l0
         if expo == 1.0:
@@ -422,8 +417,7 @@ class PsiFunction:
             jb = (c ** (1.0 - expo) - (self.B * s + c) ** (1.0 - expo)) \
                 / (coef * self.B * (expo - 1.0))
             j1 = (c ** (1.0 - expo) - (s + c) ** (1.0 - expo)) / (coef * (expo - 1.0))
-        out = self.A * jb + self.delta_bridge * self.A * j1
-        return out.reshape(s_in.shape)
+        return self.A * jb + self.delta_bridge * self.A * j1
 
     # -- derived quantities ----------------------------------------------
 
@@ -443,23 +437,18 @@ class PsiFunction:
         return self.psi_2l0 + self.A * (tail_1 / self.B) + self.delta_bridge * self.A * tail_1
 
 
-def _finish_psi(c1, c2, g, l0, **extra):
-    expint = _cumulative_spline(lambda s: np.exp(-c2 * g.value(s)), 2.0 * l0,
-                                n_nodes=1200)
-    psi = PsiFunction(c1=c1, c2=c2, g=g, l0=l0, _expint=expint, **extra)
-    r0 = 2.0 * l0
-    return replace(psi,
-                   psi_2l0=float(c1 * r0 + expint(r0)),
-                   dpsi_2l0=float(c1 + math.exp(-c2 * float(g.value(np.asarray(r0))))),
-                   d2psi_2l0=float(-c2 * float(g.d1(np.asarray(r0)))
-                                   * math.exp(-c2 * float(g.value(np.asarray(r0))))))
-
-
 def build_psi(g: GFunction, c1: float, c2: float, l0: float) -> PsiFunction:
     """psi(r) = c1 r + int_0^r exp(-c2 g) with the exponential bridge past 2 l0."""
     if c1 <= 0 or c2 <= 0 or l0 <= 0:
         raise DomainError("c1, c2 and l0 must be positive")
-    return _finish_psi(c1, c2, g, l0, variant="wasserstein")
+    expint = _cumulative_spline(lambda s: np.exp(-c2 * g.value(s)), 2.0 * l0,
+                                n_nodes=1200)
+    r0 = 2.0 * l0
+    return PsiFunction(c1=c1, c2=c2, g=g, l0=l0, _expint=expint,
+                       psi_2l0=float(c1 * r0 + expint(r0)),
+                       dpsi_2l0=float(c1 + math.exp(-c2 * float(g.value(np.asarray(r0))))),
+                       d2psi_2l0=float(-c2 * float(g.d1(np.asarray(r0)))
+                                       * math.exp(-c2 * float(g.value(np.asarray(r0))))))
 
 
 def build_strong_psi(g: GFunction, c1: float, c2: float, modulus: DriftModulus,
@@ -474,7 +463,7 @@ def build_strong_psi(g: GFunction, c1: float, c2: float, modulus: DriftModulus,
     if phi2 is None or not phi2.tail_convergent:
         raise DomainError("strong-ergodicity bridge needs Phi2 with convergent "
                           "int 1/Phi2; the tail integral diverges")
-    base = _finish_psi(c1, c2, g, modulus.l0, variant="wasserstein")
+    base = build_psi(g, c1, c2, modulus.l0)
     l0 = modulus.l0
     p2, dp2 = float(phi2.value(2.0 * l0)), float(phi2.d1(2.0 * l0))
     if dp2 <= 0:

@@ -353,6 +353,8 @@ def test_modulus_validation():
         phi2_power(1.0, -2.0)
     assert phi2_linear(1.0).tail_integral(1.0) == math.inf
     assert phi2_power(2.0, 2.0).tail_integral(1.0) == pytest.approx(0.5)
+    assert DriftModulus(phi1=phi1_zero(), l0=2.0,
+                        phi2=phi2_power(0.5, 2.0)).dissipation_rate() == 1.0
 
 
 def test_psi_table_shape():
