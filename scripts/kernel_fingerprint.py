@@ -1,37 +1,70 @@
 #!/usr/bin/env python3
 """Print one SHA-256 per simulator configuration, to compare kernels bit for bit.
 
-Runs ``simulate_coupled`` and ``simulate_single`` on every bundled preset,
-under both couplings and both small-jump policies, with 400 paths and
-t_end = min(t_end, 0.5).  Each output line is
+Runs ``simulate_coupled`` and ``simulate_single`` on every bundled preset and
+on the partial blow-up models of ``BLOW_UPS``, under both couplings and both
+small-jump policies, with 400 paths and t_end = min(t_end, 0.5).  Each output
+line is
 
-    <preset> <coupling> <small-jump policy> <simulator> <sha256>
+    <case> <coupling> <small-jump policy> <simulator> <sha256>
 
-where the hash covers the raw bytes of X, Y, coalescence and flagged and the
-values of order_violations, order_repairs and max_jump_prob (the fields a
-simulator has).  Two source trees give the same ensembles exactly when their
-outputs are equal, so `diff` of two runs names every configuration a kernel
-change moved:
+where the hash covers every field of the ensemble: the raw bytes of its
+arrays (paths, coalescence times, flags) and the values of its counters.  Two
+source trees give the same ensembles exactly when their outputs are equal, so
+`diff` of two runs names every configuration a kernel change moved:
 
     PYTHONPATH=src python3 scripts/kernel_fingerprint.py > after.txt
 """
 
 import hashlib
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 
 from nlbranch.config import PRESETS, load_scenario
-from nlbranch.simulate import simulate_coupled, simulate_single
+from nlbranch.model import CoefficientSet, StableTruncatedMeasure
+from nlbranch.simulate import SimConfig, simulate_coupled, simulate_single
 
 N_PATHS = 400
 T_END = 0.5
 
 
-def _digest(ens, fields):
+def _x(x):
+    return np.asarray(x, dtype=float)
+
+
+# gamma0 = 4x(x - 1) sends a path that jumps above 1 to infinity within the
+# horizon: from x0 = 0.9 about a fifth of the paths are flagged.  The last
+# model's gamma2 maps NaN to a number, so only the kernel keeps flagged paths
+# out of the thinning
+BLOW_UPS = {
+    "blowup-jumps": dict(gamma1=None, gamma2=_x),
+    "blowup-jumps-diffusion": dict(gamma1=_x, gamma2=_x),
+    "blowup-zero-gamma1": dict(gamma1=lambda x: 0.0 * _x(x), gamma2=_x),
+    "blowup-fmin-gamma2": dict(gamma1=None,
+                               gamma2=lambda x: np.fmin(_x(x), 50.0)),
+}
+
+
+def _cases():
+    """(name, coeffs, nu, x0, y0, cfg) for every preset and blow-up model."""
+    for name in sorted(PRESETS):
+        sc = load_scenario(name)
+        cfg = replace(sc.sim, n_paths=N_PATHS, t_end=min(sc.sim.t_end, T_END),
+                      record_times=None)
+        yield name, sc.coeffs, sc.nu, sc.x0, sc.y0, cfg
+    nu = StableTruncatedMeasure(alpha=1.5, c0=1.0, zmax=1.0)
+    cfg = SimConfig(h=1e-3, eps=0.1, t_end=T_END, n_paths=N_PATHS, seed=20240811)
+    for name, gammas in BLOW_UPS.items():
+        coeffs = CoefficientSet(gamma0=lambda x: 4.0 * _x(x) * (_x(x) - 1.0),
+                                name=name, **gammas)
+        yield name, coeffs, nu, 0.9, 0.45, cfg
+
+
+def _digest(ens):
     sha = hashlib.sha256()
-    for name in fields:
+    for name in sorted(f.name for f in fields(ens)):
         val = getattr(ens, name)
         if isinstance(val, np.ndarray):
             sha.update(np.ascontiguousarray(val).tobytes())
@@ -41,21 +74,15 @@ def _digest(ens, fields):
 
 
 def run():
-    for name in sorted(PRESETS):
-        sc = load_scenario(name)
+    for name, coeffs, nu, x0, y0, base in _cases():
         for coupling in ("refined-basic", "synchronous"):
             for policy in ("drop-with-compensator", "gaussian-compensation"):
-                cfg = replace(sc.sim, n_paths=N_PATHS,
-                              t_end=min(sc.sim.t_end, T_END), record_times=None,
-                              coupling=coupling, small_jump_policy=policy)
-                pair = simulate_coupled(sc.coeffs, sc.nu, sc.x0, sc.y0, cfg)
-                single = simulate_single(sc.coeffs, sc.nu, sc.x0, cfg)
+                cfg = replace(base, coupling=coupling, small_jump_policy=policy)
                 tag = f"{name} {coupling} {policy}"
-                print(tag, "coupled", _digest(pair, (
-                    "X", "Y", "coalescence", "flagged", "order_violations",
-                    "order_repairs", "max_jump_prob")), flush=True)
-                print(tag, "single", _digest(single, (
-                    "X", "flagged", "max_jump_prob")), flush=True)
+                pair = simulate_coupled(coeffs, nu, x0, y0, cfg)
+                print(tag, "coupled", _digest(pair), flush=True)
+                single = simulate_single(coeffs, nu, x0, cfg)
+                print(tag, "single", _digest(single), flush=True)
     return 0
 
 

@@ -10,7 +10,11 @@ against the overlap ratio rho.
 
 Both simulators run one kernel: the marginal run is the X leg of the coupled
 pair without a partner, so each coupled leg follows the marginal scheme by
-construction.
+construction, and a ``CoupledEnsemble`` is a ``SingleEnsemble`` with the
+partner leg and the coalescence bookkeeping added.  A path that blows up is
+flagged and set to NaN, and its NaN state alone keeps it out of every later
+step (the drift map, the clamp at 0 and the thinning comparisons all carry
+NaN through), so no other mask tracks it.
 
 Randomness is counter-based: every (draw-slot, step, thinning-round) triple
 owns a Philox stream keyed by the master seed, and path i reads the i-th
@@ -18,7 +22,7 @@ variate of each stream it needs.  Jumps are thinned path by path, each path
 taking its own number of rounds, so a path's values do not depend on the path
 count N: the first k paths of an N-path run are the k-path run, bit for bit.
 Because streams are keyed, not consumed in sequence, a step reads only the
-streams it uses: the Gaussian one only when some live path carries a
+streams it uses: the Gaussian one only when some unflagged path carries a
 diffusion term, which changes no value.  A model built with ``gamma1=None``
 has no diffusion term anywhere, so the kernel skips that work outright.
 
@@ -34,7 +38,7 @@ import json
 import math
 import struct
 from dataclasses import asdict, dataclass, replace
-from typing import NamedTuple, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -153,34 +157,19 @@ class SingleEnsemble:
         return self.X[_checkpoint(self.times, t)]
 
 
-@dataclass
-class CoupledEnsemble:
-    """N coupled pairs with coalescence bookkeeping."""
+@dataclass(kw_only=True)
+class CoupledEnsemble(SingleEnsemble):
+    """N coupled pairs with coalescence bookkeeping; X is the marginal leg."""
 
-    times: np.ndarray
-    X: np.ndarray               # (K, N)
     Y: np.ndarray               # (K, N)
-    x0: float
     y0: float
     coalescence: np.ndarray     # (N,) time T, inf if never
     order_violations: int       # steps with Y - X > delta_c (true violations)
     order_repairs: int          # steps with 0 < Y - X <= delta_c (projected)
-    flagged: np.ndarray
-    config: dict
-    max_jump_prob: float = 0.0
-    capped_steps: int = 0
-    clipped_jumps: int = 0
-
-    @property
-    def n_paths(self):
-        return self.X.shape[1]
 
     def gap_at(self, t):
         i = _checkpoint(self.times, t)
         return self.X[i] - self.Y[i]
-
-    def marginal_at(self, t, which="X"):
-        return (self.X if which == "X" else self.Y)[_checkpoint(self.times, t)]
 
 
 def _milstein_coef(coeffs, X):
@@ -215,20 +204,6 @@ def _record_plan(cfg):
     return n_steps, times, steps
 
 
-class _Run(NamedTuple):
-    """Raw output of the kernel: snapshots per leg and the run's counters."""
-
-    times: np.ndarray           # (K,)
-    paths: np.ndarray           # (legs, K, N)
-    flagged: np.ndarray         # (N,)
-    coalescence: np.ndarray     # (N,)
-    order_violations: int
-    order_repairs: int
-    max_jump_prob: float
-    capped_steps: int
-    clipped_jumps: int
-
-
 def _partner_jump(nu, kappa, refined, z, mark, gap, g2y):
     """Displacement of Y for accepted X-jumps of size z: the row of the
     refined basic coupling (or the common jump of the synchronous one) that
@@ -246,7 +221,7 @@ def _partner_jump(nu, kappa, refined, z, mark, gap, g2y):
     return np.where(row1, z + Uk, np.where(row2, z - Uk, np.where(row3, z, 0.0)))
 
 
-def _simulate(coeffs, nu, x0, y0, cfg) -> _Run:
+def _simulate(coeffs, nu, x0, y0, cfg):
     """The one time-step loop behind both simulators.
 
     The state S is a (legs, N) array: row 0 is the X leg, row 1 the partner Y,
@@ -258,6 +233,7 @@ def _simulate(coeffs, nu, x0, y0, cfg) -> _Run:
     gamma2(X) nu((eps, oo)) and assigned to a displacement row by a uniform
     mark on [0, gamma2(X)) using the overlap ratio rho at the current gap.
     Once the gap falls within delta_c the pair is merged and Y copies X.
+    Returns a ``CoupledEnsemble`` with a partner, else a ``SingleEnsemble``.
     """
     n = cfg.n_paths
     coupled = y0 is not None
@@ -274,7 +250,6 @@ def _simulate(coeffs, nu, x0, y0, cfg) -> _Run:
         else:
             S[1] = y0
     flagged = np.zeros(n, dtype=bool)
-    live = ~flagged
     violations = 0
     repairs = 0
     capped = 0
@@ -288,24 +263,24 @@ def _simulate(coeffs, nu, x0, y0, cfg) -> _Run:
     h = cfg.h
     sqh = math.sqrt(h)
     for step in range(1, n_steps + 1):
-        alive = live & (coal == math.inf)
         g0, g2 = coeffs.gamma0(S), coeffs.gamma2(S)
         if coupled:
             # reflection until coalescence; shared noise afterwards
+            alive = coal == math.inf
             sign[1] = np.where(alive & refined, -1.0, 1.0)
         # step k owns the stream counters k (M + 1) + r, M = _MAX_SUBSTEPS:
         # r = 0 for the Gaussian draws, r = 1..m_i <= M for thinning rounds
         base = step * (_MAX_SUBSTEPS + 1)
         dS = g0 * h
         if coeffs.has_diffusion:
-            # the Gaussian stream is read only when a live path carries a
-            # diffusion term (a NaN term counts); a skipped draw shifts no
+            # the Gaussian stream is read only when an unflagged path carries
+            # a diffusion term (a NaN term counts); a skipped draw shifts no
             # other stream, and the terms it would feed are zero, so no value
             # changes.  Flagged paths hold NaN and would keep the draw on
             # forever
             sig = coeffs.sigma(S)
             mil = _milstein_coef(coeffs, S)
-            if np.any(((sig != 0.0) | (mil != 0.0)) & live):
+            if np.any(((sig != 0.0) | (mil != 0.0)) & ~flagged):
                 xi = _draws(cfg.seed, _SLOT_BROWNIAN, base, n, normal=True)
                 dS = dS + sig * sqh * (sign * xi) + mil * ((xi * xi - 1.0) * h)
         if nu_eps > 0:
@@ -313,7 +288,7 @@ def _simulate(coeffs, nu, x0, y0, cfg) -> _Run:
             if small_var > 0.0:
                 xi2 = _draws(cfg.seed, _SLOT_GAUSS_COMP, base, n, normal=True)
                 dS = dS + np.sqrt(np.maximum(g2 * small_var * h, 0.0)) * (sign * xi2)
-        Sn = np.maximum(S + dS, 0.0)
+        S = np.maximum(S + dS, 0.0)
         # jumps act on the post-drift state in thinning rounds of acceptance
         # probability <= ~0.1 each: the row geometry (gap, rho) is evaluated
         # where the jump lands, so an exact-meeting row really produces gap 0
@@ -322,9 +297,12 @@ def _simulate(coeffs, nu, x0, y0, cfg) -> _Run:
         # path: each path's round count m_i comes from its own X leg, so no
         # path's draws depend on another path
         if nu_eps > 0:
-            rate = np.where(live, g2[0], 0.0) * nu_eps * h
+            # NaN on flagged paths, also where gamma2 maps NaN to a number
+            # (np.fmin, a constant): the reduction skips it, and m_i = NaN
+            # makes no round active for them
+            rate = np.where(flagged, np.nan, g2[0]) * nu_eps * h
             # ceil and clip are monotone, so this is the largest m_i
-            want = np.ceil(rate.max() / 0.1)
+            want = np.ceil(np.fmax.reduce(rate, initial=0.0) / 0.1)
             m_max = int(np.clip(want, 1, _MAX_SUBSTEPS))
             wants = np.ceil(rate / 0.1)
             if want > _MAX_SUBSTEPS:
@@ -332,8 +310,8 @@ def _simulate(coeffs, nu, x0, y0, cfg) -> _Run:
             m = np.clip(wants, 1, _MAX_SUBSTEPS)
             h_round = h / m
             for r in range(1, m_max + 1):
-                active = live & (r <= m)
-                g2x = coeffs.gamma2(Sn[0])
+                active = r <= m
+                g2x = coeffs.gamma2(S[0])
                 p = g2x * nu_eps * h_round
                 p_max = float(np.max(p, where=active, initial=0.0))
                 max_p = max(max_p, p_max)
@@ -347,11 +325,10 @@ def _simulate(coeffs, nu, x0, y0, cfg) -> _Run:
                     z = np.asarray(nu.quantile_above(cfg.eps, us[idx]))
                     if coupled:
                         um = _draws(cfg.seed, _SLOT_MARK, base + r, n)
-                        Sn[1, idx] += _partner_jump(
+                        S[1, idx] += _partner_jump(
                             nu, cfg.kappa, refined, z, um[idx] * g2x[idx],
-                            Sn[0, idx] - Sn[1, idx], coeffs.gamma2(Sn[1, idx]))
-                    Sn[0, idx] += z
-        S = np.where(live, Sn, S)
+                            S[0, idx] - S[1, idx], coeffs.gamma2(S[1, idx]))
+                    S[0, idx] += z
 
         if coupled:
             # order bookkeeping (only meaningful pre-coalescence).  With an
@@ -379,18 +356,26 @@ def _simulate(coeffs, nu, x0, y0, cfg) -> _Run:
             t_now = step * h
             hit = alive & ((np.abs(gap) <= delta_c) | crossed)
             coal = np.where(hit, t_now, coal)
-            merged = live & (coal <= t_now)
+            merged = coal <= t_now
             S[1] = np.where(merged, S[0], S[1])
 
-        bad = live & np.any(~np.isfinite(S) | (S > _STATE_CAP), axis=0)
+        bad = ~flagged & np.any(~np.isfinite(S) | (S > _STATE_CAP), axis=0)
         if np.any(bad):
             flagged |= bad
-            live = ~flagged
             S[:, bad] = np.nan
         for k in np.flatnonzero(rec_steps == step):
             snaps[:, k] = S
-    return _Run(rec_times, snaps, flagged, coal, violations, repairs, max_p,
-                capped, clipped)
+
+    # a flagged path's NaN went through later steps' arithmetic, which may
+    # set its sign bit; one bit pattern keeps ensemble files independent of it
+    snaps[np.isnan(snaps)] = np.nan
+    marginal = dict(times=rec_times, X=snaps[0], x0=float(x0), flagged=flagged,
+                    config=cfg.echo(), max_jump_prob=max_p, capped_steps=capped,
+                    clipped_jumps=clipped)
+    if not coupled:
+        return SingleEnsemble(**marginal)
+    return CoupledEnsemble(**marginal, Y=snaps[1], y0=float(y0), coalescence=coal,
+                           order_violations=violations, order_repairs=repairs)
 
 
 def simulate_single(coeffs: CoefficientSet, nu: Optional[LevyMeasure],
@@ -398,12 +383,7 @@ def simulate_single(coeffs: CoefficientSet, nu: Optional[LevyMeasure],
     """Euler-Maruyama ensemble of the marginal SDE started at x0 >= 0."""
     if x0 < 0:
         raise DomainError("x0 must be nonnegative")
-    run = _simulate(coeffs, nu, x0, None, cfg)
-    return SingleEnsemble(times=run.times, X=run.paths[0], x0=float(x0),
-                          flagged=run.flagged, config=cfg.echo(),
-                          max_jump_prob=run.max_jump_prob,
-                          capped_steps=run.capped_steps,
-                          clipped_jumps=run.clipped_jumps)
+    return _simulate(coeffs, nu, x0, None, cfg)
 
 
 def simulate_coupled(coeffs: CoefficientSet, nu: Optional[LevyMeasure],
@@ -412,14 +392,7 @@ def simulate_coupled(coeffs: CoefficientSet, nu: Optional[LevyMeasure],
     leg is the marginal run ``simulate_single`` makes at the same seed."""
     if y0 < 0 or x0 < y0:
         raise DomainError("need x0 >= y0 >= 0")
-    run = _simulate(coeffs, nu, x0, y0, cfg)
-    return CoupledEnsemble(times=run.times, X=run.paths[0], Y=run.paths[1],
-                           x0=float(x0), y0=float(y0), coalescence=run.coalescence,
-                           order_violations=run.order_violations,
-                           order_repairs=run.order_repairs, flagged=run.flagged,
-                           config=cfg.echo(), max_jump_prob=run.max_jump_prob,
-                           capped_steps=run.capped_steps,
-                           clipped_jumps=run.clipped_jumps)
+    return _simulate(coeffs, nu, x0, y0, cfg)
 
 
 def marginal_consistency(coeffs, nu, x0, y0, cfg: SimConfig, checkpoints=None):
@@ -439,7 +412,7 @@ def marginal_consistency(coeffs, nu, x0, y0, cfg: SimConfig, checkpoints=None):
     worst = 0.0
     for t in checkpoints:
         a = single.at(t)[~single.flagged]
-        b = coupled.marginal_at(t, "X")[~coupled.flagged]
+        b = coupled.at(t)[~coupled.flagged]
         ks = float(stats.ks_2samp(a, b).statistic)
         worst = max(worst, ks)
         rows.append({"t": float(t), "ks": ks,

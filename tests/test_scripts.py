@@ -31,11 +31,14 @@ def test_run_all_scenarios_quick(tmp_path, monkeypatch, capsys):
 
 def test_kernel_fingerprint(monkeypatch, capsys):
     script = load_script("kernel_fingerprint", monkeypatch)
+    blow_up = "blowup-zero-gamma1"
+    monkeypatch.setattr(script, "BLOW_UPS", {blow_up: script.BLOW_UPS[blow_up]})
     assert script.run() == 0
     lines = capsys.readouterr().out.splitlines()
-    # two couplings x two small-jump policies x two simulators per preset
-    assert len(lines) == 8 * len(SUBSET)
+    # two couplings x two small-jump policies x two simulators per case
+    assert len(lines) == 8 * (len(SUBSET) + 1)
     for line in lines:
         name, coupling, policy, simulator, digest = line.split()
-        assert name in SUBSET and simulator in ("coupled", "single")
+        assert name in SUBSET + (blow_up,) and simulator in ("coupled", "single")
         assert len(digest) == 64 and int(digest, 16) >= 0
+    assert sum(line.startswith(blow_up + " ") for line in lines) == 8

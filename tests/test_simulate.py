@@ -194,17 +194,94 @@ def test_boundary_clamps_to_zero():
 
 
 def test_blow_up_paths_are_flagged(monkeypatch):
+    # every path blows up, with and without jumps; with them the thinning is
+    # left with no unflagged rate at all, and the run must still go on
     coeffs = CoefficientSet(
         gamma0=lambda x: np.asarray(x, dtype=float) ** 3,
         gamma1=lambda x: np.zeros_like(np.asarray(x, dtype=float)),
-        gamma2=lambda x: np.zeros_like(np.asarray(x, dtype=float)))
+        gamma2=lambda x: np.asarray(x, dtype=float))
     cfg = SimConfig(h=1e-2, t_end=5.0, n_paths=4, seed=1)
     calls = count_draws(monkeypatch)
-    ens = simulate_single(coeffs, None, 10.0, cfg)
-    assert np.all(ens.flagged)
-    assert np.all(np.isnan(ens.at(5.0)))
+    for nu in (None, STABLE15):
+        single = simulate_single(coeffs, nu, 10.0, cfg)
+        pair = simulate_coupled(coeffs, nu, 10.0, 5.0, cfg)
+        for ens in (single, pair):
+            assert np.all(ens.flagged)
+            assert np.all(np.isnan(ens.at(5.0)))
+        assert np.all(np.isnan(pair.Y[-1]))
     # no diffusion, and flagged paths (NaN) do not count as noise
     assert calls[simulate._SLOT_BROWNIAN] == 0
+
+
+def partial_blow_up(gamma2=lambda x: np.asarray(x, dtype=float)):
+    """gamma0 = 4x(x - 1), with truncated-stable jumps at rate gamma2: a path
+    that jumps above 1 blows up within half a time unit, so from x0 = 0.9
+    some of the paths are flagged and the rest run on."""
+    def gamma0(x):
+        x = np.asarray(x, dtype=float)
+        return 4.0 * x * (x - 1.0)
+
+    return CoefficientSet(gamma0=gamma0, gamma1=None, gamma2=gamma2)
+
+
+@pytest.mark.parametrize("coupled", [False, True])
+def test_blow_ups_leave_the_other_paths_bit_identical(coupled):
+    # the first 200 paths of a 1000-path run with blow-ups among paths
+    # 200..999 are the 200-path run, down to the bits of their NaNs
+    def run(n_paths):
+        cfg = SimConfig(h=2e-3, eps=0.1, t_end=0.5, n_paths=n_paths, seed=3)
+        if coupled:
+            return simulate_coupled(partial_blow_up(), STABLE15, 0.9, 0.45, cfg)
+        return simulate_single(partial_blow_up(), STABLE15, 0.9, cfg)
+
+    small, big = run(200), run(1000)
+    assert np.any(big.flagged[200:]) and not np.all(big.flagged)
+    per_path = ("X", "Y", "coalescence") if coupled else ("X",)
+    for name in per_path:
+        a, b = getattr(small, name), getattr(big, name)[..., :200]
+        assert np.array_equal(a.view(np.uint64), b.view(np.uint64)), name
+    assert np.array_equal(small.flagged, big.flagged[:200])
+
+
+def test_flagged_paths_take_no_thinning_round():
+    # np.fmin maps NaN to its bound where np.minimum keeps it: a flagged path
+    # must stay out of the thinning either way, so that no counter can tell
+    # the two rates apart
+    cfg = SimConfig(h=2e-3, eps=0.1, t_end=0.5, n_paths=200, seed=3)
+    fmin = partial_blow_up(lambda x: np.fmin(np.asarray(x, dtype=float), 50.0))
+    minimum = partial_blow_up(lambda x: np.minimum(np.asarray(x, dtype=float), 50.0))
+    single = simulate_single(fmin, STABLE15, 0.9, cfg)
+    assert np.any(single.flagged) and single.capped_steps > 0
+    _fields_equal(single, simulate_single(minimum, STABLE15, 0.9, cfg))
+    _fields_equal(simulate_coupled(fmin, STABLE15, 0.9, 0.45, cfg),
+                  simulate_coupled(minimum, STABLE15, 0.9, 0.45, cfg))
+
+
+def test_nan_sigma_at_a_finite_state_is_flagged_after_one_step(monkeypatch):
+    # gamma1 = x log^2 x is NaN at x = 0 (0 * inf).  The paths there are
+    # unflagged, so the first step draws and its NaN diffusion term flags
+    # them; after that no path is unflagged and the stream is not read again
+    def gamma1(x):
+        x = np.asarray(x, dtype=float)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return x * np.log(x) ** 2
+
+    coeffs = CoefficientSet(
+        gamma0=lambda x: -np.asarray(x, dtype=float),
+        gamma1=gamma1,
+        gamma2=lambda x: np.zeros_like(np.asarray(x, dtype=float)))
+    # 300 paths, so that numpy's vector loops and their scalar tails both run
+    cfg = SimConfig(h=1e-2, t_end=0.1, n_paths=300, seed=1,
+                    record_times=[0.0, 0.01, 0.1])
+    calls = count_draws(monkeypatch)
+    for ens in (simulate_single(coeffs, None, 0.0, cfg),
+                simulate_coupled(coeffs, None, 0.0, 0.0, cfg)):
+        assert np.all(ens.flagged)
+        assert np.all(ens.at(0.0) == 0.0)
+        # gamma0 = -x flips the sign bit of a NaN; the ensemble stores one
+        # NaN pattern whatever the arithmetic left
+        assert np.all(ens.X[1:].view(np.uint64) == np.array(np.nan).view(np.uint64))
+    assert calls == {simulate._SLOT_BROWNIAN: 2}
 
 
 def test_pure_jump_runs_skip_the_brownian_draw(monkeypatch):
