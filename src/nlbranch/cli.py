@@ -74,6 +74,8 @@ def cmd_check(args):
             lines.append("constants: derived")
             for key, val in sorted(constants.as_dict().items()):
                 lines.append(f"  {key} = {val}")
+        except ValidationError:
+            raise                   # a malformed scenario: a config error
         except NLBranchError as exc:
             lines.append(f"constants: failed ({exc})")
             ok = False

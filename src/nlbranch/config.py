@@ -57,7 +57,7 @@ class Scenario:
     try_strong: bool = False
     expect_drift_failure: bool = False
 
-    def with_overrides(self, seed=None, n_paths=None, h=None, kappa=None):
+    def with_overrides(self, seed=None, n_paths=None, h=None):
         sim = self.sim
         if seed is not None:
             sim = replace(sim, seed=int(seed))
@@ -65,8 +65,6 @@ class Scenario:
             sim = replace(sim, n_paths=int(n_paths))
         if h is not None:
             sim = replace(sim, h=float(h))
-        if kappa is not None:
-            sim = replace(sim, kappa=float(kappa))
         return replace(self, sim=sim)
 
 
@@ -191,7 +189,7 @@ def _preset_cir(name="cir"):
         coeffs=cir_coefficients(1.0, 1.0, 1.0),
         nu=None,
         modulus=DriftModulus(phi1_zero(), l0=1.0, k2=1.0, phi2=phi2_linear(1.0)),
-        case="A1", params={"beta": 1.0, "k3": math.sqrt(2.0), "k2": 1.0},
+        case="A1", params={"beta": 1.0, "k3": math.sqrt(2.0)},
         x0=2.0, y0=1.0,
         sim=SimConfig(h=1e-3, eps=0.1, t_end=2.0, n_paths=20000, seed=20240811,
                       coupling="synchronous", record_times=(0.0, 0.5, 1.0, 1.5, 2.0)),
@@ -212,9 +210,8 @@ def _preset_case2(name="case2-stable"):
         nu=StableTruncatedMeasure(alpha=alpha, c0=1.0, zmax=1.0),
         modulus=DriftModulus(phi1_zero(), l0=1.0, k2=1.0),
         case="A2",
-        params={"alpha": alpha, "beta": 1.0, "k3": 1.0, "k2": 1.0,
-                "kappa": kappa,
-                "C_star": _stable_overlap_cstar(alpha, kappa)},
+        params={"alpha": alpha, "beta": 1.0, "k3": 1.0,
+                "kappa": kappa, "C_star": _stable_overlap_cstar(alpha, kappa)},
         x0=1.0, y0=0.5,
         sim=SimConfig(h=1e-3, eps=0.1, t_end=8.0, n_paths=10000, seed=20240811,
                       kappa=kappa, coupling="refined-basic",
@@ -232,7 +229,7 @@ def _preset_case1(name="case1-diffusion"):
             name="sqrt-diffusion"),
         nu=None,
         modulus=DriftModulus(phi1_zero(), l0=1.0, k2=1.0),
-        case="A1", params={"beta": 1.0, "k3": 1.0, "k2": 1.0},
+        case="A1", params={"beta": 1.0, "k3": 1.0},
         x0=1.0, y0=0.5,
         sim=SimConfig(h=1e-3, eps=0.1, t_end=4.0, n_paths=10000, seed=20240811,
                       coupling="refined-basic",
@@ -255,8 +252,7 @@ def _preset_case3(name="case3-dyadic"):
         case="A2",
         # the overlap route degenerates for the singular measure; C_star here
         # comes from the second-moment lower bound on the dyadic grid
-        params={"alpha": alpha, "beta": 1.0, "k3": 1.0, "k2": 1.0,
-                "kappa": 0.5, "C_star": 1.0},
+        params={"alpha": alpha, "beta": 1.0, "k3": 1.0, "kappa": 0.5, "C_star": 1.0},
         x0=1.0, y0=0.5,
         sim=SimConfig(h=1e-3, eps=0.05, t_end=4.0, n_paths=5000, seed=20240811,
                       kappa=0.5, coupling="refined-basic",
@@ -279,7 +275,7 @@ def _preset_logistic(name="logistic"):
         modulus=DriftModulus(phi1_linear(0.01), l0=0.02, k2=0.05,
                              phi2=phi2_power(0.5, 2.0)),
         case="A2",
-        params={"alpha": alpha, "beta": 1.0, "k3": 2.0, "k2": 0.05,
+        params={"alpha": alpha, "beta": 1.0, "k3": 2.0,
                 "kappa": kappa, "C_star": _stable_overlap_cstar(alpha, kappa)},
         x0=1.5, y0=0.5,
         sim=SimConfig(h=1e-3, eps=0.1, t_end=8.0, n_paths=10000, seed=20240811,
@@ -307,7 +303,7 @@ def _preset_xlog_drift(name="xlog-drift"):
         nu=StableTruncatedMeasure(alpha=alpha, c0=1.0, zmax=1.0),
         modulus=DriftModulus(phi1_log1p(0.1), l0=0.01, k2=0.5),
         case="A2",
-        params={"alpha": alpha, "beta": 1.0, "k3": 4.0, "k2": 0.5,
+        params={"alpha": alpha, "beta": 1.0, "k3": 4.0,
                 "kappa": kappa, "C_star": _stable_overlap_cstar(alpha, kappa)},
         x0=1.0, y0=0.5,
         sim=SimConfig(h=1e-3, eps=0.1, t_end=4.0, n_paths=5000, seed=20240811,
@@ -338,7 +334,7 @@ def _preset_superexp(name="superexp"):
         modulus=DriftModulus(phi1_zero(), l0=1.0, k2=0.5,
                              phi2=phi2_power(0.5, 2.0)),
         case="A2",
-        params={"alpha": alpha, "beta": 1.0, "k3": 1.0, "k2": 0.5,
+        params={"alpha": alpha, "beta": 1.0, "k3": 1.0,
                 "kappa": kappa, "C_star": _stable_overlap_cstar(alpha, kappa)},
         x0=1.0, y0=0.5,
         sim=SimConfig(h=1e-4, eps=0.1, t_end=2.0, n_paths=2000, seed=20240811,
@@ -375,7 +371,7 @@ def _preset_pure_growth(name="pure-growth"):
             name="pure-growth"),
         nu=None,
         modulus=DriftModulus(phi1_zero(), l0=1.0, k2=1.0),
-        case="A1", params={"beta": 1.0, "k3": 1.0, "k2": 1.0},
+        case="A1", params={"beta": 1.0, "k3": 1.0},
         x0=1.0, y0=0.5,
         sim=SimConfig(h=1e-3, eps=0.1, t_end=1.0, n_paths=100, seed=20240811),
         checkpoints=(0.5, 1.0),
@@ -437,9 +433,10 @@ def _scenario_from_parser(parser, name) -> Scenario:
         coupling=simspec.get("coupling", "refined-basic"),
         record_times=[float(v) for v in rec.split(",")] if rec else None)
     params = {}
-    for key in ("alpha", "beta", "k2", "k3", "kappa", "C_star"):
-        if key in sc:
-            params[key] = float(sc[key])
+    for key in ("alpha", "beta", "k3", "kappa", "C_star"):
+        # configparser lowercases keys
+        if key.lower() in sc:
+            params[key] = float(sc[key.lower()])
     checks = tuple(v.strip() for v in sc.get("checks", ",".join(_ALL_CHECKS)).split(",")
                    if v.strip())
     cps = sc.get("checkpoints")

@@ -635,12 +635,17 @@ def assemble(case: str, modulus: DriftModulus, params: dict, variant: str = "w1"
                 params alpha, beta, C_star, kappa, k3).  The three short-form
                 noise conditions map onto these: case 1 -> A1, cases 2/3 -> A2.
     variant  -- 'w1', 'tv' or 'strong'.
+    The dissipation rate k2 comes from the modulus.  A missing parameter is a
+    ValidationError naming it.
     Returns (constants, test_function).
     """
+    needed = ("beta", "k3") + (("alpha", "C_star", "kappa") if case == "A2" else ())
+    missing = [name for name in needed if name not in params]
+    if missing:
+        raise ValidationError(f"case {case} needs the parameters "
+                              + ", ".join(missing))
     l0 = modulus.l0
-    k2 = params.get("k2")
-    if k2 is None:
-        k2 = modulus.dissipation_rate()
+    k2 = modulus.dissipation_rate()
     k3 = params["k3"]
     beta = params["beta"]
 

@@ -57,7 +57,6 @@ beta = 1.0
 kappa = 0.5
 C_star = 0.5
 k3 = 1.0
-k2 = 1.0
 checks = drift, noise
 
 [coefficients mine]
@@ -98,6 +97,26 @@ def test_ini_scenario_roundtrip(tmp_path):
         load_scenario("other", config_path=cfg)
     with pytest.raises(ValidationError):
         load_scenario("mine", config_path=tmp_path / "missing.ini")
+
+
+def test_ini_check_derives_constants(tmp_path, capsys):
+    # the default checks include the constants, which need C_star: the INI
+    # key is read whatever its case, as configparser lowercases it
+    cfg = tmp_path / "scen.ini"
+    cfg.write_text(INI.replace("checks = drift, noise\n", ""))
+    assert load_scenario("mine", config_path=cfg).params["C_star"] == 0.5
+    code, _ = run(tmp_path, "check", "--scenario", "mine", "--config", str(cfg))
+    assert code == 0
+    text = capsys.readouterr().out
+    assert "constants: derived" in text and "  C_star = 0.5\n" in text
+
+
+def test_ini_missing_constant_is_config_error(tmp_path, capsys):
+    cfg = tmp_path / "scen.ini"
+    cfg.write_text(INI.replace("checks = drift, noise\n", "").replace("k3 = 1.0\n", ""))
+    code, _ = run(tmp_path, "check", "--scenario", "mine", "--config", str(cfg))
+    assert code == 2
+    assert "k3" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------
