@@ -4,7 +4,7 @@ continuous-state nonlinear branching SDEs."""
 from .errors import (DomainError, NLBranchError, NoJumpError, QuadratureError,
                      ValidationError)
 from .model import (AbsolutelyContinuousMeasure, AtomicMeasure, CoefficientSet,
-                    LevyMeasure, MixtureMeasure, OverlapMeasure,
+                    LevyMeasure, MixtureMeasure,
                     StableTruncatedMeasure, cir_coefficients, dyadic_atoms,
                     logistic_coefficients)
 from .quad import DEFAULT_QUAD, QuadratureSpec, integrate_interval

@@ -7,9 +7,9 @@ The process of interest is the nonnegative solution of
 
 This module holds the coefficient triple, the jump measure ``nu`` in
 absolutely-continuous / atomic / mixture form, and the measure-level queries
-the coupling construction needs: tail masses, truncated moments, the overlap
-measure ``mu_x = nu ^ (delta_x * nu)`` and its density ratio ``rho(x, z)``,
-and restricted jump sampling.
+the coupling construction needs: tail masses, truncated moments, the mass of
+the overlap measure ``mu_x = nu ^ (delta_x * nu)`` and its density ratio
+``rho(x, z)``, and restricted jump sampling.
 """
 
 from __future__ import annotations
@@ -131,20 +131,6 @@ def logistic_coefficients(b1, b2, c1=0.0, c2=1.0):
 
 # ---------------------------------------------------------------------------
 # jump measures
-
-
-@dataclass(frozen=True)
-class OverlapMeasure:
-    """mu_x = nu ^ (delta_x * nu), kept as a density ratio against nu.
-
-    ``mass`` may be math.inf (x = 0 with an infinite-activity measure);
-    infinite mass is always represented by the dedicated infinite value.
-    """
-
-    parent: "LevyMeasure"
-    shift: float
-    rho: Callable
-    mass: float
 
 
 class LevyMeasure:
@@ -294,12 +280,6 @@ class LevyMeasure:
                 total += integrate_interval(fn, x, hi, self.quad,
                                             points=(self.upper,) if np.isfinite(self.upper) else ())
         return total
-
-    def overlap(self, x):
-        x = float(x)
-        mass = self.overlap_mass(x)
-        return OverlapMeasure(parent=self, shift=x,
-                              rho=lambda z, _x=x: self.rho(_x, z), mass=mass)
 
     # -- sampling ---------------------------------------------------------
 

@@ -29,6 +29,7 @@ from .errors import QuadratureError
 
 DEFAULT_ATOL = 1e-10
 DEFAULT_RTOL = 1e-8
+_MAX_SUBDIVISIONS = 200     # panel-split budget of the refinement loop
 
 # Gauss-Kronrod 21/10 rule on [-1, 1] (Piessens et al., QUADPACK, 1983): the
 # 10 Gauss nodes are every other Kronrod node, so the Gauss weights vanish on
@@ -63,11 +64,10 @@ _LADDER = np.concatenate(([0.0], _RUNG_RATIO ** np.arange(24.0, -1.0, -1.0)))
 
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """Tolerances and the panel-split budget of the adaptive integrator."""
+    """Tolerances of the adaptive integrator."""
 
     atol: float = DEFAULT_ATOL
     rtol: float = DEFAULT_RTOL
-    max_subdivisions: int = 200
 
     def __post_init__(self):
         if self.atol <= 0 or self.rtol <= 0:
@@ -149,7 +149,7 @@ def _integrate(fn, edges, infinite, spec):
             raise QuadratureError("integral did not converge (non-finite value)",
                                   achieved=math.inf)
         tol = spec.atol + spec.rtol * abs(total)
-        if achieved <= tol or splits >= spec.max_subdivisions:
+        if achieved <= tol or splits >= _MAX_SUBDIVISIONS:
             break
         # split every panel holding more than its even share of the tolerance
         bad = err > tol / err.size

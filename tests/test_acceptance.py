@@ -107,7 +107,7 @@ def test_criterion_3_test_function_suite(capsys):
 def test_criterion_4_overlap_measure(capsys):
     """Overlap mass closed form and the tail-mass domination bound."""
     stable_half = StableTruncatedMeasure(alpha=0.5, c0=1.0, zmax=1.0)
-    mass = stable_half.overlap(0.25).mass
+    mass = stable_half.overlap_mass(0.25)
     assert abs(mass - 2.0) <= 1e-8
     worst = 0.0
     for nu in (stable_half, StableTruncatedMeasure(alpha=1.5, c0=1.0, zmax=1.0)):
