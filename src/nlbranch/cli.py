@@ -5,7 +5,7 @@ Subcommands:
 * ``check``     -- drift/noise conditions, constants, Lyapunov grid.
 * ``testfn``    -- dump the test-function table and constants report.
 * ``couple``    -- run the coupled ensemble, estimate W1/TV decay, fit rates.
-* ``simulate``  -- run the marginal ensemble and summarize checkpoints.
+* ``simulate``  -- run the marginal ensemble and summarize its record times.
 * ``invariant`` -- long-run summaries from two starting points.
 
 Exit codes: 0 all verdicts hold, 1 a verdict failed, 2 usage/config error.
@@ -47,6 +47,13 @@ def _write(path, text):
         fh.write(text if text.endswith("\n") else text + "\n")
 
 
+def _assemble(sc: Scenario, variant: str):
+    """The scenario's contraction constants and test function for ``variant``,
+    at the coupling radius the simulation uses."""
+    return assemble(sc.case, sc.modulus, sc.params, variant=variant,
+                    kappa=sc.sim.kappa)
+
+
 def cmd_check(args):
     sc = _load(args)
     out = _out_dir(args)
@@ -62,15 +69,14 @@ def cmd_check(args):
         rep = check_noise_conditions(sc.coeffs, sc.nu, sc.case,
                                      beta=sc.params.get("beta"),
                                      alpha=sc.params.get("alpha"),
-                                     kappa=sc.params.get("kappa", 0.5))
+                                     kappa=sc.sim.kappa)
         lines.append(rep.to_text())
         ok &= rep.holds
 
     constants, fn = None, None
     if "constants" in sc.checks and sc.case:
         try:
-            constants, fn = assemble(sc.case, sc.modulus, sc.params,
-                                     variant=sc.variant)
+            constants, fn = _assemble(sc, sc.variant)
             lines.append("constants: derived")
             for key, val in sorted(constants.as_dict().items()):
                 lines.append(f"  {key} = {val}")
@@ -81,8 +87,7 @@ def cmd_check(args):
             ok = False
 
     if "lyapunov" in sc.checks and constants is not None:
-        rep = verify_lyapunov(fn, constants, sc.coeffs, sc.nu,
-                              sc.params.get("kappa", sc.sim.kappa),
+        rep = verify_lyapunov(fn, constants.lam, sc.coeffs, sc.nu, sc.sim.kappa,
                               r_grid=np.logspace(-3, 1, 60))
         lines.append(rep.to_text())
         ok &= rep.holds
@@ -97,8 +102,7 @@ def cmd_check(args):
                          "(requires the jump route)")
         else:
             try:
-                sconst, sfn = assemble(sc.case, sc.modulus, sc.params,
-                                       variant="strong")
+                sconst, sfn = _assemble(sc, "strong")
                 lines.append("strong-ergodicity branch: accepted "
                              f"(lambda = {sconst.lam!r}, "
                              f"sup psi = {sfn.psi.sup()!r})")
@@ -120,8 +124,9 @@ def cmd_testfn(args):
               file=sys.stderr)
         return 2
     try:
-        constants, fn = assemble(sc.case, sc.modulus, sc.params,
-                                 variant=sc.variant)
+        constants, fn = _assemble(sc, sc.variant)
+    except ValidationError:
+        raise                       # a malformed scenario: a config error
     except NLBranchError as exc:
         print(f"test-function construction failed: {exc}", file=sys.stderr)
         return 1
@@ -154,7 +159,7 @@ def cmd_couple(args):
     ens = simulate_coupled(sc.coeffs, sc.nu, sc.x0, sc.y0, sc.sim)
     n_bad = int(np.count_nonzero(ens.flagged))
     write_ensemble(os.path.join(out, f"{sc.name}.ensemble.bin"), ens)
-    curve = decay_curve(ens, sc.checkpoints)
+    curve = decay_curve(ens)
     curve.to_csv(os.path.join(out, f"{sc.name}.curve.csv"))
     summary = curve.fit_summary() + (
         f"\nflagged = {n_bad}/{ens.n_paths}"

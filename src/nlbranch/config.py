@@ -2,7 +2,9 @@
 
 A scenario bundles everything one experiment needs: the coefficient triple,
 the jump measure, the drift modulus, the case descriptor with its fitted
-parameters, initial points, a simulation config and the checkpoint list.
+parameters, initial points and a simulation config, whose record times are
+also the points of the decay curve and whose kappa is also the coupling
+radius the constants are derived for.
 
 Config files use configparser syntax with one section group per scenario:
 
@@ -51,7 +53,6 @@ class Scenario:
     x0: float
     y0: float
     sim: SimConfig
-    checkpoints: Sequence[float]
     variant: str = "w1"
     checks: Sequence[str] = _ALL_CHECKS
     try_strong: bool = False
@@ -193,7 +194,6 @@ def _preset_cir(name="cir"):
         x0=2.0, y0=1.0,
         sim=SimConfig(h=1e-3, eps=0.1, t_end=2.0, n_paths=20000, seed=20240811,
                       coupling="synchronous", record_times=(0.0, 0.5, 1.0, 1.5, 2.0)),
-        checkpoints=(0.5, 1.0, 1.5, 2.0),
         checks=("drift", "noise", "constants"),
         try_strong=True)   # attempted and expected to be rejected
 
@@ -211,12 +211,11 @@ def _preset_case2(name="case2-stable"):
         modulus=DriftModulus(phi1_zero(), l0=1.0, k2=1.0),
         case="A2",
         params={"alpha": alpha, "beta": 1.0, "k3": 1.0,
-                "kappa": kappa, "C_star": _stable_overlap_cstar(alpha, kappa)},
+                "C_star": _stable_overlap_cstar(alpha, kappa)},
         x0=1.0, y0=0.5,
         sim=SimConfig(h=1e-3, eps=0.1, t_end=8.0, n_paths=10000, seed=20240811,
                       kappa=kappa, coupling="refined-basic",
-                      record_times=(0.0, 0.5, 1.0, 2.0, 4.0, 8.0)),
-        checkpoints=(0.5, 1.0, 2.0, 4.0, 8.0))
+                      record_times=(0.0, 0.5, 1.0, 2.0, 4.0, 8.0)))
 
 
 def _preset_case1(name="case1-diffusion"):
@@ -234,7 +233,6 @@ def _preset_case1(name="case1-diffusion"):
         sim=SimConfig(h=1e-3, eps=0.1, t_end=4.0, n_paths=10000, seed=20240811,
                       coupling="refined-basic",
                       record_times=(0.0, 0.5, 1.0, 2.0, 4.0)),
-        checkpoints=(0.5, 1.0, 2.0, 4.0),
         checks=("drift", "noise", "constants"))
 
 
@@ -252,12 +250,11 @@ def _preset_case3(name="case3-dyadic"):
         case="A2",
         # the overlap route degenerates for the singular measure; C_star here
         # comes from the second-moment lower bound on the dyadic grid
-        params={"alpha": alpha, "beta": 1.0, "k3": 1.0, "kappa": 0.5, "C_star": 1.0},
+        params={"alpha": alpha, "beta": 1.0, "k3": 1.0, "C_star": 1.0},
         x0=1.0, y0=0.5,
         sim=SimConfig(h=1e-3, eps=0.05, t_end=4.0, n_paths=5000, seed=20240811,
                       kappa=0.5, coupling="refined-basic",
-                      record_times=(0.0, 1.0, 2.0, 4.0)),
-        checkpoints=(1.0, 2.0, 4.0))
+                      record_times=(0.0, 1.0, 2.0, 4.0)))
 
 
 def _preset_logistic(name="logistic"):
@@ -276,12 +273,11 @@ def _preset_logistic(name="logistic"):
                              phi2=phi2_power(0.5, 2.0)),
         case="A2",
         params={"alpha": alpha, "beta": 1.0, "k3": 2.0,
-                "kappa": kappa, "C_star": _stable_overlap_cstar(alpha, kappa)},
+                "C_star": _stable_overlap_cstar(alpha, kappa)},
         x0=1.5, y0=0.5,
         sim=SimConfig(h=1e-3, eps=0.1, t_end=8.0, n_paths=10000, seed=20240811,
                       kappa=kappa, coupling="refined-basic",
                       record_times=(0.0, 1.0, 2.0, 4.0, 8.0)),
-        checkpoints=(1.0, 2.0, 4.0, 8.0),
         try_strong=True)
 
 
@@ -304,12 +300,11 @@ def _preset_xlog_drift(name="xlog-drift"):
         modulus=DriftModulus(phi1_log1p(0.1), l0=0.01, k2=0.5),
         case="A2",
         params={"alpha": alpha, "beta": 1.0, "k3": 4.0,
-                "kappa": kappa, "C_star": _stable_overlap_cstar(alpha, kappa)},
+                "C_star": _stable_overlap_cstar(alpha, kappa)},
         x0=1.0, y0=0.5,
         sim=SimConfig(h=1e-3, eps=0.1, t_end=4.0, n_paths=5000, seed=20240811,
                       kappa=kappa, coupling="refined-basic",
-                      record_times=(0.0, 1.0, 2.0, 4.0)),
-        checkpoints=(1.0, 2.0, 4.0))
+                      record_times=(0.0, 1.0, 2.0, 4.0)))
 
 
 def _preset_superexp(name="superexp"):
@@ -335,12 +330,11 @@ def _preset_superexp(name="superexp"):
                              phi2=phi2_power(0.5, 2.0)),
         case="A2",
         params={"alpha": alpha, "beta": 1.0, "k3": 1.0,
-                "kappa": kappa, "C_star": _stable_overlap_cstar(alpha, kappa)},
+                "C_star": _stable_overlap_cstar(alpha, kappa)},
         x0=1.0, y0=0.5,
         sim=SimConfig(h=1e-4, eps=0.1, t_end=2.0, n_paths=2000, seed=20240811,
                       kappa=kappa, coupling="refined-basic",
                       record_times=(0.0, 0.5, 1.0, 2.0)),
-        checkpoints=(0.5, 1.0, 2.0),
         try_strong=True)
 
 
@@ -357,7 +351,6 @@ def _preset_nonergodic(name="nonergodic-diffusion"):
         sim=SimConfig(h=1e-3, eps=0.1, t_end=20.0, n_paths=5000, seed=20240811,
                       coupling="synchronous",
                       record_times=(0.0, 5.0, 10.0, 20.0)),
-        checkpoints=(5.0, 10.0, 20.0),
         checks=())
 
 
@@ -373,8 +366,8 @@ def _preset_pure_growth(name="pure-growth"):
         modulus=DriftModulus(phi1_zero(), l0=1.0, k2=1.0),
         case="A1", params={"beta": 1.0, "k3": 1.0},
         x0=1.0, y0=0.5,
-        sim=SimConfig(h=1e-3, eps=0.1, t_end=1.0, n_paths=100, seed=20240811),
-        checkpoints=(0.5, 1.0),
+        sim=SimConfig(h=1e-3, eps=0.1, t_end=1.0, n_paths=100, seed=20240811,
+                      record_times=(0.0, 0.5, 1.0)),
         checks=("drift",),
         expect_drift_failure=True)
 
@@ -432,21 +425,22 @@ def _scenario_from_parser(parser, name) -> Scenario:
         kappa=float(simspec.get("kappa", 0.5)),
         coupling=simspec.get("coupling", "refined-basic"),
         record_times=[float(v) for v in rec.split(",")] if rec else None)
+    if "kappa" in sc:
+        raise ValidationError(f"kappa belongs in [sim {name}], not in "
+                              f"[scenario {name}]: the constants are derived "
+                              "for the radius the coupling simulates")
     params = {}
-    for key in ("alpha", "beta", "k3", "kappa", "C_star"):
+    for key in ("alpha", "beta", "k3", "C_star"):
         # configparser lowercases keys
         if key.lower() in sc:
             params[key] = float(sc[key.lower()])
     checks = tuple(v.strip() for v in sc.get("checks", ",".join(_ALL_CHECKS)).split(",")
                    if v.strip())
-    cps = sc.get("checkpoints")
     return Scenario(
         name=name, coeffs=coeffs, nu=nu, modulus=modulus,
         case=sc.get("case") or None, params=params,
         x0=float(sc.get("x0", 1.0)), y0=float(sc.get("y0", 0.0)),
         sim=sim,
-        checkpoints=[float(v) for v in cps.split(",")] if cps
-        else [t for t in sim.resolved_record_times() if t > 0],
         variant=sc.get("variant", "w1"),
         checks=checks,
         try_strong=sc.get("try_strong", "false").lower() == "true")

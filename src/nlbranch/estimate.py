@@ -99,7 +99,7 @@ def fit_rate(ts, ds, ses=None, window=None) -> FitResult:
 
 @dataclass
 class DecayCurve:
-    """Distance estimates over checkpoints plus the fitted exponential."""
+    """Distance estimates over the record times plus the fitted exponential."""
 
     t: np.ndarray
     w1: np.ndarray
@@ -135,11 +135,10 @@ class DecayCurve:
         return "\n".join(lines)
 
 
-def decay_curve(ens: CoupledEnsemble, checkpoints=None) -> DecayCurve:
-    """Assemble W1 and TV estimates at the checkpoints and fit both rates."""
-    if checkpoints is None:
-        checkpoints = [t for t in ens.times if t > 0]
-    t = np.asarray(checkpoints, dtype=float)
+def decay_curve(ens: CoupledEnsemble) -> DecayCurve:
+    """Assemble W1 and TV estimates at the positive record times and fit
+    both rates."""
+    t = np.asarray([t for t in ens.times if t > 0], dtype=float)
     w1 = np.empty(t.size)
     w1se = np.empty(t.size)
     tv = np.empty(t.size)

@@ -29,26 +29,7 @@ INAPPLICABLE = "inapplicable"
 INCONCLUSIVE = "inconclusive"   # some grid points could not be evaluated
 
 _VERIFY_TOL = 1e-6
-
-
-# ---------------------------------------------------------------------------
-# function adaptors
-
-
-class _C2:
-    """Uniform array access to (f, f', f'') from an object or a triple.
-
-    The object's ``value`` / ``d1`` / ``d2`` must be vectorized; the entries of
-    a triple may be scalar functions, which are vectorized here.
-    """
-
-    def __init__(self, f):
-        if hasattr(f, "value") and hasattr(f, "d1") and hasattr(f, "d2"):
-            self.f, self.d1, self.d2 = f.value, f.d1, f.d2
-        elif isinstance(f, (tuple, list)) and len(f) >= 3:
-            self.f, self.d1, self.d2 = (np.vectorize(g, otypes=[float]) for g in f[:3])
-        else:
-            raise DomainError("f must expose value/d1/d2 or be a (f, f', f'') triple")
+_LYAPUNOV_Y = (0.0, 0.5, 2.0)
 
 
 def _nu_integral(nu: LevyMeasure, integrand, q: QuadratureSpec, weight=None,
@@ -84,7 +65,7 @@ def _shifted_breakpoints(f, r):
     return tuple(b - r for b in bps() if b > r)
 
 
-def _compensated_integrand(c2f, x):
+def _compensated_integrand(f, x):
     """z -> f(x+z) - f(x) - z f'(x) without small-z cancellation, vectorized.
 
     Below z = x/10 the direct difference of (possibly interpolated) values
@@ -94,12 +75,12 @@ def _compensated_integrand(c2f, x):
     small radius is used; the midpoint form keeps the bias there below
     quadrature tolerance.  Returns (integrand, switch point).
     """
-    fx, dfx = float(c2f.f(x)), float(c2f.d1(x))
+    fx, dfx = float(f.value(x)), float(f.d1(x))
     zs = 0.1 * x if x > 0.0 else 1e-3
 
     def integrand(z):
-        return np.where(z <= zs, 0.5 * z * z * c2f.d2(x + z / 3.0),
-                        c2f.f(x + z) - fx - dfx * z)
+        return np.where(z <= zs, 0.5 * z * z * f.d2(x + z / 3.0),
+                        f.value(x + z) - fx - dfx * z)
 
     return integrand, zs
 
@@ -108,21 +89,33 @@ def _compensated_integrand(c2f, x):
 # generator and coupling operators
 
 
+def _at(fn, x):
+    """fn at the scalar x, as a float."""
+    return float(fn(np.asarray(x)))
+
+
+def _L(f, r, drift, var, rate, nu, q, extra=0.0):
+    """drift f'(r) + (1/2) var f''(r) + extra
+    + rate int (f(r+z) - f(r) - z f'(r)) nu(dz): the body shared by the
+    generator and the reduced coupling operators, added in this order."""
+    out = drift * float(f.d1(r))
+    if var > 0.0:
+        out += 0.5 * var * float(f.d2(r))
+    out += extra
+    if rate != 0.0:
+        integrand, zs = _compensated_integrand(f, r)
+        out += rate * _nu_integral(nu, integrand, q,
+                                   points=_shifted_breakpoints(f, r) + (zs,))
+    return out
+
+
 def apply_L(f, x: float, coeffs: CoefficientSet, nu: LevyMeasure,
             q: QuadratureSpec = DEFAULT_QUAD) -> float:
     """L f(x) within quadrature tolerance."""
     if x < 0:
         raise DomainError("the state space is [0, oo)")
-    c2 = _C2(f)
-    g0 = float(coeffs.gamma0(np.asarray(x)))
-    g1 = float(coeffs.gamma1(np.asarray(x)))
-    g2 = float(coeffs.gamma2(np.asarray(x)))
-    out = g0 * float(c2.d1(x)) + 0.5 * g1 * float(c2.d2(x))
-    if g2 != 0.0:
-        integrand, zs = _compensated_integrand(c2, x)
-        out += g2 * _nu_integral(nu, integrand, q,
-                                 points=_shifted_breakpoints(f, x) + (zs,))
-    return out
+    return _L(f, x, _at(coeffs.gamma0, x), _at(coeffs.gamma1, x),
+              _at(coeffs.gamma2, x), nu, q)
 
 
 def apply_coupling_L(f, x: float, y: float, coeffs: CoefficientSet,
@@ -144,27 +137,18 @@ def apply_coupling_L(f, x: float, y: float, coeffs: CoefficientSet,
     if x <= y:
         raise DomainError("the reduced coupling operator needs x > y")
     r = x - y
-    rk = min(r, kappa)
-    c2f = _C2(f)
-    g0x, g0y = float(coeffs.gamma0(np.asarray(x))), float(coeffs.gamma0(np.asarray(y)))
-    g2x, g2y = float(coeffs.gamma2(np.asarray(x))), float(coeffs.gamma2(np.asarray(y)))
-    sx, sy = float(coeffs.sigma(np.asarray(x))), float(coeffs.sigma(np.asarray(y)))
-
-    out = (g0x - g0y) * float(c2f.d1(r))
-    if sx + sy > 0.0:
-        out += 0.5 * (sx + sy) ** 2 * float(c2f.d2(r))
+    g2y = _at(coeffs.gamma2, y)
+    overlap = 0.0
     if g2y > 0.0:
+        rk = min(r, kappa)
         mass = nu.overlap_mass(rk)
         if not math.isfinite(mass):
             raise DomainError("overlap mass is infinite; r = 0 is outside the domain")
-        bracket = float(c2f.f(r + rk)) + float(c2f.f(r - rk)) - 2.0 * float(c2f.f(r))
-        out += 0.5 * g2y * bracket * mass
-    excess = g2x - g2y
-    if excess != 0.0:
-        integrand, zs = _compensated_integrand(c2f, r)
-        out += excess * _nu_integral(nu, integrand, q,
-                                     points=_shifted_breakpoints(f, r) + (zs,))
-    return out
+        bracket = float(f.value(r + rk)) + float(f.value(r - rk)) - 2.0 * float(f.value(r))
+        overlap = 0.5 * g2y * bracket * mass
+    return _L(f, r, _at(coeffs.gamma0, x) - _at(coeffs.gamma0, y),
+              (_at(coeffs.sigma, x) + _at(coeffs.sigma, y)) ** 2,
+              _at(coeffs.gamma2, x) - g2y, nu, q, extra=overlap)
 
 
 def apply_synchronous_L(f, x: float, y: float, coeffs: CoefficientSet,
@@ -174,18 +158,9 @@ def apply_synchronous_L(f, x: float, y: float, coeffs: CoefficientSet,
     jumps cancel in the difference, and both coordinates share the noise."""
     if x <= y:
         raise DomainError("the reduced coupling operator needs x > y")
-    r = x - y
-    c2f = _C2(f)
-    g0x, g0y = float(coeffs.gamma0(np.asarray(x))), float(coeffs.gamma0(np.asarray(y)))
-    g2x, g2y = float(coeffs.gamma2(np.asarray(x))), float(coeffs.gamma2(np.asarray(y)))
-    sx, sy = float(coeffs.sigma(np.asarray(x))), float(coeffs.sigma(np.asarray(y)))
-    out = (g0x - g0y) * float(c2f.d1(r)) + 0.5 * (sx - sy) ** 2 * float(c2f.d2(r))
-    excess = g2x - g2y
-    if excess != 0.0:
-        integrand, zs = _compensated_integrand(c2f, r)
-        out += excess * _nu_integral(nu, integrand, q,
-                                     points=_shifted_breakpoints(f, r) + (zs,))
-    return out
+    return _L(f, x - y, _at(coeffs.gamma0, x) - _at(coeffs.gamma0, y),
+              (_at(coeffs.sigma, x) - _at(coeffs.sigma, y)) ** 2,
+              _at(coeffs.gamma2, x) - _at(coeffs.gamma2, y), nu, q)
 
 
 def apply_coupling_L_sum(f, g, x: float, y: float, coeffs: CoefficientSet,
@@ -203,18 +178,17 @@ def apply_coupling_L_sum(f, g, x: float, y: float, coeffs: CoefficientSet,
         # the construction is symmetric; swap roles
         return apply_coupling_L_sum(g, f, y, x, coeffs, nu, kappa, q,
                                     synchronous=synchronous)
-    cf, cg = _C2(f), _C2(g)
-    g0x, g0y = float(coeffs.gamma0(np.asarray(x))), float(coeffs.gamma0(np.asarray(y)))
-    g1x, g1y = float(coeffs.gamma1(np.asarray(x))), float(coeffs.gamma1(np.asarray(y)))
-    g2x, g2y = float(coeffs.gamma2(np.asarray(x))), float(coeffs.gamma2(np.asarray(y)))
+    g0x, g0y = _at(coeffs.gamma0, x), _at(coeffs.gamma0, y)
+    g1x, g1y = _at(coeffs.gamma1, x), _at(coeffs.gamma1, y)
+    g2x, g2y = _at(coeffs.gamma2, x), _at(coeffs.gamma2, y)
 
-    out = (g0x * float(cf.d1(x)) + g0y * float(cg.d1(y))
-           + 0.5 * g1x * float(cf.d2(x)) + 0.5 * g1y * float(cg.d2(y)))
+    out = (g0x * float(f.d1(x)) + g0y * float(g.d1(y))
+           + 0.5 * g1x * float(f.d2(x)) + 0.5 * g1y * float(g.d2(y)))
 
     u = x - y
-    dgy = float(cg.d1(y))
-    comp_f, zsf = _compensated_integrand(cf, x)
-    comp_g, zsg = _compensated_integrand(cg, y)
+    dgy = float(g.d1(y))
+    comp_f, zsf = _compensated_integrand(f, x)
+    comp_g, zsg = _compensated_integrand(g, y)
     pts = (_shifted_breakpoints(f, x) + _shifted_breakpoints(g, y)
            + (zsf, zsg))
 
@@ -232,8 +206,8 @@ def apply_coupling_L_sum(f, g, x: float, y: float, coeffs: CoefficientSet,
     if g2y > 0.0:
         # displacement corrections: O(u_k) shifts of Y's landing point carry
         # no small-z cancellation once the compensated parts are split off
-        corr_plus = lambda z: cg.f(y + z + uk) - cg.f(y + z) - uk * dgy
-        corr_minus = lambda z: cg.f(y + z - uk) - cg.f(y + z) + uk * dgy
+        corr_plus = lambda z: g.value(y + z + uk) - g.value(y + z) - uk * dgy
+        corr_minus = lambda z: g.value(y + z - uk) - g.value(y + z) + uk * dgy
         pts_u = pts + (uk,)
         # row 1: both jump z, Y additionally displaced +u_k; rate (1/2) gamma2(y) mu_{-u_k}
         out += 0.5 * g2y * _nu_integral(
@@ -287,16 +261,6 @@ class ConditionReport:
             lines.append(f"  witness point={point} margin={margin:.6g}")
         return "\n".join(lines)
 
-    def to_keyvalue(self):
-        out = {f"{self.condition_id}.verdict": self.verdict}
-        for key, val in self.derived.items():
-            out[f"{self.condition_id}.{key}"] = val
-        if self.witnesses:
-            point, margin = self.witnesses[0]
-            out[f"{self.condition_id}.worst_point"] = point
-            out[f"{self.condition_id}.worst_margin"] = margin
-        return out
-
 
 def check_drift_condition(coeffs: CoefficientSet, modulus, grid=None,
                           tol: float = 1e-9) -> ConditionReport:
@@ -315,11 +279,11 @@ def check_drift_condition(coeffs: CoefficientSet, modulus, grid=None,
         if x <= y:
             raise DomainError("drift-condition grid needs x > y")
         r = x - y
-        d = float(coeffs.gamma0(np.asarray(x))) - float(coeffs.gamma0(np.asarray(y)))
+        d = _at(coeffs.gamma0, x) - _at(coeffs.gamma0, y)
         if r <= l0:
-            bound = float(modulus.phi1.value(np.asarray(r)))
+            bound = _at(modulus.phi1.value, r)
         elif modulus.phi2 is not None:
-            bound = -float(modulus.phi2.value(np.asarray(r)))
+            bound = -_at(modulus.phi2.value, r)
         else:
             bound = -modulus.k2 * r
         margin = d - bound
@@ -334,17 +298,16 @@ def check_drift_condition(coeffs: CoefficientSet, modulus, grid=None,
 def check_noise_conditions(coeffs: CoefficientSet, nu: Optional[LevyMeasure],
                            descriptor: str, beta: Optional[float] = None,
                            alpha: Optional[float] = None,
-                           kappa: float = 0.5) -> ConditionReport:
+                           kappa: Optional[float] = None) -> ConditionReport:
     """Verify the diffusion (A1 / case 1) or jump (A2 / cases 2-3) noise lower
     bounds on geometric grids toward 0, returning fitted (beta, k3) or
     (alpha, C_star, kappa).
 
     Grid verdicts only: liminf-style conditions are sampled at r = 2^-k.
     """
-    desc = descriptor.lower()
     ks = np.arange(1, 41)
     r = 2.0 ** -ks
-    if desc in ("a1", "case1"):
+    if descriptor == "A1":
         beta = 1.0 if beta is None else beta
         if not 1.0 <= beta < 2.0:
             raise DomainError("A1 needs beta in [1, 2)")
@@ -363,11 +326,11 @@ def check_noise_conditions(coeffs: CoefficientSet, nu: Optional[LevyMeasure],
         i = int(np.argmin(ratios))
         return ConditionReport("A1", FAILS, [(float(r[i]), float(ratios[i]))],
                                derived={"beta": beta})
-    if desc in ("a2", "case2", "case3"):
+    if descriptor == "A2":
         if nu is None:
             raise DomainError("the jump route needs a Levy measure")
-        if alpha is None or beta is None:
-            raise DomainError("the jump route needs alpha and beta")
+        if alpha is None or beta is None or kappa is None:
+            raise DomainError("the jump route needs alpha, beta and kappa")
         if not (0.0 < alpha < 2.0 and 0.0 < beta < alpha):
             raise DomainError("need 0 < beta < alpha < 2")
         derived = {"alpha": alpha, "beta": beta, "kappa": kappa}
@@ -404,9 +367,8 @@ def check_noise_conditions(coeffs: CoefficientSet, nu: Optional[LevyMeasure],
     raise DomainError(f"unknown noise-condition descriptor {descriptor!r}")
 
 
-def verify_lyapunov(fn, constants, coeffs: CoefficientSet,
-                    nu: Optional[LevyMeasure], kappa: float,
-                    r_grid=None, y_values=(0.0, 0.5, 2.0),
+def verify_lyapunov(fn, lam: float, coeffs: CoefficientSet,
+                    nu: Optional[LevyMeasure], kappa: float, r_grid=None,
                     mode: str = "contraction",
                     q: Optional[QuadratureSpec] = None,
                     tol: float = _VERIFY_TOL) -> ConditionReport:
@@ -416,11 +378,10 @@ def verify_lyapunov(fn, constants, coeffs: CoefficientSet,
     Holds-on-grid iff the max is <= tol at every grid point.  A point whose
     quadrature fails is skipped and listed under ``skipped``; with no witness
     the verdict is then inconclusive, which does not hold.  Pairs
-    (x, y) = (y + r, y) are scanned over ``y_values`` for each r, so state
-    dependence of the coefficients is exercised, not just the difference
-    process at y = 0.
+    (x, y) = (y + r, y) are scanned over y in ``_LYAPUNOV_Y`` for each r, so
+    state dependence of the coefficients is exercised, not just the
+    difference process at y = 0.
     """
-    lam = constants.lam if hasattr(constants, "lam") else float(constants)
     if q is None:
         # the spline-backed test functions carry interpolation error ~1e-9;
         # asking the integrator for more than that only produces refusals
@@ -434,7 +395,7 @@ def verify_lyapunov(fn, constants, coeffs: CoefficientSet,
     quad_notes = []
     for r in np.asarray(r_grid, dtype=float):
         target = lam * float(fn.value(np.asarray(r))) if mode == "contraction" else lam
-        for y in y_values:
+        for y in _LYAPUNOV_Y:
             x = y + r
             try:
                 val = apply_coupling_L(fn, x, y, coeffs, nu, kappa, q=q)
@@ -469,10 +430,9 @@ def invariant_density_residual(f, q: QuadratureSpec = DEFAULT_QUAD) -> float:
     The candidate density x^-2 e^-x annihilates the operator for C^2_b
     functions with f'(0) = 0 (integration by parts leaves -f'(0)).
     """
-    c2 = _C2(f)
-    if abs(float(c2.d1(0.0))) > 1e-8:
+    if abs(float(f.d1(0.0))) > 1e-8:
         raise DomainError("the residual identity needs f'(0) = 0")
-    return integrate_interval(lambda x: (c2.d2(x) - c2.d1(x)) * np.exp(-x),
+    return integrate_interval(lambda x: (f.d2(x) - f.d1(x)) * np.exp(-x),
                               0.0, math.inf, q)
 
 

@@ -238,7 +238,6 @@ class GFunction:
     _gint: Callable = field(repr=False, default=None)
     sup_neg_ratio: float = 0.0     # sup of -r g'' / g' over (0, 2 l0]
     sup_r_gprime: float = 0.0      # sup of r g'(r) over (0, 2 l0]
-    sup_combined: float = 0.0      # sup of (r g' - r g''/g')
 
     def value(self, r):
         r = np.asarray(r, dtype=float)
@@ -309,16 +308,14 @@ def _certify_g(modulus: DriftModulus, theta: float, c0g: float, gint) -> GFuncti
     gp, gpp, gppp = g.d1(grid), g.d2(grid), g.d3(grid)
     if np.any(gp < -1e-10) or np.any(gpp > 1e-10) or np.any(gppp < -1e-8):
         raise ValidationError("g violates the sign pattern g' >= 0, g'' <= 0, g''' >= 0")
-    neg_ratio = -grid * gpp / gp
-    sup_neg = float(np.max(neg_ratio))
+    sup_neg = float(np.max(-grid * gpp / gp))
     # analytic limit at 0+ of the pure-power part
     sup_neg = max(sup_neg, 1.0 - theta if phi1.is_zero else sup_neg)
     sup_rgp = float(np.max(grid * gp))
-    sup_comb = float(np.max(grid * gp + neg_ratio))
     if sup_neg > 2.0 - theta + 1e-8:
         raise ValidationError(
             f"sup(-r g''/g') = {sup_neg} exceeds the certified cap {2.0 - theta}")
-    return replace(g, sup_neg_ratio=sup_neg, sup_r_gprime=sup_rgp, sup_combined=sup_comb)
+    return replace(g, sup_neg_ratio=sup_neg, sup_r_gprime=sup_rgp)
 
 
 def build_g(modulus: DriftModulus, theta: float, c0g: float) -> GFunction:
@@ -438,7 +435,14 @@ class PsiFunction:
 
 
 def build_psi(g: GFunction, c1: float, c2: float, l0: float) -> PsiFunction:
-    """psi(r) = c1 r + int_0^r exp(-c2 g) with the exponential bridge past 2 l0."""
+    """psi(r) = c1 r + int_0^r exp(-c2 g) with the exponential bridge past 2 l0.
+
+    The integral is a cubic spline through exact nodal values, and below its
+    first node one cubic cannot follow the r^(3/2) term that g = sqrt(r)
+    puts there: relative to the closed form, psi(r) - c1 r is off by 3e-7 at
+    r = 1e-4 l0 and by more closer to 0 (2.6e-4 at 1e-6 for l0 = 1).  The
+    Lyapunov grid starts at r = 1e-3, where the error is about 4e-10.
+    """
     if c1 <= 0 or c2 <= 0 or l0 <= 0:
         raise DomainError("c1, c2 and l0 must be positive")
     expint = _cumulative_spline(lambda s: np.exp(-c2 * g.value(s)), 2.0 * l0,
@@ -515,36 +519,32 @@ class TVTestFunction:
                              + w ** (t - 1.0) * wpp)
 
     def envelope(self, r, order=0):
-        base = [self.psi.value, self.psi.d1, self.psi.d2][order](r)
+        base = (self.psi.value, self.psi.d1, self.psi.d2)[order](r)
         return base + self._bump(np.asarray(r, dtype=float), order) + (1.0 if order == 0 else 0.0)
 
-    def value(self, r):
+    def _piece(self, r, order):
+        """The derivative of the given order: psi's up to 1/(n+1), the
+        envelope's from 1/n, the bridge's in between (for the value, the
+        bridge clipped below the envelope)."""
         r = np.asarray(r, dtype=float)
         lo, hi = self.r_lo, self.r_hi
         s = (np.clip(r, lo, hi) - lo) / (hi - lo)
-        bridge = np.polyval(self._coeffs, s)
-        out = np.where(r <= lo, self.psi.value(np.minimum(r, lo)),
-                       np.where(r >= hi, self.envelope(np.maximum(r, hi)),
-                                np.minimum(bridge, self.envelope(np.clip(r, lo, hi)))))
+        bridge = np.polyval(np.polyder(self._coeffs, order), s) / (hi - lo) ** order
+        if order == 0:
+            bridge = np.minimum(bridge, self.envelope(np.clip(r, lo, hi)))
+        below = (self.psi.value, self.psi.d1, self.psi.d2)[order](np.minimum(r, lo))
+        out = np.where(r <= lo, below,
+                       np.where(r >= hi, self.envelope(np.maximum(r, hi), order), bridge))
         return out if out.shape else float(out)
+
+    def value(self, r):
+        return self._piece(r, 0)
 
     def d1(self, r):
-        r = np.asarray(r, dtype=float)
-        lo, hi = self.r_lo, self.r_hi
-        s = (np.clip(r, lo, hi) - lo) / (hi - lo)
-        dbridge = np.polyval(np.polyder(self._coeffs), s) / (hi - lo)
-        out = np.where(r <= lo, self.psi.d1(np.minimum(r, lo)),
-                       np.where(r >= hi, self.envelope(np.maximum(r, hi), 1), dbridge))
-        return out if out.shape else float(out)
+        return self._piece(r, 1)
 
     def d2(self, r):
-        r = np.asarray(r, dtype=float)
-        lo, hi = self.r_lo, self.r_hi
-        s = (np.clip(r, lo, hi) - lo) / (hi - lo)
-        d2bridge = np.polyval(np.polyder(self._coeffs, 2), s) / (hi - lo) ** 2
-        out = np.where(r <= lo, self.psi.d2(np.minimum(r, lo)),
-                       np.where(r >= hi, self.envelope(np.maximum(r, hi), 2), d2bridge))
-        return out if out.shape else float(out)
+        return self._piece(r, 2)
 
     def breakpoints(self):
         return (self.r_lo, self.r_hi) + self.psi.breakpoints()
@@ -556,16 +556,14 @@ class TVTestFunction:
         return float(max(np.max(ratio), np.max(1.0 / ratio)))
 
 
-def build_tv_fn(psi: PsiFunction, alpha: float, beta: float, n: int,
-                b: Optional[float] = None) -> TVTestFunction:
+def build_tv_fn(psi: PsiFunction, alpha: float, beta: float, n: int) -> TVTestFunction:
     """Assemble f_n with theta = (alpha - beta)/2 and b = exp(-c2 g(l0))/2."""
     if not 0.0 < beta < alpha < 2.0:
         raise DomainError("need 0 < beta < alpha < 2")
     if n < 1:
         raise DomainError("n must be a positive integer")
     theta = 0.5 * (alpha - beta)
-    if b is None:
-        b = 0.5 * math.exp(-psi.c2 * float(psi.g.value(np.asarray(psi.l0))))
+    b = 0.5 * math.exp(-psi.c2 * float(psi.g.value(np.asarray(psi.l0))))
     fn = TVTestFunction(psi=psi, b=b, theta_tv=theta, n=n)
     lo, hi = fn.r_lo, fn.r_hi
     h = hi - lo
@@ -623,23 +621,22 @@ class ContractionConstants:
         return {k: v for k, v in self.__dict__.items() if v is not None}
 
 
-def _mid_range_coefficient(C_star, c2, k3, alpha, c0, kappa, l0):
-    return 0.5 * C_star * c2 * k3 * min(kappa ** (2.0 - alpha) / l0 ** (2.0 - alpha),
-                                        c0 ** (2.0 - alpha) / 3.0)
-
-
-def assemble(case: str, modulus: DriftModulus, params: dict, variant: str = "w1"):
+def assemble(case: str, modulus: DriftModulus, params: dict, variant: str = "w1",
+             kappa: Optional[float] = None):
     """Derive constants and build the matching test function.
 
     case     -- 'A1' (diffusion route, params beta, k3) or 'A2' (jump route,
-                params alpha, beta, C_star, kappa, k3).  The three short-form
-                noise conditions map onto these: case 1 -> A1, cases 2/3 -> A2.
+                params alpha, beta, C_star, k3, and the coupling radius
+                ``kappa``).  The three short-form noise conditions map onto
+                these: case 1 -> A1, cases 2/3 -> A2.
     variant  -- 'w1', 'tv' or 'strong'.
     The dissipation rate k2 comes from the modulus.  A missing parameter is a
     ValidationError naming it.
     Returns (constants, test_function).
     """
-    needed = ("beta", "k3") + (("alpha", "C_star", "kappa") if case == "A2" else ())
+    if variant not in ("w1", "tv", "strong"):
+        raise ValidationError(f"unknown constants variant {variant!r}")
+    needed = ("beta", "k3") + (("alpha", "C_star") if case == "A2" else ())
     missing = [name for name in needed if name not in params]
     if missing:
         raise ValidationError(f"case {case} needs the parameters "
@@ -650,8 +647,10 @@ def assemble(case: str, modulus: DriftModulus, params: dict, variant: str = "w1"
     beta = params["beta"]
 
     if case == "A2":
+        if kappa is None:
+            raise DomainError("the jump route needs the coupling radius kappa")
         alpha = params["alpha"]
-        C_star, kappa = params["C_star"], params["kappa"]
+        C_star = params["C_star"]
         if not (0.0 < alpha < 2.0 and alpha - 1.0 <= beta < alpha and beta > 0):
             raise DomainError("A2 needs alpha in (0,2), beta in [alpha-1, alpha) n (0, oo)")
         theta_exp = alpha - beta
@@ -665,6 +664,7 @@ def assemble(case: str, modulus: DriftModulus, params: dict, variant: str = "w1"
 
     theta_tv = 0.5 * theta_exp
     l0_star = None
+    mult = 2.0
     if variant in ("tv", "strong"):
         if case != "A2":
             raise DomainError("total-variation constants are derived on the jump route")
@@ -679,26 +679,33 @@ def assemble(case: str, modulus: DriftModulus, params: dict, variant: str = "w1"
         else:
             raise DomainError("Phi1(r) r^(alpha-beta-1) does not vanish near 0; "
                               "the total-variation route is inapplicable")
+        mult = 2.0 + l0_star ** (theta_tv - 1.0)
+
+    gint = _g_integral(modulus, theta_exp)
+
+    def derive(c3):
+        """g for this c3, with c0, c2 and the mid-range noise coefficient M
+        (the coefficient of theta e^(-c2 g(l0)) r in the short-range rate)."""
+        g = _certify_g(modulus, theta_exp, c3, gint)
+        S1, S2 = g.sup_neg_ratio, g.sup_r_gprime
+        c0 = min(1.0 / l0, 1.0 / S1) if S1 > 0 else 1.0 / l0
+        c2 = S1 / S2 if S1 > 0 else 1.0 / float(g.value(np.asarray(l0)))
+        if case == "A2":
+            M = 0.5 * C_star * c2 * k3 * min(kappa ** (2.0 - alpha) / l0 ** (2.0 - alpha),
+                                             c0 ** (2.0 - alpha) / 3.0)
+        else:
+            M = 0.5 * k3 * c2
+        return g, c0, c2, M
 
     # fixed point in c3 (g depends on c3; the constants depend on g).  The
     # iteration c3 -> mult / M(c2(c3)) is affine-like with slope < 1 exactly
     # when the certified jump activity dominates the Phi1 drift bump; when the
     # slope reaches 1 the constants genuinely do not assemble, so divergence
     # is reported rather than papered over.
-    gint = _g_integral(modulus, theta_exp)
     c3 = 1.0
     converged = False
     for _ in range(200):
-        g = _certify_g(modulus, theta_exp, c3, gint)
-        S1, S2 = g.sup_neg_ratio, g.sup_r_gprime
-        c0 = min(1.0 / l0, 1.0 / S1) if S1 > 0 else 1.0 / l0
-        c2 = S1 / S2 if S1 > 0 else 1.0 / float(g.value(np.asarray(l0)))
-        if case == "A2":
-            M = _mid_range_coefficient(C_star, c2, k3, alpha, c0, kappa, l0)
-            mult = 2.0 if variant == "w1" else 2.0 + l0_star ** (theta_tv - 1.0)
-            c3_new = mult / M
-        else:
-            c3_new = 4.0 / (k3 * c2)
+        c3_new = mult / derive(c3)[3]
         if modulus.phi1.is_zero or abs(c3_new - c3) <= 1e-12 * (1.0 + abs(c3)):
             c3 = c3_new
             converged = True
@@ -711,46 +718,33 @@ def assemble(case: str, modulus: DriftModulus, params: dict, variant: str = "w1"
             "the c3 balance equation has no solution: the Phi1 drift bump "
             "exceeds what the certified jump/diffusion activity can absorb "
             "(try a larger noise coefficient or a smaller Phi1)")
-    g = _certify_g(modulus, theta_exp, c3, gint)
-    S1, S2 = g.sup_neg_ratio, g.sup_r_gprime
-    c0 = min(1.0 / l0, 1.0 / S1) if S1 > 0 else 1.0 / l0
-    c2 = S1 / S2 if S1 > 0 else 1.0 / float(g.value(np.asarray(l0)))
+    g, c0, c2, M = derive(c3)
     c1 = math.exp(-c2 * float(g.value(np.asarray(l0))))
-
     psi = build_psi(g, c1, c2, l0)
-    e_l0 = math.exp(-c2 * float(g.value(np.asarray(l0))))
 
-    if case == "A2":
-        M = _mid_range_coefficient(C_star, c2, k3, alpha, c0, kappa, l0)
-        short_rate = M * theta_exp * e_l0          # times r, on (0, l0]
-    else:
-        short_rate = 0.5 * k3 * c2 * theta_exp * e_l0
+    short_rate = M * theta_exp * c1                # times r, on (0, l0]
     long_rate = 0.5 * k2 * psi.dpsi_2l0            # times r, beyond l0
-
     lam = min(short_rate, long_rate) / (1.0 + c1)
     C = (1.0 + c1) / psi.lower_slope()
 
-    b_tv = 0.5 * e_l0 if variant in ("tv", "strong") else None
-    fn = psi
-
-    if variant == "tv":
-        fn = build_tv_fn(psi, alpha, beta, n=params.get("n", 10), b=b_tv)
+    fn, b_tv = psi, None
+    if variant in ("tv", "strong"):
+        b_tv = 0.5 * c1
         M2 = b_tv * theta_tv * C_star * k3 * (1.0 - theta_tv) / 216.0 \
             * l0_star ** (-theta_tv)
-        F = lambda r: 1.0 + b_tv + float(psi.value(np.asarray(r)))
-        lam = min(M * theta_exp * e_l0 * l0_star / F(l0_star),
-                  M2 / F(l0_star),
-                  long_rate * l0 / F(l0),
-                  M * theta_exp * e_l0 / (1.0 + c1))  # tiny-r region f_n = psi
-    elif variant == "strong":
-        psi_s = build_strong_psi(g, c1, c2, modulus, delta=params.get("delta", 0.5))
-        fn = build_tv_fn(psi_s, alpha, beta, n=params.get("n", 10), b=b_tv)
-        M2 = b_tv * theta_tv * C_star * k3 * (1.0 - theta_tv) / 216.0 \
-            * l0_star ** (-theta_tv)
-        lam = min(M * theta_exp * e_l0 * l0_star,
-                  M2,
-                  c1 * float(modulus.phi2.value(np.asarray(l0))),
-                  psi_s.delta_bridge * psi_s.A)
+        if variant == "tv":
+            F = lambda r: 1.0 + b_tv + float(psi.value(np.asarray(r)))
+            lam = min(short_rate * l0_star / F(l0_star),
+                      M2 / F(l0_star),
+                      long_rate * l0 / F(l0),
+                      short_rate / (1.0 + c1))  # tiny-r region f_n = psi
+        else:
+            psi = build_strong_psi(g, c1, c2, modulus)
+            lam = min(short_rate * l0_star,
+                      M2,
+                      c1 * float(modulus.phi2.value(np.asarray(l0))),
+                      psi.delta_bridge * psi.A)
+        fn = build_tv_fn(psi, alpha, beta, n=10)
 
     constants = ContractionConstants(
         c0=c0, c1=c1, c2=c2, c3=c3, lam=lam, C=C,

@@ -13,7 +13,7 @@ def case2():
 
 @pytest.fixture(scope="session")
 def case2_assembled(case2):
-    return assemble(case2.case, case2.modulus, case2.params)
+    return assemble(case2.case, case2.modulus, case2.params, kappa=case2.sim.kappa)
 
 
 @pytest.fixture(scope="session")

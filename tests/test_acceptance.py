@@ -5,6 +5,7 @@ ensembles are shared through module-scoped fixtures.
 """
 
 import math
+from collections import namedtuple
 from dataclasses import replace
 
 import numpy as np
@@ -66,8 +67,8 @@ def test_criterion_2_lyapunov_grid(case2, case2_assembled, capsys):
     default 200-point log grid."""
     consts, psi = case2_assembled
     assert consts.lam > 0
-    rep = verify_lyapunov(psi, consts, case2.coeffs, case2.nu,
-                          case2.params["kappa"])
+    rep = verify_lyapunov(psi, consts.lam, case2.coeffs, case2.nu,
+                          case2.sim.kappa)
     assert rep.holds, rep.to_text()
     assert rep.derived["max_margin"] <= 1e-6
     report(capsys, "criterion 2 PASS: Lyapunov holds-on-grid "
@@ -182,9 +183,10 @@ def test_criterion_7_tv_decay(big_tv_ens, capsys):
 def test_criterion_8_negative_control(capsys):
     """The explosive diffusion's candidate density annihilates the generator
     but cannot be normalized: no stationary probability exists."""
-    f = (lambda x: math.exp(-x * x),
-         lambda x: -2.0 * x * math.exp(-x * x),
-         lambda x: (4.0 * x * x - 2.0) * math.exp(-x * x))
+    f = namedtuple("Fn", "value d1 d2")(
+        lambda x: np.exp(-x * x),
+        lambda x: -2.0 * x * np.exp(-x * x),
+        lambda x: (4.0 * x * x - 2.0) * np.exp(-x * x))
     res = invariant_density_residual(f)
     assert abs(res) <= 1e-6
     mass = invariant_measure_mass()

@@ -54,7 +54,6 @@ y0 = 1.0
 case = A2
 alpha = 1.5
 beta = 1.0
-kappa = 0.5
 C_star = 0.5
 k3 = 1.0
 checks = drift, noise
@@ -79,6 +78,7 @@ h = 0.01
 t_end = 0.5
 n_paths = 50
 seed = 3
+kappa = 0.5
 record_times = 0.0,0.25,0.5
 """
 
@@ -90,7 +90,7 @@ def test_ini_scenario_roundtrip(tmp_path):
     assert sc.case == "A2"
     assert sc.params["alpha"] == 1.5
     assert sc.sim.h == 0.01
-    assert list(sc.checkpoints) == [0.25, 0.5]
+    assert sc.sim.kappa == 0.5 and "kappa" not in sc.params
     assert sc.checks == ("drift", "noise")
     # unknown section name falls through to presets and fails
     with pytest.raises(ValidationError):
@@ -117,6 +117,30 @@ def test_ini_missing_constant_is_config_error(tmp_path, capsys):
     code, _ = run(tmp_path, "check", "--scenario", "mine", "--config", str(cfg))
     assert code == 2
     assert "k3" in capsys.readouterr().err
+    code, _ = run(tmp_path, "testfn", "--scenario", "mine", "--config", str(cfg))
+    assert code == 2
+    assert "k3" in capsys.readouterr().err
+
+
+def test_ini_scenario_kappa_is_config_error(tmp_path, capsys):
+    # the coupling simulates at [sim] kappa (0.5 by default); a kappa that only
+    # the constants saw would certify a coupling nothing simulates
+    cfg = tmp_path / "scen.ini"
+    cfg.write_text(INI.replace("kappa = 0.5\n", "")
+                   .replace("C_star = 0.5\n", "C_star = 0.5\nkappa = 0.25\n"))
+    code, _ = run(tmp_path, "check", "--scenario", "mine", "--config", str(cfg))
+    assert code == 2
+    assert "[sim mine]" in capsys.readouterr().err
+
+
+def test_ini_sim_kappa_reaches_noise_check_and_constants(tmp_path, capsys):
+    cfg = tmp_path / "scen.ini"
+    cfg.write_text(INI.replace("kappa = 0.5\n", "kappa = 0.25\n")
+                   .replace("checks = drift, noise", "checks = noise, constants"))
+    run(tmp_path, "check", "--scenario", "mine", "--config", str(cfg))
+    noise, constants = capsys.readouterr().out.split("constants: derived")
+    assert noise.split("condition A2: ", 1)[1].count("  kappa = 0.25\n") == 1
+    assert "  kappa = 0.25\n" in constants
 
 
 # ---------------------------------------------------------------------------

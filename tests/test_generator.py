@@ -1,4 +1,5 @@
 import math
+from collections import namedtuple
 
 import numpy as np
 import pytest
@@ -20,9 +21,11 @@ from nlbranch.testfn import DriftModulus, phi1_zero
 
 STABLE15 = StableTruncatedMeasure(alpha=1.5, c0=1.0, zmax=1.0)
 
-QUADRATIC = (lambda x: x * x, lambda x: 2.0 * x, lambda x: 2.0)
-LINEAR = (lambda x: x, lambda x: 1.0, lambda x: 0.0)
-CONST = (lambda x: 1.0, lambda x: 0.0, lambda x: 0.0)
+Fn = namedtuple("Fn", "value d1 d2")
+QUADRATIC = Fn(lambda x: x * x, lambda x: 2.0 * x, lambda x: 2.0)
+LINEAR = Fn(lambda x: x, lambda x: 1.0, lambda x: 0.0)
+CONST = Fn(lambda x: 1.0, lambda x: 0.0, lambda x: 0.0)
+EXP_DECAY = Fn(lambda x: np.exp(-x), lambda x: -np.exp(-x), lambda x: np.exp(-x))
 
 
 def linear_branching():
@@ -111,10 +114,10 @@ def test_coupling_marginal_consistency(rng, synchronous):
     must sum to the marginal jump rates."""
     coeffs = linear_branching()
     smooth = [
-        (lambda x: x * x, lambda x: 2.0 * x, lambda x: 2.0),
-        (lambda x: math.exp(-x), lambda x: -math.exp(-x), lambda x: math.exp(-x)),
-        (lambda x: x / (1.0 + x), lambda x: 1.0 / (1.0 + x) ** 2,
-         lambda x: -2.0 / (1.0 + x) ** 3),
+        QUADRATIC,
+        EXP_DECAY,
+        Fn(lambda x: x / (1.0 + x), lambda x: 1.0 / (1.0 + x) ** 2,
+           lambda x: -2.0 / (1.0 + x) ** 3),
     ]
     pairs = [(float(a), float(b)) for a, b in
              np.sort(rng.uniform(0.1, 4.0, size=(7, 2)), axis=1)[:, ::-1]]
@@ -131,8 +134,7 @@ def test_coupling_marginal_consistency(rng, synchronous):
 
 def test_coupling_sum_symmetric_in_arguments():
     coeffs = linear_branching()
-    f = QUADRATIC
-    g = (lambda x: math.exp(-x), lambda x: -math.exp(-x), lambda x: math.exp(-x))
+    f, g = QUADRATIC, EXP_DECAY
     a = apply_coupling_L_sum(f, g, 2.0, 0.7, coeffs, STABLE15, kappa=0.5)
     b = apply_coupling_L_sum(g, f, 0.7, 2.0, coeffs, STABLE15, kappa=0.5)
     assert a == pytest.approx(b, rel=1e-10)
@@ -211,6 +213,10 @@ def test_noise_condition_rejects_bad_inputs():
         check_noise_conditions(linear_branching(), STABLE15, "A2", alpha=1.5)
     with pytest.raises(DomainError):
         check_noise_conditions(linear_branching(), None, "bogus")
+    # the constants accept only the canonical descriptors, so the check does too
+    with pytest.raises(DomainError):
+        check_noise_conditions(linear_branching(), STABLE15, "case2",
+                               alpha=1.5, beta=1.0, kappa=0.5)
     with pytest.raises(DomainError):
         check_noise_conditions(linear_branching(), None, "A1", beta=2.5)
 
@@ -218,8 +224,7 @@ def test_noise_condition_rejects_bad_inputs():
 def test_condition_report_requires_witness_on_failure():
     with pytest.raises(DomainError):
         ConditionReport("x", FAILS)
-    rep = ConditionReport("x", HOLDS, derived={"a": 1.0})
-    assert "x.verdict" in rep.to_keyvalue()
+    assert ConditionReport("x", HOLDS, derived={"a": 1.0}).holds
 
 
 # ---------------------------------------------------------------------------
@@ -232,8 +237,8 @@ def small_grid():
 
 def test_verify_lyapunov_case2_holds(case2, case2_assembled):
     consts, psi = case2_assembled
-    rep = verify_lyapunov(psi, consts, case2.coeffs, case2.nu,
-                          case2.params["kappa"], r_grid=small_grid())
+    rep = verify_lyapunov(psi, consts.lam, case2.coeffs, case2.nu,
+                          case2.sim.kappa, r_grid=small_grid())
     assert rep.holds
     assert rep.derived["max_margin"] <= 1e-6
 
@@ -244,7 +249,7 @@ def test_verify_lyapunov_monotone_in_lambda(case2, case2_assembled):
 
     def margin(lam):
         rep = verify_lyapunov(psi, lam, case2.coeffs, case2.nu,
-                              case2.params["kappa"], r_grid=grid)
+                              case2.sim.kappa, r_grid=grid)
         return rep.derived["max_margin"]
 
     m1 = margin(consts.lam)
@@ -256,7 +261,7 @@ def test_verify_lyapunov_monotone_in_lambda(case2, case2_assembled):
 def test_verify_lyapunov_inflated_lambda_fails(case2, case2_assembled):
     consts, psi = case2_assembled
     rep = verify_lyapunov(psi, 200.0 * consts.lam, case2.coeffs,
-                          case2.nu, case2.params["kappa"],
+                          case2.nu, case2.sim.kappa,
                           r_grid=small_grid())
     assert rep.verdict == FAILS
     assert rep.witnesses
@@ -266,7 +271,7 @@ def test_verify_lyapunov_uniform_mode(case2, case2_assembled):
     consts, psi = case2_assembled
     # with lam = 0 the uniform-mode margin is just the sup of L-tilde psi < 0
     rep = verify_lyapunov(psi, 0.0, case2.coeffs, case2.nu,
-                          case2.params["kappa"], r_grid=small_grid(),
+                          case2.sim.kappa, r_grid=small_grid(),
                           mode="uniform")
     assert rep.holds
     assert rep.derived["mode"] == "uniform"
@@ -284,8 +289,8 @@ def test_verify_lyapunov_skipped_point_is_inconclusive(case2, case2_assembled,
         return apply(fn, x, y, *args, **kwargs)
 
     monkeypatch.setattr(generator, "apply_coupling_L", failing_at_one_point)
-    rep = verify_lyapunov(psi, consts, case2.coeffs, case2.nu,
-                          case2.params["kappa"], r_grid=grid)
+    rep = verify_lyapunov(psi, consts.lam, case2.coeffs, case2.nu,
+                          case2.sim.kappa, r_grid=grid)
     assert rep.verdict == INCONCLUSIVE and not rep.holds
     assert rep.derived["skipped"] == [(float(grid[3]), 0.5)]
     assert "integrand refused" in rep.to_text()
@@ -299,8 +304,8 @@ def test_verify_lyapunov_all_points_skipped_reports_no_margin(case2, case2_assem
         raise QuadratureError("integrand refused")
 
     monkeypatch.setattr(generator, "apply_coupling_L", always_failing)
-    rep = verify_lyapunov(psi, consts, case2.coeffs, case2.nu,
-                          case2.params["kappa"], r_grid=small_grid()[:4])
+    rep = verify_lyapunov(psi, consts.lam, case2.coeffs, case2.nu,
+                          case2.sim.kappa, r_grid=small_grid()[:4])
     assert rep.verdict == INCONCLUSIVE and not rep.holds
     assert math.isnan(rep.derived["max_margin"])
     assert rep.derived["worst_point"] is None
@@ -338,9 +343,9 @@ def test_lyapunov_verdict_and_margin_are_pinned(tmp_path, name):
 
 
 def test_invariant_density_residual_gaussian():
-    f = (lambda x: math.exp(-x * x),
-         lambda x: -2.0 * x * math.exp(-x * x),
-         lambda x: (4.0 * x * x - 2.0) * math.exp(-x * x))
+    f = Fn(lambda x: np.exp(-x * x),
+           lambda x: -2.0 * x * np.exp(-x * x),
+           lambda x: (4.0 * x * x - 2.0) * np.exp(-x * x))
     assert abs(invariant_density_residual(f)) <= 1e-6
 
 

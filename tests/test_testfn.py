@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from nlbranch.config import PRESETS, load_scenario
 from nlbranch.errors import DomainError, ValidationError
 from nlbranch.testfn import (ContractionConstants, DriftModulus, Phi1, assemble,
                              build_g, build_psi, build_strong_psi, build_tv_fn,
@@ -217,7 +218,7 @@ def test_tv_fn_pieces_and_bridge():
     assert fn.r_lo == pytest.approx(1.0 / 11.0)
     assert fn.r_hi == pytest.approx(0.1)
     assert fn.theta_tv == pytest.approx(0.25)
-    # default b = exp(-c2 g(l0)) / 2
+    # b = exp(-c2 g(l0)) / 2
     assert fn.b == pytest.approx(0.5 * math.exp(-psi.c2 * float(g.value(np.asarray(L0)))))
     # below r_lo the function is exactly psi
     r_small = np.array([1e-4, 1e-2, fn.r_lo * 0.999])
@@ -260,8 +261,8 @@ def test_constants_oracle_zero_phi1():
     # g = sqrt(r): S1 = 1/2, S2 = sup r g' = sqrt(2)/2 on (0, 2]
     # c0 = min(1, 2) = 1, c2 = S1/S2 = 1/sqrt(2), c1 = exp(-c2 * g(1))
     mod = DriftModulus(phi1=phi1_zero(), l0=1.0, k2=0.5)
-    params = {"alpha": 1.5, "beta": 1.0, "C_star": 1.0, "kappa": 0.5, "k3": 1.0}
-    consts, psi = assemble("A2", mod, params)
+    params = {"alpha": 1.5, "beta": 1.0, "C_star": 1.0, "k3": 1.0}
+    consts, psi = assemble("A2", mod, params, kappa=0.5)
     assert consts.c0 == pytest.approx(1.0, rel=1e-6)
     assert consts.c2 == pytest.approx(1.0 / math.sqrt(2.0), rel=1e-6)
     assert consts.c1 == pytest.approx(math.exp(-1.0 / math.sqrt(2.0)), rel=1e-6)
@@ -288,21 +289,25 @@ def test_constants_a1_route():
 
 
 def test_assemble_deterministic(case2):
-    a = assemble(case2.case, case2.modulus, case2.params)[0]
-    b = assemble(case2.case, case2.modulus, case2.params)[0]
+    a = assemble(case2.case, case2.modulus, case2.params, kappa=case2.sim.kappa)[0]
+    b = assemble(case2.case, case2.modulus, case2.params, kappa=case2.sim.kappa)[0]
     assert a == b
 
 
 def test_assemble_rejects_unknown_case(case2):
     with pytest.raises(DomainError):
-        assemble("A3", case2.modulus, case2.params)
+        assemble("A3", case2.modulus, case2.params, kappa=case2.sim.kappa)
+    with pytest.raises(DomainError, match="kappa"):
+        assemble("A2", case2.modulus, case2.params)
+    with pytest.raises(ValidationError, match="variant"):
+        assemble("A2", case2.modulus, case2.params, variant="w2", kappa=case2.sim.kappa)
 
 
 def test_assemble_rejects_bad_exponent_window():
     mod = DriftModulus(phi1=phi1_zero(), l0=1.0, k2=1.0)
     with pytest.raises(DomainError):
-        assemble("A2", mod, {"alpha": 1.5, "beta": 0.1, "C_star": 1.0,
-                             "kappa": 0.5, "k3": 1.0})
+        assemble("A2", mod, {"alpha": 1.5, "beta": 0.1, "C_star": 1.0, "k3": 1.0},
+                 kappa=0.5)
     with pytest.raises(DomainError):
         assemble("A1", mod, {"beta": 0.5, "k3": 1.0})
 
@@ -310,13 +315,14 @@ def test_assemble_rejects_bad_exponent_window():
 def test_c3_balance_divergence_reported():
     # a drift bump far larger than the certified jump activity can absorb
     mod = DriftModulus(phi1=phi1_linear(50.0), l0=1.0, k2=1.0)
-    params = {"alpha": 1.5, "beta": 1.0, "C_star": 1e-6, "kappa": 0.5, "k3": 1e-6}
+    params = {"alpha": 1.5, "beta": 1.0, "C_star": 1e-6, "k3": 1e-6}
     with pytest.raises(DomainError, match="c3 balance"):
-        assemble("A2", mod, params)
+        assemble("A2", mod, params, kappa=0.5)
 
 
 def test_tv_and_strong_variants(case2):
-    consts_tv, fn_tv = assemble(case2.case, case2.modulus, case2.params, variant="tv")
+    consts_tv, fn_tv = assemble(case2.case, case2.modulus, case2.params, variant="tv",
+                                kappa=case2.sim.kappa)
     assert consts_tv.lam > 0
     assert consts_tv.b_tv == pytest.approx(consts_tv.c1 / 2.0, rel=1e-9)
     assert consts_tv.theta_tv == pytest.approx(0.5 * consts_tv.theta_exp)
@@ -324,9 +330,56 @@ def test_tv_and_strong_variants(case2):
 
     mod_strong = DriftModulus(phi1=case2.modulus.phi1, l0=case2.modulus.l0,
                               k2=case2.modulus.k2, phi2=phi2_power(0.5, 2.0))
-    consts_s, fn_s = assemble(case2.case, mod_strong, case2.params, variant="strong")
+    consts_s, fn_s = assemble(case2.case, mod_strong, case2.params, variant="strong",
+                              kappa=case2.sim.kappa)
     assert consts_s.lam > 0
     assert math.isfinite(fn_s.psi.sup())
+
+
+# (lambda, C) of every (preset, variant) whose constants assemble: the
+# certified rates and prefactors, which a refactor must leave unchanged
+CONSTANT_PINS = {
+    ("case1-diffusion", "w1"): (0.13447071068499755, 10.87312731383618),
+    ("case2-stable", "w1"): (0.008386346400629128, 6.936857796271945),
+    ("case2-stable", "tv"): (5.9161765520362064e-05, 6.936857796271945),
+    ("case3-dyadic", "w1"): (0.01945948732330501, 6.936857796271945),
+    ("case3-dyadic", "tv"): (0.0001372776142518348, 6.936857796271945),
+    ("cir", "w1"): (0.18393972058572117, 10.87312731383618),
+    ("cir-rate", "w1"): (0.18393972058572117, 10.87312731383618),
+    ("logistic", "w1"): (0.014415748878943823, 6.936857796271945),
+    ("logistic", "tv"): (0.0003392075463401739, 6.936857796271944),
+    ("logistic", "strong"): (4.051520623843208e-05, 6.936857796271944),
+    ("pure-growth", "w1"): (0.13447071068499755, 10.87312731383618),
+    ("superexp", "w1"): (0.008386346400629128, 6.936857796271945),
+    ("superexp", "tv"): (5.9161765520362064e-05, 6.936857796271945),
+    ("superexp", "strong"): (0.00010967909388259592, 6.936857796271945),
+    ("xlog-drift", "w1"): (0.09942861062361268, 10.057467299684024),
+}
+
+
+def _assemble_preset(name, variant):
+    sc = load_scenario(name)
+    return assemble(sc.case, sc.modulus, sc.params, variant=variant,
+                    kappa=sc.sim.kappa)[0]
+
+
+def test_constant_pins_cover_every_assembling_variant():
+    for name in PRESETS:
+        if load_scenario(name).case is None:
+            continue
+        for variant in ("w1", "tv", "strong"):
+            if (name, variant) in CONSTANT_PINS:
+                continue
+            with pytest.raises(DomainError):
+                _assemble_preset(name, variant)
+
+
+@pytest.mark.parametrize("name,variant", sorted(CONSTANT_PINS))
+def test_constants_are_pinned(name, variant):
+    consts = _assemble_preset(name, variant)
+    lam, C = CONSTANT_PINS[name, variant]
+    assert consts.lam == pytest.approx(lam, rel=1e-12)
+    assert consts.C == pytest.approx(C, rel=1e-12)
 
 
 def test_tv_variant_needs_jump_route():
