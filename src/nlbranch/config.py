@@ -408,12 +408,34 @@ def _section(parser, kind, name):
     return dict(parser.items(sec)) if parser.has_section(sec) else {}
 
 
+# the keys each section takes (configparser lowercases keys)
+_SCENARIO_KEYS = {"case", "x0", "y0", "variant", "checks", "try_strong", "alpha",
+                  "beta", "k3", "c_star"}
+_SIM_KEYS = {"h", "eps", "t_end", "n_paths", "seed", "small_jump_policy", "kappa",
+             "coupling", "record_times"}
+
+
+def _known_keys(spec, kind, name, known):
+    """A key outside known (a misspelling, or a key that is gone) is a config
+    error rather than a silent default."""
+    unknown = sorted(set(spec) - known)
+    if unknown:
+        raise ValidationError(f"unknown key {unknown[0]!r} in [{kind} {name}]; "
+                              "known keys: " + ", ".join(sorted(known)))
+
+
 def _scenario_from_parser(parser, name) -> Scenario:
     sc = _section(parser, "scenario", name)
+    if "kappa" in sc:
+        raise ValidationError(f"kappa belongs in [sim {name}], not in "
+                              f"[scenario {name}]: the constants are derived "
+                              "for the radius the coupling simulates")
+    _known_keys(sc, "scenario", name, _SCENARIO_KEYS)
     coeffs = build_coefficients(_section(parser, "coefficients", name))
     nu = build_measure(_section(parser, "measure", name))
     modulus = build_modulus(_section(parser, "modulus", name))
     simspec = _section(parser, "sim", name)
+    _known_keys(simspec, "sim", name, _SIM_KEYS)
     rec = simspec.get("record_times")
     sim = SimConfig(
         h=float(simspec.get("h", 1e-3)),
@@ -425,10 +447,6 @@ def _scenario_from_parser(parser, name) -> Scenario:
         kappa=float(simspec.get("kappa", 0.5)),
         coupling=simspec.get("coupling", "refined-basic"),
         record_times=[float(v) for v in rec.split(",")] if rec else None)
-    if "kappa" in sc:
-        raise ValidationError(f"kappa belongs in [sim {name}], not in "
-                              f"[scenario {name}]: the constants are derived "
-                              "for the radius the coupling simulates")
     params = {}
     for key in ("alpha", "beta", "k3", "C_star"):
         # configparser lowercases keys

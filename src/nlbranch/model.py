@@ -240,8 +240,8 @@ class LevyMeasure:
         z = np.asarray(z, dtype=float)
         idx = np.searchsorted(locs, z)
         out = np.zeros_like(z)
-        for shiftv in (0, -1):
-            j = np.clip(idx + shiftv, 0, locs.size - 1)
+        # the nearest atoms at or above and below each z (0 <= idx <= size)
+        for j in (np.minimum(idx, locs.size - 1), np.maximum(idx - 1, 0)):
             hit = np.abs(locs[j] - z) <= _ATOM_RTOL * np.maximum(np.abs(z), locs[j])
             out = np.where(hit & (out == 0.0), masses[j], out)
         return out
@@ -408,16 +408,21 @@ class AtomicMeasure(LevyMeasure):
         self.atom_locations = locations[order]
         self.atom_masses = masses[order]
         self.name = name
+        self._inv_cdf_cache = {}
         self.validate()
 
     def quantile_above(self, eps, u):
-        sel = self.atom_locations > eps
-        locs, masses = self.atom_locations[sel], self.atom_masses[sel]
-        if not locs.size:
-            raise NoJumpError(f"nu((eps, oo)) = 0 for eps = {eps}")
-        cum = np.cumsum(masses)
-        idx = np.searchsorted(cum / cum[-1], np.asarray(u), side="right")
-        return locs[np.clip(idx, 0, locs.size - 1)]
+        key = float(eps)
+        if key not in self._inv_cdf_cache:
+            sel = self.atom_locations > eps
+            locs = self.atom_locations[sel]
+            if not locs.size:
+                raise NoJumpError(f"nu((eps, oo)) = 0 for eps = {eps}")
+            cum = np.cumsum(self.atom_masses[sel])
+            self._inv_cdf_cache[key] = (locs, cum / cum[-1])
+        locs, cdf = self._inv_cdf_cache[key]
+        idx = np.searchsorted(cdf, np.asarray(u), side="right")
+        return locs[np.minimum(idx, locs.size - 1)]
 
 
 def dyadic_atoms(alpha, jmax=40):

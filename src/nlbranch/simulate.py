@@ -11,10 +11,13 @@ against the overlap ratio rho.
 Both simulators run one kernel: the marginal run is the X leg of the coupled
 pair without a partner, so each coupled leg follows the marginal scheme by
 construction, and a ``CoupledEnsemble`` is a ``SingleEnsemble`` with the
-partner leg and the coalescence bookkeeping added.  A path that blows up is
-flagged and set to NaN, and its NaN state alone keeps it out of every later
-step (the drift map, the clamp at 0 and the thinning comparisons all carry
-NaN through), so no other mask tracks it.
+partner leg and the coalescence bookkeeping added.  The kernel's state is one
+1-d array, X of all N paths followed by Y of the pairs that have not met: a
+pair that meets gets its coalescence time and leaves the state, since after
+it Y moves with X, and the record times write Y = X before the unmet
+partners.  A path that blows up is flagged and set to NaN, and its NaN state
+alone keeps it out of every later step (the drift map, the clamp at 0 and the
+thinning comparisons all carry NaN through), so no other mask tracks it.
 
 Randomness is counter-based: every (draw-slot, step, thinning-round) triple
 owns a Philox stream keyed by the master seed, and path i reads the i-th
@@ -25,6 +28,10 @@ Because streams are keyed, not consumed in sequence, a step reads only the
 streams it uses: the Gaussian one only when some unflagged path carries a
 diffusion term, which changes no value.  A model built with ``gamma1=None``
 has no diffusion term anywhere, so the kernel skips that work outright.
+Where only a few paths need a stream's uniforms (the jump sizes and marks of
+the accepted proposals, the proposals of a second or later thinning round),
+``_draws_at`` reads them at those indices alone, bit for bit the variates a
+full cross-section holds there, so this changes no value either.
 
 Two counters report where the thinning scheme is only approximate:
 ``capped_steps`` counts path-steps that wanted more than ``_MAX_SUBSTEPS``
@@ -49,6 +56,7 @@ _MAGIC = b"NLBE"
 _VERSION = 1
 _MAX_SUBSTEPS = 16
 _STATE_CAP = 1e12   # beyond this a path is flagged as blown up
+_SPARSE_SHIFT = 8   # _draws_at reads at most n >> _SPARSE_SHIFT variates one by one
 
 _SLOT_BROWNIAN = 0
 _SLOT_JUMP_OCCUR = 1
@@ -107,8 +115,8 @@ class SimConfig:
 @functools.lru_cache(maxsize=32)
 def _stream(key, slot):
     """The Philox generator of one (seed, slot) stream family.  The cache hands
-    every caller the same object; ``_draws`` sets its whole state before each
-    use, so no caller sees another's position."""
+    every caller the same object; ``_draws`` and ``_draws_at`` set its whole
+    state before each use, so no caller sees another's position."""
     return np.random.Generator(np.random.Philox(
         key=np.array([key, slot], dtype=np.uint64)))
 
@@ -126,6 +134,34 @@ def _draws(seed, slot, counter, n, normal=False):
         "state": {"counter": (0, 0, 0, counter), "key": (key, slot)},
         "buffer": (0, 0, 0, 0), "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
     return gen.standard_normal(n) if normal else gen.random(n)
+
+
+def _draws_at(seed, slot, counter, idx, n):
+    """``_draws(seed, slot, counter, n)[idx]`` bit for bit, reading only the
+    uniforms at the indices idx.
+
+    Variate i of a cross-section is lane i % 4 of the Philox block the
+    generator reaches after i // 4 counter increments, so a state reset to
+    counter (i // 4, 0, 0, counter) and (i % 4) + 1 uniforms reach it.  A
+    reset and a read take a few microseconds, some 1/40 of a 1e4-wide draw,
+    so above n >> _SPARSE_SHIFT indices the whole cross-section is drawn
+    instead.  Uniforms only: the ziggurat behind normal draws consumes a
+    variable number of words per variate.
+    """
+    if idx.size > n >> _SPARSE_SHIFT:
+        return _draws(seed, slot, counter, n)[idx]
+    key = seed & 0xFFFFFFFFFFFFFFFF
+    gen = _stream(key, slot)
+    # one state dict, updated in place: the setter copies it
+    pos = {"counter": None, "key": (key, slot)}
+    state = {"bit_generator": "Philox", "state": pos, "buffer": (0, 0, 0, 0),
+             "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+    out = np.empty(idx.size)
+    for j, i in enumerate(idx.tolist()):
+        pos["counter"] = (i >> 2, 0, 0, counter)
+        gen.bit_generator.state = state
+        out[j] = gen.random((i & 3) + 1)[-1]
+    return out
 
 
 def _checkpoint(times, t):
@@ -224,50 +260,60 @@ def _partner_jump(nu, kappa, refined, z, mark, gap, g2y):
 def _simulate(coeffs, nu, x0, y0, cfg):
     """The one time-step loop behind both simulators.
 
-    The state S is a (legs, N) array: row 0 is the X leg, row 1 the partner Y,
-    present only when y0 is not None.  The drift map, every draw and the
-    thinning rounds are driven by the X leg alone, so X follows the marginal
-    scheme whether or not a partner rides along.  With a partner, before
-    coalescence, the Brownian increments are reflected (refined-basic) or
-    shared (synchronous); jump proposals are thinned at the dominating rate
-    gamma2(X) nu((eps, oo)) and assigned to a displacement row by a uniform
-    mark on [0, gamma2(X)) using the overlap ratio rho at the current gap.
-    Once the gap falls within delta_c the pair is merged and Y copies X.
+    The state S is one 1-d array: X of all N paths, then Y of the k pairs that
+    have not met.  ``pair[j]`` is the path of partner j and ``slot[i]`` the
+    partner of path i (-1 if none); a single run is the same loop with k = 0.
+    The drift map, every draw and the thinning rounds are driven by the X leg
+    alone, so X follows the marginal scheme whether or not a partner rides
+    along.  Before coalescence the Brownian increments of Y are the reflected
+    (refined-basic) or shared (synchronous) ones of its path; jump proposals
+    are thinned at the dominating rate gamma2(X) nu((eps, oo)) and assigned to
+    a displacement row by a uniform mark on [0, gamma2(X)) using the overlap
+    ratio rho at the current gap.  Once the gap falls within delta_c the pair
+    gets its coalescence time and leaves the state: from then on Y is X.
     Returns a ``CoupledEnsemble`` with a partner, else a ``SingleEnsemble``.
     """
     n = cfg.n_paths
     coupled = y0 is not None
     refined = cfg.coupling == "refined-basic"
+    ysign = -1.0 if refined else 1.0   # of Y's share of a Gaussian draw
     nu_eps, mean_eps, small_var = _jump_setup(nu, cfg)
     n_steps, rec_times, rec_steps = _record_plan(cfg)
 
-    S = np.full((2 if coupled else 1, n), float(x0))
-    coal = np.full(n, math.inf)
-    if coupled:
-        delta_c = cfg.resolved_delta_c(x0)
-        if x0 - y0 <= delta_c:
-            coal[:] = 0.0
-        else:
-            S[1] = y0
+    delta_c = cfg.resolved_delta_c(x0)
+    # without a partner, or with one within delta_c, no pair is left to meet
+    no_pairs = not coupled or x0 - y0 <= delta_c
+    coal = np.full(n, 0.0 if no_pairs else math.inf)
+    pair = np.arange(0 if no_pairs else n)
+    slot = np.full(n, -1)
+    slot[pair] = np.arange(pair.size)
+    S = np.full(n + pair.size, float(x0))
+    S[n:] = y0
     flagged = np.zeros(n, dtype=bool)
     violations = 0
     repairs = 0
     capped = 0
     clipped = 0
-    snaps = np.empty((S.shape[0], rec_times.size, n))
-    for k in np.flatnonzero(rec_steps == 0):
-        snaps[:, k] = S
+    snaps_x = np.empty((rec_times.size, n))
+    snaps_y = np.empty_like(snaps_x) if coupled else None
 
-    sign = np.ones_like(S)      # per-leg sign of the shared Gaussian draws
+    def record(step):
+        for k in np.flatnonzero(rec_steps == step):
+            snaps_x[k] = S[:n]
+            if coupled:
+                snaps_y[k] = S[:n]
+                snaps_y[k, pair] = S[n:]
+
+    def shared(xi):
+        """A cross-section of Gaussian draws spread over the state."""
+        return np.concatenate((xi, ysign * xi[pair]))
+
+    record(0)
     max_p = 0.0
     h = cfg.h
     sqh = math.sqrt(h)
     for step in range(1, n_steps + 1):
         g0, g2 = coeffs.gamma0(S), coeffs.gamma2(S)
-        if coupled:
-            # reflection until coalescence; shared noise afterwards
-            alive = coal == math.inf
-            sign[1] = np.where(alive & refined, -1.0, 1.0)
         # step k owns the stream counters k (M + 1) + r, M = _MAX_SUBSTEPS:
         # r = 0 for the Gaussian draws, r = 1..m_i <= M for thinning rounds
         base = step * (_MAX_SUBSTEPS + 1)
@@ -280,14 +326,15 @@ def _simulate(coeffs, nu, x0, y0, cfg):
             # forever
             sig = coeffs.sigma(S)
             mil = _milstein_coef(coeffs, S)
-            if np.any(((sig != 0.0) | (mil != 0.0)) & ~flagged):
-                xi = _draws(cfg.seed, _SLOT_BROWNIAN, base, n, normal=True)
-                dS = dS + sig * sqh * (sign * xi) + mil * ((xi * xi - 1.0) * h)
+            noisy = (sig != 0.0) | (mil != 0.0)
+            if np.any(noisy[:n] & ~flagged) or np.any(noisy[n:] & ~flagged[pair]):
+                xi = shared(_draws(cfg.seed, _SLOT_BROWNIAN, base, n, normal=True))
+                dS = dS + sig * sqh * xi + mil * ((xi * xi - 1.0) * h)
         if nu_eps > 0:
             dS -= g2 * mean_eps * h
             if small_var > 0.0:
-                xi2 = _draws(cfg.seed, _SLOT_GAUSS_COMP, base, n, normal=True)
-                dS = dS + np.sqrt(np.maximum(g2 * small_var * h, 0.0)) * (sign * xi2)
+                xi2 = shared(_draws(cfg.seed, _SLOT_GAUSS_COMP, base, n, normal=True))
+                dS = dS + np.sqrt(np.maximum(g2 * small_var * h, 0.0)) * xi2
         S = np.maximum(S + dS, 0.0)
         # jumps act on the post-drift state in thinning rounds of acceptance
         # probability <= ~0.1 each: the row geometry (gap, rho) is evaluated
@@ -298,40 +345,54 @@ def _simulate(coeffs, nu, x0, y0, cfg):
         # path's draws depend on another path
         if nu_eps > 0:
             # NaN on flagged paths, also where gamma2 maps NaN to a number
-            # (np.fmin, a constant): the reduction skips it, and m_i = NaN
-            # makes no round active for them
-            rate = np.where(flagged, np.nan, g2[0]) * nu_eps * h
+            # (np.fmin, a constant): the reductions skip it, and m_i = NaN
+            # makes p NaN in round 1, which rejects, and keeps the path out of
+            # every later round
+            rate = np.where(flagged, np.nan, g2[:n]) * nu_eps * h
             # ceil and clip are monotone, so this is the largest m_i
             want = np.ceil(np.fmax.reduce(rate, initial=0.0) / 0.1)
-            m_max = int(np.clip(want, 1, _MAX_SUBSTEPS))
+            m_max = int(min(max(want, 1.0), _MAX_SUBSTEPS))
             wants = np.ceil(rate / 0.1)
             if want > _MAX_SUBSTEPS:
                 capped += int(np.count_nonzero(wants > _MAX_SUBSTEPS))
             m = np.clip(wants, 1, _MAX_SUBSTEPS)
             h_round = h / m
             for r in range(1, m_max + 1):
-                active = r <= m
-                g2x = coeffs.gamma2(S[0])
-                p = g2x * nu_eps * h_round
-                p_max = float(np.max(p, where=active, initial=0.0))
+                counter = base + r
+                # round 1 takes every path; a later one only the paths with
+                # m_i >= r, whose uniforms are read one by one
+                if r == 1:
+                    g2x = coeffs.gamma2(S[:n])
+                    p = g2x * nu_eps * h_round
+                    u = _draws(cfg.seed, _SLOT_JUMP_OCCUR, counter, n)
+                else:
+                    at = np.flatnonzero(m >= r)
+                    g2x = coeffs.gamma2(S[at])
+                    p = g2x * nu_eps * h_round[at]
+                    u = _draws_at(cfg.seed, _SLOT_JUMP_OCCUR, counter, at, n)
+                p_max = float(np.fmax.reduce(p, initial=0.0))
                 max_p = max(max_p, p_max)
                 if p_max > 1.0:
-                    clipped += int(np.count_nonzero(active & (p > 1.0)))
+                    clipped += int(np.count_nonzero(p > 1.0))
                 # u < 1, so u < p accepts a proposal of p > 1 as if clipped
-                u = _draws(cfg.seed, _SLOT_JUMP_OCCUR, base + r, n)
-                idx = np.flatnonzero(active & (u < p))
-                if idx.size:
-                    us = _draws(cfg.seed, _SLOT_JUMP_SIZE, base + r, n)
-                    z = np.asarray(nu.quantile_above(cfg.eps, us[idx]))
-                    if coupled:
-                        um = _draws(cfg.seed, _SLOT_MARK, base + r, n)
-                        S[1, idx] += _partner_jump(
-                            nu, cfg.kappa, refined, z, um[idx] * g2x[idx],
-                            S[0, idx] - S[1, idx], coeffs.gamma2(S[1, idx]))
-                    S[0, idx] += z
+                accept = u < p
+                idx = np.flatnonzero(accept) if r == 1 else at[accept]
+                if not idx.size:
+                    continue
+                z = np.asarray(nu.quantile_above(cfg.eps, _draws_at(
+                    cfg.seed, _SLOT_JUMP_SIZE, counter, idx, n)))
+                j = slot[idx]
+                partnered = j >= 0
+                if np.any(partnered):
+                    ev, y = idx[partnered], n + j[partnered]
+                    mark = _draws_at(cfg.seed, _SLOT_MARK, counter, ev, n) \
+                        * g2x[accept][partnered]
+                    S[y] += _partner_jump(nu, cfg.kappa, refined, z[partnered], mark,
+                                          S[ev] - S[y], coeffs.gamma2(S[y]))
+                S[idx] += z
 
-        if coupled:
-            # order bookkeeping (only meaningful pre-coalescence).  With an
+        if pair.size:
+            # order bookkeeping of the pairs that have not met.  With an
             # active Gaussian part (the diffusion, or the small-jump term of
             # gaussian-compensation, driven the same way) a sign change means
             # the two paths crossed inside the step, i.e. they met: project to
@@ -339,42 +400,49 @@ def _simulate(coeffs, nu, x0, y0, cfg):
             # pure-jump paths the scheme preserves order exactly, so a
             # negative gap beyond the rounding threshold is a genuine
             # violation and is counted.
-            gap = S[0] - S[1]
-            neg = alive & (gap < 0)
-            noise = sig[0] + sig[1] if coeffs.has_diffusion else 0.0
+            gap = S[pair] - S[n:]
+            neg = gap < 0
+            noise = sig[pair] + sig[n:] if coeffs.has_diffusion else 0.0
             if small_var > 0.0:
-                noise = noise + small_var * (g2[0] + g2[1])
+                noise = noise + small_var * (g2[pair] + g2[n:])
             crossed = neg & (noise > 0)
             small_neg = (neg & ~crossed & (gap >= -delta_c)) | crossed
             if np.any(small_neg):
                 repairs += int(np.count_nonzero(small_neg & ~crossed))
-                S[:, small_neg] = 0.5 * (S[0] + S[1])[small_neg]
-                gap = S[0] - S[1]
+                j = np.flatnonzero(small_neg)
+                S[pair[j]] = S[n + j] = 0.5 * (S[pair[j]] + S[n + j])
+                gap = S[pair] - S[n:]
             violations += int(np.count_nonzero(neg & ~crossed & (gap < -delta_c)))
 
-            # coalescence detection and permanence (time at step resolution)
-            t_now = step * h
-            hit = alive & ((np.abs(gap) <= delta_c) | crossed)
-            coal = np.where(hit, t_now, coal)
-            merged = coal <= t_now
-            S[1] = np.where(merged, S[0], S[1])
+            # coalescence (time at step resolution): the pair leaves the state
+            met = (np.abs(gap) <= delta_c) | crossed
+            if np.any(met):
+                coal[pair[met]] = step * h
+                slot[pair[met]] = -1
+                pair = pair[~met]
+                slot[pair] = np.arange(pair.size)
+                S = np.concatenate((S[:n], S[n:][~met]))
 
-        bad = ~flagged & np.any(~np.isfinite(S) | (S > _STATE_CAP), axis=0)
+        # a pair blows up as a whole: a bad Y flags its path
+        bad = ~np.isfinite(S) | (S > _STATE_CAP)
+        bad[pair[bad[n:]]] = True
+        bad = bad[:n] & ~flagged
         if np.any(bad):
             flagged |= bad
-            S[:, bad] = np.nan
-        for k in np.flatnonzero(rec_steps == step):
-            snaps[:, k] = S
+            S[:n][bad] = np.nan
+            S[n:][bad[pair]] = np.nan
+        record(step)
 
     # a flagged path's NaN went through later steps' arithmetic, which may
     # set its sign bit; one bit pattern keeps ensemble files independent of it
-    snaps[np.isnan(snaps)] = np.nan
-    marginal = dict(times=rec_times, X=snaps[0], x0=float(x0), flagged=flagged,
+    for snaps in (snaps_x, snaps_y) if coupled else (snaps_x,):
+        snaps[np.isnan(snaps)] = np.nan
+    marginal = dict(times=rec_times, X=snaps_x, x0=float(x0), flagged=flagged,
                     config=cfg.echo(), max_jump_prob=max_p, capped_steps=capped,
                     clipped_jumps=clipped)
     if not coupled:
         return SingleEnsemble(**marginal)
-    return CoupledEnsemble(**marginal, Y=snaps[1], y0=float(y0), coalescence=coal,
+    return CoupledEnsemble(**marginal, Y=snaps_y, y0=float(y0), coalescence=coal,
                            order_violations=violations, order_repairs=repairs)
 
 

@@ -262,6 +262,18 @@ class GFunction:
                                     * r ** (self.theta - 3.0))
         return out
 
+    def d1_at_zero(self):
+        """The limit g'(0+): infinite for theta < 1, else 1 + c0g Phi1'(0+)."""
+        if self.theta < 1.0:
+            return math.inf
+        slope = 0.0
+        if not self.phi1.is_zero and self.c0g:
+            # Phi1(r) r^(theta - 2) = Phi1(r) / r tends to Phi1'(0+), which
+            # is infinite for the logarithmic moduli
+            with np.errstate(divide="ignore"):
+                slope = float(self.phi1.d1(np.asarray(0.0)))
+        return 1.0 + self.c0g * slope
+
     def d3(self, r):
         r = np.asarray(r, dtype=float)
         t = self.theta
@@ -382,8 +394,10 @@ class PsiFunction:
     def d2(self, r):
         r = np.asarray(r, dtype=float)
         s = np.maximum(r - 2.0 * self.l0, 0.0)
-        rin = np.minimum(np.maximum(r, 1e-300), 2.0 * self.l0)
-        inner = -self.c2 * self.g.d1(rin) * np.exp(-self.c2 * self.g.value(rin))
+        # g' is singular at 0: there psi'' takes its limit -c2 g'(0+)
+        rin = np.where(r > 0, np.minimum(r, 2.0 * self.l0), 2.0 * self.l0)
+        inner = np.where(r > 0, -self.c2 * self.g.d1(rin) * np.exp(-self.c2 * self.g.value(rin)),
+                         -self.c2 * self.g.d1_at_zero())
         if self.variant == "wasserstein":
             a = 2.0 * self.d2psi_2l0 / self.dpsi_2l0
             outer = self.d2psi_2l0 * np.exp(a * s)

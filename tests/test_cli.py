@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -133,6 +134,20 @@ def test_ini_scenario_kappa_is_config_error(tmp_path, capsys):
     assert "[sim mine]" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("section, line", [("scenario", "checkpoints = 0.25"),
+                                           ("sim", "kapa = 0.25")])
+def test_ini_unknown_key_is_config_error(tmp_path, capsys, section, line):
+    # a misspelt or removed key would otherwise leave its default in place
+    cfg = tmp_path / "scen.ini"
+    cfg.write_text(INI.replace(f"[{section} mine]\n", f"[{section} mine]\n{line}\n"))
+    with pytest.raises(ValidationError):
+        load_scenario("mine", config_path=cfg)
+    code, _ = run(tmp_path, "check", "--scenario", "mine", "--config", str(cfg))
+    assert code == 2
+    err = capsys.readouterr().err
+    assert repr(line.split()[0]) in err and f"[{section} mine]" in err
+
+
 def test_ini_sim_kappa_reaches_noise_check_and_constants(tmp_path, capsys):
     cfg = tmp_path / "scen.ini"
     cfg.write_text(INI.replace("kappa = 0.5\n", "kappa = 0.25\n")
@@ -201,6 +216,22 @@ def test_testfn_writes_table(tmp_path, capsys):
     r0 = [float(v) for v in table[1].split(",")]
     assert r0[0] == 0.0 and r0[1] == 0.0  # psi(0) = 0
     assert "lam" in (out / "case2-stable.constants.txt").read_text()
+
+
+@pytest.mark.parametrize("name", ["case2-stable", "logistic", "xlog-drift"])
+def test_testfn_row_at_zero_is_the_limit_without_warnings(tmp_path, capsys, name):
+    # psi'' at r = 0 is the limit -c2 g'(0+), infinite for theta < 1, and
+    # writing it evaluates no power of r near 0, so nothing overflows
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out = run(tmp_path, "testfn", "--scenario", name)
+    assert code == 0
+    assert capsys.readouterr().err == ""
+    constants = (out / f"{name}.constants.txt").read_text()
+    assert "theta_exp = 0.5\n" in constants
+    rows = (out / f"{name}.testfn.csv").read_text().splitlines()
+    r, _, _, d2psi = (float(v) for v in rows[1].split(","))
+    assert r == 0.0 and d2psi == -math.inf
 
 
 def test_couple_runs_and_is_idempotent(tmp_path, capsys):

@@ -127,6 +127,60 @@ def test_draws_equal_a_freshly_built_stream():
         assert np.array_equal(got, fresh(seed, slot, counter, n, normal))
 
 
+def test_draws_at_equals_the_dense_draw(monkeypatch):
+    # per-index reads give the bits of the full cross-section, below the
+    # cut-over (read one by one, no full draw) and above it (one full draw)
+    n = 10_000
+    cut = n >> simulate._SPARSE_SHIFT
+    sparse = np.array([0, 1, 2, 3, 4, 4097, 4098, 4099, n - 2, n - 1])
+    dense = np.concatenate((np.arange(cut), [n - 1]))
+    assert sparse.size <= cut < dense.size
+    calls = count_draws(monkeypatch)
+    for seed in (-3, 2 ** 63 + 11):
+        for slot in (simulate._SLOT_JUMP_OCCUR, simulate._SLOT_JUMP_SIZE,
+                     simulate._SLOT_MARK):
+            for step in (1, 8000, 10 ** 9):
+                for r in (1, 2, simulate._MAX_SUBSTEPS):
+                    counter = step * (simulate._MAX_SUBSTEPS + 1) + r
+                    full = simulate._draws(seed, slot, counter, n)
+                    for idx in (sparse, dense):
+                        got = simulate._draws_at(seed, slot, counter, idx, n)
+                        assert np.array_equal(got.view(np.uint64),
+                                              full[idx].view(np.uint64))
+    # one full draw per reference and per dense read, none per sparse read
+    assert sum(calls.values()) == 2 * 2 * 3 * 3 * 3
+
+
+@pytest.mark.parametrize("policy", ["drop-with-compensator", "gaussian-compensation"])
+@pytest.mark.parametrize("name", ["case2-stable", "case3-dyadic"])
+def test_sparse_reads_leave_ensembles_bit_identical(monkeypatch, name, policy):
+    # the kernel reads size, mark and later-round uniforms at the event
+    # indices only; the same kernel reading them from full cross-sections
+    # gives the same ensembles.  2000 paths put the cut-over at 7 indices
+    sc = load_scenario(name)
+    cfg = replace(sc.sim, n_paths=2000, t_end=1.0, record_times=None,
+                  small_jump_policy=policy)
+    sparse_at = simulate._draws_at
+    per_index = Counter()
+
+    def counting(seed, slot, counter, idx, n):
+        per_index[slot] += 0 < idx.size <= n >> simulate._SPARSE_SHIFT
+        return sparse_at(seed, slot, counter, idx, n)
+
+    def dense_at(seed, slot, counter, idx, n):
+        return simulate._draws(seed, slot, counter, n)[idx]
+
+    runs = []
+    for draws_at in (counting, dense_at):
+        monkeypatch.setattr(simulate, "_draws_at", draws_at)
+        runs.append((simulate_coupled(sc.coeffs, sc.nu, sc.x0, sc.y0, cfg),
+                     simulate_single(sc.coeffs, sc.nu, sc.x0, cfg)))
+    assert all(per_index[slot] > 0 for slot in (
+        simulate._SLOT_JUMP_OCCUR, simulate._SLOT_JUMP_SIZE, simulate._SLOT_MARK))
+    for sparse, dense in zip(*runs):
+        _fields_equal(sparse, dense)
+
+
 def test_different_seeds_differ():
     cfg = SimConfig(h=1e-2, eps=0.1, t_end=0.5, n_paths=200, seed=7)
     cfg2 = SimConfig(h=1e-2, eps=0.1, t_end=0.5, n_paths=200, seed=8)
@@ -405,6 +459,30 @@ def test_order_and_permanence_case2(case2):
         assert np.all(gap[done] == 0.0)
         assert np.all(gap[~ens.flagged] >= 0.0)
     assert np.mean(np.isfinite(ens.coalescence)) > 0.1
+
+
+@pytest.mark.parametrize("name, coupling", [
+    ("cir", "refined-basic"), ("cir", "synchronous"),
+    ("case2-stable", "refined-basic"), ("logistic", "refined-basic"),
+    ("logistic", "synchronous"), ("blow-up", "refined-basic")])
+def test_met_pairs_move_together(name, coupling):
+    # a pair leaves the kernel's state when it meets: from its coalescence
+    # time on, Y is X at every record time, bit for bit (NaN too, once the
+    # path is flagged)
+    if name == "blow-up":
+        coeffs, nu, x0, y0 = partial_blow_up(), STABLE15, 0.9, 0.45
+        cfg = SimConfig(h=2e-3, eps=0.1, t_end=0.5, n_paths=400, seed=3)
+    else:
+        sc = load_scenario(name)
+        coeffs, nu, x0, y0 = sc.coeffs, sc.nu, sc.x0, sc.y0
+        cfg = replace(sc.sim, n_paths=400, t_end=min(sc.sim.t_end, 2.0),
+                      record_times=None)
+    ens = simulate_coupled(coeffs, nu, x0, y0, replace(cfg, coupling=coupling))
+    met = ens.coalescence[None, :] <= ens.times[:, None]
+    assert np.any(met[-1]) and not np.all(met[-1])
+    assert np.array_equal(ens.X[met].view(np.uint64), ens.Y[met].view(np.uint64))
+    if name == "blow-up":
+        assert np.any(np.isnan(ens.X[met]))
 
 
 @pytest.mark.parametrize("name", ["case2-stable", "case3-dyadic"])

@@ -146,6 +146,22 @@ def test_psi_c2_gluing(name):
         assert abs(left - right) <= 1e-6 * (1.0 + abs(left))
 
 
+@pytest.mark.parametrize("theta, phi1, expect", [
+    (THETA, phi1_linear(0.2), -math.inf),
+    (1.0, phi1_zero(), -1.0),
+    (1.0, phi1_xlog(0.2, L0), -math.inf),
+    (1.0, phi1_log1p(0.2), -math.inf)])
+def test_psi_d2_at_zero_is_its_limit(theta, phi1, expect):
+    # psi''(0) is -c2 g'(0+), computed without evaluating g' at 0, where
+    # r^(theta - 2) overflows; a finite limit is the value near 0
+    psi = build_psi(build_g(modulus_for(phi1), theta, 0.3), 0.5, 1.0, L0)
+    with np.errstate(all="raise"):
+        got = float(psi.d2(np.asarray(0.0)))
+    assert got == expect
+    if math.isfinite(expect):
+        assert float(psi.d2(np.asarray(1e-9))) == pytest.approx(expect, rel=1e-6)
+
+
 @pytest.mark.parametrize("name", sorted(PHI1_INSTANCES))
 def test_psi_derivatives_vs_finite_differences(name):
     g = build_g(modulus_for(PHI1_INSTANCES[name]), THETA, 1.0)
