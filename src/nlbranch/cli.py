@@ -143,14 +143,23 @@ def cmd_testfn(args):
     return 0
 
 
-def _warn_thinning(ens):
-    """Say on stderr when jump thinning hit its round cap or clipped a
-    probability: the jump part is then under-sampled."""
-    if ens.capped_steps or ens.clipped_jumps:
-        print(f"warning: jump thinning is approximate: capped_steps = "
-              f"{ens.capped_steps} path-steps hit the round cap, clipped_jumps = "
-              f"{ens.clipped_jumps} jump probabilities were clipped to 1; "
-              "a smaller --step avoids both", file=sys.stderr)
+def _exit_code(*ensembles):
+    """The exit code of a simulating command: 1 when more than 1% of an
+    ensemble's paths were flagged as blown up, else 0.  Says on stderr when
+    that happened, and when jump thinning hit its round cap or clipped a
+    probability (the jump part is then under-sampled)."""
+    code = 0
+    for ens in ensembles:
+        if ens.capped_steps or ens.clipped_jumps:
+            print(f"warning: jump thinning is approximate: capped_steps = "
+                  f"{ens.capped_steps} path-steps hit the round cap, clipped_jumps = "
+                  f"{ens.clipped_jumps} jump probabilities were clipped to 1; "
+                  "a smaller --step avoids both", file=sys.stderr)
+        n_bad = int(np.count_nonzero(ens.flagged))
+        if n_bad > 0.01 * ens.n_paths:
+            print(f"too many flagged paths ({n_bad}/{ens.n_paths})", file=sys.stderr)
+            code = 1
+    return code
 
 
 def cmd_couple(args):
@@ -170,11 +179,7 @@ def cmd_couple(args):
         f"\nclipped_jumps = {ens.clipped_jumps}")
     _write(os.path.join(out, f"{sc.name}.fit.txt"), summary)
     print(summary)
-    _warn_thinning(ens)
-    if n_bad > 0.01 * ens.n_paths:
-        print(f"too many flagged paths ({n_bad})", file=sys.stderr)
-        return 1
-    return 0
+    return _exit_code(ens)
 
 
 def cmd_simulate(args):
@@ -191,8 +196,7 @@ def cmd_simulate(args):
             fh.write(",".join(repr(float(v)) for v in cells) + f",{x.size}\n")
     n_bad = int(np.count_nonzero(ens.flagged))
     print(f"wrote {path} (flagged {n_bad}/{ens.n_paths})")
-    _warn_thinning(ens)
-    return 0 if n_bad <= 0.01 * ens.n_paths else 1
+    return _exit_code(ens)
 
 
 def cmd_invariant(args):
@@ -214,7 +218,7 @@ def cmd_invariant(args):
     report = "\n".join(lines)
     _write(os.path.join(out, f"{sc.name}.invariant.txt"), report)
     print(report)
-    return 0
+    return _exit_code(ens_a, ens_b)
 
 
 def build_parser():

@@ -6,33 +6,28 @@ parameters, initial points and a simulation config, whose record times are
 also the points of the decay curve and whose kappa is also the coupling
 radius the constants are derived for.
 
-Config files use configparser syntax with one section group per scenario:
-
-    [scenario mine]
-    x0 = 2.0
-    y0 = 1.0
-    case = A2
-    ...
-    [coefficients mine]
-    type = logistic
-    b1 = 1.0
-    ...
-
-Parametric forms are selected by ``type``; ``type = custom`` accepts
-expression strings in ``x`` evaluated in a restricted numpy namespace.
+A config file (configparser syntax; README has a complete one) describes a
+scenario ``mine`` in the sections [scenario mine], [coefficients mine],
+[measure mine], [modulus mine] and [sim mine].  ``type`` selects a section's
+form (``phi1`` and ``phi2`` the modulus's), whose keys are in a table below;
+``type = custom`` takes expressions in ``x`` in a restricted numpy namespace.
+A key the file leaves out keeps its constructor's default (SimConfig's for
+[sim]); a parameter without one is required.  An unknown key, form, check
+name or boolean word is a config error naming the key and the section.
 """
 
 from __future__ import annotations
 
 import configparser
+import inspect
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .errors import DomainError, ValidationError
-from .model import (AtomicMeasure, CoefficientSet, LevyMeasure, MixtureMeasure,
+from .model import (AtomicMeasure, CoefficientSet, LevyMeasure,
                     StableTruncatedMeasure, AbsolutelyContinuousMeasure,
                     cir_coefficients, dyadic_atoms, logistic_coefficients)
 from .simulate import SimConfig
@@ -48,15 +43,23 @@ class Scenario:
     coeffs: CoefficientSet
     nu: Optional[LevyMeasure]
     modulus: Optional[DriftModulus]
-    case: Optional[str]                 # 'A1' or 'A2'
     params: dict
     x0: float
     y0: float
     sim: SimConfig
+    case: Optional[str] = None          # 'A1' or 'A2'
     variant: str = "w1"
     checks: Sequence[str] = _ALL_CHECKS
     try_strong: bool = False
     expect_drift_failure: bool = False
+
+    def __post_init__(self):
+        if self.case not in ("A1", "A2", None):
+            raise ValidationError(f"'case' must be A1, A2 or absent, not {self.case!r}")
+        unknown = [check for check in self.checks if check not in _ALL_CHECKS]
+        if unknown:
+            raise ValidationError(f"'checks' names unknown check {unknown[0]!r}; "
+                                  "known checks: " + ", ".join(_ALL_CHECKS))
 
     def with_overrides(self, seed=None, n_paths=None, h=None):
         sim = self.sim
@@ -97,91 +100,14 @@ def compile_expression(expr: str):
 
 
 # ---------------------------------------------------------------------------
-# parametric builders
-
-def _stable_overlap_cstar(alpha, kappa, c0=1.0, zmax=1.0):
-    """inf over (0, kappa] of z^alpha mu_z(R+) for the truncated stable
-    density: the infimum sits at z = kappa."""
-    if kappa >= zmax:
-        raise DomainError("kappa must lie inside the support")
-    return c0 * (1.0 - (kappa / zmax) ** alpha) / (alpha * zmax ** alpha)
-
-
-def build_measure(spec: dict) -> Optional[LevyMeasure]:
-    kind = spec.get("type", "none")
-    if kind in ("none", ""):
-        return None
-    if kind == "stable_truncated":
-        return StableTruncatedMeasure(alpha=float(spec.get("alpha", 1.5)),
-                                      c0=float(spec.get("c0", 1.0)),
-                                      zmax=float(spec.get("zmax", 1.0)))
-    if kind == "dyadic_atoms":
-        return dyadic_atoms(alpha=float(spec.get("alpha", 1.5)),
-                            jmax=int(spec.get("jmax", 40)))
-    if kind == "atomic":
-        locs = [float(v) for v in spec["locations"].split(",")]
-        masses = [float(v) for v in spec["masses"].split(",")]
-        return AtomicMeasure(locs, masses)
-    if kind == "custom":
-        dens = compile_expression(spec["density"].replace("z", "x"))
-        return AbsolutelyContinuousMeasure(
-            dens, upper=float(spec.get("upper", math.inf)),
-            decreasing=spec.get("decreasing", "false").lower() == "true")
-    raise ValidationError(f"unknown measure type {kind!r}")
-
-
-def build_coefficients(spec: dict) -> CoefficientSet:
-    kind = spec["type"]
-    if kind == "cir":
-        return cir_coefficients(float(spec.get("b", 1.0)), float(spec.get("c", 1.0)),
-                                float(spec.get("d", 1.0)),
-                                diffusion=spec.get("diffusion", "sqrt2c"))
-    if kind == "logistic":
-        return logistic_coefficients(float(spec.get("b1", 1.0)),
-                                     float(spec.get("b2", 1.0)),
-                                     c1=float(spec.get("c1", 0.0)),
-                                     c2=float(spec.get("c2", 1.0)))
-    if kind == "custom":
-        return CoefficientSet(
-            gamma0=compile_expression(spec.get("gamma0", "0*x")),
-            gamma1=compile_expression(spec["gamma1"]) if "gamma1" in spec else None,
-            gamma2=compile_expression(spec.get("gamma2", "0*x")),
-            gamma2_nondecreasing=spec.get("gamma2_nondecreasing",
-                                          "true").lower() == "true",
-            name=spec.get("name", "custom"))
-    raise ValidationError(f"unknown coefficient type {kind!r}")
-
-
-def build_modulus(spec: dict) -> Optional[DriftModulus]:
-    if not spec or spec.get("type", "") == "none":
-        return None
-    l0 = float(spec.get("l0", 1.0))
-    p1kind = spec.get("phi1", "zero")
-    if p1kind == "zero":
-        phi1 = phi1_zero()
-    elif p1kind == "linear":
-        phi1 = phi1_linear(float(spec.get("k1", 1.0)))
-    elif p1kind == "xlog":
-        phi1 = phi1_xlog(float(spec.get("k1", 1.0)), l0)
-    elif p1kind == "log1p":
-        phi1 = phi1_log1p(float(spec.get("b1", 1.0)))
-    else:
-        raise ValidationError(f"unknown phi1 form {p1kind!r}")
-    phi2 = None
-    p2kind = spec.get("phi2", "none")
-    if p2kind == "linear":
-        phi2 = phi2_linear(float(spec.get("k2", 1.0)))
-    elif p2kind == "power":
-        phi2 = phi2_power(float(spec.get("coef", 0.5)),
-                          float(spec.get("exponent", 2.0)))
-    elif p2kind != "none":
-        raise ValidationError(f"unknown phi2 form {p2kind!r}")
-    k2 = float(spec["k2"]) if "k2" in spec else None
-    return DriftModulus(phi1=phi1, l0=l0, k2=k2, phi2=phi2)
-
-
-# ---------------------------------------------------------------------------
 # bundled presets
+
+
+def _stable_overlap_cstar(alpha, kappa):
+    """inf over (0, kappa] of z^alpha mu_z(R+) for z^(-1-alpha) on (0, 1]."""
+    if kappa >= 1.0:
+        raise DomainError("kappa must lie inside the support")
+    return (1.0 - kappa ** alpha) / alpha
 
 
 def _preset_cir(name="cir"):
@@ -392,8 +318,7 @@ def load_scenario(name: str, config_path=None) -> Scenario:
     bundled preset of the same name."""
     if config_path is not None:
         parser = configparser.ConfigParser()
-        read = parser.read(config_path)
-        if not read:
+        if not parser.read(config_path):
             raise ValidationError(f"could not read config file {config_path}")
         if parser.has_section(f"scenario {name}"):
             return _scenario_from_parser(parser, name)
@@ -403,62 +328,136 @@ def load_scenario(name: str, config_path=None) -> Scenario:
                           + ", ".join(sorted(PRESETS)))
 
 
-def _section(parser, kind, name):
-    sec = f"{kind} {name}"
-    return dict(parser.items(sec)) if parser.has_section(sec) else {}
+# ---------------------------------------------------------------------------
+# INI reader: per section kind, each form's constructor and the keys it takes,
+# each with its converter; only the keys a file sets reach the constructor
 
 
-# the keys each section takes (configparser lowercases keys)
-_SCENARIO_KEYS = {"case", "x0", "y0", "variant", "checks", "try_strong", "alpha",
-                  "beta", "k3", "c_star"}
-_SIM_KEYS = {"h", "eps", "t_end", "n_paths", "seed", "small_jump_policy", "kappa",
-             "coupling", "record_times"}
+def _names(text):
+    return tuple(v.strip() for v in text.split(",") if v.strip())
 
 
-def _known_keys(spec, kind, name, known):
-    """A key outside known (a misspelling, or a key that is gone) is a config
-    error rather than a silent default."""
-    unknown = sorted(set(spec) - known)
-    if unknown:
-        raise ValidationError(f"unknown key {unknown[0]!r} in [{kind} {name}]; "
-                              "known keys: " + ", ".join(sorted(known)))
+def _floats(text):
+    return [float(v) for v in text.split(",")]
+
+
+def _boolean(text):
+    if text.lower() not in configparser.ConfigParser.BOOLEAN_STATES:
+        raise ValueError("not a boolean (yes/no, true/false, on/off, 1/0)")
+    return configparser.ConfigParser.BOOLEAN_STATES[text.lower()]
+
+
+def _custom_coefficients(gamma0, gamma2, gamma1=None, name="custom", **flags):
+    """Expression coefficients; without a gamma1 the model has no diffusion."""
+    return CoefficientSet(gamma0, gamma1, gamma2, name=name, **flags)
+
+
+_NONE = (lambda: None, {})
+_MEASURES = {
+    "none": _NONE,
+    "stable_truncated": (StableTruncatedMeasure,
+                         {"alpha": float, "c0": float, "zmax": float}),
+    "dyadic_atoms": (dyadic_atoms, {"alpha": float, "jmax": int}),
+    "atomic": (AtomicMeasure, {"locations": _floats, "masses": _floats}),
+    "custom": (AbsolutelyContinuousMeasure,
+               {"density": lambda text: compile_expression(text.replace("z", "x")),
+                "upper": float, "decreasing": _boolean}),
+}
+_COEFFICIENTS = {
+    "cir": (cir_coefficients, {"b": float, "c": float, "d": float, "diffusion": str}),
+    "logistic": (logistic_coefficients,
+                 {"b1": float, "b2": float, "c1": float, "c2": float}),
+    "custom": (_custom_coefficients,
+               {"gamma0": compile_expression, "gamma1": compile_expression,
+                "gamma2": compile_expression, "gamma2_nondecreasing": _boolean,
+                "name": str}),
+}
+_PHI1 = {"zero": (phi1_zero, {}), "linear": (phi1_linear, {"k1": float}),
+         "xlog": (phi1_xlog, {"k1": float, "l0": float}),
+         "log1p": (phi1_log1p, {"b1": float})}
+_PHI2 = {"none": _NONE, "linear": (phi2_linear, {"k2": float}),
+         "power": (phi2_power, {"coef": float, "exponent": float})}
+_MODULUS = {"l0": float, "k2": float}
+_SIM = {"h": float, "eps": float, "t_end": float, "n_paths": int, "seed": int,
+        "small_jump_policy": str, "kappa": float, "coupling": str,
+        "record_times": _floats}
+_SCENARIO = {"x0": float, "y0": float, "case": str, "variant": str,
+             "checks": _names, "try_strong": _boolean}
+# the case parameters by INI key (configparser lowercases keys)
+_PARAMS = {"alpha": "alpha", "beta": "beta", "k3": "k3", "c_star": "C_star"}
+
+
+def _form(table, selector, spec, where, default=None):
+    """(constructor, keys) of the form the section's selector key names."""
+    kind = spec.get(selector, default)
+    if kind not in table:
+        raise ValidationError(f"{selector!r} in [{where}] must be one of "
+                              f"{', '.join(table)}, not {kind!r}")
+    return table[kind]
+
+
+def _read(spec, keys, where):
+    """The section's values, each converted once.  A key outside keys (a
+    misspelling, or a key that is gone) is a config error, not a default."""
+    values = {}
+    for key, text in spec.items():
+        if key not in keys:
+            raise ValidationError(f"unknown key {key!r} in [{where}]; "
+                                  "known keys: " + ", ".join(sorted(keys)))
+        try:
+            values[key] = keys[key](text)
+        except (ValueError, SyntaxError) as exc:
+            raise ValidationError(f"bad value {text!r} of {key!r} in [{where}]: "
+                                  f"{exc}") from None
+    return values
+
+
+def _call(make, keys, values, where, **given):
+    """make(**given) plus the values of keys the section sets; a parameter
+    without a default that the section leaves out is a config error."""
+    args = {key: values[key] for key in keys if key in values} | given
+    for param in inspect.signature(make).parameters.values():
+        if param.default is param.empty and param.kind is param.POSITIONAL_OR_KEYWORD \
+                and param.name not in args:
+            raise ValidationError(f"[{where}] needs key {param.name!r}")
+    try:
+        return make(**args)
+    except (DomainError, ValidationError) as exc:
+        raise ValidationError(f"in [{where}]: {exc}") from None
+
+
+def _build(table, spec, where, default=None):
+    make, keys = _form(table, "type", spec, where, default)
+    return _call(make, keys, _read(spec, {"type": str, **keys}, where), where)
+
+
+def _modulus(spec, where):
+    """(Phi1, l0) with k2 and Phi2 where set; None for no section or type none."""
+    if not spec or "type" in spec:
+        return _build({"none": _NONE}, spec, where, "none")
+    make1, keys1 = _form(_PHI1, "phi1", spec, where, "zero")
+    make2, keys2 = _form(_PHI2, "phi2", spec, where, "none")
+    values = _read(spec, {"phi1": str, "phi2": str, **_MODULUS, **keys1, **keys2},
+                   where)
+    return _call(DriftModulus, _MODULUS, values, where,
+                 phi1=_call(make1, keys1, values, where),
+                 phi2=_call(make2, keys2, values, where))
 
 
 def _scenario_from_parser(parser, name) -> Scenario:
-    sc = _section(parser, "scenario", name)
-    if "kappa" in sc:
+    spec = {kind: dict(parser[f"{kind} {name}"]) if f"{kind} {name}" in parser else {}
+            for kind in ("scenario", "coefficients", "measure", "modulus", "sim")}
+    if "kappa" in spec["scenario"]:
         raise ValidationError(f"kappa belongs in [sim {name}], not in "
                               f"[scenario {name}]: the constants are derived "
                               "for the radius the coupling simulates")
-    _known_keys(sc, "scenario", name, _SCENARIO_KEYS)
-    coeffs = build_coefficients(_section(parser, "coefficients", name))
-    nu = build_measure(_section(parser, "measure", name))
-    modulus = build_modulus(_section(parser, "modulus", name))
-    simspec = _section(parser, "sim", name)
-    _known_keys(simspec, "sim", name, _SIM_KEYS)
-    rec = simspec.get("record_times")
-    sim = SimConfig(
-        h=float(simspec.get("h", 1e-3)),
-        eps=float(simspec.get("eps", 0.1)),
-        t_end=float(simspec.get("t_end", 1.0)),
-        n_paths=int(simspec.get("n_paths", 1000)),
-        seed=int(simspec.get("seed", 0)),
-        small_jump_policy=simspec.get("small_jump_policy", "drop-with-compensator"),
-        kappa=float(simspec.get("kappa", 0.5)),
-        coupling=simspec.get("coupling", "refined-basic"),
-        record_times=[float(v) for v in rec.split(",")] if rec else None)
-    params = {}
-    for key in ("alpha", "beta", "k3", "C_star"):
-        # configparser lowercases keys
-        if key.lower() in sc:
-            params[key] = float(sc[key.lower()])
-    checks = tuple(v.strip() for v in sc.get("checks", ",".join(_ALL_CHECKS)).split(",")
-                   if v.strip())
-    return Scenario(
-        name=name, coeffs=coeffs, nu=nu, modulus=modulus,
-        case=sc.get("case") or None, params=params,
-        x0=float(sc.get("x0", 1.0)), y0=float(sc.get("y0", 0.0)),
-        sim=sim,
-        variant=sc.get("variant", "w1"),
-        checks=checks,
-        try_strong=sc.get("try_strong", "false").lower() == "true")
+    values = _read(spec["scenario"], {**_SCENARIO, **dict.fromkeys(_PARAMS, float)},
+                   f"scenario {name}")
+    return _call(
+        Scenario, _SCENARIO, values, f"scenario {name}", name=name,
+        coeffs=_build(_COEFFICIENTS, spec["coefficients"], f"coefficients {name}"),
+        nu=_build(_MEASURES, spec["measure"], f"measure {name}", "none"),
+        modulus=_modulus(spec["modulus"], f"modulus {name}"),
+        params={param: values[key] for key, param in _PARAMS.items() if key in values},
+        sim=_call(SimConfig, _SIM, _read(spec["sim"], _SIM, f"sim {name}"),
+                  f"sim {name}"))

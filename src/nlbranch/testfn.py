@@ -409,14 +409,6 @@ class PsiFunction:
         out = np.where(r <= 2.0 * self.l0, inner, outer)
         return out if out.shape else float(out)
 
-    def d3(self, r):
-        """Third derivative; only meaningful on (0, 2 l0]."""
-        r = np.asarray(r, dtype=float)
-        rin = np.minimum(np.maximum(r, 1e-300), 2.0 * self.l0)
-        e = np.exp(-self.c2 * self.g.value(rin))
-        out = self.c2 * e * (self.c2 * self.g.d1(rin) ** 2 - self.g.d2(rin))
-        return out if out.shape else float(out)
-
     def _strong_bridge(self, s):
         s = np.asarray(s, dtype=float)
         coef, expo = self.phi2.coef, self.phi2.exponent

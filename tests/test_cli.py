@@ -1,5 +1,7 @@
 import math
+import re
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,6 +10,7 @@ from nlbranch import generator
 from nlbranch.cli import main
 from nlbranch.config import PRESETS, compile_expression, load_scenario
 from nlbranch.errors import QuadratureError, ValidationError
+from nlbranch.simulate import SimConfig
 
 
 def run(tmp_path, *argv):
@@ -134,18 +137,77 @@ def test_ini_scenario_kappa_is_config_error(tmp_path, capsys):
     assert "[sim mine]" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("section, line", [("scenario", "checkpoints = 0.25"),
-                                           ("sim", "kapa = 0.25")])
+def with_line(ini, section, line):
+    """ini with line first in [section mine], in place of the section's line
+    of the same key."""
+    key = line.split("=")[0].strip()
+    head = f"[{section} mine]\n"
+    start = ini.index(head) + len(head)
+    end = ini.find("\n[", start)
+    end = len(ini) if end < 0 else end
+    body = [row for row in ini[start:end].split("\n")
+            if row.split("=")[0].strip() != key]
+    return ini[:start] + "\n".join([line] + body) + ini[end:]
+
+
+@pytest.mark.parametrize("section, line", [
+    ("scenario", "checkpoints = 0.25"),
+    ("sim", "kapa = 0.25"),
+    ("coefficients", "gama2 = x"),
+    ("measure", "alpa = 1.8"),
+    ("modulus", "k_1 = 0.3"),
+    ("measure", "type = stable"),
+    ("modulus", "phi1 = quadratic"),
+    ("scenario", "checks = drift, noise, constants, lyapnov"),
+    ("scenario", "try_strong = maybe"),
+])
 def test_ini_unknown_key_is_config_error(tmp_path, capsys, section, line):
-    # a misspelt or removed key would otherwise leave its default in place
+    # a misspelt or removed key, form, check name or boolean word would
+    # otherwise leave a default in place or drop a check
     cfg = tmp_path / "scen.ini"
-    cfg.write_text(INI.replace(f"[{section} mine]\n", f"[{section} mine]\n{line}\n"))
+    cfg.write_text(with_line(INI, section, line))
     with pytest.raises(ValidationError):
         load_scenario("mine", config_path=cfg)
     code, _ = run(tmp_path, "check", "--scenario", "mine", "--config", str(cfg))
     assert code == 2
     err = capsys.readouterr().err
     assert repr(line.split()[0]) in err and f"[{section} mine]" in err
+
+
+def test_ini_missing_model_key_is_config_error(tmp_path, capsys):
+    # l0 has no default in DriftModulus, so the file must set it
+    cfg = tmp_path / "scen.ini"
+    cfg.write_text(INI.replace("l0 = 1.0\n", ""))
+    code, _ = run(tmp_path, "check", "--scenario", "mine", "--config", str(cfg))
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "'l0'" in err and "[modulus mine]" in err
+
+
+def test_ini_sim_defaults_are_simconfig_defaults(tmp_path):
+    cfg = tmp_path / "scen.ini"
+    cfg.write_text(INI)
+    assert "eps" not in INI
+    assert load_scenario("mine", config_path=cfg).sim.eps == SimConfig().eps
+
+
+def test_readme_ini_example_loads_and_checks(tmp_path, capsys):
+    # the documented format is the one the reader takes, and the example
+    # restates the logistic preset, so check prints the preset's report
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    [example] = re.findall(r"```ini\n(.*?)```", readme, re.S)
+    cfg = tmp_path / "readme.ini"
+    cfg.write_text(example)
+    name = re.search(r"^\[scenario (\S+)\]$", example, re.M).group(1)
+    sc = load_scenario(name, config_path=cfg)
+    assert sc.sim.echo() == load_scenario("logistic").sim.echo()
+    code, _ = run(tmp_path, "check", "--scenario", name, "--config", str(cfg))
+    assert code == 0
+    from_ini = capsys.readouterr().out
+    code, _ = run(tmp_path, "check", "--scenario", "logistic")
+    assert code == 0
+    from_preset = capsys.readouterr().out
+    assert from_ini.split("\n", 1)[1] == from_preset.split("\n", 1)[1]
 
 
 def test_ini_sim_kappa_reaches_noise_check_and_constants(tmp_path, capsys):
@@ -300,6 +362,40 @@ def test_thinning_limits_warn_without_failing(tmp_path, capsys):
     capped = int(fit.split("capped_steps = ")[1].split()[0])
     clipped = int(fit.split("clipped_jumps = ")[1].split()[0])
     assert capped > 0 and clipped > 0
+
+
+BLOWUP_INI = """
+[scenario blowup]
+x0 = 0.9
+y0 = 0.5
+
+[coefficients blowup]
+type = custom
+gamma0 = 4*x*(x - 1)
+gamma2 = x
+
+[measure blowup]
+type = stable_truncated
+alpha = 1.5
+
+[sim blowup]
+eps = 0.1
+t_end = 0.5
+n_paths = 400
+seed = 20240811
+"""
+
+
+def test_blowups_fail_every_simulating_command(tmp_path, capsys):
+    # gamma0 = 4x(x - 1) sends a path that jumps above 1 to infinity
+    cfg = tmp_path / "blowup.ini"
+    cfg.write_text(BLOWUP_INI)
+    for command in ("couple", "simulate", "invariant"):
+        code, _ = run(tmp_path, command, "--config", str(cfg), "--scenario", "blowup")
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "too many flagged paths" in err
+        assert "warning: jump thinning is approximate" in err
 
 
 def test_seed_override_changes_ensemble(tmp_path):
