@@ -317,8 +317,15 @@ def load_scenario(name: str, config_path=None) -> Scenario:
     """A named scenario: from the config file when it defines one, else the
     bundled preset of the same name."""
     if config_path is not None:
-        parser = configparser.ConfigParser()
-        if not parser.read(config_path):
+        # values are numbers, names and expressions, where '%' is the modulo
+        parser = configparser.ConfigParser(interpolation=None)
+        try:
+            found = parser.read(config_path)
+        except configparser.Error as exc:
+            # a duplicate key or section, a key before any section header, or
+            # a line without '='; the message names the file and the line
+            raise ValidationError(" ".join(str(exc).split())) from exc
+        if not found:
             raise ValidationError(f"could not read config file {config_path}")
         if parser.has_section(f"scenario {name}"):
             return _scenario_from_parser(parser, name)

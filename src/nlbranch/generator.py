@@ -38,7 +38,7 @@ def _nu_integral(nu: LevyMeasure, integrand, q: QuadratureSpec, weight=None,
 
     ``integrand`` and ``weight`` are vectorized.  ``points`` marks interior
     locations where the integrand loses smoothness (piece junctions of
-    spline-backed test functions), so the adaptive routine is not penalized
+    interpolated test functions), so the adaptive routine is not penalized
     for the kinks.
     """
     total = 0.0
@@ -383,7 +383,7 @@ def verify_lyapunov(fn, lam: float, coeffs: CoefficientSet,
     difference process at y = 0.
     """
     if q is None:
-        # the spline-backed test functions carry interpolation error ~1e-9;
+        # the interpolated test functions carry interpolation error ~1e-9;
         # asking the integrator for more than that only produces refusals
         q = QuadratureSpec(atol=1e-9, rtol=1e-7)
     if r_grid is None:

@@ -20,7 +20,7 @@ from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .errors import DomainError, NoJumpError, ValidationError
+from .errors import DomainError, NoJumpError, QuadratureError, ValidationError
 from .quad import DEFAULT_QUAD, integrate_interval
 
 _ATOM_RTOL = 1e-12  # relative tolerance for coinciding atom locations
@@ -303,7 +303,7 @@ class AbsolutelyContinuousMeasure(LevyMeasure):
             try:
                 integrate_interval(self._density, 0.0, min(1.0, self.upper), self.quad)
                 infinite_mass = False
-            except Exception:
+            except QuadratureError:
                 infinite_mass = True
         self._infinite_mass = bool(infinite_mass)
         self._inv_cdf_cache = {}

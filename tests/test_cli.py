@@ -1,5 +1,8 @@
 import math
+import os
 import re
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -182,6 +185,48 @@ def test_ini_missing_model_key_is_config_error(tmp_path, capsys):
     assert code == 2
     err = capsys.readouterr().err
     assert "'l0'" in err and "[modulus mine]" in err
+
+
+@pytest.mark.parametrize("text, line", [
+    (INI.replace("x0 = 2.0\n", "x0 = 2.0\nx0 = 3.0\n"), 4),     # duplicated key
+    ("x0 = 2.0\n" + INI, 1),                                  # key before any section
+    (INI.replace("y0 = 1.0\n", "y0 = 1.0\ny0 1.0\n"), 5),       # line without '='
+], ids=["duplicate-option", "missing-section-header", "parsing-error"])
+def test_ini_syntax_error_is_config_error(tmp_path, capsys, text, line):
+    cfg = tmp_path / "scen.ini"
+    cfg.write_text(text)
+    with pytest.raises(ValidationError):
+        load_scenario("mine", config_path=cfg)
+    code, _ = run(tmp_path, "check", "--scenario", "mine", "--config", str(cfg))
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and err.count("\n") == 1
+    assert re.search(r"\bline:? (\d+)", err).group(1) == str(line)
+
+
+def test_ini_percent_is_the_modulo_operator(tmp_path):
+    # configparser's default interpolation would reject '%' in an expression
+    cfg = tmp_path / "scen.ini"
+    cfg.write_text(INI.replace("gamma0 = -x\n", "gamma0 = -x % 3\n"))
+    sc = load_scenario("mine", config_path=cfg)
+    assert list(sc.coeffs.gamma0(np.array([1.0, 4.0]))) == [2.0, 2.0]
+
+
+def test_import_and_preset_load_do_not_import_scipy():
+    # scipy is a test dependency only; loading it would also triple the
+    # package's start-up time
+    import nlbranch
+    src = str(Path(nlbranch.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    probe = ("import sys, nlbranch.cli\n"
+             "from nlbranch.config import load_scenario\n"
+             "load_scenario('logistic')\n"
+             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
+    done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
 
 
 def test_ini_sim_defaults_are_simconfig_defaults(tmp_path):

@@ -136,6 +136,26 @@ def test_quadrature_agrees_with_closed_forms():
         assert generic.mean_above(r) == pytest.approx(STABLE15.mean_above(r), rel=1e-8)
 
 
+def test_mass_probe_infers_infinite_mass_only_from_quadrature():
+    # a non-integrable density fails the quadrature: infinite mass
+    assert AbsolutelyContinuousMeasure(lambda z: np.asarray(z, dtype=float) ** -2.5,
+                                       upper=1.0).has_infinite_mass
+    assert not AbsolutelyContinuousMeasure(lambda z: np.asarray(z, dtype=float) ** -0.5,
+                                           upper=1.0).has_infinite_mass
+
+    def buggy(z):
+        # the probe follows z^-2.5 toward 0 until it overflows near 1e-123,
+        # far below any node of the moment integrals that validate() runs
+        z = np.asarray(z, dtype=float)
+        if np.min(z) < 1e-100:
+            raise ZeroDivisionError("float division by zero")
+        return z ** -2.5
+
+    # a density that raises is a bug to report, not an infinite-mass measure
+    with pytest.raises(ZeroDivisionError):
+        AbsolutelyContinuousMeasure(buggy, upper=1.0)
+
+
 def test_divergent_moment_is_rejected():
     with pytest.raises(NLBranchError):
         AbsolutelyContinuousMeasure(lambda z: np.asarray(z, dtype=float) ** -3.2,

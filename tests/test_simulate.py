@@ -4,6 +4,7 @@ from dataclasses import fields, replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy import stats
 
 from nlbranch import simulate
@@ -11,8 +12,8 @@ from nlbranch.config import load_scenario
 from nlbranch.errors import DomainError, ValidationError
 from nlbranch.model import (CoefficientSet, StableTruncatedMeasure,
                             cir_coefficients)
-from nlbranch.simulate import (CoupledEnsemble, SimConfig, read_ensemble,
-                               simulate_coupled, simulate_single,
+from nlbranch.simulate import (CoupledEnsemble, SimConfig, ks_statistic,
+                               read_ensemble, simulate_coupled, simulate_single,
                                write_ensemble)
 
 STABLE15 = StableTruncatedMeasure(alpha=1.5, c0=1.0, zmax=1.0)
@@ -526,6 +527,30 @@ def test_synchronous_coupling_shares_noise():
     gap = ens.gap_at(1.0)
     alivemask = ~np.isfinite(ens.coalescence)
     assert np.allclose(gap[alivemask], math.exp(-1.0), atol=5e-3)
+
+
+# values from a small pool tie within and across the two samples
+KS_VALUES = st.one_of(st.sampled_from([-1.0, 0.0, 0.5, 2.0]),
+                      st.floats(-1e6, 1e6, allow_nan=False))
+
+
+@given(st.lists(KS_VALUES, min_size=1, max_size=500),
+       st.lists(KS_VALUES, min_size=1, max_size=500))
+@settings(max_examples=200, deadline=None)
+def test_ks_statistic_equals_scipy(a, b):
+    # scipy's two-sample KS statistic is the oracle; the asymptotic method
+    # skips the exact p-value, and its own p-value divides by zero on the
+    # smallest samples; neither is read here
+    with np.errstate(divide="ignore"):
+        want = stats.ks_2samp(a, b, method="asymp").statistic
+    assert abs(ks_statistic(a, b) - want) <= 1e-15
+
+
+def test_ks_statistic_on_tied_samples():
+    # the CDFs of [0, 0, 1] and [0, 1, 1] are 2/3 and 1/3 on [0, 1)
+    assert ks_statistic([0.0, 0.0, 1.0], [0.0, 1.0, 1.0]) == pytest.approx(1.0 / 3.0)
+    assert ks_statistic([1.0, 1.0], [1.0]) == 0.0
+    assert ks_statistic([0.0], [1.0]) == 1.0
 
 
 # ---------------------------------------------------------------------------

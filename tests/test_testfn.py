@@ -74,8 +74,8 @@ def test_g_rejects_bad_parameters():
         build_g(modulus_for(phi1_zero()), THETA, -1.0)
 
 
-def spline_nodes(hi, n):
-    """The nodes of testfn's cumulative-integral splines on [0, hi]."""
+def integral_nodes(hi, n):
+    """The nodes of testfn's cumulative-integral interpolants on [0, hi]."""
     return hi * np.sin(np.linspace(0.0, np.pi / 2, n)) ** 2
 
 
@@ -86,7 +86,7 @@ def test_g_integral_without_closed_form_matches_mpmath():
     l0 = 0.01
     g = build_g(DriftModulus(phi1=phi1_log1p(0.1), l0=l0, k2=0.5), THETA, 1.0)
     integrand = lambda z: 0.1 * z * mpmath.log1p(1 / z) * z ** (THETA - 2.0)
-    nodes = spline_nodes(2.0 * l0, 2400)
+    nodes = integral_nodes(2.0 * l0, 2400)
     for r in nodes[[1, 2, 3, 10, 100, 1000, 2399]]:
         with mpmath.workdps(30):
             exact = float(mpmath.quad(integrand, [0, r]))
@@ -125,13 +125,29 @@ def test_psi_invariants(name):
 
 def test_psi_inner_integral_on_sqrt_g():
     # g = sqrt(r): int_0^r exp(-c2 sqrt(s)) ds = 2/c2^2 [1 - e^(-u)(1 + u)],
-    # u = c2 sqrt(r), exactly at the spline's nodes
+    # u = c2 sqrt(r), exactly at the interpolant's nodes
     c1, c2 = 0.5, 1.3
     psi = build_psi(build_g(modulus_for(phi1_zero()), THETA, 1.0), c1, c2, L0)
-    r = spline_nodes(2.0 * L0, 1200)
+    r = integral_nodes(2.0 * L0, 1200)
     u = c2 * np.sqrt(r)
     exact = 2.0 / c2 ** 2 * (-np.expm1(-u) - u * np.exp(-u))
     assert np.max(np.abs(psi.value(r) - c1 * r - exact)) <= 1e-12
+
+
+def test_psi_inner_integral_near_zero_on_sqrt_g():
+    # below the first node x1 = 3.4e-6 the integral follows its leading terms
+    # r - (2/3) c2 r^(3/2); the Hermite panels above x1 carry the
+    # interpolation error of an integrand whose third derivative is singular
+    # at 0.  The bounds hold the measured 1.5e-6 and 1.1e-5.
+    c1, c2 = 0.5, 1.3
+    psi = build_psi(build_g(modulus_for(phi1_zero()), THETA, 1.0), c1, c2, L0)
+    x1 = integral_nodes(2.0 * L0, 1200)[1]
+    r = np.logspace(-9, -4, 2001)
+    u = c2 * np.sqrt(r)
+    exact = 2.0 / c2 ** 2 * (-np.expm1(-u) - u * np.exp(-u))
+    rel = np.abs(psi.value(r) - c1 * r - exact) / exact
+    assert np.max(rel[r < x1]) <= 2e-6
+    assert np.max(rel) <= 2e-5
 
 
 @pytest.mark.parametrize("name", sorted(PHI1_INSTANCES))
