@@ -16,17 +16,16 @@ identical bytes.
 from __future__ import annotations
 
 import argparse
-import math
 import os
 import sys
 
 import numpy as np
 
-from .config import PRESETS, Scenario, load_scenario
+from .config import Scenario, load_scenario
 from .errors import DomainError, NLBranchError, ValidationError
 from .estimate import decay_curve, invariant_summary, tail_distance
-from .generator import (HOLDS, INAPPLICABLE, check_drift_condition,
-                        check_noise_conditions, verify_lyapunov)
+from .generator import (check_drift_condition, check_noise_conditions,
+                        verify_lyapunov)
 from .simulate import simulate_coupled, simulate_single, write_ensemble
 from .testfn import assemble, psi_table
 
@@ -47,10 +46,21 @@ def _write(path, text):
         fh.write(text if text.endswith("\n") else text + "\n")
 
 
-def _assemble(sc: Scenario, variant: str):
-    """The scenario's contraction constants and test function for ``variant``,
-    at the coupling radius the simulation uses."""
-    return assemble(sc.case, sc.modulus, sc.params, variant=variant,
+def noise_report(sc: Scenario):
+    """The scenario's noise check at the coupling radius the simulation uses,
+    whose certified k3 and C_star the constants consume."""
+    return check_noise_conditions(sc.coeffs, sc.nu, sc.case, kappa=sc.sim.kappa,
+                                  **sc.params)
+
+
+def assemble_scenario(sc: Scenario, variant: str = "w1", noise=None):
+    """The scenario's contraction constants and test function for ``variant``
+    from the values its noise report (computed when not given) certifies; a
+    DomainError when the noise condition does not hold."""
+    noise = noise_report(sc) if noise is None else noise
+    if not noise.holds:
+        raise DomainError(f"noise condition {noise.condition_id} does not hold")
+    return assemble(sc.case, sc.modulus, noise.derived, variant=variant,
                     kappa=sc.sim.kappa)
 
 
@@ -65,18 +75,17 @@ def cmd_check(args):
         lines.append(rep.to_text())
         ok &= rep.holds
 
-    if "noise" in sc.checks and sc.case:
-        rep = check_noise_conditions(sc.coeffs, sc.nu, sc.case,
-                                     beta=sc.params.get("beta"),
-                                     alpha=sc.params.get("alpha"),
-                                     kappa=sc.sim.kappa)
-        lines.append(rep.to_text())
-        ok &= rep.holds
+    noise = None
+    if sc.case and ("noise" in sc.checks or "constants" in sc.checks
+                    or sc.try_strong):
+        noise = noise_report(sc)
+        lines.append(noise.to_text())
+        ok &= noise.holds
 
     constants, fn = None, None
     if "constants" in sc.checks and sc.case:
         try:
-            constants, fn = _assemble(sc, sc.variant)
+            constants, fn = assemble_scenario(sc, sc.variant, noise)
             lines.append("constants: derived")
             for key, val in sorted(constants.as_dict().items()):
                 lines.append(f"  {key} = {val}")
@@ -102,7 +111,7 @@ def cmd_check(args):
                          "(requires the jump route)")
         else:
             try:
-                sconst, sfn = _assemble(sc, "strong")
+                sconst, sfn = assemble_scenario(sc, "strong", noise)
                 lines.append("strong-ergodicity branch: accepted "
                              f"(lambda = {sconst.lam!r}, "
                              f"sup psi = {sfn.psi.sup()!r})")
@@ -123,8 +132,10 @@ def cmd_testfn(args):
         print(f"scenario {sc.name} carries no case descriptor; nothing to build",
               file=sys.stderr)
         return 2
+    noise = noise_report(sc)
+    print(noise.to_text())
     try:
-        constants, fn = _assemble(sc, sc.variant)
+        constants, fn = assemble_scenario(sc, sc.variant, noise)
     except ValidationError:
         raise                       # a malformed scenario: a config error
     except NLBranchError as exc:

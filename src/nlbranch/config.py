@@ -1,10 +1,11 @@
 """Scenario definitions: bundled presets plus an INI-style config reader.
 
 A scenario bundles everything one experiment needs: the coefficient triple,
-the jump measure, the drift modulus, the case descriptor with its fitted
-parameters, initial points and a simulation config, whose record times are
+the jump measure, the drift modulus, the case descriptor with its exponents
+(alpha, beta), initial points and a simulation config, whose record times are
 also the points of the decay curve and whose kappa is also the coupling
-radius the constants are derived for.
+radius the constants are derived for.  The constants' k3 and C_star are not
+part of a scenario: the noise check certifies them.
 
 A config file (configparser syntax; README has a complete one) describes a
 scenario ``mine`` in the sections [scenario mine], [coefficients mine],
@@ -103,20 +104,13 @@ def compile_expression(expr: str):
 # bundled presets
 
 
-def _stable_overlap_cstar(alpha, kappa):
-    """inf over (0, kappa] of z^alpha mu_z(R+) for z^(-1-alpha) on (0, 1]."""
-    if kappa >= 1.0:
-        raise DomainError("kappa must lie inside the support")
-    return (1.0 - kappa ** alpha) / alpha
-
-
 def _preset_cir(name="cir"):
     return Scenario(
         name=name,
         coeffs=cir_coefficients(1.0, 1.0, 1.0),
         nu=None,
         modulus=DriftModulus(phi1_zero(), l0=1.0, k2=1.0, phi2=phi2_linear(1.0)),
-        case="A1", params={"beta": 1.0, "k3": math.sqrt(2.0)},
+        case="A1", params={"beta": 1.0},
         x0=2.0, y0=1.0,
         sim=SimConfig(h=1e-3, eps=0.1, t_end=2.0, n_paths=20000, seed=20240811,
                       coupling="synchronous", record_times=(0.0, 0.5, 1.0, 1.5, 2.0)),
@@ -136,8 +130,7 @@ def _preset_case2(name="case2-stable"):
         nu=StableTruncatedMeasure(alpha=alpha, c0=1.0, zmax=1.0),
         modulus=DriftModulus(phi1_zero(), l0=1.0, k2=1.0),
         case="A2",
-        params={"alpha": alpha, "beta": 1.0, "k3": 1.0,
-                "C_star": _stable_overlap_cstar(alpha, kappa)},
+        params={"alpha": alpha, "beta": 1.0},
         x0=1.0, y0=0.5,
         sim=SimConfig(h=1e-3, eps=0.1, t_end=8.0, n_paths=10000, seed=20240811,
                       kappa=kappa, coupling="refined-basic",
@@ -154,7 +147,7 @@ def _preset_case1(name="case1-diffusion"):
             name="sqrt-diffusion"),
         nu=None,
         modulus=DriftModulus(phi1_zero(), l0=1.0, k2=1.0),
-        case="A1", params={"beta": 1.0, "k3": 1.0},
+        case="A1", params={"beta": 1.0},
         x0=1.0, y0=0.5,
         sim=SimConfig(h=1e-3, eps=0.1, t_end=4.0, n_paths=10000, seed=20240811,
                       coupling="refined-basic",
@@ -174,9 +167,7 @@ def _preset_case3(name="case3-dyadic"):
         nu=dyadic_atoms(alpha=alpha, jmax=40),
         modulus=DriftModulus(phi1_zero(), l0=1.0, k2=1.0),
         case="A2",
-        # the overlap route degenerates for the singular measure; C_star here
-        # comes from the second-moment lower bound on the dyadic grid
-        params={"alpha": alpha, "beta": 1.0, "k3": 1.0, "C_star": 1.0},
+        params={"alpha": alpha, "beta": 1.0},
         x0=1.0, y0=0.5,
         sim=SimConfig(h=1e-3, eps=0.05, t_end=4.0, n_paths=5000, seed=20240811,
                       kappa=0.5, coupling="refined-basic",
@@ -198,8 +189,7 @@ def _preset_logistic(name="logistic"):
         modulus=DriftModulus(phi1_linear(0.01), l0=0.02, k2=0.05,
                              phi2=phi2_power(0.5, 2.0)),
         case="A2",
-        params={"alpha": alpha, "beta": 1.0, "k3": 2.0,
-                "C_star": _stable_overlap_cstar(alpha, kappa)},
+        params={"alpha": alpha, "beta": 1.0},
         x0=1.5, y0=0.5,
         sim=SimConfig(h=1e-3, eps=0.1, t_end=8.0, n_paths=10000, seed=20240811,
                       kappa=kappa, coupling="refined-basic",
@@ -225,8 +215,7 @@ def _preset_xlog_drift(name="xlog-drift"):
         nu=StableTruncatedMeasure(alpha=alpha, c0=1.0, zmax=1.0),
         modulus=DriftModulus(phi1_log1p(0.1), l0=0.01, k2=0.5),
         case="A2",
-        params={"alpha": alpha, "beta": 1.0, "k3": 4.0,
-                "C_star": _stable_overlap_cstar(alpha, kappa)},
+        params={"alpha": alpha, "beta": 1.0},
         x0=1.0, y0=0.5,
         sim=SimConfig(h=1e-3, eps=0.1, t_end=4.0, n_paths=5000, seed=20240811,
                       kappa=kappa, coupling="refined-basic",
@@ -255,8 +244,7 @@ def _preset_superexp(name="superexp"):
         modulus=DriftModulus(phi1_zero(), l0=1.0, k2=0.5,
                              phi2=phi2_power(0.5, 2.0)),
         case="A2",
-        params={"alpha": alpha, "beta": 1.0, "k3": 1.0,
-                "C_star": _stable_overlap_cstar(alpha, kappa)},
+        params={"alpha": alpha, "beta": 1.0},
         x0=1.0, y0=0.5,
         sim=SimConfig(h=1e-4, eps=0.1, t_end=2.0, n_paths=2000, seed=20240811,
                       kappa=kappa, coupling="refined-basic",
@@ -290,7 +278,7 @@ def _preset_pure_growth(name="pure-growth"):
             name="pure-growth"),
         nu=None,
         modulus=DriftModulus(phi1_zero(), l0=1.0, k2=1.0),
-        case="A1", params={"beta": 1.0, "k3": 1.0},
+        case="A1", params={"beta": 1.0},
         x0=1.0, y0=0.5,
         sim=SimConfig(h=1e-3, eps=0.1, t_end=1.0, n_paths=100, seed=20240811,
                       record_times=(0.0, 0.5, 1.0)),
@@ -390,8 +378,8 @@ _SIM = {"h": float, "eps": float, "t_end": float, "n_paths": int, "seed": int,
         "record_times": _floats}
 _SCENARIO = {"x0": float, "y0": float, "case": str, "variant": str,
              "checks": _names, "try_strong": _boolean}
-# the case parameters by INI key (configparser lowercases keys)
-_PARAMS = {"alpha": "alpha", "beta": "beta", "k3": "k3", "c_star": "C_star"}
+# the case exponents; the noise check certifies the constants' k3 and C_star
+_PARAMS = {"alpha": float, "beta": float}
 
 
 def _form(table, selector, spec, where, default=None):
@@ -458,13 +446,12 @@ def _scenario_from_parser(parser, name) -> Scenario:
         raise ValidationError(f"kappa belongs in [sim {name}], not in "
                               f"[scenario {name}]: the constants are derived "
                               "for the radius the coupling simulates")
-    values = _read(spec["scenario"], {**_SCENARIO, **dict.fromkeys(_PARAMS, float)},
-                   f"scenario {name}")
+    values = _read(spec["scenario"], {**_SCENARIO, **_PARAMS}, f"scenario {name}")
     return _call(
         Scenario, _SCENARIO, values, f"scenario {name}", name=name,
         coeffs=_build(_COEFFICIENTS, spec["coefficients"], f"coefficients {name}"),
         nu=_build(_MEASURES, spec["measure"], f"measure {name}", "none"),
         modulus=_modulus(spec["modulus"], f"modulus {name}"),
-        params={param: values[key] for key, param in _PARAMS.items() if key in values},
+        params={key: values[key] for key in _PARAMS if key in values},
         sim=_call(SimConfig, _SIM, _read(spec["sim"], _SIM, f"sim {name}"),
                   f"sim {name}"))

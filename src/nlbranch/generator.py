@@ -301,7 +301,9 @@ def check_noise_conditions(coeffs: CoefficientSet, nu: Optional[LevyMeasure],
                            kappa: Optional[float] = None) -> ConditionReport:
     """Verify the diffusion (A1 / case 1) or jump (A2 / cases 2-3) noise lower
     bounds on geometric grids toward 0, returning fitted (beta, k3) or
-    (alpha, C_star, kappa).
+    (alpha, C_star, kappa).  ``testfn.assemble`` consumes these derived
+    values as its params: the contraction constants rest on the k3 and C_star
+    certified here, and on no other copy of them.
 
     Grid verdicts only: liminf-style conditions are sampled at r = 2^-k.
     """
@@ -436,10 +438,13 @@ def invariant_density_residual(f, q: QuadratureSpec = DEFAULT_QUAD) -> float:
                               0.0, math.inf, q)
 
 
-def invariant_measure_mass(cut: float = 1.0) -> float:
-    """Total mass of x^-2 e^-x dx: divergent at the origin
-    (>= e^-cut int_0^cut x^-2 dx = oo); represented as the infinite value."""
-    return math.inf
+def invariant_measure_mass(delta: float,
+                           q: QuadratureSpec = DEFAULT_QUAD) -> float:
+    """int_delta^oo x^-2 e^-x dx = e^-delta / delta - E1(delta), the mass of
+    the candidate invariant density above delta.  delta times it increases to
+    1 as delta -> 0, so the total mass is infinite; over (0, oo) the integral
+    diverges and raises QuadratureError."""
+    return integrate_interval(lambda x: np.exp(-x) / (x * x), delta, math.inf, q)
 
 
 def cir_expected_hitting_time(x: float, b: float, c: float, d: float,

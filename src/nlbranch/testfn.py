@@ -592,12 +592,6 @@ class TVTestFunction:
     def breakpoints(self):
         return (self.r_lo, self.r_hi) + self.psi.breakpoints()
 
-    def equivalence_constant(self, r_max=100.0):
-        """Smallest grid-certified c with f_n(r)/(1+r) in [1/c, c] on [1/n, r_max]."""
-        r = np.logspace(math.log10(self.r_hi), math.log10(r_max), 2000)
-        ratio = self.value(r) / (1.0 + r)
-        return float(max(np.max(ratio), np.max(1.0 / ratio)))
-
 
 def build_tv_fn(psi: PsiFunction, alpha: float, beta: float, n: int) -> TVTestFunction:
     """Assemble f_n with theta = (alpha - beta)/2 and b = exp(-c2 g(l0))/2."""
@@ -671,7 +665,9 @@ def assemble(case: str, modulus: DriftModulus, params: dict, variant: str = "w1"
     case     -- 'A1' (diffusion route, params beta, k3) or 'A2' (jump route,
                 params alpha, beta, C_star, k3, and the coupling radius
                 ``kappa``).  The three short-form noise conditions map onto
-                these: case 1 -> A1, cases 2/3 -> A2.
+                these: case 1 -> A1, cases 2/3 -> A2.  A scenario's params are
+                the derived values of its noise report
+                (``generator.check_noise_conditions``), which certifies them.
     variant  -- 'w1', 'tv' or 'strong'.
     The dissipation rate k2 comes from the modulus.  A missing parameter is a
     ValidationError naming it.

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
+from nlbranch.cli import assemble_scenario
 from nlbranch.config import load_scenario
-from nlbranch.testfn import assemble
 
 
 @pytest.fixture(scope="session")
@@ -13,7 +13,7 @@ def case2():
 
 @pytest.fixture(scope="session")
 def case2_assembled(case2):
-    return assemble(case2.case, case2.modulus, case2.params, kappa=case2.sim.kappa)
+    return assemble_scenario(case2)
 
 
 @pytest.fixture(scope="session")

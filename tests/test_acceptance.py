@@ -13,7 +13,7 @@ import pytest
 
 from nlbranch.cli import main
 from nlbranch.config import load_scenario
-from nlbranch.errors import DomainError
+from nlbranch.errors import DomainError, QuadratureError
 from nlbranch.estimate import fit_rate, tv_upper, w1_upper
 from nlbranch.generator import (cir_expected_hitting_time,
                                 invariant_density_residual,
@@ -189,7 +189,12 @@ def test_criterion_8_negative_control(capsys):
         lambda x: (4.0 * x * x - 2.0) * np.exp(-x * x))
     res = invariant_density_residual(f)
     assert abs(res) <= 1e-6
-    mass = invariant_measure_mass()
-    assert math.isinf(mass)
+    # delta times the mass above delta increases to 1: the mass is infinite
+    scaled = [10.0 ** -k * invariant_measure_mass(10.0 ** -k) for k in range(9)]
+    assert all(a < b for a, b in zip(scaled, scaled[1:]))
+    assert scaled[-1] == pytest.approx(1.0, abs=1e-6)
+    with pytest.raises(QuadratureError):
+        invariant_measure_mass(0.0)
     report(capsys, f"criterion 8 PASS: generator residual = {res:.2e} <= 1e-6, "
+           f"delta * mass above delta = {scaled[-1]:.8f} at delta = 1e-8, "
            "candidate invariant measure has infinite mass")

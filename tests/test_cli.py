@@ -61,8 +61,6 @@ y0 = 1.0
 case = A2
 alpha = 1.5
 beta = 1.0
-C_star = 0.5
-k3 = 1.0
 checks = drift, noise
 
 [coefficients mine]
@@ -107,26 +105,46 @@ def test_ini_scenario_roundtrip(tmp_path):
 
 
 def test_ini_check_derives_constants(tmp_path, capsys):
-    # the default checks include the constants, which need C_star: the INI
-    # key is read whatever its case, as configparser lowercases it
+    # the default checks include the constants, whose C_star is the one the
+    # noise check certifies for the 1.5-stable measure at kappa = 0.5
     cfg = tmp_path / "scen.ini"
     cfg.write_text(INI.replace("checks = drift, noise\n", ""))
-    assert load_scenario("mine", config_path=cfg).params["C_star"] == 0.5
     code, _ = run(tmp_path, "check", "--scenario", "mine", "--config", str(cfg))
     assert code == 0
-    text = capsys.readouterr().out
-    assert "constants: derived" in text and "  C_star = 0.5\n" in text
+    noise, constants = capsys.readouterr().out.split("constants: derived")
+    assert "  C_star = 0.4309644062711509\n" in noise
+    assert "  C_star = 0.4309644062711509\n" in constants
 
 
-def test_ini_missing_constant_is_config_error(tmp_path, capsys):
+@pytest.mark.parametrize("line", ["k3 = 1.0", "C_star = 0.5"], ids=["k3", "C_star"])
+def test_ini_constant_key_is_config_error(tmp_path, capsys, line):
+    # the constants take k3 and C_star from the noise check; a file that
+    # still sets one would otherwise be read as if it mattered
     cfg = tmp_path / "scen.ini"
-    cfg.write_text(INI.replace("checks = drift, noise\n", "").replace("k3 = 1.0\n", ""))
+    cfg.write_text(with_line(INI.replace("checks = drift, noise\n", ""),
+                             "scenario", line))
+    key = repr(line.split()[0].lower())     # configparser lowercases keys
+    for cmd in ("check", "testfn"):
+        code, _ = run(tmp_path, cmd, "--scenario", "mine", "--config", str(cfg))
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and key in err
+
+
+def test_ini_noise_failure_fails_constants(tmp_path, capsys):
+    # gamma2 = 0 has no jump activity: the noise check fails, and the
+    # constants, which have nothing certified to rest on, fail with it
+    cfg = tmp_path / "scen.ini"
+    cfg.write_text(INI.replace("checks = drift, noise\n", "")
+                   .replace("gamma2 = x\n", "gamma2 = 0*x\n"))
     code, _ = run(tmp_path, "check", "--scenario", "mine", "--config", str(cfg))
-    assert code == 2
-    assert "k3" in capsys.readouterr().err
+    assert code == 1
+    text = capsys.readouterr().out
+    assert "condition A2: fails-at" in text and "constants: failed (" in text
+    assert "verdict = failed" in text
     code, _ = run(tmp_path, "testfn", "--scenario", "mine", "--config", str(cfg))
-    assert code == 2
-    assert "k3" in capsys.readouterr().err
+    assert code == 1
+    assert "construction failed" in capsys.readouterr().err
 
 
 def test_ini_scenario_kappa_is_config_error(tmp_path, capsys):
@@ -134,7 +152,7 @@ def test_ini_scenario_kappa_is_config_error(tmp_path, capsys):
     # the constants saw would certify a coupling nothing simulates
     cfg = tmp_path / "scen.ini"
     cfg.write_text(INI.replace("kappa = 0.5\n", "")
-                   .replace("C_star = 0.5\n", "C_star = 0.5\nkappa = 0.25\n"))
+                   .replace("beta = 1.0\n", "beta = 1.0\nkappa = 0.25\n"))
     code, _ = run(tmp_path, "check", "--scenario", "mine", "--config", str(cfg))
     assert code == 2
     assert "[sim mine]" in capsys.readouterr().err
@@ -276,6 +294,33 @@ def test_check_accepts_ergodic_scenario(tmp_path, capsys):
     assert "verdict = all-hold" in text
     assert (out / "case2-stable.check.txt").read_text().strip().endswith(
         "verdict = all-hold")
+
+
+def _report_blocks(text):
+    """{head: {key: value}} of a check report: each unindented line's head
+    (up to its ':') with the 'key = value' lines indented below it."""
+    blocks, fields = {}, {}
+    for line in text.splitlines():
+        if not line.startswith("  "):
+            fields = blocks.setdefault(line.split(":")[0], {})
+        elif " = " in line:
+            key, val = line.strip().split(" = ", 1)
+            fields[key] = val
+    return blocks
+
+
+@pytest.mark.parametrize("name", [name for name in PRESETS
+                                  if "constants" in load_scenario(name).checks])
+def test_check_constants_use_the_noise_report_values(tmp_path, capsys, name):
+    # the printed values are reprs, so equal text is equal bits
+    code, _ = run(tmp_path, "check", "--scenario", name)
+    assert code == 0
+    blocks = _report_blocks(capsys.readouterr().out)
+    noise = blocks[f"condition {load_scenario(name).case}"]
+    constants = blocks["constants"]
+    assert "k3" in constants
+    for key in ("k3", "C_star"):
+        assert constants.get(key) == noise.get(key)
 
 
 def test_check_rejects_pure_growth_with_witnesses(tmp_path, capsys):

@@ -316,7 +316,7 @@ def test_verify_lyapunov_all_points_skipped_reports_no_margin(case2, case2_assem
 # Lyapunov scan, as the scalar QUADPACK integrator computed it
 LYAPUNOV_MARGINS = {
     "case2-stable": -0.003927175847040058,
-    "case3-dyadic": -0.005174372718475429,
+    "case3-dyadic": -0.00519296887023479,
     "logistic": -0.0234729275943238,
     "superexp": -0.0024569554117395043,
     "xlog-drift": -0.05388719384034818,
@@ -359,7 +359,22 @@ def test_invariant_density_residual_needs_flat_origin():
 
 
 def test_invariant_measure_mass_diverges():
-    assert invariant_measure_mass() == math.inf
+    # int_delta^oo x^-2 e^-x dx = e^-delta/delta - E1(delta); delta times it
+    # increases to 1, so the mass over (0, oo) is infinite
+    mpmath = pytest.importorskip("mpmath")
+    scaled = []
+    for k in range(9):
+        delta = 10.0 ** -k
+        mass = invariant_measure_mass(delta)
+        with mpmath.workdps(30):
+            exact = mpmath.exp(-delta) / delta - mpmath.e1(delta)
+        assert mass == pytest.approx(float(exact), rel=1e-13)
+        scaled.append(delta * mass)
+    assert all(a < b for a, b in zip(scaled, scaled[1:]))
+    assert scaled[0] == pytest.approx(0.148, abs=1e-3)
+    assert scaled[-1] == pytest.approx(0.99999981, abs=1e-8)
+    with pytest.raises(QuadratureError):
+        invariant_measure_mass(0.0)
 
 
 def test_cir_hitting_time_log_oracle():
