@@ -1,10 +1,10 @@
 #!/usr/bin/env python3
 """Print one SHA-256 per simulator configuration, to compare kernels bit for bit.
 
-Runs ``simulate_coupled`` and ``simulate_single`` on every bundled preset and
-on the partial blow-up models of ``BLOW_UPS``, under both couplings and both
-small-jump policies, with 400 paths and t_end = min(t_end, 0.5).  Each output
-line is
+Runs ``simulate_coupled`` from (x0, y0) and ``simulate_single`` from x0 and
+from y0 (simulator ``single-y0``) on every bundled preset and on the partial
+blow-up models of ``BLOW_UPS``, under both couplings and both small-jump
+policies, with 400 paths and t_end = min(t_end, 0.5).  Each output line is
 
     <case> <coupling> <small-jump policy> <simulator> <sha256>
 
@@ -14,6 +14,9 @@ source trees give the same ensembles exactly when their outputs are equal, so
 `diff` of two runs names every configuration a kernel change moved:
 
     PYTHONPATH=src python3 scripts/kernel_fingerprint.py > after.txt
+
+It also runs ``simulate_starts`` from (x0, y0) in one pass, and exits 1 (after
+a message on stderr) where that does not reproduce both single digests.
 """
 
 import hashlib
@@ -24,7 +27,8 @@ import numpy as np
 
 from nlbranch.config import PRESETS, load_scenario
 from nlbranch.model import CoefficientSet, StableTruncatedMeasure
-from nlbranch.simulate import SimConfig, simulate_coupled, simulate_single
+from nlbranch.simulate import (SimConfig, simulate_coupled, simulate_single,
+                               simulate_starts)
 
 N_PATHS = 400
 T_END = 0.5
@@ -74,6 +78,7 @@ def _digest(ens):
 
 
 def run():
+    code = 0
     for name, coeffs, nu, x0, y0, base in _cases():
         for coupling in ("refined-basic", "synchronous"):
             for policy in ("drop-with-compensator", "gaussian-compensation"):
@@ -81,9 +86,17 @@ def run():
                 tag = f"{name} {coupling} {policy}"
                 pair = simulate_coupled(coeffs, nu, x0, y0, cfg)
                 print(tag, "coupled", _digest(pair), flush=True)
-                single = simulate_single(coeffs, nu, x0, cfg)
-                print(tag, "single", _digest(single), flush=True)
-    return 0
+                singles = [_digest(simulate_single(coeffs, nu, start, cfg))
+                           for start in (x0, y0)]
+                print(tag, "single", singles[0], flush=True)
+                print(tag, "single-y0", singles[1], flush=True)
+                stacked = [_digest(ens) for ens in
+                           simulate_starts(coeffs, nu, (x0, y0), cfg)]
+                if stacked != singles:
+                    print(f"{tag}: simulate_starts differs from the single runs",
+                          file=sys.stderr)
+                    code = 1
+    return code
 
 
 if __name__ == "__main__":

@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -26,7 +27,8 @@ from .errors import DomainError, NLBranchError, ValidationError
 from .estimate import decay_curve, invariant_summary, tail_distance
 from .generator import (check_drift_condition, check_noise_conditions,
                         verify_lyapunov)
-from .simulate import simulate_coupled, simulate_single, write_ensemble
+from .simulate import (simulate_coupled, simulate_single, simulate_starts,
+                       write_ensemble)
 from .testfn import assemble, psi_table
 
 
@@ -213,9 +215,11 @@ def cmd_simulate(args):
 def cmd_invariant(args):
     sc = _load(args)
     out = _out_dir(args)
-    ens_a = simulate_single(sc.coeffs, sc.nu, sc.x0, sc.sim)
-    ens_b = simulate_single(sc.coeffs, sc.nu, sc.y0, sc.sim)
-    t_end = float(ens_a.times[-1])
+    # both starts in one pass on shared variates, recording only the horizon,
+    # the last record time: the one snapshot the summaries read
+    t_end = float(sc.sim.resolved_record_times()[-1])
+    ens_a, ens_b = simulate_starts(sc.coeffs, sc.nu, (sc.x0, sc.y0),
+                                   replace(sc.sim, record_times=(t_end,)))
     sa = invariant_summary(ens_a.X[-1][~ens_a.flagged])
     sb = invariant_summary(ens_b.X[-1][~ens_b.flagged])
     w1 = tail_distance(ens_a, ens_b, t_end)

@@ -338,7 +338,8 @@ def check_noise_conditions(coeffs: CoefficientSet, nu: Optional[LevyMeasure],
         derived = {"alpha": alpha, "beta": beta, "kappa": kappa}
         # gamma2(x) >= k3 x^beta near 0 and at moderate x
         xg = np.concatenate([r, np.linspace(0.5, 10.0, 20)])
-        k3 = float(np.min(coeffs.gamma2(xg) / xg ** beta))
+        g2_ratio = coeffs.gamma2(xg) / xg ** beta
+        k3 = float(np.min(g2_ratio))
         derived["k3"] = k3
         # moment route: int_0^r z^2 nu >= C_star r^(2 - alpha)
         rg = 2.0 ** -np.arange(0, 21).astype(float)
@@ -351,21 +352,25 @@ def check_noise_conditions(coeffs: CoefficientSet, nu: Optional[LevyMeasure],
         overlap_vals = np.array([zi ** alpha * nu.overlap_mass(zi) for zi in zg])
         C_overlap = float(np.min(overlap_vals))
         derived["C_star_overlap"] = C_overlap
+        holds = k3 > 0 and C_moment > 0
         if C_overlap > 1e-12:
             derived["C_star"] = min(C_moment, C_overlap)
-            verdict = HOLDS if k3 > 0 and C_moment > 0 else FAILS
-        elif C_moment > 0 and k3 > 0:
+        elif holds:
             # singular measures: the overlap route degenerates but the moment
             # route still certifies the jump-activity lower bound
             derived["C_star"] = C_moment
             derived["overlap_route"] = INAPPLICABLE
-            verdict = HOLDS
-        else:
-            verdict = FAILS
-        if verdict == FAILS:
-            return ConditionReport("A2", FAILS, [(float(rg[-1]), C_moment)],
-                                   derived=derived)
-        return ConditionReport("A2", HOLDS, derived=derived)
+        if holds:
+            return ConditionReport("A2", HOLDS, derived=derived)
+        # each failing route names its own worst point
+        witnesses = []
+        if not k3 > 0:
+            i = int(np.argmin(g2_ratio))
+            witnesses.append((float(xg[i]), k3))
+        if not C_moment > 0:
+            i = int(np.argmin(moment_ratio))
+            witnesses.append((float(rg[i]), C_moment))
+        return ConditionReport("A2", FAILS, witnesses, derived=derived)
     raise DomainError(f"unknown noise-condition descriptor {descriptor!r}")
 
 

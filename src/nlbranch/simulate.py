@@ -8,11 +8,13 @@ is added instead.  The coupled scheme drives the Brownian parts by reflection
 four displacement rows of the refined basic coupling by a uniform mark thinned
 against the overlap ratio rho.
 
-Both simulators run one kernel: the marginal run is the X leg of the coupled
+All simulators run one kernel: the marginal run is the X leg of the coupled
 pair without a partner, so each coupled leg follows the marginal scheme by
 construction, and a ``CoupledEnsemble`` is a ``SingleEnsemble`` with the
 partner leg and the coalescence bookkeeping added.  The kernel's state is one
-1-d array, X of all N paths followed by Y of the pairs that have not met: a
+1-d array: X of the N paths of each start in turn, then Y of the pairs that
+have not met.  ``simulate_starts`` runs several starts in one pass, and
+``simulate_single`` is its one-start case; a coupled run has one start.  A
 pair that meets gets its coalescence time and leaves the state, since after
 it Y moves with X, and the record times write Y = X before the unmet
 partners.  A path that blows up is flagged and set to NaN, and its NaN state
@@ -20,10 +22,12 @@ alone keeps it out of every later step (the drift map, the clamp at 0 and the
 thinning comparisons all carry NaN through), so no other mask tracks it.
 
 Randomness is counter-based: every (draw-slot, step, thinning-round) triple
-owns a Philox stream keyed by the master seed, and path i reads the i-th
-variate of each stream it needs.  Jumps are thinned path by path, each path
-taking its own number of rounds, so a path's values do not depend on the path
-count N: the first k paths of an N-path run are the k-path run, bit for bit.
+owns a Philox stream keyed by the master seed, and path i of every start
+reads the i-th variate of each stream it needs, so the starts share each
+draw and a start's paths are those of a run from it alone.  Jumps are
+thinned path by path, each path taking its own number of rounds, so a path's
+values do not depend on the path count N: the first k paths of an N-path run
+are the k-path run, bit for bit.
 Because streams are keyed, not consumed in sequence, a step reads only the
 streams it uses: the Gaussian one only when some unflagged path carries a
 diffusion term, which changes no value.  A model built with ``gamma1=None``
@@ -215,9 +219,18 @@ def _milstein_coef(coeffs, X):
     nonnegative at the reflecting boundary and removes the O(sqrt(h)) clamping
     bias there; its increment has zero mean, so coupled gap means are exact.
     """
-    d = 1e-5 * (1.0 + np.abs(X))
-    lo = np.maximum(X - d, 0.0)
-    return 0.25 * (coeffs.gamma1(X + d) - coeffs.gamma1(lo)) / (X + d - lo)
+    d = np.abs(X)
+    d += 1.0
+    d *= 1e-5
+    hi = X + d
+    lo = np.subtract(X, d, out=d)
+    np.maximum(lo, 0.0, out=lo)
+    # gamma1 may hand back its argument: hi and lo change only after both calls
+    coef = coeffs.gamma1(hi) - coeffs.gamma1(lo)
+    coef *= 0.25
+    hi -= lo
+    coef /= hi
+    return coef
 
 
 def _jump_setup(nu, cfg):
@@ -257,13 +270,18 @@ def _partner_jump(nu, kappa, refined, z, mark, gap, g2y):
     return np.where(row1, z + Uk, np.where(row2, z - Uk, np.where(row3, z, 0.0)))
 
 
-def _simulate(coeffs, nu, x0, y0, cfg):
-    """The one time-step loop behind both simulators.
+def _simulate(coeffs, nu, starts, y0, cfg):
+    """The one time-step loop behind every simulator.
 
-    The state S is one 1-d array: X of all N paths, then Y of the k pairs that
-    have not met.  ``pair[j]`` is the path of partner j and ``slot[i]`` the
-    partner of path i (-1 if none); a single run is the same loop with k = 0.
-    The drift map, every draw and the thinning rounds are driven by the X leg
+    The state S is one 1-d array: X of the N paths of each start in turn,
+    then Y of the k pairs that have not met.  ``pair[j]`` is the path of
+    partner j and ``slot[i]`` the partner of path i (-1 if none); only a run
+    from one start has partners, and a marginal run is the same loop with
+    k = 0.  Path p of every start reads variate p of each cross-section, so
+    the Gaussian and round-1 occurrence draws are made once at width N and
+    spread over the starts, and everything else a path does is elementwise:
+    each start's ensemble is the one a run from that start alone makes.  The
+    drift map, every draw and the thinning rounds are driven by the X leg
     alone, so X follows the marginal scheme whether or not a partner rides
     along.  Before coalescence the Brownian increments of Y are the reflected
     (refined-basic) or shared (synchronous) ones of its path; jump proposals
@@ -271,71 +289,160 @@ def _simulate(coeffs, nu, x0, y0, cfg):
     a displacement row by a uniform mark on [0, gamma2(X)) using the overlap
     ratio rho at the current gap.  Once the gap falls within delta_c the pair
     gets its coalescence time and leaves the state: from then on Y is X.
-    Returns a ``CoupledEnsemble`` with a partner, else a ``SingleEnsemble``.
+    Returns one ensemble per start: a ``CoupledEnsemble`` with a partner, else
+    ``SingleEnsemble``s.
     """
     n = cfg.n_paths
+    n_starts = len(starts)
+    nx = n_starts * n
     coupled = y0 is not None
     refined = cfg.coupling == "refined-basic"
     ysign = -1.0 if refined else 1.0   # of Y's share of a Gaussian draw
     nu_eps, mean_eps, small_var = _jump_setup(nu, cfg)
     n_steps, rec_times, rec_steps = _record_plan(cfg)
 
+    x0 = starts[0]
     delta_c = cfg.resolved_delta_c(x0)
     # without a partner, or with one within delta_c, no pair is left to meet
     no_pairs = not coupled or x0 - y0 <= delta_c
     coal = np.full(n, 0.0 if no_pairs else math.inf)
     pair = np.arange(0 if no_pairs else n)
-    slot = np.full(n, -1)
+    slot = np.full(nx, -1)
     slot[pair] = np.arange(pair.size)
-    S = np.full(n + pair.size, float(x0))
-    S[n:] = y0
-    flagged = np.zeros(n, dtype=bool)
+    S = np.empty(nx + pair.size)
+    S[:nx] = np.repeat(starts, n)
+    S[nx:] = y0
+    flagged = np.zeros(nx, dtype=bool)
     violations = 0
     repairs = 0
-    capped = 0
-    clipped = 0
-    snaps_x = np.empty((rec_times.size, n))
-    snaps_y = np.empty_like(snaps_x) if coupled else None
+    capped = np.zeros(n_starts, dtype=int)
+    clipped = np.zeros(n_starts, dtype=int)
+    max_p = np.zeros(n_starts)
+    # (start, record time, path): each start's snapshots are one block
+    snaps_x = np.empty((n_starts, rec_times.size, n))
+    snaps_y = np.empty_like(snaps_x[0]) if coupled else None
+
+    def rows(a):
+        """a over the state as one row per start, against which a
+        cross-section of N draws broadcasts; with partners, one row."""
+        return a.reshape(n_starts, -1)
 
     def record(step):
         for k in np.flatnonzero(rec_steps == step):
-            snaps_x[k] = S[:n]
+            snaps_x[:, k] = rows(S[:nx])
             if coupled:
-                snaps_y[k] = S[:n]
-                snaps_y[k, pair] = S[n:]
+                snaps_y[k] = S[:nx]
+                snaps_y[k, pair] = S[nx:]
+
+    def times_rows(a, v):
+        """a *= v in place, v broadcast over the rows of a."""
+        a_rows = rows(a)
+        a_rows *= v
+        return a
 
     def shared(xi):
-        """A cross-section of Gaussian draws spread over the state."""
-        return np.concatenate((xi, ysign * xi[pair]))
+        """A cross-section of Gaussian draws spread over the partners."""
+        return np.concatenate((xi, ysign * xi[pair])) if pair.size else xi
 
-    record(0)
-    max_p = 0.0
     h = cfg.h
     sqh = math.sqrt(h)
+
+    # the two parts of a step run as functions, so that their temporaries
+    # are freed on return and not held into the next step
+
+    def add_diffusion(S, dS, base):
+        """dS += sigma sqrt(h) xi + mil (xi^2 - 1) h, in that order; returns
+        the partners' sigma(X) + sigma(Y) for the order bookkeeping."""
+        # the Gaussian stream is read only when an unflagged path carries a
+        # diffusion term (a NaN term counts); a skipped draw shifts no other
+        # stream, and the terms it would feed are zero, so no value changes
+        # (also for a start whose paths carry none, while another start's
+        # do).  Flagged paths hold NaN and would keep the draw on forever
+        sig = coeffs.sigma(S)
+        mil = _milstein_coef(coeffs, S)
+        noisy = (sig != 0.0) | (mil != 0.0)
+        if np.any(noisy[:nx] & ~flagged) or np.any(noisy[nx:] & ~flagged[pair]):
+            xi = shared(_draws(cfg.seed, _SLOT_BROWNIAN, base, n, normal=True))
+            dS += times_rows(sig * sqh, xi)
+            dS += times_rows(mil, (xi * xi - 1.0) * h)
+        return sig[pair] + sig[nx:]
+
+    def add_jumps(S, g2, base):
+        """The step's accepted jumps, added to S in place."""
+        nonlocal capped, clipped
+        # NaN on flagged paths, also where gamma2 maps NaN to a number
+        # (np.fmin, a constant): the reductions skip it, and m_i = NaN makes
+        # p NaN in round 1, which rejects, and keeps the path out of every
+        # later round
+        rate = np.where(flagged, np.nan, g2[:nx]) * nu_eps * h
+        # ceil and clip are monotone, so this is the largest m_i
+        want = np.ceil(np.fmax.reduce(rate, initial=0.0) / 0.1)
+        m_max = int(min(max(want, 1.0), _MAX_SUBSTEPS))
+        wants = np.ceil(rate / 0.1)
+        if want > _MAX_SUBSTEPS:
+            capped += np.count_nonzero(rows(wants) > _MAX_SUBSTEPS, axis=1)
+        m = np.clip(wants, 1, _MAX_SUBSTEPS)
+        h_round = h / m
+        for r in range(1, m_max + 1):
+            counter = base + r
+            # round 1 takes every path; a later one only the paths with
+            # m_i >= r, whose uniforms are read one by one.  Path i of the
+            # state reads variate i % n, i // n being its start
+            if r == 1:
+                g2x = coeffs.gamma2(S[:nx])
+                p = g2x * nu_eps * h_round
+                u = _draws(cfg.seed, _SLOT_JUMP_OCCUR, counter, n)
+                # u < 1, so u < p accepts a proposal of p > 1 as if clipped
+                accept = (u < rows(p)).ravel()
+                p_max = np.fmax.reduce(rows(p), axis=1, initial=0.0)
+                np.maximum(max_p, p_max, out=max_p)
+                if p_max.max() > 1.0:
+                    clipped += np.count_nonzero(rows(p) > 1.0, axis=1)
+                idx = np.flatnonzero(accept)
+            else:
+                at = np.flatnonzero(m >= r)
+                g2x = coeffs.gamma2(S[at])
+                p = g2x * nu_eps * h_round[at]
+                u = _draws_at(cfg.seed, _SLOT_JUMP_OCCUR, counter, at % n, n)
+                accept = u < p
+                np.fmax.at(max_p, at // n, p)
+                clipped += np.bincount(at[p > 1.0] // n, minlength=n_starts)
+                idx = at[accept]
+            if not idx.size:
+                continue
+            z = np.asarray(nu.quantile_above(cfg.eps, _draws_at(
+                cfg.seed, _SLOT_JUMP_SIZE, counter, idx % n, n)))
+            j = slot[idx]
+            partnered = j >= 0
+            if np.any(partnered):
+                ev, y = idx[partnered], nx + j[partnered]
+                mark = _draws_at(cfg.seed, _SLOT_MARK, counter, ev, n) \
+                    * g2x[accept][partnered]
+                S[y] += _partner_jump(nu, cfg.kappa, refined, z[partnered], mark,
+                                      S[ev] - S[y], coeffs.gamma2(S[y]))
+            S[idx] += z
+
+    record(0)
     for step in range(1, n_steps + 1):
-        g0, g2 = coeffs.gamma0(S), coeffs.gamma2(S)
         # step k owns the stream counters k (M + 1) + r, M = _MAX_SUBSTEPS:
         # r = 0 for the Gaussian draws, r = 1..m_i <= M for thinning rounds
         base = step * (_MAX_SUBSTEPS + 1)
-        dS = g0 * h
-        if coeffs.has_diffusion:
-            # the Gaussian stream is read only when an unflagged path carries
-            # a diffusion term (a NaN term counts); a skipped draw shifts no
-            # other stream, and the terms it would feed are zero, so no value
-            # changes.  Flagged paths hold NaN and would keep the draw on
-            # forever
-            sig = coeffs.sigma(S)
-            mil = _milstein_coef(coeffs, S)
-            noisy = (sig != 0.0) | (mil != 0.0)
-            if np.any(noisy[:n] & ~flagged) or np.any(noisy[n:] & ~flagged[pair]):
-                xi = shared(_draws(cfg.seed, _SLOT_BROWNIAN, base, n, normal=True))
-                dS = dS + sig * sqh * xi + mil * ((xi * xi - 1.0) * h)
+        # a new array: gamma0 and gamma2 may return S itself, so nothing they
+        # return is written to
+        dS = coeffs.gamma0(S) * h
+        g2 = coeffs.gamma2(S) if nu_eps > 0 or small_var > 0.0 else None
+        noise = add_diffusion(S, dS, base) if coeffs.has_diffusion else 0.0
         if nu_eps > 0:
             dS -= g2 * mean_eps * h
             if small_var > 0.0:
                 xi2 = shared(_draws(cfg.seed, _SLOT_GAUSS_COMP, base, n, normal=True))
-                dS = dS + np.sqrt(np.maximum(g2 * small_var * h, 0.0)) * xi2
-        S = np.maximum(S + dS, 0.0)
+                term = g2 * small_var
+                term *= h
+                np.maximum(term, 0.0, out=term)
+                np.sqrt(term, out=term)
+                dS += times_rows(term, xi2)
+        # S = max(S + dS, 0), in the buffer of dS
+        S = np.maximum(np.add(S, dS, out=dS), 0.0, out=dS)
         # jumps act on the post-drift state in thinning rounds of acceptance
         # probability <= ~0.1 each: the row geometry (gap, rho) is evaluated
         # where the jump lands, so an exact-meeting row really produces gap 0
@@ -344,52 +451,7 @@ def _simulate(coeffs, nu, x0, y0, cfg):
         # path: each path's round count m_i comes from its own X leg, so no
         # path's draws depend on another path
         if nu_eps > 0:
-            # NaN on flagged paths, also where gamma2 maps NaN to a number
-            # (np.fmin, a constant): the reductions skip it, and m_i = NaN
-            # makes p NaN in round 1, which rejects, and keeps the path out of
-            # every later round
-            rate = np.where(flagged, np.nan, g2[:n]) * nu_eps * h
-            # ceil and clip are monotone, so this is the largest m_i
-            want = np.ceil(np.fmax.reduce(rate, initial=0.0) / 0.1)
-            m_max = int(min(max(want, 1.0), _MAX_SUBSTEPS))
-            wants = np.ceil(rate / 0.1)
-            if want > _MAX_SUBSTEPS:
-                capped += int(np.count_nonzero(wants > _MAX_SUBSTEPS))
-            m = np.clip(wants, 1, _MAX_SUBSTEPS)
-            h_round = h / m
-            for r in range(1, m_max + 1):
-                counter = base + r
-                # round 1 takes every path; a later one only the paths with
-                # m_i >= r, whose uniforms are read one by one
-                if r == 1:
-                    g2x = coeffs.gamma2(S[:n])
-                    p = g2x * nu_eps * h_round
-                    u = _draws(cfg.seed, _SLOT_JUMP_OCCUR, counter, n)
-                else:
-                    at = np.flatnonzero(m >= r)
-                    g2x = coeffs.gamma2(S[at])
-                    p = g2x * nu_eps * h_round[at]
-                    u = _draws_at(cfg.seed, _SLOT_JUMP_OCCUR, counter, at, n)
-                p_max = float(np.fmax.reduce(p, initial=0.0))
-                max_p = max(max_p, p_max)
-                if p_max > 1.0:
-                    clipped += int(np.count_nonzero(p > 1.0))
-                # u < 1, so u < p accepts a proposal of p > 1 as if clipped
-                accept = u < p
-                idx = np.flatnonzero(accept) if r == 1 else at[accept]
-                if not idx.size:
-                    continue
-                z = np.asarray(nu.quantile_above(cfg.eps, _draws_at(
-                    cfg.seed, _SLOT_JUMP_SIZE, counter, idx, n)))
-                j = slot[idx]
-                partnered = j >= 0
-                if np.any(partnered):
-                    ev, y = idx[partnered], n + j[partnered]
-                    mark = _draws_at(cfg.seed, _SLOT_MARK, counter, ev, n) \
-                        * g2x[accept][partnered]
-                    S[y] += _partner_jump(nu, cfg.kappa, refined, z[partnered], mark,
-                                          S[ev] - S[y], coeffs.gamma2(S[y]))
-                S[idx] += z
+            add_jumps(S, g2, base)
 
         if pair.size:
             # order bookkeeping of the pairs that have not met.  With an
@@ -400,18 +462,17 @@ def _simulate(coeffs, nu, x0, y0, cfg):
             # pure-jump paths the scheme preserves order exactly, so a
             # negative gap beyond the rounding threshold is a genuine
             # violation and is counted.
-            gap = S[pair] - S[n:]
+            gap = S[pair] - S[nx:]
             neg = gap < 0
-            noise = sig[pair] + sig[n:] if coeffs.has_diffusion else 0.0
             if small_var > 0.0:
-                noise = noise + small_var * (g2[pair] + g2[n:])
+                noise = noise + small_var * (g2[pair] + g2[nx:])
             crossed = neg & (noise > 0)
             small_neg = (neg & ~crossed & (gap >= -delta_c)) | crossed
             if np.any(small_neg):
                 repairs += int(np.count_nonzero(small_neg & ~crossed))
                 j = np.flatnonzero(small_neg)
-                S[pair[j]] = S[n + j] = 0.5 * (S[pair[j]] + S[n + j])
-                gap = S[pair] - S[n:]
+                S[pair[j]] = S[nx + j] = 0.5 * (S[pair[j]] + S[nx + j])
+                gap = S[pair] - S[nx:]
             violations += int(np.count_nonzero(neg & ~crossed & (gap < -delta_c)))
 
             # coalescence (time at step resolution): the pair leaves the state
@@ -421,37 +482,52 @@ def _simulate(coeffs, nu, x0, y0, cfg):
                 slot[pair[met]] = -1
                 pair = pair[~met]
                 slot[pair] = np.arange(pair.size)
-                S = np.concatenate((S[:n], S[n:][~met]))
+                S = np.concatenate((S[:nx], S[nx:][~met]))
 
         # a pair blows up as a whole: a bad Y flags its path
         bad = ~np.isfinite(S) | (S > _STATE_CAP)
-        bad[pair[bad[n:]]] = True
-        bad = bad[:n] & ~flagged
+        bad[pair[bad[nx:]]] = True
+        bad = bad[:nx] & ~flagged
         if np.any(bad):
             flagged |= bad
-            S[:n][bad] = np.nan
-            S[n:][bad[pair]] = np.nan
+            S[:nx][bad] = np.nan
+            S[nx:][bad[pair]] = np.nan
         record(step)
 
     # a flagged path's NaN went through later steps' arithmetic, which may
     # set its sign bit; one bit pattern keeps ensemble files independent of it
     for snaps in (snaps_x, snaps_y) if coupled else (snaps_x,):
         snaps[np.isnan(snaps)] = np.nan
-    marginal = dict(times=rec_times, X=snaps_x, x0=float(x0), flagged=flagged,
-                    config=cfg.echo(), max_jump_prob=max_p, capped_steps=capped,
-                    clipped_jumps=clipped)
+    marginals = [dict(times=rec_times, X=snaps_x[k], x0=float(starts[k]),
+                      flagged=flagged[k * n:(k + 1) * n], config=cfg.echo(),
+                      max_jump_prob=float(max_p[k]), capped_steps=int(capped[k]),
+                      clipped_jumps=int(clipped[k]))
+                 for k in range(n_starts)]
     if not coupled:
-        return SingleEnsemble(**marginal)
-    return CoupledEnsemble(**marginal, Y=snaps_y, y0=float(y0), coalescence=coal,
-                           order_violations=violations, order_repairs=repairs)
+        return tuple(SingleEnsemble(**marginal) for marginal in marginals)
+    return (CoupledEnsemble(**marginals[0], Y=snaps_y, y0=float(y0), coalescence=coal,
+                            order_violations=violations, order_repairs=repairs),)
+
+
+def simulate_starts(coeffs: CoefficientSet, nu: Optional[LevyMeasure],
+                    starts: Sequence[float], cfg: SimConfig
+                    ) -> tuple[SingleEnsemble, ...]:
+    """Euler-Maruyama ensembles of the marginal SDE from each start >= 0, in
+    one kernel pass that draws each variate once for all starts.  The
+    ensemble of ``starts[k]`` is the one ``simulate_single`` makes from it at
+    the same seed, bit for bit."""
+    starts = tuple(float(x) for x in starts)
+    if not starts:
+        raise DomainError("need at least one start")
+    if min(starts) < 0:
+        raise DomainError("x0 must be nonnegative")
+    return _simulate(coeffs, nu, starts, None, cfg)
 
 
 def simulate_single(coeffs: CoefficientSet, nu: Optional[LevyMeasure],
                     x0: float, cfg: SimConfig) -> SingleEnsemble:
     """Euler-Maruyama ensemble of the marginal SDE started at x0 >= 0."""
-    if x0 < 0:
-        raise DomainError("x0 must be nonnegative")
-    return _simulate(coeffs, nu, x0, None, cfg)
+    return simulate_starts(coeffs, nu, (x0,), cfg)[0]
 
 
 def simulate_coupled(coeffs: CoefficientSet, nu: Optional[LevyMeasure],
@@ -460,7 +536,7 @@ def simulate_coupled(coeffs: CoefficientSet, nu: Optional[LevyMeasure],
     leg is the marginal run ``simulate_single`` makes at the same seed."""
     if y0 < 0 or x0 < y0:
         raise DomainError("need x0 >= y0 >= 0")
-    return _simulate(coeffs, nu, x0, y0, cfg)
+    return _simulate(coeffs, nu, (x0,), y0, cfg)[0]
 
 
 def ks_statistic(sample_a, sample_b) -> float:

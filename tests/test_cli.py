@@ -147,6 +147,19 @@ def test_ini_noise_failure_fails_constants(tmp_path, capsys):
     assert "construction failed" in capsys.readouterr().err
 
 
+def test_ini_noise_failure_names_the_rate_witness(tmp_path, capsys):
+    # k3 is what fails, so the witness is the x where gamma2(x) / x^beta is
+    # smallest (all are 0: the first grid point, 1/2), not a point of the
+    # moment route, which holds
+    cfg = tmp_path / "scen.ini"
+    cfg.write_text(INI.replace("gamma2 = x\n", "gamma2 = 0*x\n"))
+    code, _ = run(tmp_path, "check", "--scenario", "mine", "--config", str(cfg))
+    assert code == 1
+    text = capsys.readouterr().out
+    assert "  k3 = 0.0\n" in text and "  C_star_moment = 2." in text
+    assert re.findall(r"witness .*", text) == ["witness point=0.5 margin=0"]
+
+
 def test_ini_scenario_kappa_is_config_error(tmp_path, capsys):
     # the coupling simulates at [sim] kappa (0.5 by default); a kappa that only
     # the constants saw would certify a coupling nothing simulates
@@ -504,6 +517,24 @@ def test_invariant_summary_command(tmp_path, capsys):
     assert code == 0
     text = (out / "cir.invariant.txt").read_text()
     assert "tail_w1" in text
+
+
+def test_invariant_horizon_is_the_last_record_time(tmp_path, capsys):
+    # the run goes on to t_end = 0.5, but the summaries are taken at the last
+    # record time, 0.25, and say so
+    cfg = tmp_path / "scen.ini"
+    cfg.write_text(INI.replace("record_times = 0.0,0.25,0.5\n",
+                               "record_times = 0.0,0.25\n"))
+    code, out = run(tmp_path, "invariant", "--scenario", "mine", "--config", str(cfg))
+    assert code == 0
+    assert (out / "mine.invariant.txt").read_text() == (
+        "scenario = mine\n"
+        "horizon = 0.25\n"
+        "start_2.0: mean = 1.5710344792925917, var = 0.4987664433757758, n = 50\n"
+        "start_1.0: mean = 0.737728672050256, var = 0.1777083331787341, n = 50\n"
+        "tail_w1 = 0.8333058072423358\n")
+    # h = 0.01 is coarse for paths near 2: thinning hits its round cap
+    assert "capped_steps = 143 " in capsys.readouterr().err
 
 
 def test_threads_flag_is_rejected(capsys):

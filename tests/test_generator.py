@@ -15,8 +15,9 @@ from nlbranch.generator import (FAILS, HOLDS, INAPPLICABLE, INCONCLUSIVE,
                                 cir_expected_hitting_time,
                                 invariant_density_residual,
                                 invariant_measure_mass, verify_lyapunov)
-from nlbranch.model import (CoefficientSet, StableTruncatedMeasure,
-                            cir_coefficients, dyadic_atoms)
+from nlbranch.model import (AtomicMeasure, CoefficientSet,
+                            StableTruncatedMeasure, cir_coefficients,
+                            dyadic_atoms)
 from nlbranch.testfn import DriftModulus, phi1_zero
 
 STABLE15 = StableTruncatedMeasure(alpha=1.5, c0=1.0, zmax=1.0)
@@ -206,6 +207,24 @@ def test_noise_condition_a2_dyadic_overlap_routes():
     assert rep2.holds
     assert rep2.derived.get("overlap_route") == INAPPLICABLE
     assert rep2.derived["C_star"] == pytest.approx(rep2.derived["C_star_moment"])
+
+
+def test_noise_condition_a2_witnesses_name_the_failing_route():
+    # gamma2 = 0 fails the rate bound at every x (the first grid point is
+    # x = 1/2); atoms above 1 leave int_0^r z^2 nu = 0 for r <= 1 (the first
+    # grid point is r = 1).  Each failing route names its own point
+    no_rate = CoefficientSet(
+        gamma0=lambda x: -np.asarray(x, dtype=float), gamma1=None,
+        gamma2=lambda x: np.zeros_like(np.asarray(x, dtype=float)))
+    far_atoms = AtomicMeasure([2.0, 3.0], [1.0, 1.0])
+    cases = ((no_rate, STABLE15, [(0.5, 0.0)]),
+             (linear_branching(), far_atoms, [(1.0, 0.0)]),
+             (no_rate, far_atoms, [(0.5, 0.0), (1.0, 0.0)]))
+    for coeffs, nu, witnesses in cases:
+        rep = check_noise_conditions(coeffs, nu, "A2", alpha=1.5, beta=1.0,
+                                     kappa=0.5)
+        assert rep.verdict == FAILS
+        assert rep.witnesses == witnesses
 
 
 def test_noise_condition_rejects_bad_inputs():

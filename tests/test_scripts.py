@@ -35,10 +35,29 @@ def test_kernel_fingerprint(monkeypatch, capsys):
     monkeypatch.setattr(script, "BLOW_UPS", {blow_up: script.BLOW_UPS[blow_up]})
     assert script.run() == 0
     lines = capsys.readouterr().out.splitlines()
-    # two couplings x two small-jump policies x two simulators per case
-    assert len(lines) == 8 * (len(SUBSET) + 1)
+    # two couplings x two small-jump policies x three simulator lines per case
+    assert len(lines) == 12 * (len(SUBSET) + 1)
     for line in lines:
         name, coupling, policy, simulator, digest = line.split()
-        assert name in SUBSET + (blow_up,) and simulator in ("coupled", "single")
+        assert name in SUBSET + (blow_up,)
+        assert simulator in ("coupled", "single", "single-y0")
         assert len(digest) == 64 and int(digest, 16) >= 0
-    assert sum(line.startswith(blow_up + " ") for line in lines) == 8
+    assert sum(line.startswith(blow_up + " ") for line in lines) == 12
+
+
+def test_kernel_fingerprint_fails_when_stacking_differs(monkeypatch, capsys):
+    # starts stacked in the wrong order reproduce neither single digest
+    script = load_script("kernel_fingerprint", monkeypatch)
+    blow_up = "blowup-jumps"
+    monkeypatch.setattr(script, "PRESETS", {})
+    monkeypatch.setattr(script, "N_PATHS", 40)
+    monkeypatch.setattr(script, "T_END", 0.1)
+    monkeypatch.setattr(script, "BLOW_UPS", {blow_up: script.BLOW_UPS[blow_up]})
+    stacked = script.simulate_starts
+    monkeypatch.setattr(script, "simulate_starts",
+                        lambda coeffs, nu, starts, cfg:
+                        stacked(coeffs, nu, starts[::-1], cfg))
+    assert script.run() == 1
+    out, err = capsys.readouterr()
+    assert len(out.splitlines()) == 12
+    assert err.count("simulate_starts differs from the single runs") == 4

@@ -14,7 +14,7 @@ from nlbranch.model import (CoefficientSet, StableTruncatedMeasure,
                             cir_coefficients)
 from nlbranch.simulate import (CoupledEnsemble, SimConfig, ks_statistic,
                                read_ensemble, simulate_coupled, simulate_single,
-                               write_ensemble)
+                               simulate_starts, write_ensemble)
 
 STABLE15 = StableTruncatedMeasure(alpha=1.5, c0=1.0, zmax=1.0)
 
@@ -510,6 +510,91 @@ def test_coupled_x_leg_is_the_marginal_run(name):
     assert np.array_equal(single.X, coupled.X)
     assert np.array_equal(single.flagged, coupled.flagged)
     assert single.max_jump_prob == coupled.max_jump_prob
+
+
+# ---------------------------------------------------------------------------
+# several starts in one pass
+
+
+def _stacked_equals_singles(coeffs, nu, starts, cfg):
+    """simulate_starts from starts, each ensemble checked field by field
+    against a run from its start alone."""
+    stacked = simulate_starts(coeffs, nu, starts, cfg)
+    assert len(stacked) == len(starts)
+    for x0, ens in zip(starts, stacked):
+        _fields_equal(ens, simulate_single(coeffs, nu, x0, cfg))
+    return stacked
+
+
+@pytest.mark.parametrize("name, policy", [
+    ("cir", "drop-with-compensator"),
+    ("case2-stable", "drop-with-compensator"),
+    ("case2-stable", "gaussian-compensation")])
+def test_stacked_starts_equal_single_runs(name, policy):
+    # path p of every start reads variate p of each cross-section, so the
+    # shared draws give each start the variates its own run reads
+    sc = load_scenario(name)
+    cfg = replace(sc.sim, n_paths=300, t_end=0.5, record_times=None,
+                  small_jump_policy=policy)
+    _stacked_equals_singles(sc.coeffs, sc.nu, (sc.x0, sc.y0), cfg)
+    _stacked_equals_singles(sc.coeffs, sc.nu, (sc.y0, sc.x0, 0.0), cfg)
+
+
+@pytest.mark.parametrize("starts", [(0.9, 0.1), (0.1, 0.9)])
+def test_stacked_blow_ups_stay_with_their_start(starts):
+    # from 0.9 some paths blow up, from 0.1 none does: the flags, and the
+    # thinning counters their capped rounds feed, belong to one start only
+    cfg = SimConfig(h=2e-3, eps=0.1, t_end=0.5, n_paths=200, seed=3)
+    stacked = _stacked_equals_singles(partial_blow_up(), STABLE15, starts, cfg)
+    for x0, ens in zip(starts, stacked):
+        assert np.any(ens.flagged) == (x0 == 0.9)
+        assert (ens.capped_steps > 0) == (x0 == 0.9)
+
+
+@pytest.mark.parametrize("starts", [(40.0, 0.01), (0.01, 40.0)])
+def test_stacked_thinning_limits_stay_with_their_start(starts):
+    # at h = 0.05 a path near x = 40 wants hundreds of rounds and gets 16,
+    # each of probability above 1; one near x = 0.01 needs one round
+    cfg = SimConfig(h=0.05, eps=0.1, t_end=1.0, n_paths=100, seed=2)
+    stacked = _stacked_equals_singles(linear_branching(), STABLE15, starts, cfg)
+    for x0, ens in zip(starts, stacked):
+        hit = x0 == 40.0
+        assert (ens.capped_steps > 0) == hit and (ens.clipped_jumps > 0) == hit
+        assert (ens.max_jump_prob > 1.0) == hit
+
+
+def test_stacked_start_without_diffusion_term(monkeypatch):
+    # gamma1 vanishes below 1 and the drift keeps a path from 0.5 there: run
+    # alone it never reads the Gaussian stream; stacked with a start at 3 it
+    # shares every draw, and the terms the draws feed are zero
+    coeffs = CoefficientSet(
+        gamma0=lambda x: -np.asarray(x, dtype=float),
+        gamma1=lambda x: np.maximum(np.asarray(x, dtype=float) - 1.0, 0.0),
+        gamma2=lambda x: np.zeros_like(np.asarray(x, dtype=float)))
+    cfg = SimConfig(h=1e-2, t_end=0.5, n_paths=100, seed=5)
+    calls = count_draws(monkeypatch)
+    simulate_single(coeffs, None, 0.5, cfg)
+    assert calls[simulate._SLOT_BROWNIAN] == 0
+    _stacked_equals_singles(coeffs, None, (3.0, 0.5), cfg)
+    assert calls[simulate._SLOT_BROWNIAN] > 0
+
+
+def test_stacked_paths_do_not_depend_on_path_count():
+    sc = load_scenario("case2-stable")
+    small = replace(sc.sim, n_paths=200, t_end=1.0, record_times=None)
+    big = replace(small, n_paths=1000)
+    for a, b in zip(simulate_starts(sc.coeffs, sc.nu, (sc.x0, sc.y0), small),
+                    simulate_starts(sc.coeffs, sc.nu, (sc.x0, sc.y0), big)):
+        assert np.array_equal(a.X, b.X[:, :200])
+        assert np.array_equal(a.flagged, b.flagged[:200])
+
+
+def test_simulate_starts_rejects_bad_starts():
+    cfg = SimConfig(n_paths=1)
+    with pytest.raises(DomainError):
+        simulate_starts(linear_branching(), STABLE15, (), cfg)
+    with pytest.raises(DomainError):
+        simulate_starts(linear_branching(), STABLE15, (1.0, -0.1), cfg)
 
 
 def test_synchronous_coupling_shares_noise():
