@@ -2,8 +2,9 @@
 """Print one SHA-256 per simulator configuration, to compare kernels bit for bit.
 
 Runs ``simulate_coupled`` from (x0, y0) and ``simulate_single`` from x0 and
-from y0 (simulator ``single-y0``) on every bundled preset and on the partial
-blow-up models of ``BLOW_UPS``, under both couplings and both small-jump
+from y0 (simulator ``single-y0``) on every bundled preset, on the partial
+blow-up models of ``BLOW_UPS`` and on ``ROUND_SWITCH``, whose steps go from
+several thinning rounds to one, under both couplings and both small-jump
 policies, with 400 paths and t_end = min(t_end, 0.5).  Each output line is
 
     <case> <coupling> <small-jump policy> <simulator> <sha256>
@@ -51,8 +52,15 @@ BLOW_UPS = {
 }
 
 
+# gamma0 = -8x pulls the paths from x0 = 10, whose thinning needs two or three
+# rounds a step, below the one-round level x = 4.9 by t = 0.17: within the
+# horizon the steps switch from several thinning rounds to one
+ROUND_SWITCH = dict(gamma0=lambda x: -8.0 * _x(x), gamma1=None, gamma2=_x)
+
+
 def _cases():
-    """(name, coeffs, nu, x0, y0, cfg) for every preset and blow-up model."""
+    """(name, coeffs, nu, x0, y0, cfg) for every preset, blow-up model and
+    the round-switching model, in that order."""
     for name in sorted(PRESETS):
         sc = load_scenario(name)
         cfg = replace(sc.sim, n_paths=N_PATHS, t_end=min(sc.sim.t_end, T_END),
@@ -64,6 +72,8 @@ def _cases():
         coeffs = CoefficientSet(gamma0=lambda x: 4.0 * _x(x) * (_x(x) - 1.0),
                                 name=name, **gammas)
         yield name, coeffs, nu, 0.9, 0.45, cfg
+    yield ("rounds-switch", CoefficientSet(name="rounds-switch", **ROUND_SWITCH),
+           nu, 10.0, 0.45, cfg)
 
 
 def _digest(ens):

@@ -215,11 +215,15 @@ def cmd_simulate(args):
 def cmd_invariant(args):
     sc = _load(args)
     out = _out_dir(args)
-    # both starts in one pass on shared variates, recording only the horizon,
-    # the last record time: the one snapshot the summaries read
+    # both starts in one pass on shared variates, up to the horizon, the last
+    # record time, and recording only there: the one snapshot the summaries
+    # read
     t_end = float(sc.sim.resolved_record_times()[-1])
+    if t_end <= 0.0:
+        raise DomainError("invariant needs a horizon (its last record time) "
+                          "after t = 0")
     ens_a, ens_b = simulate_starts(sc.coeffs, sc.nu, (sc.x0, sc.y0),
-                                   replace(sc.sim, record_times=(t_end,)))
+                                   replace(sc.sim, t_end=t_end, record_times=(t_end,)))
     sa = invariant_summary(ens_a.X[-1][~ens_a.flagged])
     sb = invariant_summary(ens_b.X[-1][~ens_b.flagged])
     w1 = tail_distance(ens_a, ens_b, t_end)

@@ -143,7 +143,9 @@ class LevyMeasure:
 
     name = "levy"
     upper = math.inf            # supremum of the AC support (inf allowed)
-    density_decreasing = False  # AC density nonincreasing on its support
+    # AC density positive and nonincreasing on (0, upper]: rho and
+    # overlap_mass take the flag at its word and skip density calls on it
+    density_decreasing = False
     atom_locations = np.empty(0)
     atom_masses = np.empty(0)
     quad = DEFAULT_QUAD
@@ -225,11 +227,25 @@ class LevyMeasure:
     def _rho_nonzero(self, x, z):
         out = np.zeros_like(z)
         if self.has_ac_part:
-            nz = self.density(z)
             shifted = z - x
-            ns = np.where(shifted > 0, self.density(np.maximum(shifted, 1e-300)), 0.0)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                r = np.where(nz > 0, np.minimum(nz, ns) / np.where(nz > 0, nz, 1.0), 0.0)
+            uphill = slice(None)
+            if self.density_decreasing:
+                # downhill (x > 0) n(z - x) >= n(z) > 0 on 0 < z - x < z <=
+                # upper, so min(n(z), n(z - x)) / n(z) is exactly 1 there and
+                # 0 elsewhere; only x < 0 (or NaN) needs the density
+                r = np.where((shifted > 0) & (z <= self.upper), 1.0, 0.0)
+                uphill = ~(x > 0)
+            else:
+                r = np.empty_like(z)
+            zu, su = z[uphill], shifted[uphill]
+            if zu.size:
+                # n(z) and n(z - x) in one call
+                both = self.density(np.concatenate((zu, np.maximum(su, 1e-300))))
+                nz = both[:zu.size]
+                ns = np.where(su > 0, both[zu.size:], 0.0)
+                with np.errstate(divide="ignore", invalid="ignore"):
+                    r[uphill] = np.where(nz > 0, np.minimum(nz, ns)
+                                         / np.where(nz > 0, nz, 1.0), 0.0)
             out = np.maximum(out, r)
         if self.atom_locations.size:
             out = np.maximum(out, self._rho_atomic(x, z))

@@ -37,6 +37,16 @@ the accepted proposals, the proposals of a second or later thinning round),
 ``_draws_at`` reads them at those indices alone, bit for bit the variates a
 full cross-section holds there, so this changes no value either.
 
+A step does only the work that can change a value.  Path i thins its jumps in
+m_i = ceil(rate_i / 0.1) rounds, but the per-path round arrays hold only the
+paths with m_i > 1: on most steps no path needs a second round, and one
+reduction of gamma2 over the unflagged paths says so, so round 1 runs on the
+scalar h (h / 1 is h).  The order bookkeeping of the pairs does its crossing,
+repair and violation arithmetic only on a step with a negative gap, and the
+blow-up masks are built only on a step where some value fails ``S <=
+_STATE_CAP``.  Overlap ratios come from ``LevyMeasure.rho``, which reads no
+density where the displacement runs downhill on a decreasing density.
+
 Two counters report where the thinning scheme is only approximate:
 ``capped_steps`` counts path-steps that wanted more than ``_MAX_SUBSTEPS``
 rounds, ``clipped_jumps`` the proposals whose probability exceeded 1.
@@ -313,6 +323,7 @@ def _simulate(coeffs, nu, starts, y0, cfg):
     S[:nx] = np.repeat(starts, n)
     S[nx:] = y0
     flagged = np.zeros(nx, dtype=bool)
+    any_flagged = False
     violations = 0
     repairs = 0
     capped = np.zeros(n_starts, dtype=int)
@@ -327,8 +338,13 @@ def _simulate(coeffs, nu, starts, y0, cfg):
         cross-section of N draws broadcasts; with partners, one row."""
         return a.reshape(n_starts, -1)
 
+    # step -> the indices of the record times it writes, in order
+    rec_at = {}
+    for k, step in enumerate(rec_steps.tolist()):
+        rec_at.setdefault(step, []).append(k)
+
     def record(step):
-        for k in np.flatnonzero(rec_steps == step):
+        for k in rec_at.get(step, ()):
             snaps_x[:, k] = rows(S[:nx])
             if coupled:
                 snaps_y[k] = S[:nx]
@@ -370,27 +386,43 @@ def _simulate(coeffs, nu, starts, y0, cfg):
     def add_jumps(S, g2, base):
         """The step's accepted jumps, added to S in place."""
         nonlocal capped, clipped
-        # NaN on flagged paths, also where gamma2 maps NaN to a number
-        # (np.fmin, a constant): the reductions skip it, and m_i = NaN makes
-        # p NaN in round 1, which rejects, and keeps the path out of every
-        # later round
-        rate = np.where(flagged, np.nan, g2[:nx]) * nu_eps * h
-        # ceil and clip are monotone, so this is the largest m_i
-        want = np.ceil(np.fmax.reduce(rate, initial=0.0) / 0.1)
-        m_max = int(min(max(want, 1.0), _MAX_SUBSTEPS))
-        wants = np.ceil(rate / 0.1)
-        if want > _MAX_SUBSTEPS:
-            capped += np.count_nonzero(rows(wants) > _MAX_SUBSTEPS, axis=1)
-        m = np.clip(wants, 1, _MAX_SUBSTEPS)
-        h_round = h / m
-        for r in range(1, m_max + 1):
+        # path i takes m_i = ceil(rate_i / 0.1) rounds, rate_i = gamma2(X_i)
+        # nu_eps h, and only the paths with m_i > 1 (``many``) get per-path
+        # round arrays.  Below gamma2 = lo a rate is at most ~0.05, so m_i is
+        # 1 there; above it m_i is computed in the order of the products the
+        # full arrays took.  top, the largest gamma2 of an unflagged path
+        # (NaN if one of them is NaN), skips the search on the common step on
+        # which no path reaches lo
+        g2_live = g2[:nx]
+        top = np.maximum.reduce(g2_live[~flagged] if any_flagged else g2_live,
+                                initial=0.0)
+        lo = 0.05 / (nu_eps * h)
+        many = np.flatnonzero(g2_live > lo) if not top <= lo else np.empty(0, int)
+        if any_flagged:
+            many = many[~flagged[many]]
+        m = np.ceil(g2_live[many] * nu_eps * h / 0.1)
+        over = m > _MAX_SUBSTEPS
+        if over.any():
+            capped += np.bincount(many[over] // n, minlength=n_starts)
+        several = m > 1.0
+        many, m = many[several], np.minimum(m[several], _MAX_SUBSTEPS)
+        h_many = h / m
+        for r in range(1, int(m.max(initial=1.0)) + 1):
             counter = base + r
             # round 1 takes every path; a later one only the paths with
             # m_i >= r, whose uniforms are read one by one.  Path i of the
             # state reads variate i % n, i // n being its start
             if r == 1:
                 g2x = coeffs.gamma2(S[:nx])
-                p = g2x * nu_eps * h_round
+                p = g2x * nu_eps * h        # h / 1 is h
+                p[many] = g2x[many] * nu_eps * h_many
+                # p = NaN rejects, in this round and every later one, a
+                # flagged path (gamma2 may map its NaN to a number: np.fmin,
+                # a constant) and one whose rate is NaN
+                if any_flagged:
+                    p[flagged] = np.nan
+                if np.isnan(top):
+                    p[np.isnan(g2_live)] = np.nan
                 u = _draws(cfg.seed, _SLOT_JUMP_OCCUR, counter, n)
                 # u < 1, so u < p accepts a proposal of p > 1 as if clipped
                 accept = (u < rows(p)).ravel()
@@ -400,9 +432,10 @@ def _simulate(coeffs, nu, starts, y0, cfg):
                     clipped += np.count_nonzero(rows(p) > 1.0, axis=1)
                 idx = np.flatnonzero(accept)
             else:
-                at = np.flatnonzero(m >= r)
+                again = m >= r
+                at = many[again]
                 g2x = coeffs.gamma2(S[at])
-                p = g2x * nu_eps * h_round[at]
+                p = g2x * nu_eps * h_many[again]
                 u = _draws_at(cfg.seed, _SLOT_JUMP_OCCUR, counter, at % n, n)
                 accept = u < p
                 np.fmax.at(max_p, at // n, p)
@@ -464,16 +497,20 @@ def _simulate(coeffs, nu, starts, y0, cfg):
             # violation and is counted.
             gap = S[pair] - S[nx:]
             neg = gap < 0
-            if small_var > 0.0:
-                noise = noise + small_var * (g2[pair] + g2[nx:])
-            crossed = neg & (noise > 0)
-            small_neg = (neg & ~crossed & (gap >= -delta_c)) | crossed
-            if np.any(small_neg):
-                repairs += int(np.count_nonzero(small_neg & ~crossed))
-                j = np.flatnonzero(small_neg)
-                S[pair[j]] = S[nx + j] = 0.5 * (S[pair[j]] + S[nx + j])
-                gap = S[pair] - S[nx:]
-            violations += int(np.count_nonzero(neg & ~crossed & (gap < -delta_c)))
+            crossed = False
+            # no negative gap (the common step): nothing crossed, nothing to
+            # repair, no violation
+            if neg.any():
+                if small_var > 0.0:
+                    noise = noise + small_var * (g2[pair] + g2[nx:])
+                crossed = neg & (noise > 0)
+                small_neg = (neg & ~crossed & (gap >= -delta_c)) | crossed
+                if np.any(small_neg):
+                    repairs += int(np.count_nonzero(small_neg & ~crossed))
+                    j = np.flatnonzero(small_neg)
+                    S[pair[j]] = S[nx + j] = 0.5 * (S[pair[j]] + S[nx + j])
+                    gap = S[pair] - S[nx:]
+                violations += int(np.count_nonzero(neg & ~crossed & (gap < -delta_c)))
 
             # coalescence (time at step resolution): the pair leaves the state
             met = (np.abs(gap) <= delta_c) | crossed
@@ -484,14 +521,18 @@ def _simulate(coeffs, nu, starts, y0, cfg):
                 slot[pair] = np.arange(pair.size)
                 S = np.concatenate((S[:nx], S[nx:][~met]))
 
-        # a pair blows up as a whole: a bad Y flags its path
-        bad = ~np.isfinite(S) | (S > _STATE_CAP)
-        bad[pair[bad[nx:]]] = True
-        bad = bad[:nx] & ~flagged
-        if np.any(bad):
-            flagged |= bad
-            S[:nx][bad] = np.nan
-            S[nx:][bad[pair]] = np.nan
+        # a pair blows up as a whole: a bad Y flags its path.  No value is
+        # -inf (the clamp sends it to 0, and jumps are finite), so one compare
+        # finds every non-finite or too large one; a flagged NaN fails it too
+        if not (S <= _STATE_CAP).all():
+            bad = ~np.isfinite(S) | (S > _STATE_CAP)
+            bad[pair[bad[nx:]]] = True
+            bad = bad[:nx] & ~flagged
+            if np.any(bad):
+                flagged |= bad
+                any_flagged = True
+                S[:nx][bad] = np.nan
+                S[nx:][bad[pair]] = np.nan
         record(step)
 
     # a flagged path's NaN went through later steps' arithmetic, which may

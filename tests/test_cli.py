@@ -520,8 +520,8 @@ def test_invariant_summary_command(tmp_path, capsys):
 
 
 def test_invariant_horizon_is_the_last_record_time(tmp_path, capsys):
-    # the run goes on to t_end = 0.5, but the summaries are taken at the last
-    # record time, 0.25, and say so
+    # t_end = 0.5, but the summaries are taken at the last record time, 0.25,
+    # say so, and the run stops there
     cfg = tmp_path / "scen.ini"
     cfg.write_text(INI.replace("record_times = 0.0,0.25,0.5\n",
                                "record_times = 0.0,0.25\n"))
@@ -533,8 +533,18 @@ def test_invariant_horizon_is_the_last_record_time(tmp_path, capsys):
         "start_2.0: mean = 1.5710344792925917, var = 0.4987664433757758, n = 50\n"
         "start_1.0: mean = 0.737728672050256, var = 0.1777083331787341, n = 50\n"
         "tail_w1 = 0.8333058072423358\n")
-    # h = 0.01 is coarse for paths near 2: thinning hits its round cap
-    assert "capped_steps = 143 " in capsys.readouterr().err
+    # h = 0.01 is coarse for paths near 2: thinning hits its round cap, on the
+    # 25 steps up to the horizon only (143 path-steps when run on to t_end)
+    assert "capped_steps = 68 " in capsys.readouterr().err
+
+
+def test_invariant_horizon_at_zero_is_a_config_error(tmp_path, capsys):
+    cfg = tmp_path / "scen.ini"
+    cfg.write_text(INI.replace("record_times = 0.0,0.25,0.5\n", "record_times = 0.0\n"))
+    code, out = run(tmp_path, "invariant", "--scenario", "mine", "--config", str(cfg))
+    assert code == 2
+    assert not (out / "mine.invariant.txt").exists()
+    assert "config error: invariant needs a horizon" in capsys.readouterr().err
 
 
 def test_threads_flag_is_rejected(capsys):

@@ -1,3 +1,4 @@
+import copy
 import math
 from dataclasses import replace
 
@@ -6,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import stats
 
+from nlbranch.config import load_scenario
 from nlbranch.errors import (DomainError, NLBranchError, NoJumpError,
                              ValidationError)
 from nlbranch.model import (AbsolutelyContinuousMeasure, AtomicMeasure,
@@ -194,6 +196,64 @@ def test_rho_decreasing_density_cases():
     # below the shift the shifted density vanishes; above, min is the parent
     assert float(STABLE05.rho(0.25, 0.1)) == 0.0
     assert float(STABLE05.rho(0.25, 0.5)) == pytest.approx(1.0)
+
+
+POWER_INI = """
+[scenario power]
+x0 = 1.0
+y0 = 0.5
+
+[coefficients power]
+type = custom
+gamma0 = -x
+gamma2 = x
+
+[measure power]
+type = custom
+density = z**(-1.5)
+upper = 2.0
+decreasing = true
+"""
+
+
+@pytest.fixture(scope="module")
+def ini_power(tmp_path_factory):
+    path = tmp_path_factory.mktemp("ini") / "power.ini"
+    path.write_text(POWER_INI)
+    return load_scenario("power", config_path=path).nu
+
+
+def _undeclared(nu):
+    """nu with the same density, not declared decreasing: rho takes its
+    generic expression min(n(z), n(z - x)) / n(z) everywhere."""
+    twin = copy.copy(nu)
+    twin.density_decreasing = False
+    return twin
+
+
+@pytest.mark.parametrize("name", ["stable-1.5", "stable-0.5", "ini-power"])
+@given(u=st.floats(min_value=0.0, max_value=0.5), data=st.data())
+@settings(max_examples=200, deadline=None)
+def test_rho_downhill_shortcut_equals_the_generic_expression(ini_power, name, u, data):
+    # for a decreasing density rho(x, z) is 1 or 0 where x > 0 without a
+    # density call; it must carry the generic expression's bits, for x = -u
+    # (which keeps the generic path) and x = u alike
+    nu = {"stable-1.5": STABLE15, "stable-0.5": STABLE05, "ini-power": ini_power}[name]
+    assert nu.density_decreasing
+    z = data.draw(st.floats(min_value=0.1, max_value=nu.upper, exclude_min=True))
+    x, zz = np.array([-u, u]), np.array([z, z])
+    assert nu.rho(x, zz).tobytes() == _undeclared(nu).rho(x, zz).tobytes()
+
+
+def test_rho_downhill_calls_no_density():
+    nu, calls = copy.copy(STABLE15), []
+    nu.density = lambda z: calls.append(z) or STABLE15.density(z)
+    z = np.array([0.2, 0.5, 1.0, 1.5])
+    assert np.array_equal(nu.rho(0.3, z), [0.0, 1.0, 1.0, 0.0])
+    assert calls == []
+    # uphill: n(z) and n(z + 0.3) in one call
+    nu.rho(-0.3, z)
+    assert len(calls) == 1
 
 
 @given(st.floats(min_value=1e-3, max_value=1.0),

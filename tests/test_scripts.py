@@ -35,11 +35,12 @@ def test_kernel_fingerprint(monkeypatch, capsys):
     monkeypatch.setattr(script, "BLOW_UPS", {blow_up: script.BLOW_UPS[blow_up]})
     assert script.run() == 0
     lines = capsys.readouterr().out.splitlines()
-    # two couplings x two small-jump policies x three simulator lines per case
-    assert len(lines) == 12 * (len(SUBSET) + 1)
+    # two couplings x two small-jump policies x three simulator lines per case:
+    # the presets, the blow-up model and the round-switching model
+    assert len(lines) == 12 * (len(SUBSET) + 2)
     for line in lines:
         name, coupling, policy, simulator, digest = line.split()
-        assert name in SUBSET + (blow_up,)
+        assert name in SUBSET + (blow_up, "rounds-switch")
         assert simulator in ("coupled", "single", "single-y0")
         assert len(digest) == 64 and int(digest, 16) >= 0
     assert sum(line.startswith(blow_up + " ") for line in lines) == 12
@@ -59,5 +60,6 @@ def test_kernel_fingerprint_fails_when_stacking_differs(monkeypatch, capsys):
                         stacked(coeffs, nu, starts[::-1], cfg))
     assert script.run() == 1
     out, err = capsys.readouterr()
-    assert len(out.splitlines()) == 12
-    assert err.count("simulate_starts differs from the single runs") == 4
+    # the blow-up model and the round-switching model
+    assert len(out.splitlines()) == 24
+    assert err.count("simulate_starts differs from the single runs") == 8

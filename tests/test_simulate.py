@@ -1,3 +1,4 @@
+import hashlib
 import math
 from collections import Counter
 from dataclasses import fields, replace
@@ -312,6 +313,23 @@ def test_flagged_paths_take_no_thinning_round():
                   simulate_coupled(minimum, STABLE15, 0.9, 0.45, cfg))
 
 
+def test_a_nan_rate_takes_no_jump():
+    # gamma2 is NaN at the finite state 0 and a number at NaN.  The paths
+    # from 0 get a NaN drift in their first step, and their NaN rate must
+    # reject their proposals whatever gamma2 makes of their NaN state; the
+    # paths from 0.5 run on
+    def gamma2(x):
+        x = np.asarray(x, dtype=float)
+        return np.where(np.isnan(x), 50.0, np.where(x > 0.0, x, np.nan))
+
+    coeffs = CoefficientSet(gamma0=lambda x: 1.0 - np.asarray(x, dtype=float),
+                            gamma1=None, gamma2=gamma2)
+    cfg = SimConfig(h=1e-2, eps=0.1, t_end=0.1, n_paths=100, seed=4)
+    at_zero, at_half = _stacked_equals_singles(coeffs, STABLE15, (0.0, 0.5), cfg)
+    assert np.all(at_zero.flagged) and at_zero.max_jump_prob == 0.0
+    assert not np.any(at_half.flagged) and at_half.max_jump_prob > 0.0
+
+
 def test_nan_sigma_at_a_finite_state_is_flagged_after_one_step(monkeypatch):
     # gamma1 = x log^2 x is NaN at x = 0 (0 * inf).  The paths there are
     # unflagged, so the first step draws and its NaN diffusion term flags
@@ -561,6 +579,37 @@ def test_stacked_thinning_limits_stay_with_their_start(starts):
         hit = x0 == 40.0
         assert (ens.capped_steps > 0) == hit and (ens.clipped_jumps > 0) == hit
         assert (ens.max_jump_prob > 1.0) == hit
+
+
+def _digest(ens):
+    """SHA-256 of every field of an ensemble (as scripts/kernel_fingerprint.py
+    hashes it), first 16 hex digits."""
+    sha = hashlib.sha256()
+    for name in sorted(f.name for f in fields(ens)):
+        val = getattr(ens, name)
+        if isinstance(val, np.ndarray):
+            sha.update(np.ascontiguousarray(val).tobytes())
+        else:
+            sha.update(repr(val).encode())
+    return sha.hexdigest()[:16]
+
+
+def test_steps_switching_between_one_and_several_rounds_are_pinned():
+    # at h = 0.05 the paths from 40 want hundreds of rounds and blow up within
+    # four steps; after that every step needs one round, and gamma2 = fmin(x,
+    # 50) maps the flagged paths' NaN to 50, which must not reach their p.
+    # The paths from 0.01 take one round on every step.  Counters and digests
+    # are those of the kernel that built every per-path round array
+    cfg = SimConfig(h=0.05, eps=0.1, t_end=1.0, n_paths=100, seed=2)
+    coeffs = partial_blow_up(lambda x: np.fmin(np.asarray(x, dtype=float), 50.0))
+    stacked = _stacked_equals_singles(coeffs, STABLE15, (40.0, 0.01), cfg)
+    pair = simulate_coupled(coeffs, STABLE15, 40.0, 0.01, cfg)
+    pinned = [(3.189872562675395, 400, 6400, 100, "078dc43e6cd03f6a"),
+              (0.05110004831607288, 0, 0, 0, "4cae46c07213ea23"),
+              (3.189872562675395, 400, 6400, 100, "4c3507e549f3e051")]
+    for ens, pin in zip(stacked + (pair,), pinned):
+        assert (ens.max_jump_prob, ens.capped_steps, ens.clipped_jumps,
+                int(np.count_nonzero(ens.flagged)), _digest(ens)) == pin
 
 
 def test_stacked_start_without_diffusion_term(monkeypatch):
