@@ -3,9 +3,10 @@
 
 Runs ``simulate_coupled`` from (x0, y0) and ``simulate_single`` from x0 and
 from y0 (simulator ``single-y0``) on every bundled preset, on the partial
-blow-up models of ``BLOW_UPS`` and on ``ROUND_SWITCH``, whose steps go from
-several thinning rounds to one, under both couplings and both small-jump
-policies, with 400 paths and t_end = min(t_end, 0.5).  Each output line is
+blow-up models of ``BLOW_UPS`` and on ``MANY_EVENTS``, whose steps take
+several jumps each and whose paths from x0 sometimes meet the event bound,
+under both couplings and both small-jump policies, with 400 paths and
+t_end = min(t_end, 0.5).  Each output line is
 
     <case> <coupling> <small-jump policy> <simulator> <sha256>
 
@@ -42,7 +43,7 @@ def _x(x):
 # gamma0 = 4x(x - 1) sends a path that jumps above 1 to infinity within the
 # horizon: from x0 = 0.9 about a fifth of the paths are flagged.  The last
 # model's gamma2 maps NaN to a number, so only the kernel keeps flagged paths
-# out of the thinning
+# off their jump clocks
 BLOW_UPS = {
     "blowup-jumps": dict(gamma1=None, gamma2=_x),
     "blowup-jumps-diffusion": dict(gamma1=_x, gamma2=_x),
@@ -52,15 +53,18 @@ BLOW_UPS = {
 }
 
 
-# gamma0 = -8x pulls the paths from x0 = 10, whose thinning needs two or three
-# rounds a step, below the one-round level x = 4.9 by t = 0.17: within the
-# horizon the steps switch from several thinning rounds to one
-ROUND_SWITCH = dict(gamma0=lambda x: -8.0 * _x(x), gamma1=None, gamma2=_x)
+# gamma2 = 80x gives the paths from x0 = 50 a hazard of about 50 jumps per
+# step at first, so that some meet the event bound and are flagged (30 and 34
+# of the 400 single-run paths under the two small-jump policies), until
+# gamma0 = -8x pulls them down; the paths from y0 = 0.45 take up to two to
+# five jumps per step
+MANY_EVENTS = dict(gamma0=lambda x: -8.0 * _x(x), gamma1=None,
+                   gamma2=lambda x: 80.0 * _x(x))
 
 
 def _cases():
     """(name, coeffs, nu, x0, y0, cfg) for every preset, blow-up model and
-    the round-switching model, in that order."""
+    the many-events model, in that order."""
     for name in sorted(PRESETS):
         sc = load_scenario(name)
         cfg = replace(sc.sim, n_paths=N_PATHS, t_end=min(sc.sim.t_end, T_END),
@@ -72,8 +76,8 @@ def _cases():
         coeffs = CoefficientSet(gamma0=lambda x: 4.0 * _x(x) * (_x(x) - 1.0),
                                 name=name, **gammas)
         yield name, coeffs, nu, 0.9, 0.45, cfg
-    yield ("rounds-switch", CoefficientSet(name="rounds-switch", **ROUND_SWITCH),
-           nu, 10.0, 0.45, cfg)
+    yield ("many-events", CoefficientSet(name="many-events", **MANY_EVENTS),
+           nu, 50.0, 0.45, cfg)
 
 
 def _digest(ens):

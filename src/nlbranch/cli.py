@@ -159,15 +159,9 @@ def cmd_testfn(args):
 def _exit_code(*ensembles):
     """The exit code of a simulating command: 1 when more than 1% of an
     ensemble's paths were flagged as blown up, else 0.  Says on stderr when
-    that happened, and when jump thinning hit its round cap or clipped a
-    probability (the jump part is then under-sampled)."""
+    that happened."""
     code = 0
     for ens in ensembles:
-        if ens.capped_steps or ens.clipped_jumps:
-            print(f"warning: jump thinning is approximate: capped_steps = "
-                  f"{ens.capped_steps} path-steps hit the round cap, clipped_jumps = "
-                  f"{ens.clipped_jumps} jump probabilities were clipped to 1; "
-                  "a smaller --step avoids both", file=sys.stderr)
         n_bad = int(np.count_nonzero(ens.flagged))
         if n_bad > 0.01 * ens.n_paths:
             print(f"too many flagged paths ({n_bad}/{ens.n_paths})", file=sys.stderr)
@@ -187,9 +181,7 @@ def cmd_couple(args):
         f"\nflagged = {n_bad}/{ens.n_paths}"
         f"\norder_violations = {ens.order_violations}"
         f"\norder_repairs = {ens.order_repairs}"
-        f"\nmax_jump_prob = {ens.max_jump_prob!r}"
-        f"\ncapped_steps = {ens.capped_steps}"
-        f"\nclipped_jumps = {ens.clipped_jumps}")
+        f"\nmax_step_hazard = {ens.max_step_hazard!r}")
     _write(os.path.join(out, f"{sc.name}.fit.txt"), summary)
     print(summary)
     return _exit_code(ens)

@@ -1,10 +1,10 @@
 """Path simulation: the single SDE and the coupled pair.
 
-Euler-Maruyama on a fixed grid with thinned jumps above a cutoff eps.  Small
+Euler-Maruyama on a fixed grid with the jumps above a cutoff eps.  Small
 jumps are dropped together with their compensator (they form a martingale, so
 the mean is untouched); optionally a Gaussian term with the matching variance
 is added instead.  The coupled scheme drives the Brownian parts by reflection
-(refined-basic) or synchronously, and assigns each accepted jump to one of the
+(refined-basic) or synchronously, and assigns each jump of X to one of the
 four displacement rows of the refined basic coupling by a uniform mark thinned
 against the overlap ratio rho.
 
@@ -19,37 +19,44 @@ pair that meets gets its coalescence time and leaves the state, since after
 it Y moves with X, and the record times write Y = X before the unmet
 partners.  A path that blows up is flagged and set to NaN, and its NaN state
 alone keeps it out of every later step (the drift map, the clamp at 0 and the
-thinning comparisons all carry NaN through), so no other mask tracks it.
+jump clocks all carry NaN through), so no other mask tracks it.
 
-Randomness is counter-based: every (draw-slot, step, thinning-round) triple
-owns a Philox stream keyed by the master seed, and path i of every start
-reads the i-th variate of each stream it needs, so the starts share each
-draw and a start's paths are those of a run from it alone.  Jumps are
-thinned path by path, each path taking its own number of rounds, so a path's
-values do not depend on the path count N: the first k paths of an N-path run
-are the k-path run, bit for bit.
+Jumps above eps run on exact per-path clocks, the random time change of the
+modified next reaction method (Anderson 2007).  Each path carries the
+unit-rate hazard R_i left until its next jump.  A step subtracts its hazard
+increment gamma2(X_i) nu((eps, oo)) h, the rate frozen at the post-drift
+state, and a path whose clock has run out (R_i <= 0) jumps and refills its
+clock with a unit exponential, as often as the clock runs out again within
+the step.  So a path's number of jumps in a step is exactly Poisson, with
+the frozen rate times h as its mean.  A path that would take more than
+``_MAX_EVENTS`` jumps in one step is sent to infinity, so that the blow-up
+test flags it: its rate has outrun the step.
+
+Randomness is counter-based.  The Gaussian draws of a step, and the clock
+refill, jump size and mark of its k-th event, each come from a Philox stream
+keyed by the master seed, the draw slot, the step and (for events) k, and
+path i of every start reads the i-th variate of each stream it needs, so the
+starts share each draw and a start's paths are those of a run from it alone.
+The initial clocks are the one cross-section of step 0.  Every stream a path
+reads is fixed by its own index and history, never by the path count N: the
+first k paths of an N-path run are the k-path run, bit for bit.
 Because streams are keyed, not consumed in sequence, a step reads only the
 streams it uses: the Gaussian one only when some unflagged path carries a
-diffusion term, which changes no value.  A model built with ``gamma1=None``
-has no diffusion term anywhere, so the kernel skips that work outright.
-Where only a few paths need a stream's uniforms (the jump sizes and marks of
-the accepted proposals, the proposals of a second or later thinning round),
-``_draws_at`` reads them at those indices alone, bit for bit the variates a
-full cross-section holds there, so this changes no value either.
+diffusion term, and the event streams only for the paths that jump, read at
+those indices alone by ``_draws_at`` (bit for bit the variates a full
+cross-section holds there), so a step in which no path jumps draws nothing
+for its jumps.  A model built with ``gamma1=None`` has no diffusion term
+anywhere, so the kernel skips that work outright.
 
-A step does only the work that can change a value.  Path i thins its jumps in
-m_i = ceil(rate_i / 0.1) rounds, but the per-path round arrays hold only the
-paths with m_i > 1: on most steps no path needs a second round, and one
-reduction of gamma2 over the unflagged paths says so, so round 1 runs on the
-scalar h (h / 1 is h).  The order bookkeeping of the pairs does its crossing,
-repair and violation arithmetic only on a step with a negative gap, and the
-blow-up masks are built only on a step where some value fails ``S <=
-_STATE_CAP``.  Overlap ratios come from ``LevyMeasure.rho``, which reads no
-density where the displacement runs downhill on a decreasing density.
-
-Two counters report where the thinning scheme is only approximate:
-``capped_steps`` counts path-steps that wanted more than ``_MAX_SUBSTEPS``
-rounds, ``clipped_jumps`` the proposals whose probability exceeded 1.
+A step does only the work that can change a value.  The order bookkeeping of
+the pairs does its crossing, repair and violation arithmetic only on a step
+with a negative gap, and the blow-up masks are built only on a step where
+some value fails ``S <= _STATE_CAP``.  Overlap ratios come from
+``LevyMeasure.rho``, which reads no density where the displacement runs
+downhill on a decreasing density.  Each ensemble reports
+``max_step_hazard``, the largest hazard increment of one of its paths in one
+step: the expected number of jumps there, which says how coarse h is for the
+jump part.
 """
 
 from __future__ import annotations
@@ -67,9 +74,12 @@ from .errors import DomainError, ValidationError
 from .model import CoefficientSet, LevyMeasure
 
 _MAGIC = b"NLBE"
-_VERSION = 1
-_MAX_SUBSTEPS = 16
+_VERSION = 2
+_MAX_EVENTS = 64    # a path that would jump more often in one step is flagged
 _STATE_CAP = 1e12   # beyond this a path is flagged as blown up
+# step k's streams sit at counter word k * _STEP_STRIDE; the stride keys
+# every Gaussian draw, so changing it changes every diffusion ensemble
+_STEP_STRIDE = 17
 _SPARSE_SHIFT = 8   # _draws_at reads at most n >> _SPARSE_SHIFT variates one by one
 
 _SLOT_BROWNIAN = 0
@@ -135,35 +145,37 @@ def _stream(key, slot):
         key=np.array([key, slot], dtype=np.uint64)))
 
 
-def _draws(seed, slot, counter, n, normal=False):
-    """A cross-section of n variates from the (seed, slot, counter) stream."""
-    # the step index lives in the high counter word: generation increments the
-    # counter from the low word, so streams of successive steps stay disjoint.
-    # Resetting a cached generator to a fresh one's state (empty buffer) gives
-    # the variates a newly built Philox(key, counter) would
+def _draws(seed, slot, counter, n, normal=False, event=0):
+    """A cross-section of n variates from the (seed, slot, counter, event)
+    stream."""
+    # the step lives in the high counter word and the event number in the
+    # second: generation increments the counter from the low word, so the
+    # streams of successive steps and events stay disjoint.  Resetting a
+    # cached generator to a fresh one's state (empty buffer) gives the
+    # variates a newly built Philox(key, counter) would
     key = seed & 0xFFFFFFFFFFFFFFFF
     gen = _stream(key, slot)
     gen.bit_generator.state = {
         "bit_generator": "Philox",
-        "state": {"counter": (0, 0, 0, counter), "key": (key, slot)},
+        "state": {"counter": (0, event, 0, counter), "key": (key, slot)},
         "buffer": (0, 0, 0, 0), "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
     return gen.standard_normal(n) if normal else gen.random(n)
 
 
-def _draws_at(seed, slot, counter, idx, n):
-    """``_draws(seed, slot, counter, n)[idx]`` bit for bit, reading only the
-    uniforms at the indices idx.
+def _draws_at(seed, slot, counter, idx, n, event=0):
+    """``_draws(seed, slot, counter, n, event=event)[idx]`` bit for bit,
+    reading only the uniforms at the indices idx.
 
     Variate i of a cross-section is lane i % 4 of the Philox block the
     generator reaches after i // 4 counter increments, so a state reset to
-    counter (i // 4, 0, 0, counter) and (i % 4) + 1 uniforms reach it.  A
+    counter (i // 4, event, 0, counter) and (i % 4) + 1 uniforms reach it.  A
     reset and a read take a few microseconds, some 1/40 of a 1e4-wide draw,
     so above n >> _SPARSE_SHIFT indices the whole cross-section is drawn
     instead.  Uniforms only: the ziggurat behind normal draws consumes a
     variable number of words per variate.
     """
     if idx.size > n >> _SPARSE_SHIFT:
-        return _draws(seed, slot, counter, n)[idx]
+        return _draws(seed, slot, counter, n, event=event)[idx]
     key = seed & 0xFFFFFFFFFFFFFFFF
     gen = _stream(key, slot)
     # one state dict, updated in place: the setter copies it
@@ -172,7 +184,7 @@ def _draws_at(seed, slot, counter, idx, n):
              "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
     out = np.empty(idx.size)
     for j, i in enumerate(idx.tolist()):
-        pos["counter"] = (i >> 2, 0, 0, counter)
+        pos["counter"] = (i >> 2, event, 0, counter)
         gen.bit_generator.state = state
         out[j] = gen.random((i & 3) + 1)[-1]
     return out
@@ -195,9 +207,7 @@ class SingleEnsemble:
     x0: float
     flagged: np.ndarray         # (N,) bool, blown-up paths (excluded downstream)
     config: dict
-    max_jump_prob: float = 0.0  # worst per-substep thinning probability seen
-    capped_steps: int = 0       # path-steps whose round count hit the cap
-    clipped_jumps: int = 0      # proposals whose probability was clipped to 1
+    max_step_hazard: float = 0.0  # largest expected jump count of a path-step
 
     @property
     def n_paths(self):
@@ -254,17 +264,17 @@ def _jump_setup(nu, cfg):
 
 
 def _record_plan(cfg):
-    """Map each record time to a step index on the grid."""
+    """Map each record time to a step index on the grid: time t is step
+    round(t / h), and the run ends at t_end's step, so a run whose last
+    record time is t_end takes no step after it."""
     n_steps = int(round(cfg.t_end / cfg.h))
-    if abs(n_steps * cfg.h - cfg.t_end) > 1e-9 * cfg.t_end:
-        n_steps = int(math.ceil(cfg.t_end / cfg.h))
     times = cfg.resolved_record_times()
     steps = np.minimum(np.round(times / cfg.h).astype(int), n_steps)
     return n_steps, times, steps
 
 
 def _partner_jump(nu, kappa, refined, z, mark, gap, g2y):
-    """Displacement of Y for accepted X-jumps of size z: the row of the
+    """Displacement of Y for X-jumps of size z: the row of the
     refined basic coupling (or the common jump of the synchronous one) that
     the mark on [0, gamma2(X)) selects, with rho evaluated at the gap."""
     if not refined:
@@ -288,17 +298,18 @@ def _simulate(coeffs, nu, starts, y0, cfg):
     partner j and ``slot[i]`` the partner of path i (-1 if none); only a run
     from one start has partners, and a marginal run is the same loop with
     k = 0.  Path p of every start reads variate p of each cross-section, so
-    the Gaussian and round-1 occurrence draws are made once at width N and
+    the Gaussian draws and the initial clocks are made once at width N and
     spread over the starts, and everything else a path does is elementwise:
     each start's ensemble is the one a run from that start alone makes.  The
-    drift map, every draw and the thinning rounds are driven by the X leg
-    alone, so X follows the marginal scheme whether or not a partner rides
-    along.  Before coalescence the Brownian increments of Y are the reflected
-    (refined-basic) or shared (synchronous) ones of its path; jump proposals
-    are thinned at the dominating rate gamma2(X) nu((eps, oo)) and assigned to
-    a displacement row by a uniform mark on [0, gamma2(X)) using the overlap
-    ratio rho at the current gap.  Once the gap falls within delta_c the pair
-    gets its coalescence time and leaves the state: from then on Y is X.
+    drift map, every draw and the jump clocks are driven by the X leg alone,
+    so X follows the marginal scheme whether or not a partner rides along.
+    Before coalescence the Brownian increments of Y are the reflected
+    (refined-basic) or shared (synchronous) ones of its path; X jumps at the
+    dominating rate gamma2(X) nu((eps, oo)), and each of its jumps is assigned
+    to a displacement row of Y by a uniform mark on [0, gamma2(X)) using the
+    overlap ratio rho at the current gap.  Once the gap falls within delta_c
+    the pair gets its coalescence time and leaves the state: from then on Y
+    is X.
     Returns one ensemble per start: a ``CoupledEnsemble`` with a partner, else
     ``SingleEnsemble``s.
     """
@@ -323,12 +334,9 @@ def _simulate(coeffs, nu, starts, y0, cfg):
     S[:nx] = np.repeat(starts, n)
     S[nx:] = y0
     flagged = np.zeros(nx, dtype=bool)
-    any_flagged = False
     violations = 0
     repairs = 0
-    capped = np.zeros(n_starts, dtype=int)
-    clipped = np.zeros(n_starts, dtype=int)
-    max_p = np.zeros(n_starts)
+    max_hazard = np.zeros(n_starts)
     # (start, record time, path): each start's snapshots are one block
     snaps_x = np.empty((n_starts, rec_times.size, n))
     snaps_y = np.empty_like(snaps_x[0]) if coupled else None
@@ -383,83 +391,63 @@ def _simulate(coeffs, nu, starts, y0, cfg):
             dS += times_rows(mil, (xi * xi - 1.0) * h)
         return sig[pair] + sig[nx:]
 
-    def add_jumps(S, g2, base):
-        """The step's accepted jumps, added to S in place."""
-        nonlocal capped, clipped
-        # path i takes m_i = ceil(rate_i / 0.1) rounds, rate_i = gamma2(X_i)
-        # nu_eps h, and only the paths with m_i > 1 (``many``) get per-path
-        # round arrays.  Below gamma2 = lo a rate is at most ~0.05, so m_i is
-        # 1 there; above it m_i is computed in the order of the products the
-        # full arrays took.  top, the largest gamma2 of an unflagged path
-        # (NaN if one of them is NaN), skips the search on the common step on
-        # which no path reaches lo
-        g2_live = g2[:nx]
-        top = np.maximum.reduce(g2_live[~flagged] if any_flagged else g2_live,
-                                initial=0.0)
-        lo = 0.05 / (nu_eps * h)
-        many = np.flatnonzero(g2_live > lo) if not top <= lo else np.empty(0, int)
-        if any_flagged:
-            many = many[~flagged[many]]
-        m = np.ceil(g2_live[many] * nu_eps * h / 0.1)
-        over = m > _MAX_SUBSTEPS
-        if over.any():
-            capped += np.bincount(many[over] // n, minlength=n_starts)
-        several = m > 1.0
-        many, m = many[several], np.minimum(m[several], _MAX_SUBSTEPS)
-        h_many = h / m
-        for r in range(1, int(m.max(initial=1.0)) + 1):
-            counter = base + r
-            # round 1 takes every path; a later one only the paths with
-            # m_i >= r, whose uniforms are read one by one.  Path i of the
-            # state reads variate i % n, i // n being its start
-            if r == 1:
-                g2x = coeffs.gamma2(S[:nx])
-                p = g2x * nu_eps * h        # h / 1 is h
-                p[many] = g2x[many] * nu_eps * h_many
-                # p = NaN rejects, in this round and every later one, a
-                # flagged path (gamma2 may map its NaN to a number: np.fmin,
-                # a constant) and one whose rate is NaN
-                if any_flagged:
-                    p[flagged] = np.nan
-                if np.isnan(top):
-                    p[np.isnan(g2_live)] = np.nan
-                u = _draws(cfg.seed, _SLOT_JUMP_OCCUR, counter, n)
-                # u < 1, so u < p accepts a proposal of p > 1 as if clipped
-                accept = (u < rows(p)).ravel()
-                p_max = np.fmax.reduce(rows(p), axis=1, initial=0.0)
-                np.maximum(max_p, p_max, out=max_p)
-                if p_max.max() > 1.0:
-                    clipped += np.count_nonzero(rows(p) > 1.0, axis=1)
-                idx = np.flatnonzero(accept)
-            else:
-                again = m >= r
-                at = many[again]
-                g2x = coeffs.gamma2(S[at])
-                p = g2x * nu_eps * h_many[again]
-                u = _draws_at(cfg.seed, _SLOT_JUMP_OCCUR, counter, at % n, n)
-                accept = u < p
-                np.fmax.at(max_p, at // n, p)
-                clipped += np.bincount(at[p > 1.0] // n, minlength=n_starts)
-                idx = at[accept]
-            if not idx.size:
-                continue
+    if nu_eps > 0:
+        # the initial clocks: path i of every start reads variate i % n
+        R = np.tile(-np.log1p(-_draws(cfg.seed, _SLOT_JUMP_OCCUR, 0, n)), n_starts)
+
+    def add_jumps(S, base):
+        """Runs the clocks over the step and adds its jumps to S in place."""
+        X = S[:nx]
+        g2x = coeffs.gamma2(X)
+        p = g2x * (nu_eps * h)
+        # p = NaN keeps a path whose state is NaN off its clock and out of the
+        # maximum: a flagged one (gamma2 may map its NaN to a number: np.fmin,
+        # a constant) and one this step's drift made NaN (a NaN rate does).
+        # A NaN rate at a number is NaN in p by itself
+        nan_x = np.isnan(X)
+        if nan_x.any():
+            p[nan_x] = np.nan
+        np.maximum(max_hazard, np.fmax.reduce(rows(p), axis=1, initial=0.0),
+                   out=max_hazard)
+        np.subtract(R, p, out=R)
+        # NaN <= 0 is false: a NaN clock never runs out
+        fire = np.flatnonzero(R <= 0.0)
+        if not fire.size:
+            return
+        # the rates stay frozen at the post-drift state over every event of
+        # the step: X's, against which its partner's mark is drawn, and Y's
+        g2f = g2x[fire]
+        yi = slot[fire]
+        partnered = yi >= 0
+        g2y = np.zeros(fire.size)
+        if partnered.any():
+            g2y[partnered] = coeffs.gamma2(S[nx + yi[partnered]])
+        for event in range(_MAX_EVENTS):
+            # path i of the state reads variate i % n, i // n being its start
+            lane = fire % n
+            R[fire] -= np.log1p(-_draws_at(cfg.seed, _SLOT_JUMP_OCCUR, base, lane, n,
+                                           event))
             z = np.asarray(nu.quantile_above(cfg.eps, _draws_at(
-                cfg.seed, _SLOT_JUMP_SIZE, counter, idx % n, n)))
-            j = slot[idx]
-            partnered = j >= 0
-            if np.any(partnered):
-                ev, y = idx[partnered], nx + j[partnered]
-                mark = _draws_at(cfg.seed, _SLOT_MARK, counter, ev, n) \
-                    * g2x[accept][partnered]
+                cfg.seed, _SLOT_JUMP_SIZE, base, lane, n, event)))
+            if partnered.any():
+                ev, y = fire[partnered], nx + yi[partnered]
+                mark = _draws_at(cfg.seed, _SLOT_MARK, base, lane[partnered], n,
+                                 event) * g2f[partnered]
                 S[y] += _partner_jump(nu, cfg.kappa, refined, z[partnered], mark,
-                                      S[ev] - S[y], coeffs.gamma2(S[y]))
-            S[idx] += z
+                                      S[ev] - S[y], g2y[partnered])
+            S[fire] += z
+            again = R[fire] <= 0.0
+            if not again.any():
+                return
+            fire, g2f, yi, g2y = fire[again], g2f[again], yi[again], g2y[again]
+            partnered = yi >= 0
+        # the clock runs out once more: past _MAX_EVENTS jumps in one step
+        # the rate has outrun h, and the blow-up test flags the path
+        S[fire] = np.inf
 
     record(0)
     for step in range(1, n_steps + 1):
-        # step k owns the stream counters k (M + 1) + r, M = _MAX_SUBSTEPS:
-        # r = 0 for the Gaussian draws, r = 1..m_i <= M for thinning rounds
-        base = step * (_MAX_SUBSTEPS + 1)
+        base = step * _STEP_STRIDE
         # a new array: gamma0 and gamma2 may return S itself, so nothing they
         # return is written to
         dS = coeffs.gamma0(S) * h
@@ -476,15 +464,13 @@ def _simulate(coeffs, nu, starts, y0, cfg):
                 dS += times_rows(term, xi2)
         # S = max(S + dS, 0), in the buffer of dS
         S = np.maximum(np.add(S, dS, out=dS), 0.0, out=dS)
-        # jumps act on the post-drift state in thinning rounds of acceptance
-        # probability <= ~0.1 each: the row geometry (gap, rho) is evaluated
-        # where the jump lands, so an exact-meeting row really produces gap 0
-        # instead of gap minus one drift increment; and the drift map above
-        # never depends on the round count.  Thinning is Lewis-Shedler path by
-        # path: each path's round count m_i comes from its own X leg, so no
-        # path's draws depend on another path
+        # jumps act on the post-drift state, at rates frozen there: the row
+        # geometry (gap, rho) is evaluated where the jump lands, so an
+        # exact-meeting row really produces gap 0 instead of gap minus one
+        # drift increment.  Each path runs on its own clock, driven by its X
+        # leg, so no path's draws depend on another path
         if nu_eps > 0:
-            add_jumps(S, g2, base)
+            add_jumps(S, base)
 
         if pair.size:
             # order bookkeeping of the pairs that have not met.  With an
@@ -530,7 +516,6 @@ def _simulate(coeffs, nu, starts, y0, cfg):
             bad = bad[:nx] & ~flagged
             if np.any(bad):
                 flagged |= bad
-                any_flagged = True
                 S[:nx][bad] = np.nan
                 S[nx:][bad[pair]] = np.nan
         record(step)
@@ -541,8 +526,7 @@ def _simulate(coeffs, nu, starts, y0, cfg):
         snaps[np.isnan(snaps)] = np.nan
     marginals = [dict(times=rec_times, X=snaps_x[k], x0=float(starts[k]),
                       flagged=flagged[k * n:(k + 1) * n], config=cfg.echo(),
-                      max_jump_prob=float(max_p[k]), capped_steps=int(capped[k]),
-                      clipped_jumps=int(clipped[k]))
+                      max_step_hazard=float(max_hazard[k]))
                  for k in range(n_starts)]
     if not coupled:
         return tuple(SingleEnsemble(**marginal) for marginal in marginals)
@@ -637,9 +621,7 @@ def write_ensemble(path, ens: CoupledEnsemble):
                          "times": [float(t) for t in ens.times],
                          "order_violations": int(ens.order_violations),
                          "order_repairs": int(ens.order_repairs),
-                         "max_jump_prob": float(ens.max_jump_prob),
-                         "capped_steps": int(ens.capped_steps),
-                         "clipped_jumps": int(ens.clipped_jumps)},
+                         "max_step_hazard": float(ens.max_step_hazard)},
                         sort_keys=True).encode()
     rec = np.empty(ens.n_paths, _record_dtype(ens.times.size))
     rec["id"] = np.arange(ens.n_paths)
@@ -673,7 +655,5 @@ def read_ensemble(path) -> CoupledEnsemble:
                            order_violations=header["order_violations"],
                            order_repairs=header["order_repairs"],
                            flagged=flagged, config=header["config"],
-                           max_jump_prob=header["max_jump_prob"],
-                           capped_steps=header["capped_steps"],
-                           clipped_jumps=header["clipped_jumps"])
+                           max_step_hazard=header["max_step_hazard"])
 

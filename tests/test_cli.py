@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from nlbranch import generator
+from nlbranch import generator, simulate
 from nlbranch.cli import main
 from nlbranch.config import PRESETS, compile_expression, load_scenario
 from nlbranch.errors import QuadratureError, ValidationError
@@ -405,7 +405,8 @@ def test_couple_runs_and_is_idempotent(tmp_path, capsys):
     assert code == 0
     captured = capsys.readouterr()
     assert "order_violations = 0" in captured.out
-    assert "capped_steps = 0\nclipped_jumps = 0" in captured.out
+    hazard = float(captured.out.split("max_step_hazard = ")[1].split()[0])
+    assert 0.0 < hazard < 1.0
     assert "warning" not in captured.err
     first = (out / "case2-stable.ensemble.bin").read_bytes()
     first_curve = (out / "case2-stable.curve.csv").read_bytes()
@@ -425,46 +426,6 @@ def test_simulate_writes_summary(tmp_path, capsys):
     for line in lines[1:]:
         for cell in line.split(","):
             float(cell)
-
-
-SATURATED_INI = """
-[scenario sat]
-x0 = 10.0
-y0 = 5.0
-
-[coefficients sat]
-type = custom
-gamma0 = -x
-gamma2 = 2000*minimum(x, 1)
-
-[measure sat]
-type = stable_truncated
-alpha = 1.5
-
-[sim sat]
-h = 0.001
-eps = 0.1
-t_end = 0.05
-n_paths = 50
-seed = 2
-record_times = 0.0,0.025,0.05
-"""
-
-
-def test_thinning_limits_warn_without_failing(tmp_path, capsys):
-    cfg = tmp_path / "sat.ini"
-    cfg.write_text(SATURATED_INI)
-    assert not load_scenario("sat", config_path=cfg).coeffs.has_diffusion
-    for command in ("couple", "simulate"):
-        code, out = run(tmp_path, command, "--config", str(cfg),
-                        "--scenario", "sat")
-        assert code == 0
-        err = capsys.readouterr().err
-        assert "warning: jump thinning is approximate" in err
-    fit = (out / "sat.fit.txt").read_text()
-    capped = int(fit.split("capped_steps = ")[1].split()[0])
-    clipped = int(fit.split("clipped_jumps = ")[1].split()[0])
-    assert capped > 0 and clipped > 0
 
 
 BLOWUP_INI = """
@@ -498,7 +459,6 @@ def test_blowups_fail_every_simulating_command(tmp_path, capsys):
         assert code == 1
         err = capsys.readouterr().err
         assert "too many flagged paths" in err
-        assert "warning: jump thinning is approximate" in err
 
 
 def test_seed_override_changes_ensemble(tmp_path):
@@ -519,23 +479,31 @@ def test_invariant_summary_command(tmp_path, capsys):
     assert "tail_w1" in text
 
 
-def test_invariant_horizon_is_the_last_record_time(tmp_path, capsys):
+def test_invariant_horizon_is_the_last_record_time(tmp_path, capsys, monkeypatch):
     # t_end = 0.5, but the summaries are taken at the last record time, 0.25,
     # say so, and the run stops there
     cfg = tmp_path / "scen.ini"
     cfg.write_text(INI.replace("record_times = 0.0,0.25,0.5\n",
                                "record_times = 0.0,0.25\n"))
+    plans = []
+    record_plan = simulate._record_plan
+
+    def recording_plan(sim):
+        plans.append(record_plan(sim))
+        return plans[-1]
+
+    monkeypatch.setattr(simulate, "_record_plan", recording_plan)
     code, out = run(tmp_path, "invariant", "--scenario", "mine", "--config", str(cfg))
     assert code == 0
     assert (out / "mine.invariant.txt").read_text() == (
         "scenario = mine\n"
         "horizon = 0.25\n"
-        "start_2.0: mean = 1.5710344792925917, var = 0.4987664433757758, n = 50\n"
-        "start_1.0: mean = 0.737728672050256, var = 0.1777083331787341, n = 50\n"
-        "tail_w1 = 0.8333058072423358\n")
-    # h = 0.01 is coarse for paths near 2: thinning hits its round cap, on the
-    # 25 steps up to the horizon only (143 path-steps when run on to t_end)
-    assert "capped_steps = 68 " in capsys.readouterr().err
+        "start_2.0: mean = 1.4923088275036782, var = 0.4729433745096133, n = 50\n"
+        "start_1.0: mean = 0.6797450039447744, var = 0.16494899476002803, n = 50\n"
+        "tail_w1 = 0.8125638235589038\n")
+    # one kernel pass of the 25 steps (h = 0.01) up to the horizon
+    assert [plan[0] for plan in plans] == [25]
+    assert capsys.readouterr().err == ""
 
 
 def test_invariant_horizon_at_zero_is_a_config_error(tmp_path, capsys):

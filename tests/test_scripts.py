@@ -36,14 +36,15 @@ def test_kernel_fingerprint(monkeypatch, capsys):
     assert script.run() == 0
     lines = capsys.readouterr().out.splitlines()
     # two couplings x two small-jump policies x three simulator lines per case:
-    # the presets, the blow-up model and the round-switching model
+    # the presets, the blow-up model and the many-events model
     assert len(lines) == 12 * (len(SUBSET) + 2)
     for line in lines:
         name, coupling, policy, simulator, digest = line.split()
-        assert name in SUBSET + (blow_up, "rounds-switch")
+        assert name in SUBSET + (blow_up, "many-events")
         assert simulator in ("coupled", "single", "single-y0")
         assert len(digest) == 64 and int(digest, 16) >= 0
     assert sum(line.startswith(blow_up + " ") for line in lines) == 12
+    assert sum(line.startswith("many-events ") for line in lines) == 12
 
 
 def test_kernel_fingerprint_fails_when_stacking_differs(monkeypatch, capsys):
@@ -60,6 +61,6 @@ def test_kernel_fingerprint_fails_when_stacking_differs(monkeypatch, capsys):
                         stacked(coeffs, nu, starts[::-1], cfg))
     assert script.run() == 1
     out, err = capsys.readouterr()
-    # the blow-up model and the round-switching model
+    # the blow-up model and the many-events model
     assert len(out.splitlines()) == 24
     assert err.count("simulate_starts differs from the single runs") == 8

@@ -39,9 +39,9 @@ def count_draws(monkeypatch):
     calls = Counter()
     draws = simulate._draws
 
-    def counting(seed, slot, counter, n, normal=False):
+    def counting(seed, slot, counter, n, normal=False, event=0):
         calls[slot] += 1
-        return draws(seed, slot, counter, n, normal)
+        return draws(seed, slot, counter, n, normal, event)
 
     monkeypatch.setattr(simulate, "_draws", counting)
     return calls
@@ -92,9 +92,9 @@ def test_simulation_is_bit_identical_for_fixed_seed():
 
 @pytest.mark.parametrize("name", ["case2-stable", "logistic", "case3-dyadic"])
 def test_paths_do_not_depend_on_path_count(name):
-    # streams are keyed per (slot, step, round) and each path thins on its
-    # own round count, so the first 200 paths of a larger run are the paths
-    # of the 200-path run, bit for bit
+    # streams are keyed per (slot, step, event) and each path runs on its own
+    # clock, so the first 200 paths of a larger run are the paths of the
+    # 200-path run, bit for bit
     sc = load_scenario(name)
     small = replace(sc.sim, n_paths=200, t_end=1.0, record_times=None)
     big = replace(small, n_paths=1000)
@@ -112,21 +112,22 @@ def test_paths_do_not_depend_on_path_count(name):
 def test_draws_equal_a_freshly_built_stream():
     # the kernel reuses one generator per (seed, slot); every call must still
     # read its stream from the start, whatever the calls before it left behind
-    def fresh(seed, slot, counter, n, normal):
+    def fresh(seed, slot, counter, n, normal, event):
         gen = np.random.Generator(np.random.Philox(
             key=np.array([seed & 0xFFFFFFFFFFFFFFFF, slot], dtype=np.uint64),
-            counter=np.array([0, 0, 0, counter], dtype=np.uint64)))
+            counter=np.array([0, event, 0, counter], dtype=np.uint64)))
         return gen.standard_normal(n) if normal else gen.random(n)
 
     calls = []
     for seed in (7, -3, 2 ** 63 + 11):
         for counter in (17, 18, 1234 * 17 + 3):
-            calls += [(seed, 0, counter, 5, True), (seed, 0, counter, 3, False),
-                      (seed, 1, counter, 7, False), (seed, 4, counter, 5, True)]
+            calls += [(seed, 0, counter, 5, True, 0), (seed, 0, counter, 3, False, 0),
+                      (seed, 1, counter, 7, False, 0), (seed, 4, counter, 5, True, 0),
+                      (seed, 1, counter, 7, False, 1), (seed, 2, counter, 6, False, 63)]
     calls += calls[::-1]
-    for seed, slot, counter, n, normal in calls:
-        got = simulate._draws(seed, slot, counter, n, normal=normal)
-        assert np.array_equal(got, fresh(seed, slot, counter, n, normal))
+    for seed, slot, counter, n, normal, event in calls:
+        got = simulate._draws(seed, slot, counter, n, normal=normal, event=event)
+        assert np.array_equal(got, fresh(seed, slot, counter, n, normal, event))
 
 
 def test_draws_at_equals_the_dense_draw(monkeypatch):
@@ -142,11 +143,11 @@ def test_draws_at_equals_the_dense_draw(monkeypatch):
         for slot in (simulate._SLOT_JUMP_OCCUR, simulate._SLOT_JUMP_SIZE,
                      simulate._SLOT_MARK):
             for step in (1, 8000, 10 ** 9):
-                for r in (1, 2, simulate._MAX_SUBSTEPS):
-                    counter = step * (simulate._MAX_SUBSTEPS + 1) + r
-                    full = simulate._draws(seed, slot, counter, n)
+                for event in (0, 1, simulate._MAX_EVENTS - 1):
+                    counter = step * simulate._STEP_STRIDE
+                    full = simulate._draws(seed, slot, counter, n, event=event)
                     for idx in (sparse, dense):
-                        got = simulate._draws_at(seed, slot, counter, idx, n)
+                        got = simulate._draws_at(seed, slot, counter, idx, n, event)
                         assert np.array_equal(got.view(np.uint64),
                                               full[idx].view(np.uint64))
     # one full draw per reference and per dense read, none per sparse read
@@ -156,21 +157,22 @@ def test_draws_at_equals_the_dense_draw(monkeypatch):
 @pytest.mark.parametrize("policy", ["drop-with-compensator", "gaussian-compensation"])
 @pytest.mark.parametrize("name", ["case2-stable", "case3-dyadic"])
 def test_sparse_reads_leave_ensembles_bit_identical(monkeypatch, name, policy):
-    # the kernel reads size, mark and later-round uniforms at the event
-    # indices only; the same kernel reading them from full cross-sections
-    # gives the same ensembles.  2000 paths put the cut-over at 7 indices
+    # the kernel reads clock-refill, size and mark uniforms at the indices
+    # of the paths that jump only; the same kernel reading them from full
+    # cross-sections gives the same ensembles.  2000 paths put the cut-over
+    # at 7 indices
     sc = load_scenario(name)
     cfg = replace(sc.sim, n_paths=2000, t_end=1.0, record_times=None,
                   small_jump_policy=policy)
     sparse_at = simulate._draws_at
     per_index = Counter()
 
-    def counting(seed, slot, counter, idx, n):
+    def counting(seed, slot, counter, idx, n, event=0):
         per_index[slot] += 0 < idx.size <= n >> simulate._SPARSE_SHIFT
-        return sparse_at(seed, slot, counter, idx, n)
+        return sparse_at(seed, slot, counter, idx, n, event)
 
-    def dense_at(seed, slot, counter, idx, n):
-        return simulate._draws(seed, slot, counter, n)[idx]
+    def dense_at(seed, slot, counter, idx, n, event=0):
+        return simulate._draws(seed, slot, counter, n, event=event)[idx]
 
     runs = []
     for draws_at in (counting, dense_at):
@@ -243,6 +245,39 @@ def test_jump_count_thinning_poisson():
     assert chi2 < stats.chi2.ppf(0.999, int(np.sum(keep)) - 1)
 
 
+def test_jump_counts_are_poisson_at_several_events_per_step():
+    # a hazard of 3 jumps per step: each step's count is Poisson(3) and ten
+    # steps' count Poisson(30), with no bound on the events of a step short
+    # of _MAX_EVENTS
+    from nlbranch.model import AtomicMeasure
+    nu = AtomicMeasure([1.0], [1.0])
+    rate = 30.0
+    coeffs = CoefficientSet(
+        gamma0=lambda x: np.zeros_like(np.asarray(x, dtype=float)),
+        gamma1=None,
+        gamma2=lambda x: np.full_like(np.asarray(x, dtype=float), rate),
+        gamma2_vanishes_at_zero=False)
+    cfg = SimConfig(h=0.1, eps=0.5, t_end=1.0, n_paths=20_000, seed=11,
+                    record_times=[0.0, 0.1, 1.0])
+    x0 = 100.0  # the compensator (3 per step) never clamps at zero
+    ens = simulate_single(coeffs, nu, x0, cfg)
+    assert ens.max_step_hazard == pytest.approx(3.0)
+    for t, lam in ((0.1, 3.0), (1.0, 30.0)):
+        # every jump adds exactly 1; the compensator removes rate * t
+        counts = np.round(ens.at(t) - x0 + rate * t).astype(int)
+        # within 5 standard errors of a Poisson sample's mean and variance
+        n = counts.size
+        mean, var = float(np.mean(counts)), float(np.var(counts))
+        assert abs(mean - lam) < 5.0 * math.sqrt(lam / n)
+        assert abs(var - lam) < 5.0 * math.sqrt((lam + 2.0 * lam ** 2) / n)
+        ks = np.arange(0, int(3 * lam) + 10)
+        observed = np.array([np.sum(counts == k) for k in ks], dtype=float)
+        expected = stats.poisson.pmf(ks, lam) * n
+        keep = expected > 5
+        chi2 = float(np.sum((observed[keep] - expected[keep]) ** 2 / expected[keep]))
+        assert chi2 < stats.chi2.ppf(0.999, int(np.sum(keep)) - 1)
+
+
 def test_boundary_clamps_to_zero():
     cfg = SimConfig(h=1e-2, t_end=2.0, n_paths=500, seed=5)
     ens = simulate_single(cir_coefficients(2.0, 1.0, 0.1), None, 0.5, cfg)
@@ -250,8 +285,8 @@ def test_boundary_clamps_to_zero():
 
 
 def test_blow_up_paths_are_flagged(monkeypatch):
-    # every path blows up, with and without jumps; with them the thinning is
-    # left with no unflagged rate at all, and the run must still go on
+    # every path blows up, with and without jumps; with them no clock is
+    # left with an unflagged rate at all, and the run must still go on
     coeffs = CoefficientSet(
         gamma0=lambda x: np.asarray(x, dtype=float) ** 3,
         gamma1=lambda x: np.zeros_like(np.asarray(x, dtype=float)),
@@ -301,13 +336,14 @@ def test_blow_ups_leave_the_other_paths_bit_identical(coupled):
 
 def test_flagged_paths_take_no_thinning_round():
     # np.fmin maps NaN to its bound where np.minimum keeps it: a flagged path
-    # must stay out of the thinning either way, so that no counter can tell
-    # the two rates apart
+    # must stay off its jump clock either way, so that no field can tell the
+    # two rates apart
     cfg = SimConfig(h=2e-3, eps=0.1, t_end=0.5, n_paths=200, seed=3)
     fmin = partial_blow_up(lambda x: np.fmin(np.asarray(x, dtype=float), 50.0))
     minimum = partial_blow_up(lambda x: np.minimum(np.asarray(x, dtype=float), 50.0))
     single = simulate_single(fmin, STABLE15, 0.9, cfg)
-    assert np.any(single.flagged) and single.capped_steps > 0
+    # unflagged paths reach the bound, where a step takes two jumps on average
+    assert np.any(single.flagged) and single.max_step_hazard > 1.0
     _fields_equal(single, simulate_single(minimum, STABLE15, 0.9, cfg))
     _fields_equal(simulate_coupled(fmin, STABLE15, 0.9, 0.45, cfg),
                   simulate_coupled(minimum, STABLE15, 0.9, 0.45, cfg))
@@ -326,8 +362,8 @@ def test_a_nan_rate_takes_no_jump():
                             gamma1=None, gamma2=gamma2)
     cfg = SimConfig(h=1e-2, eps=0.1, t_end=0.1, n_paths=100, seed=4)
     at_zero, at_half = _stacked_equals_singles(coeffs, STABLE15, (0.0, 0.5), cfg)
-    assert np.all(at_zero.flagged) and at_zero.max_jump_prob == 0.0
-    assert not np.any(at_half.flagged) and at_half.max_jump_prob > 0.0
+    assert np.all(at_zero.flagged) and at_zero.max_step_hazard == 0.0
+    assert not np.any(at_half.flagged) and at_half.max_step_hazard > 0.0
 
 
 def test_nan_sigma_at_a_finite_state_is_flagged_after_one_step(monkeypatch):
@@ -406,37 +442,42 @@ def test_no_diffusion_path_equals_general_path(name, policy):
                   simulate_coupled(zero, sc.nu, sc.x0, sc.y0, cfg))
 
 
-def saturated_branching():
-    """gamma2 = 2000 min(x, 1): against the truncated 1.5-stable measure
-    (nu((0.1, oo)) = 20.4) a 1e-3 step at x >= 1 has jump rate 40.8, so it
-    wants 409 thinning rounds, and each of the 16 it gets has probability
-    2.55."""
-    return CoefficientSet(
-        gamma0=lambda x: -np.asarray(x, dtype=float),
-        gamma1=None,
-        gamma2=lambda x: 2000.0 * np.minimum(np.asarray(x, dtype=float), 1.0))
-
-
 def test_thinning_limits_are_counted(tmp_path):
-    cfg = SimConfig(h=1e-3, eps=0.1, t_end=0.05, n_paths=50, seed=2)
-    single = simulate_single(saturated_branching(), STABLE15, 10.0, cfg)
-    assert single.capped_steps > 0 and single.clipped_jumps > 0
-    pair = simulate_coupled(saturated_branching(), STABLE15, 10.0, 5.0, cfg)
-    assert pair.capped_steps > 0 and pair.clipped_jumps > 0
+    # the scheme's one limit is the event bound: at h = 0.05 linear branching
+    # from x0 = 100 has a hazard of about 75 jumps per step, past the bound
+    # of 64 on nearly every path, and such a path is flagged like a blow-up
+    cfg = SimConfig(h=0.05, eps=0.1, t_end=0.5, n_paths=50, seed=2)
+    single = simulate_single(linear_branching(), STABLE15, 100.0, cfg)
+    assert np.any(single.flagged)
+    assert single.max_step_hazard > simulate._MAX_EVENTS
+    pair = simulate_coupled(linear_branching(), STABLE15, 100.0, 50.0, cfg)
+    assert np.array_equal(pair.flagged, single.flagged)
+    assert np.all(np.isnan(pair.Y[-1][pair.flagged]))
     path = tmp_path / "ens.nlbe"
     write_ensemble(path, pair)
     back = read_ensemble(path)
-    assert (back.capped_steps, back.clipped_jumps) == \
-        (pair.capped_steps, pair.clipped_jumps)
+    assert back.max_step_hazard == pair.max_step_hazard
+    assert np.array_equal(back.flagged, pair.flagged)
 
 
 def test_case2_hits_no_thinning_limit():
+    # case2's hazard stays below one jump per step, far from the event bound
     sc = load_scenario("case2-stable")
     cfg = replace(sc.sim, n_paths=400)
     for ens in (simulate_single(sc.coeffs, sc.nu, sc.x0, cfg),
                 simulate_coupled(sc.coeffs, sc.nu, sc.x0, sc.y0, cfg)):
-        assert 0.0 < ens.max_jump_prob <= 0.1
-        assert ens.capped_steps == 0 and ens.clipped_jumps == 0
+        assert 0.0 < ens.max_step_hazard < 1.0
+        assert not np.any(ens.flagged)
+
+
+@pytest.mark.parametrize("t_end, h, steps", [
+    (0.254, 0.01, 25), (0.256, 0.01, 26), (0.25, 0.01, 25), (1.0, 1e-3, 1000)])
+def test_a_run_ends_at_the_step_of_its_last_record_time(t_end, h, steps):
+    # one rounding rule for the run's length and its record steps: a run
+    # whose last record time is t_end takes no step after recording it
+    cfg = SimConfig(h=h, t_end=t_end, record_times=[0.0, t_end])
+    n_steps, _, rec_steps = simulate._record_plan(cfg)
+    assert n_steps == rec_steps[-1] == steps
 
 
 def test_at_rejects_unrecorded_time():
@@ -527,7 +568,7 @@ def test_coupled_x_leg_is_the_marginal_run(name):
     assert coupled.order_repairs == 0
     assert np.array_equal(single.X, coupled.X)
     assert np.array_equal(single.flagged, coupled.flagged)
-    assert single.max_jump_prob == coupled.max_jump_prob
+    assert single.max_step_hazard == coupled.max_step_hazard
 
 
 # ---------------------------------------------------------------------------
@@ -561,24 +602,25 @@ def test_stacked_starts_equal_single_runs(name, policy):
 @pytest.mark.parametrize("starts", [(0.9, 0.1), (0.1, 0.9)])
 def test_stacked_blow_ups_stay_with_their_start(starts):
     # from 0.9 some paths blow up, from 0.1 none does: the flags, and the
-    # thinning counters their capped rounds feed, belong to one start only
+    # step hazards their runaway rates feed, belong to one start only
     cfg = SimConfig(h=2e-3, eps=0.1, t_end=0.5, n_paths=200, seed=3)
     stacked = _stacked_equals_singles(partial_blow_up(), STABLE15, starts, cfg)
     for x0, ens in zip(starts, stacked):
         assert np.any(ens.flagged) == (x0 == 0.9)
-        assert (ens.capped_steps > 0) == (x0 == 0.9)
+        assert (ens.max_step_hazard > 1.0) == (x0 == 0.9)
 
 
-@pytest.mark.parametrize("starts", [(40.0, 0.01), (0.01, 40.0)])
+@pytest.mark.parametrize("starts", [(100.0, 0.01), (0.01, 100.0)])
 def test_stacked_thinning_limits_stay_with_their_start(starts):
-    # at h = 0.05 a path near x = 40 wants hundreds of rounds and gets 16,
-    # each of probability above 1; one near x = 0.01 needs one round
+    # at h = 0.05 a path near x = 100 would take about 75 jumps a step and
+    # meets the event bound, which flags it; one near x = 0.01 takes a jump
+    # on a few steps at most
     cfg = SimConfig(h=0.05, eps=0.1, t_end=1.0, n_paths=100, seed=2)
     stacked = _stacked_equals_singles(linear_branching(), STABLE15, starts, cfg)
     for x0, ens in zip(starts, stacked):
-        hit = x0 == 40.0
-        assert (ens.capped_steps > 0) == hit and (ens.clipped_jumps > 0) == hit
-        assert (ens.max_jump_prob > 1.0) == hit
+        hit = x0 == 100.0
+        assert np.any(ens.flagged) == hit
+        assert (ens.max_step_hazard > simulate._MAX_EVENTS) == hit
 
 
 def _digest(ens):
@@ -594,22 +636,24 @@ def _digest(ens):
     return sha.hexdigest()[:16]
 
 
-def test_steps_switching_between_one_and_several_rounds_are_pinned():
-    # at h = 0.05 the paths from 40 want hundreds of rounds and blow up within
-    # four steps; after that every step needs one round, and gamma2 = fmin(x,
-    # 50) maps the flagged paths' NaN to 50, which must not reach their p.
-    # The paths from 0.01 take one round on every step.  Counters and digests
-    # are those of the kernel that built every per-path round array
+def test_steps_with_several_events_are_pinned():
+    # at h = 0.05 the paths from 40 take dozens of jumps a step (gamma2 =
+    # fmin(x, 50) gives a hazard of up to 51) and blow up or meet the event
+    # bound within a few steps; gamma2 maps the flagged paths' NaN to 50,
+    # which must not run their clocks (past the event bound their NaN would
+    # turn into inf).  The paths from 0.01 jump on a few steps at most
     cfg = SimConfig(h=0.05, eps=0.1, t_end=1.0, n_paths=100, seed=2)
     coeffs = partial_blow_up(lambda x: np.fmin(np.asarray(x, dtype=float), 50.0))
     stacked = _stacked_equals_singles(coeffs, STABLE15, (40.0, 0.01), cfg)
     pair = simulate_coupled(coeffs, STABLE15, 40.0, 0.01, cfg)
-    pinned = [(3.189872562675395, 400, 6400, 100, "078dc43e6cd03f6a"),
-              (0.05110004831607288, 0, 0, 0, "4cae46c07213ea23"),
-              (3.189872562675395, 400, 6400, 100, "4c3507e549f3e051")]
+    for ens in stacked + (pair,):
+        assert np.all(np.isnan(ens.X[-1][ens.flagged]))
+    pinned = [(51.03796100280632, 100, "0b31d63a5e3c445d"),
+              (0.005979324086911873, 0, "5787c2061e49c4dc"),
+              (51.03796100280632, 100, "7b277313b89db535")]
     for ens, pin in zip(stacked + (pair,), pinned):
-        assert (ens.max_jump_prob, ens.capped_steps, ens.clipped_jumps,
-                int(np.count_nonzero(ens.flagged)), _digest(ens)) == pin
+        assert (ens.max_step_hazard, int(np.count_nonzero(ens.flagged)),
+                _digest(ens)) == pin
 
 
 def test_stacked_start_without_diffusion_term(monkeypatch):
@@ -696,15 +740,14 @@ def test_ensemble_roundtrip(tmp_path):
                     record_times=[0.0, 0.25, 0.5])
     ens = simulate_coupled(linear_branching(), STABLE15, 1.0, 0.5, cfg)
     # nonzero counters and a blown-up path, so that every field is exercised
-    ens = replace(ens, order_violations=3, order_repairs=5, capped_steps=2,
-                  clipped_jumps=9)
+    ens = replace(ens, order_violations=3, order_repairs=5)
     ens.X[1:, 7] = np.nan
     ens.Y[1:, 7] = np.nan
     ens.flagged[7] = True
     path = tmp_path / "ens.nlbe"
     write_ensemble(path, ens)
     back = read_ensemble(path)
-    assert ens.max_jump_prob > 0
+    assert ens.max_step_hazard > 0
     for f in fields(CoupledEnsemble):
         a, b = getattr(back, f.name), getattr(ens, f.name)
         if isinstance(b, np.ndarray):
@@ -715,6 +758,20 @@ def test_ensemble_roundtrip(tmp_path):
     data = path.read_bytes()
     hlen = int.from_bytes(data[8:12], "little")
     assert len(data) == 12 + hlen + cfg.n_paths * (24 + 24 * ens.times.size)
+
+
+def test_read_ensemble_rejects_version_1(tmp_path):
+    # version 1 files carry the counters of an earlier jump scheme in place
+    # of max_step_hazard
+    cfg = SimConfig(h=1e-2, eps=0.1, t_end=0.1, n_paths=5, seed=4)
+    path = tmp_path / "ens.nlbe"
+    write_ensemble(path, simulate_coupled(linear_branching(), STABLE15, 1.0, 0.5, cfg))
+    data = bytearray(path.read_bytes())
+    assert int.from_bytes(data[4:8], "little") == simulate._VERSION == 2
+    data[4:8] = (1).to_bytes(4, "little")
+    path.write_bytes(bytes(data))
+    with pytest.raises(ValidationError, match="version 1"):
+        read_ensemble(path)
 
 
 def test_read_ensemble_rejects_bad_magic(tmp_path):
