@@ -1,0 +1,180 @@
+#!/usr/bin/env python3
+"""Time the path kernel's layers, for one source tree or for two in
+alternating pairs.
+
+    python3 scripts/bench_layers.py --out BENCH_kernel.json
+    python3 scripts/bench_layers.py --parent /path/to/other/checkout \\
+        --repeats 10 --out BENCH_kernel.json
+
+Each sample runs in a fresh interpreter that imports ``nlbranch`` from the
+tree's ``src/`` and times:
+
+- ``draws_at_sparse_us_per_index``: one ``simulate._draws_at`` read of one
+  slot at 25 indices of a 1e4-wide cross-section, per index (the median of
+  ``--calls`` reads);
+- ``draws_at_dense_us``: one read at 200 indices, above the cut-over, which
+  takes the dense fallback;
+- ``rho_rows_us``: the overlap ratios of one event round's partner rows,
+  rho(-U, z) and rho(U, z) on 25 jumps of case2's measure;
+- ``<preset>.single_mpath_steps_per_s`` and ``.coupled_...``: path-steps per
+  second of ``simulate_single`` and ``simulate_coupled`` on case2-stable,
+  cir, case3-dyadic and xlog-drift, at ``--paths`` paths and ``--steps``
+  steps of the preset's h.
+
+With ``--parent`` the other tree is sampled too, the order of the two
+alternating from repeat to repeat, and the output holds both.  The JSON
+output records the machine, the settings, and per tree and metric the
+samples, their median and their quartiles.  The script reads both kernel
+interfaces: ``_draws_at`` by slot or by a list of reads, and the partner
+ratios through ``rho`` on the stacked shifts or through ``rho_pair``.
+"""
+
+from __future__ import annotations
+
+import argparse
+import inspect
+import json
+import os
+import platform
+import statistics
+import subprocess
+import sys
+import time
+from dataclasses import replace
+from pathlib import Path
+
+import numpy as np
+
+ROOT = Path(__file__).resolve().parent.parent
+PRESETS = ("case2-stable", "cir", "case3-dyadic", "xlog-drift")
+SEED = 20240811
+WIDTH = 10_000
+
+
+def _median_us(fn, calls):
+    times = []
+    for _ in range(calls):
+        t = time.perf_counter()
+        fn()
+        times.append(time.perf_counter() - t)
+    return 1e6 * statistics.median(times)
+
+
+def _read_one(simulate):
+    """read(slot, idx): one _draws_at read of one slot, on either interface."""
+    counter = 1000 * simulate._STEP_STRIDE
+    if "reads" in inspect.signature(simulate._draws_at).parameters:
+        return lambda slot, idx: simulate._draws_at(SEED, counter, ((slot, idx),), WIDTH)
+    return lambda slot, idx: simulate._draws_at(SEED, slot, counter, idx, WIDTH)
+
+
+def _rho_rows(nu):
+    """rows(u, z): rho(-u, z) and rho(u, z), as the tree's kernel asks."""
+    if hasattr(nu, "rho_pair"):
+        return nu.rho_pair
+    return lambda u, z: nu.rho(np.concatenate((-u, u)), np.concatenate((z, z)))
+
+
+def sample(paths, steps, calls):
+    """One sample of every metric, from the nlbranch on sys.path."""
+    from nlbranch import simulate
+    from nlbranch.config import load_scenario
+
+    rng = np.random.default_rng(SEED)
+    read = _read_one(simulate)
+    sparse = np.sort(rng.choice(WIDTH, 25, replace=False))
+    dense = np.sort(rng.choice(WIDTH, 200, replace=False))
+    slot = simulate._SLOT_JUMP_SIZE
+    out = {
+        "draws_at_sparse_us_per_index":
+            _median_us(lambda: read(slot, sparse), calls) / sparse.size,
+        "draws_at_dense_us": _median_us(lambda: read(slot, dense), calls),
+    }
+    case2 = load_scenario("case2-stable")
+    rows = _rho_rows(case2.nu)
+    z = np.asarray(case2.nu.quantile_above(case2.sim.eps, rng.random(25)))
+    u = np.minimum(rng.random(25), case2.sim.kappa)
+    out["rho_rows_us"] = _median_us(lambda: rows(u, z), calls)
+    for name in PRESETS:
+        sc = load_scenario(name)
+        cfg = replace(sc.sim, n_paths=paths, t_end=steps * sc.sim.h, record_times=None)
+        for kind, run in (
+                ("single", lambda: simulate.simulate_single(sc.coeffs, sc.nu, sc.x0, cfg)),
+                ("coupled", lambda: simulate.simulate_coupled(sc.coeffs, sc.nu, sc.x0,
+                                                              sc.y0, cfg))):
+            t = time.perf_counter()
+            run()
+            out[f"{name}.{kind}_mpath_steps_per_s"] = \
+                1e-6 * paths * steps / (time.perf_counter() - t)
+    return out
+
+
+def machine():
+    cpu = ""
+    try:
+        with open("/proc/cpuinfo") as fh:
+            cpu = next((line.split(":", 1)[1].strip() for line in fh
+                        if line.startswith("model name")), "")
+    except OSError:
+        pass
+    return {"platform": platform.platform(), "python": platform.python_version(),
+            "numpy": np.__version__, "cpu": cpu, "cpu_count": os.cpu_count(),
+            "date": time.strftime("%Y-%m-%dT%H:%M:%S%z")}
+
+
+def _sample_tree(tree, args):
+    """One sample from a fresh interpreter on tree's src/."""
+    env = dict(os.environ, PYTHONPATH=str(Path(tree) / "src"))
+    cmd = [sys.executable, str(Path(__file__).resolve()), "--sample",
+           "--paths", str(args.paths), "--steps", str(args.steps),
+           "--calls", str(args.calls)]
+    done = subprocess.run(cmd, env=env, capture_output=True, text=True, check=True)
+    return json.loads(done.stdout.splitlines()[-1])
+
+
+def _summary(samples):
+    out = {}
+    for key in samples[0]:
+        values = sorted(s[key] for s in samples)
+        q1, med, q3 = (np.percentile(values, [25, 50, 75]).tolist()
+                       if len(values) > 1 else values * 3)
+        out[key] = {"median": med, "q1": q1, "q3": q3, "samples": values}
+    return out
+
+
+def main(argv=None):
+    p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    p.add_argument("--parent", help="a second source checkout to sample alongside")
+    p.add_argument("--repeats", type=int, default=5)
+    p.add_argument("--paths", type=int, default=10_000)
+    p.add_argument("--steps", type=int, default=1000)
+    p.add_argument("--calls", type=int, default=200)
+    p.add_argument("--out", help="write the JSON here as well as to stdout")
+    p.add_argument("--sample", action="store_true",
+                   help="print one sample of the nlbranch on the path and exit")
+    args = p.parse_args(argv)
+    if args.sample:
+        print(json.dumps(sample(args.paths, args.steps, args.calls)))
+        return 0
+    trees = {"change": ROOT}
+    if args.parent:
+        trees["parent"] = Path(args.parent).resolve()
+    samples = {label: [] for label in trees}
+    for r in range(args.repeats):
+        order = list(trees) if r % 2 else list(trees)[::-1]
+        for label in order:
+            samples[label].append(_sample_tree(trees[label], args))
+    result = {"machine": machine(),
+              "settings": {"repeats": args.repeats, "paths": args.paths,
+                           "steps": args.steps, "calls": args.calls, "seed": SEED,
+                           "width": WIDTH, "presets": list(PRESETS)},
+              "trees": {label: _summary(samples[label]) for label in trees}}
+    text = json.dumps(result, indent=1, sort_keys=True)
+    if args.out:
+        Path(args.out).write_text(text + "\n")
+    print(text)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

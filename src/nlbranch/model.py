@@ -211,45 +211,78 @@ class LevyMeasure:
     def rho(self, x, z):
         """Density ratio d(mu_x)/d(nu) evaluated at z, vectorized in both.
 
-        rho(0, z) = 1 by convention.
+        rho(0, z) = 1 by convention.  Every value comes from ``_rho_core``,
+        the one expression of the ratio, which ``rho_pair`` also reads.
         """
         x = np.asarray(x, dtype=float)
         z = np.asarray(z, dtype=float)
-        x, z = np.broadcast_arrays(x, z)
-        out = np.zeros(x.shape, dtype=float)
-        zero = x == 0.0
-        out[zero] = 1.0
-        rest = ~zero
-        if np.any(rest):
-            out[rest] = self._rho_nonzero(x[rest], z[rest])
-        return out if out.shape else float(out)
+        shape = np.broadcast_shapes(x.shape, z.shape)
+        z = np.broadcast_to(z, shape).ravel()
+        if x.ndim == 0:
+            # one shift (the generator's case): one side of the core
+            xs = float(x)
+            out = np.ones(z.shape) if xs == 0.0 else self._rho_core(z, z - xs, xs > 0.0)
+        else:
+            x = np.broadcast_to(x, shape).ravel()
+            out = np.ones(z.shape)
+            down = x > 0.0
+            # x < 0 or NaN is the uphill side, where NaN gives 0
+            for sel, downhill in ((down, True), (~down & (x != 0.0), False)):
+                if sel.any():
+                    zs = z[sel]
+                    out[sel] = self._rho_core(zs, zs - x[sel], downhill)
+        return out.reshape(shape) if shape else float(out[0])
 
-    def _rho_nonzero(self, x, z):
-        out = np.zeros_like(z)
+    def rho_pair(self, u, z, mz=None):
+        """(rho(-u, z), rho(u, z)) for 1-d float arrays u >= 0 (or NaN) and z
+        of one size: the uphill and the downhill row of the refined basic
+        coupling at gap u.  ``mz``, if given, is ``_atom_mass_at(z)``.  The
+        values are ``rho``'s, bit for bit."""
+        up = self._rho_core(z, z + u, False, mz)
+        down = self._rho_core(z, z - u, True, mz)
+        if not u.all():
+            # u = 0 (NaN counts as nonzero): rho(0, z) = 1 on both sides
+            zero = u == 0.0
+            up[zero] = down[zero] = 1.0
+        return up, down
+
+    def _rho_core(self, z, s, downhill, mz=None):
+        """rho(x, z) at the shifted points s = z - x, for 1-d arrays and
+        x != 0: x > 0 everywhere (downhill) or x < 0 or NaN everywhere.
+
+        A declared-decreasing density is positive on its support, and atom
+        masses are positive, so the ratio lies in [0, 1] by construction;
+        only an undeclared density, or one mixed with atoms, is clipped
+        there.
+        """
+        if not (self.has_ac_part or self.atom_locations.size):
+            return np.zeros(z.shape)
+        r = None
         if self.has_ac_part:
-            shifted = z - x
-            uphill = slice(None)
-            if self.density_decreasing:
-                # downhill (x > 0) n(z - x) >= n(z) > 0 on 0 < z - x < z <=
-                # upper, so min(n(z), n(z - x)) / n(z) is exactly 1 there and
-                # 0 elsewhere; only x < 0 (or NaN) needs the density
-                r = np.where((shifted > 0) & (z <= self.upper), 1.0, 0.0)
-                uphill = ~(x > 0)
+            if downhill and self.density_decreasing:
+                # downhill n(z - x) >= n(z) > 0 on 0 < z - x < z <= upper, so
+                # min(n(z), n(z - x)) / n(z) is exactly 1 there and 0
+                # elsewhere: no density call
+                r = np.where((s > 0) & (z <= self.upper), 1.0, 0.0)
             else:
-                r = np.empty_like(z)
-            zu, su = z[uphill], shifted[uphill]
-            if zu.size:
                 # n(z) and n(z - x) in one call
-                both = self.density(np.concatenate((zu, np.maximum(su, 1e-300))))
-                nz = both[:zu.size]
-                ns = np.where(su > 0, both[zu.size:], 0.0)
+                both = np.empty(2 * z.size)
+                both[:z.size] = z
+                np.maximum(s, 1e-300, out=both[z.size:])
+                both = self.density(both)
+                nz = both[:z.size]
+                ns = np.where(s > 0, both[z.size:], 0.0)
+                pos = nz > 0
                 with np.errstate(divide="ignore", invalid="ignore"):
-                    r[uphill] = np.where(nz > 0, np.minimum(nz, ns)
-                                         / np.where(nz > 0, nz, 1.0), 0.0)
-            out = np.maximum(out, r)
+                    r = np.where(pos, np.minimum(nz, ns) / np.where(pos, nz, 1.0), 0.0)
         if self.atom_locations.size:
-            out = np.maximum(out, self._rho_atomic(x, z))
-        return np.clip(out, 0.0, 1.0)
+            ra = self._rho_atomic(z, s, mz)
+            if r is None:
+                return ra
+            r = np.maximum(r, ra)
+        elif self.density_decreasing:
+            return r
+        return np.clip(r, 0.0, 1.0)
 
     def _atom_mass_at(self, z):
         locs, masses = self.atom_locations, self.atom_masses
@@ -262,10 +295,10 @@ class LevyMeasure:
             out = np.where(hit & (out == 0.0), masses[j], out)
         return out
 
-    def _rho_atomic(self, x, z):
-        mz = self._atom_mass_at(z)
-        shifted = z - x
-        ms = np.where(shifted > 0, self._atom_mass_at(np.abs(shifted)), 0.0)
+    def _rho_atomic(self, z, s, mz=None):
+        if mz is None:
+            mz = self._atom_mass_at(z)
+        ms = np.where(s > 0, self._atom_mass_at(np.abs(s)), 0.0)
         with np.errstate(divide="ignore", invalid="ignore"):
             return np.where(mz > 0, np.minimum(mz, ms) / np.where(mz > 0, mz, 1.0), 0.0)
 
@@ -304,6 +337,13 @@ class LevyMeasure:
         NoJumpError when nu((eps, oo)) = 0."""
         raise NotImplementedError
 
+    def jumps_above(self, eps, u):
+        """(z, mz): the sizes ``quantile_above(eps, u)`` and the atom mass at
+        each, ``_atom_mass_at(z)``, which ``rho_pair`` reads; mz is None when
+        nu has no atoms."""
+        z = np.asarray(self.quantile_above(eps, u))
+        return z, (self._atom_mass_at(z) if self.atom_locations.size else None)
+
 
 class AbsolutelyContinuousMeasure(LevyMeasure):
     """nu(dz) = n(z) dz on (0, upper]."""
@@ -328,8 +368,8 @@ class AbsolutelyContinuousMeasure(LevyMeasure):
     def density(self, z):
         z = np.asarray(z, dtype=float)
         inside = (z > 0) & (z <= self.upper)
-        out = np.zeros_like(z)
-        if np.any(inside):
+        out = np.zeros(z.shape)
+        if inside.any():
             # singular densities overflow harmlessly just above 0
             with np.errstate(over="ignore", divide="ignore"):
                 out[inside] = self._density(z[inside])
@@ -425,20 +465,31 @@ class AtomicMeasure(LevyMeasure):
         self.atom_masses = masses[order]
         self.name = name
         self._inv_cdf_cache = {}
+        # the mass at each atom as _atom_mass_at reads it at its location
+        self._mass_at_atom = self._atom_mass_at(self.atom_locations)
         self.validate()
 
-    def quantile_above(self, eps, u):
+    def _atoms_above(self, eps, u):
+        """The index of each atom quantile_above(eps, u) returns."""
         key = float(eps)
         if key not in self._inv_cdf_cache:
-            sel = self.atom_locations > eps
-            locs = self.atom_locations[sel]
-            if not locs.size:
+            # the atoms above eps are the last ones in sorted order
+            first = int(np.searchsorted(self.atom_locations, eps, side="right"))
+            if first == self.atom_locations.size:
                 raise NoJumpError(f"nu((eps, oo)) = 0 for eps = {eps}")
-            cum = np.cumsum(self.atom_masses[sel])
-            self._inv_cdf_cache[key] = (locs, cum / cum[-1])
-        locs, cdf = self._inv_cdf_cache[key]
+            cum = np.cumsum(self.atom_masses[first:])
+            self._inv_cdf_cache[key] = (first, cum / cum[-1])
+        first, cdf = self._inv_cdf_cache[key]
         idx = np.searchsorted(cdf, np.asarray(u), side="right")
-        return locs[np.minimum(idx, locs.size - 1)]
+        return first + np.minimum(idx, cdf.size - 1)
+
+    def quantile_above(self, eps, u):
+        return self.atom_locations[self._atoms_above(eps, u)]
+
+    def jumps_above(self, eps, u):
+        # the atom index carries the mass at z: no search for z itself
+        j = self._atoms_above(eps, u)
+        return self.atom_locations[j], self._mass_at_atom[j]
 
 
 def dyadic_atoms(alpha, jmax=40):

@@ -42,18 +42,23 @@ reads is fixed by its own index and history, never by the path count N: the
 first k paths of an N-path run are the k-path run, bit for bit.
 Because streams are keyed, not consumed in sequence, a step reads only the
 streams it uses: the Gaussian one only when some unflagged path carries a
-diffusion term, and the event streams only for the paths that jump, read at
-those indices alone by ``_draws_at`` (bit for bit the variates a full
-cross-section holds there), so a step in which no path jumps draws nothing
-for its jumps.  A model built with ``gamma1=None`` has no diffusion term
-anywhere, so the kernel skips that work outright.
+diffusion term, and the event streams only for the paths that jump.  One
+``_draws_at`` call per round of events reads the refill and size slots at
+the firing paths and the mark slot at those with a partner, at those
+indices alone (bit for bit the variates a full cross-section holds there),
+so a step in which no path jumps draws nothing for its jumps.  A model
+built with ``gamma1=None`` has no diffusion term anywhere, so the kernel
+skips that work outright.
 
-A step does only the work that can change a value.  The order bookkeeping of
-the pairs does its crossing, repair and violation arithmetic only on a step
-with a negative gap, and the blow-up masks are built only on a step where
-some value fails ``S <= _STATE_CAP``.  Overlap ratios come from
-``LevyMeasure.rho``, which reads no density where the displacement runs
-downhill on a decreasing density.  Each ensemble reports
+A step does only the work that can change a value.  One test of the gaps
+against delta_c guards the pairs' crossing, repair, violation and meeting
+arithmetic; while no path is flagged the Brownian-draw test is two
+reductions; the clocks' NaN mask runs only on a step whose state holds a
+NaN; and the blow-up masks are built only on a step whose largest value
+fails ``<= _STATE_CAP``.  The partner rows' overlap ratios come from
+``LevyMeasure.rho_pair``, the core of ``rho`` that gives rho(-U, z) and
+rho(U, z) on the partnered jumps of a round, and reads no density where the
+displacement runs downhill on a decreasing density.  Each ensemble reports
 ``max_step_hazard``, the largest hazard increment of one of its paths in one
 step: the expected number of jumps there, which says how coarse h is for the
 jump part.
@@ -81,6 +86,7 @@ _STATE_CAP = 1e12   # beyond this a path is flagged as blown up
 # every Gaussian draw, so changing it changes every diffusion ensemble
 _STEP_STRIDE = 17
 _SPARSE_SHIFT = 8   # _draws_at reads at most n >> _SPARSE_SHIFT variates one by one
+_DOUBLE_UNIT = 1.0 / 9007199254740992.0   # 2**-53, random()'s unit
 
 _SLOT_BROWNIAN = 0
 _SLOT_JUMP_OCCUR = 1
@@ -162,31 +168,46 @@ def _draws(seed, slot, counter, n, normal=False, event=0):
     return gen.standard_normal(n) if normal else gen.random(n)
 
 
-def _draws_at(seed, slot, counter, idx, n, event=0):
-    """``_draws(seed, slot, counter, n, event=event)[idx]`` bit for bit,
-    reading only the uniforms at the indices idx.
+def _draws_at(seed, counter, reads, n, event=0):
+    """For each (slot, idx) of reads, ``_draws(seed, slot, counter, n,
+    event=event)[idx]`` bit for bit, reading only the uniforms at the
+    indices idx: one call reads an event round's clock refills, sizes and
+    marks.
 
     Variate i of a cross-section is lane i % 4 of the Philox block the
     generator reaches after i // 4 counter increments, so a state reset to
-    counter (i // 4, event, 0, counter) and (i % 4) + 1 uniforms reach it.  A
-    reset and a read take a few microseconds, some 1/40 of a 1e4-wide draw,
-    so above n >> _SPARSE_SHIFT indices the whole cross-section is drawn
-    instead.  Uniforms only: the ziggurat behind normal draws consumes a
-    variable number of words per variate.
+    counter (i // 4, event, 0, counter) and one block of uniforms reach it.
+    A reset and a one-block read take about 1.5 us on a 2-vCPU Xeon with
+    numpy 2.4, some 1/30 of a 1e4-wide ``random()`` draw (about 55 us), so a
+    slot read at more than n >> _SPARSE_SHIFT indices reads the n raw words
+    of the cross-section in one call instead, and converts only the words it
+    selects: (w >> 11) * 2**-53 is ``random()``'s conversion, bit for bit,
+    and skips the conversion of the rest.  Uniforms only: the ziggurat
+    behind normal draws consumes a variable number of words per variate.
     """
-    if idx.size > n >> _SPARSE_SHIFT:
-        return _draws(seed, slot, counter, n, event=event)[idx]
     key = seed & 0xFFFFFFFFFFFFFFFF
-    gen = _stream(key, slot)
-    # one state dict, updated in place: the setter copies it
-    pos = {"counter": None, "key": (key, slot)}
-    state = {"bit_generator": "Philox", "state": pos, "buffer": (0, 0, 0, 0),
-             "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
-    out = np.empty(idx.size)
-    for j, i in enumerate(idx.tolist()):
-        pos["counter"] = (i >> 2, event, 0, counter)
-        gen.bit_generator.state = state
-        out[j] = gen.random((i & 3) + 1)[-1]
+    out = []
+    for slot, idx in reads:
+        gen = _stream(key, slot)
+        bits = gen.bit_generator
+        # one state dict, updated in place: the setter copies it
+        pos = {"counter": (0, event, 0, counter), "key": (key, slot)}
+        state = {"bit_generator": "Philox", "state": pos, "buffer": (0, 0, 0, 0),
+                 "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+        if idx.size > n >> _SPARSE_SHIFT:
+            bits.state = state
+            words = bits.random_raw(n)[idx]
+            words >>= 11
+            out.append(words * _DOUBLE_UNIT)
+            continue
+        values = np.empty(idx.size)
+        block = np.empty(4)
+        for j, i in enumerate(idx.tolist()):
+            pos["counter"] = (i >> 2, event, 0, counter)
+            bits.state = state
+            gen.random(out=block)
+            values[j] = block[i & 3]
+        out.append(values)
     return out
 
 
@@ -273,21 +294,22 @@ def _record_plan(cfg):
     return n_steps, times, steps
 
 
-def _partner_jump(nu, kappa, refined, z, mark, gap, g2y):
+def _partner_jump(nu, kappa, refined, z, mz, mark, gap, g2y):
     """Displacement of Y for X-jumps of size z: the row of the
     refined basic coupling (or the common jump of the synchronous one) that
-    the mark on [0, gamma2(X)) selects, with rho evaluated at the gap."""
+    the mark on [0, gamma2(X)) selects, with rho evaluated at the gap.  mz is
+    the atom mass at z, as ``LevyMeasure.jumps_above`` gives it."""
     if not refined:
         return np.where(mark < g2y, z, 0.0)
     Uk = np.minimum(np.maximum(gap, 0.0), kappa)
-    # rho(-U, z) and rho(U, z) in one call
-    rho = np.asarray(nu.rho(np.concatenate((-Uk, Uk)), np.concatenate((z, z))))
-    a1 = 0.5 * g2y * rho[:z.size]
-    a2 = a1 + 0.5 * g2y * rho[z.size:]
-    row1 = mark < a1
-    row2 = ~row1 & (mark < a2)
-    row3 = ~row1 & ~row2 & (mark < g2y)
-    return np.where(row1, z + Uk, np.where(row2, z - Uk, np.where(row3, z, 0.0)))
+    up, down = nu.rho_pair(Uk, z, mz)
+    half = 0.5 * g2y
+    a1 = half * up
+    a2 = a1 + half * down
+    # rows 4, 3, 2 and 1 in turn: a lower row's test overrides a higher one's
+    dy = np.where(mark < g2y, z, 0.0)
+    dy = np.where(mark < a2, z - Uk, dy)
+    return np.where(mark < a1, z + Uk, dy)
 
 
 def _simulate(coeffs, nu, starts, y0, cfg):
@@ -295,12 +317,13 @@ def _simulate(coeffs, nu, starts, y0, cfg):
 
     The state S is one 1-d array: X of the N paths of each start in turn,
     then Y of the k pairs that have not met.  ``pair[j]`` is the path of
-    partner j and ``slot[i]`` the partner of path i (-1 if none); only a run
-    from one start has partners, and a marginal run is the same loop with
-    k = 0.  Path p of every start reads variate p of each cross-section, so
-    the Gaussian draws and the initial clocks are made once at width N and
-    spread over the starts, and everything else a path does is elementwise:
-    each start's ensemble is the one a run from that start alone makes.  The
+    partner j, in increasing order, so a search in it finds the partner of a
+    path; only a run from one start has partners, and a marginal run is the
+    same loop with k = 0.  Path p of every start reads variate p of each
+    cross-section, so the Gaussian draws and the initial clocks are made once
+    at width N and spread over the starts, and everything else a path does is
+    elementwise: each start's ensemble is the one a run from that start alone
+    makes.  The
     drift map, every draw and the jump clocks are driven by the X leg alone,
     so X follows the marginal scheme whether or not a partner rides along.
     Before coalescence the Brownian increments of Y are the reflected
@@ -328,12 +351,11 @@ def _simulate(coeffs, nu, starts, y0, cfg):
     no_pairs = not coupled or x0 - y0 <= delta_c
     coal = np.full(n, 0.0 if no_pairs else math.inf)
     pair = np.arange(0 if no_pairs else n)
-    slot = np.full(nx, -1)
-    slot[pair] = np.arange(pair.size)
     S = np.empty(nx + pair.size)
     S[:nx] = np.repeat(starts, n)
     S[nx:] = y0
     flagged = np.zeros(nx, dtype=bool)
+    any_flagged = False
     violations = 0
     repairs = 0
     max_hazard = np.zeros(n_starts)
@@ -384,8 +406,13 @@ def _simulate(coeffs, nu, starts, y0, cfg):
         # do).  Flagged paths hold NaN and would keep the draw on forever
         sig = coeffs.sigma(S)
         mil = _milstein_coef(coeffs, S)
-        noisy = (sig != 0.0) | (mil != 0.0)
-        if np.any(noisy[:nx] & ~flagged) or np.any(noisy[nx:] & ~flagged[pair]):
+        if any_flagged:
+            noisy = (sig != 0.0) | (mil != 0.0)
+            draw = np.any(noisy[:nx] & ~flagged) or np.any(noisy[nx:] & ~flagged[pair])
+        else:
+            # no flagged path: a nonzero (or NaN) term anywhere
+            draw = sig.any() or mil.any()
+        if draw:
             xi = shared(_draws(cfg.seed, _SLOT_BROWNIAN, base, n, normal=True))
             dS += times_rows(sig * sqh, xi)
             dS += times_rows(mil, (xi * xi - 1.0) * h)
@@ -403,44 +430,57 @@ def _simulate(coeffs, nu, starts, y0, cfg):
         # p = NaN keeps a path whose state is NaN off its clock and out of the
         # maximum: a flagged one (gamma2 may map its NaN to a number: np.fmin,
         # a constant) and one this step's drift made NaN (a NaN rate does).
-        # A NaN rate at a number is NaN in p by itself
-        nan_x = np.isnan(X)
-        if nan_x.any():
-            p[nan_x] = np.nan
+        # A NaN rate at a number is NaN in p by itself.  The maximum of X is
+        # NaN exactly when some X is, so a state without NaN skips the mask
+        if np.isnan(np.maximum.reduce(X)):
+            p[np.isnan(X)] = np.nan
         np.maximum(max_hazard, np.fmax.reduce(rows(p), axis=1, initial=0.0),
                    out=max_hazard)
         np.subtract(R, p, out=R)
         # NaN <= 0 is false: a NaN clock never runs out
-        fire = np.flatnonzero(R <= 0.0)
+        fire = (R <= 0.0).nonzero()[0]
         if not fire.size:
             return
-        # the rates stay frozen at the post-drift state over every event of
-        # the step: X's, against which its partner's mark is drawn, and Y's
+        # the firing paths with a partner come first, the first kp of them;
+        # y holds their partners' places in the state.  The rates stay frozen
+        # at the post-drift state over every event of the step: X's, against
+        # which its partner's mark is drawn, and Y's
+        kp = 0
+        if pair.size:
+            # pair is increasing: the partner of a path, if any, is where a
+            # search puts it
+            yi = np.minimum(np.searchsorted(pair, fire), pair.size - 1)
+            partnered = pair[yi] == fire
+            kp = int(np.count_nonzero(partnered))
+            if kp:
+                if kp < fire.size:
+                    fire = np.concatenate((fire[partnered], fire[~partnered]))
+                y = nx + yi[partnered]
+                g2y = coeffs.gamma2(S[y])
         g2f = g2x[fire]
-        yi = slot[fire]
-        partnered = yi >= 0
-        g2y = np.zeros(fire.size)
-        if partnered.any():
-            g2y[partnered] = coeffs.gamma2(S[nx + yi[partnered]])
         for event in range(_MAX_EVENTS):
             # path i of the state reads variate i % n, i // n being its start
             lane = fire % n
-            R[fire] -= np.log1p(-_draws_at(cfg.seed, _SLOT_JUMP_OCCUR, base, lane, n,
-                                           event))
-            z = np.asarray(nu.quantile_above(cfg.eps, _draws_at(
-                cfg.seed, _SLOT_JUMP_SIZE, base, lane, n, event)))
-            if partnered.any():
-                ev, y = fire[partnered], nx + yi[partnered]
-                mark = _draws_at(cfg.seed, _SLOT_MARK, base, lane[partnered], n,
-                                 event) * g2f[partnered]
-                S[y] += _partner_jump(nu, cfg.kappa, refined, z[partnered], mark,
-                                      S[ev] - S[y], g2y[partnered])
+            refill, u, mark = _draws_at(cfg.seed, base, (
+                (_SLOT_JUMP_OCCUR, lane), (_SLOT_JUMP_SIZE, lane),
+                (_SLOT_MARK, lane[:kp])), n, event)
+            clock = R[fire]
+            clock -= np.log1p(-refill)
+            R[fire] = clock
+            z, mz = nu.jumps_above(cfg.eps, u)
+            if kp:
+                S[y] += _partner_jump(nu, cfg.kappa, refined, z[:kp],
+                                      None if mz is None else mz[:kp],
+                                      mark * g2f[:kp], S[fire[:kp]] - S[y], g2y)
             S[fire] += z
-            again = R[fire] <= 0.0
+            again = clock <= 0.0
             if not again.any():
                 return
-            fire, g2f, yi, g2y = fire[again], g2f[again], yi[again], g2y[again]
-            partnered = yi >= 0
+            fire, g2f = fire[again], g2f[again]
+            if kp:
+                keep = again[:kp]
+                y, g2y = y[keep], g2y[keep]
+                kp = y.size
         # the clock runs out once more: past _MAX_EVENTS jumps in one step
         # the rate has outrun h, and the blow-up test flags the path
         S[fire] = np.inf
@@ -482,40 +522,47 @@ def _simulate(coeffs, nu, starts, y0, cfg):
             # negative gap beyond the rounding threshold is a genuine
             # violation and is counted.
             gap = S[pair] - S[nx:]
-            neg = gap < 0
-            crossed = False
-            # no negative gap (the common step): nothing crossed, nothing to
-            # repair, no violation
-            if neg.any():
-                if small_var > 0.0:
-                    noise = noise + small_var * (g2[pair] + g2[nx:])
-                crossed = neg & (noise > 0)
-                small_neg = (neg & ~crossed & (gap >= -delta_c)) | crossed
-                if np.any(small_neg):
-                    repairs += int(np.count_nonzero(small_neg & ~crossed))
-                    j = np.flatnonzero(small_neg)
-                    S[pair[j]] = S[nx + j] = 0.5 * (S[pair[j]] + S[nx + j])
-                    gap = S[pair] - S[nx:]
-                violations += int(np.count_nonzero(neg & ~crossed & (gap < -delta_c)))
+            # every gap above delta_c (the common step): no pair crossed,
+            # needs a repair, counts a violation or meets
+            near = gap <= delta_c
+            if near.any():
+                neg = gap < 0
+                crossed = False
+                # with no negative gap, |gap| <= delta_c is gap <= delta_c
+                met = near
+                if neg.any():
+                    if small_var > 0.0:
+                        noise = noise + small_var * (g2[pair] + g2[nx:])
+                    crossed = neg & (noise > 0)
+                    small_neg = (neg & ~crossed & (gap >= -delta_c)) | crossed
+                    if np.any(small_neg):
+                        repairs += int(np.count_nonzero(small_neg & ~crossed))
+                        j = np.flatnonzero(small_neg)
+                        S[pair[j]] = S[nx + j] = 0.5 * (S[pair[j]] + S[nx + j])
+                        gap = S[pair] - S[nx:]
+                    violations += int(np.count_nonzero(neg & ~crossed
+                                                       & (gap < -delta_c)))
+                    met = (np.abs(gap) <= delta_c) | crossed
 
-            # coalescence (time at step resolution): the pair leaves the state
-            met = (np.abs(gap) <= delta_c) | crossed
-            if np.any(met):
-                coal[pair[met]] = step * h
-                slot[pair[met]] = -1
-                pair = pair[~met]
-                slot[pair] = np.arange(pair.size)
-                S = np.concatenate((S[:nx], S[nx:][~met]))
+                # coalescence (time at step resolution): the pair leaves the
+                # state
+                if met.any():
+                    coal[pair[met]] = step * h
+                    keep = ~met
+                    pair = pair[keep]
+                    S = np.concatenate((S[:nx], S[nx:][keep]))
 
         # a pair blows up as a whole: a bad Y flags its path.  No value is
-        # -inf (the clamp sends it to 0, and jumps are finite), so one compare
-        # finds every non-finite or too large one; a flagged NaN fails it too
-        if not (S <= _STATE_CAP).all():
+        # -inf (the clamp sends it to 0, and jumps are finite), so one
+        # NaN-propagating maximum finds every non-finite or too large one; a
+        # flagged NaN fails it too
+        if not np.maximum.reduce(S) <= _STATE_CAP:
             bad = ~np.isfinite(S) | (S > _STATE_CAP)
             bad[pair[bad[nx:]]] = True
             bad = bad[:nx] & ~flagged
             if np.any(bad):
                 flagged |= bad
+                any_flagged = True
                 S[:nx][bad] = np.nan
                 S[nx:][bad[pair]] = np.nan
         record(step)

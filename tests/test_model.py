@@ -256,6 +256,105 @@ def test_rho_downhill_calls_no_density():
     assert len(calls) == 1
 
 
+def _reference_rho(nu, x, z):
+    """rho as the kernel read it before its lean core: both signs of x in one
+    generic pass, with broadcasting, zero masks and a final clip."""
+    x, z = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(z, dtype=float))
+    out = np.zeros(x.shape, dtype=float)
+    zero = x == 0.0
+    out[zero] = 1.0
+    rest = ~zero
+    if not np.any(rest):
+        return out
+    x, z = x[rest], z[rest]
+    r_out = np.zeros_like(z)
+    if nu.has_ac_part:
+        shifted = z - x
+        uphill = slice(None)
+        if nu.density_decreasing:
+            r = np.where((shifted > 0) & (z <= nu.upper), 1.0, 0.0)
+            uphill = ~(x > 0)
+        else:
+            r = np.empty_like(z)
+        zu, su = z[uphill], shifted[uphill]
+        if zu.size:
+            both = nu.density(np.concatenate((zu, np.maximum(su, 1e-300))))
+            nz = both[:zu.size]
+            ns = np.where(su > 0, both[zu.size:], 0.0)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                r[uphill] = np.where(nz > 0, np.minimum(nz, ns)
+                                     / np.where(nz > 0, nz, 1.0), 0.0)
+        r_out = np.maximum(r_out, r)
+    if nu.atom_locations.size:
+        mz = nu._atom_mass_at(z)
+        shifted = z - x
+        ms = np.where(shifted > 0, nu._atom_mass_at(np.abs(shifted)), 0.0)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ra = np.where(mz > 0, np.minimum(mz, ms) / np.where(mz > 0, mz, 1.0), 0.0)
+        r_out = np.maximum(r_out, ra)
+    out[rest] = np.clip(r_out, 0.0, 1.0)
+    return out
+
+
+MIXTURE = MixtureMeasure([(2.0, STABLE15), (1.0, AtomicMeasure([0.25, 0.5], [3.0, 1.0]))])
+# gaps: U = 0, NaN (a partner that turned NaN within the step), kappa-sized
+# ones and tiny ones; sizes: on and off the atoms, beyond every upper bound
+# and below the gap (z - U <= 0)
+GAPS = st.one_of(st.sampled_from([0.0, np.nan, 0.5, 0.25, 2.0 ** -10]),
+                 st.floats(min_value=0.0, max_value=0.5))
+SIZES = st.one_of(st.sampled_from([0.25, 0.5, 1.0, 2.0, 2.5, 1e-3]),
+                  st.sampled_from(list(2.0 ** -np.arange(12))),
+                  st.floats(min_value=1e-4, max_value=3.0))
+
+
+@pytest.mark.parametrize("name", ["stable-1.5", "ini-power", "ini-power-undeclared",
+                                  "dyadic", "mixture"])
+@given(pairs=st.lists(st.tuples(GAPS, SIZES), min_size=1, max_size=30))
+@settings(max_examples=150, deadline=None)
+def test_rho_core_equals_the_reference_bit_for_bit(ini_power, name, pairs):
+    # rho_pair gives the kernel rho(-U, z) and rho(U, z), rho the generator
+    # its values; both carry the reference's bits, and so does rho_pair fed
+    # the atom masses jumps_above gives with its sizes
+    nu = {"stable-1.5": STABLE15, "ini-power": ini_power,
+          "ini-power-undeclared": _undeclared(ini_power), "dyadic": DYADIC,
+          "mixture": MIXTURE}[name]
+    u = np.array([p[0] for p in pairs])
+    z = np.array([p[1] for p in pairs])
+    want_up, want_down = _reference_rho(nu, -u, z), _reference_rho(nu, u, z)
+    up, down = nu.rho_pair(u, z)
+    assert up.tobytes() == want_up.tobytes() and down.tobytes() == want_down.tobytes()
+    assert nu.rho(-u, z).tobytes() == want_up.tobytes()
+    assert nu.rho(u, z).tobytes() == want_down.tobytes()
+    signs = np.where(np.arange(u.size) % 2 == 0, -1.0, 1.0)
+    assert nu.rho(signs * u, z).tobytes() == _reference_rho(nu, signs * u, z).tobytes()
+    for k in (0, -1):
+        for x in (u[k], -u[k]):
+            assert nu.rho(x, z).tobytes() == _reference_rho(nu, x, z).tobytes()
+            assert nu.rho(x, z[k]) == float(_reference_rho(nu, x, z[k]))
+    sizes, masses = nu.jumps_above(0.1, np.linspace(0.0, 1.0, u.size, endpoint=False))
+    assert sizes.tobytes() == np.asarray(nu.quantile_above(
+        0.1, np.linspace(0.0, 1.0, u.size, endpoint=False))).tobytes()
+    up, down = nu.rho_pair(u, sizes, masses)
+    assert up.tobytes() == _reference_rho(nu, -u, sizes).tobytes()
+    assert down.tobytes() == _reference_rho(nu, u, sizes).tobytes()
+
+
+def test_atomic_jumps_carry_the_mass_at_their_atom():
+    # jumps_above reads the mass at each sampled atom from its index; it is
+    # the mass _atom_mass_at finds at that location, duplicates included
+    nu = AtomicMeasure([0.5, 0.25, 0.5, 1.0, 0.75], [1.0, 2.0, 3.0, 4.0, 5.0])
+    u = np.linspace(0.0, 1.0, 101)
+    for eps in (0.1, 0.3, 0.5, 0.9):
+        sizes, masses = nu.jumps_above(eps, u)
+        assert np.array_equal(sizes, nu.quantile_above(eps, u))
+        assert np.all(sizes > eps)
+        assert masses.tobytes() == nu._atom_mass_at(sizes).tobytes()
+    z, m = DYADIC.jumps_above(0.05, 0.3)
+    assert z == DYADIC.quantile_above(0.05, 0.3) and m == DYADIC._atom_mass_at(z)
+    with pytest.raises(NoJumpError):
+        nu.jumps_above(1.0, u)
+
+
 @given(st.floats(min_value=1e-3, max_value=1.0),
        st.floats(min_value=1e-3, max_value=2.0))
 @settings(max_examples=50, deadline=None)

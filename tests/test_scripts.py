@@ -1,7 +1,10 @@
 """Smoke tests of the standalone drivers in scripts/, on two presets."""
 
 import importlib.util
+import json
 from pathlib import Path
+
+import numpy as np
 
 from nlbranch.config import PRESETS
 
@@ -64,3 +67,27 @@ def test_kernel_fingerprint_fails_when_stacking_differs(monkeypatch, capsys):
     # the blow-up model and the many-events model
     assert len(out.splitlines()) == 24
     assert err.count("simulate_starts differs from the single runs") == 8
+
+
+def test_bench_layers_tiny(tmp_path, monkeypatch, capsys):
+    script = load_script("bench_layers", monkeypatch)
+    one = script.sample(paths=40, steps=5, calls=3)
+    layers = ("draws_at_sparse_us_per_index", "draws_at_dense_us", "rho_rows_us")
+    rates = [f"{name}.{kind}_mpath_steps_per_s" for name in SUBSET
+             for kind in ("single", "coupled")]
+    assert sorted(one) == sorted(layers + tuple(rates))
+    assert all(value > 0 for value in one.values())
+    # this tree against itself, one pair of fresh interpreters
+    out = tmp_path / "bench.json"
+    assert script.main(["--parent", str(SCRIPTS.parent), "--repeats", "1",
+                        "--paths", "40", "--steps", "5", "--calls", "3",
+                        "--out", str(out)]) == 0
+    result = json.loads(out.read_text())
+    assert json.loads(capsys.readouterr().out) == result
+    assert sorted(result["trees"]) == ["change", "parent"]
+    for metrics in result["trees"].values():
+        assert set(layers) <= set(metrics)
+        for stats in metrics.values():
+            assert stats["q1"] <= stats["median"] <= stats["q3"]
+            assert len(stats["samples"]) == 1
+    assert result["machine"]["numpy"] == np.__version__

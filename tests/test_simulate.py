@@ -130,28 +130,55 @@ def test_draws_equal_a_freshly_built_stream():
         assert np.array_equal(got, fresh(seed, slot, counter, n, normal, event))
 
 
-def test_draws_at_equals_the_dense_draw(monkeypatch):
-    # per-index reads give the bits of the full cross-section, below the
-    # cut-over (read one by one, no full draw) and above it (one full draw)
+def _check_draws_at(monkeypatch, shift=None):
+    """_draws_at against full cross-sections, with the cut-over at
+    n >> shift (the kernel's when shift is None)."""
     n = 10_000
+    if shift is not None:
+        monkeypatch.setattr(simulate, "_SPARSE_SHIFT", shift)
     cut = n >> simulate._SPARSE_SHIFT
-    sparse = np.array([0, 1, 2, 3, 4, 4097, 4098, 4099, n - 2, n - 1])
-    dense = np.concatenate((np.arange(cut), [n - 1]))
-    assert sparse.size <= cut < dense.size
+    sparse = np.array([4099, 0, 1, 2, 3, 4, 4097, 4098, 4, n - 2, n - 1])
+    dense = np.concatenate((np.arange(40), [n - 1, 7, 0]))
+    if shift is None:
+        assert sparse.size <= cut < dense.size
+    empty = np.arange(0)
     calls = count_draws(monkeypatch)
     for seed in (-3, 2 ** 63 + 11):
-        for slot in (simulate._SLOT_JUMP_OCCUR, simulate._SLOT_JUMP_SIZE,
-                     simulate._SLOT_MARK):
-            for step in (1, 8000, 10 ** 9):
-                for event in (0, 1, simulate._MAX_EVENTS - 1):
-                    counter = step * simulate._STEP_STRIDE
-                    full = simulate._draws(seed, slot, counter, n, event=event)
-                    for idx in (sparse, dense):
-                        got = simulate._draws_at(seed, slot, counter, idx, n, event)
-                        assert np.array_equal(got.view(np.uint64),
-                                              full[idx].view(np.uint64))
-    # one full draw per reference and per dense read, none per sparse read
-    assert sum(calls.values()) == 2 * 2 * 3 * 3 * 3
+        for step in (1, 8000, 10 ** 9):
+            for event in (0, 1, simulate._MAX_EVENTS - 1):
+                counter = step * simulate._STEP_STRIDE
+                full = {slot: simulate._draws(seed, slot, counter, n, event=event)
+                        for slot in (simulate._SLOT_JUMP_OCCUR,
+                                     simulate._SLOT_JUMP_SIZE, simulate._SLOT_MARK)}
+                reads = [(simulate._SLOT_JUMP_OCCUR, sparse),
+                         (simulate._SLOT_JUMP_SIZE, dense),
+                         (simulate._SLOT_MARK, empty),
+                         (simulate._SLOT_MARK, dense[::-1]),
+                         (simulate._SLOT_JUMP_OCCUR, dense),
+                         (simulate._SLOT_JUMP_SIZE, sparse[:3])]
+                got = simulate._draws_at(seed, counter, reads, n, event)
+                assert len(got) == len(reads)
+                for (slot, idx), values in zip(reads, got):
+                    assert values.shape == idx.shape
+                    assert np.array_equal(values.view(np.uint64),
+                                          full[slot][idx].view(np.uint64))
+    # the references are the only full draws: a read makes none
+    assert sum(calls.values()) == 2 * 3 * 3 * 3
+
+
+def test_draws_at_equals_the_dense_draw(monkeypatch):
+    # per-index reads give the bits of the full cross-section, below the
+    # cut-over (read one by one) and above it (raw words, converted), for
+    # every slot of one call; repeated and unsorted indices, as the lanes of
+    # stacked starts give, read the same variate twice
+    _check_draws_at(monkeypatch)
+
+
+@pytest.mark.parametrize("shift", [0, 40])
+def test_draws_at_reads_alike_on_both_sides_of_the_cut_over(monkeypatch, shift):
+    # shift 0 reads every index one by one, shift 40 every nonempty read in
+    # raw words: both give every index set the bits of the full draw
+    _check_draws_at(monkeypatch, shift)
 
 
 @pytest.mark.parametrize("policy", ["drop-with-compensator", "gaussian-compensation"])
@@ -167,12 +194,14 @@ def test_sparse_reads_leave_ensembles_bit_identical(monkeypatch, name, policy):
     sparse_at = simulate._draws_at
     per_index = Counter()
 
-    def counting(seed, slot, counter, idx, n, event=0):
-        per_index[slot] += 0 < idx.size <= n >> simulate._SPARSE_SHIFT
-        return sparse_at(seed, slot, counter, idx, n, event)
+    def counting(seed, counter, reads, n, event=0):
+        for slot, idx in reads:
+            per_index[slot] += 0 < idx.size <= n >> simulate._SPARSE_SHIFT
+        return sparse_at(seed, counter, reads, n, event)
 
-    def dense_at(seed, slot, counter, idx, n, event=0):
-        return simulate._draws(seed, slot, counter, n, event=event)[idx]
+    def dense_at(seed, counter, reads, n, event=0):
+        return [simulate._draws(seed, slot, counter, n, event=event)[idx]
+                for slot, idx in reads]
 
     runs = []
     for draws_at in (counting, dense_at):
@@ -337,13 +366,18 @@ def test_blow_ups_leave_the_other_paths_bit_identical(coupled):
 def test_flagged_paths_take_no_thinning_round():
     # np.fmin maps NaN to its bound where np.minimum keeps it: a flagged path
     # must stay off its jump clock either way, so that no field can tell the
-    # two rates apart
+    # two rates apart.  The bound 1e30 lies far above any state an unflagged
+    # path reaches (at most about 1e22 after a step from the blow-up cap of
+    # 1e12), so only a flagged path's clock could run at it: with its hazard
+    # of some 4e28 it would take the event bound's jumps and turn its NaN
+    # into inf, and the largest step hazard would be the bound's
+    cap = 1e30
     cfg = SimConfig(h=2e-3, eps=0.1, t_end=0.5, n_paths=200, seed=3)
-    fmin = partial_blow_up(lambda x: np.fmin(np.asarray(x, dtype=float), 50.0))
-    minimum = partial_blow_up(lambda x: np.minimum(np.asarray(x, dtype=float), 50.0))
+    fmin = partial_blow_up(lambda x: np.fmin(np.asarray(x, dtype=float), cap))
+    minimum = partial_blow_up(lambda x: np.minimum(np.asarray(x, dtype=float), cap))
     single = simulate_single(fmin, STABLE15, 0.9, cfg)
-    # unflagged paths reach the bound, where a step takes two jumps on average
-    assert np.any(single.flagged) and single.max_step_hazard > 1.0
+    assert np.any(single.flagged)
+    assert 1.0 < single.max_step_hazard < 1e-6 * cap * STABLE15.tail_mass(0.1) * cfg.h
     _fields_equal(single, simulate_single(minimum, STABLE15, 0.9, cfg))
     _fields_equal(simulate_coupled(fmin, STABLE15, 0.9, 0.45, cfg),
                   simulate_coupled(minimum, STABLE15, 0.9, 0.45, cfg))
@@ -654,6 +688,31 @@ def test_steps_with_several_events_are_pinned():
     for ens, pin in zip(stacked + (pair,), pinned):
         assert (ens.max_step_hazard, int(np.count_nonzero(ens.flagged)),
                 _digest(ens)) == pin
+
+
+# simulate_coupled at 400 paths and t_end = 0.5, each ensemble's _digest:
+# the partner rows (rho, the atom masses at the sizes, the marks) and the
+# pair bookkeeping of every jump preset under both small-jump policies, and
+# the synchronous coupling on one preset
+COUPLED_PINS = [
+    ("case2-stable", "refined-basic", "drop-with-compensator", "78c0e5ba92cdfef1"),
+    ("case2-stable", "refined-basic", "gaussian-compensation", "597b1ecbf73f865d"),
+    ("case3-dyadic", "refined-basic", "drop-with-compensator", "63ac5d19d1092851"),
+    ("case3-dyadic", "refined-basic", "gaussian-compensation", "e3026a761ae1883e"),
+    ("logistic", "refined-basic", "drop-with-compensator", "0ce8208478920c17"),
+    ("logistic", "refined-basic", "gaussian-compensation", "ee8a9173c4004217"),
+    ("xlog-drift", "refined-basic", "drop-with-compensator", "d10465800a36a2fa"),
+    ("xlog-drift", "refined-basic", "gaussian-compensation", "63f634fe95fde711"),
+    ("logistic", "synchronous", "drop-with-compensator", "4f36286d1047bee5"),
+]
+
+
+@pytest.mark.parametrize("name, coupling, policy, digest", COUPLED_PINS)
+def test_coupled_ensembles_are_pinned(name, coupling, policy, digest):
+    sc = load_scenario(name)
+    cfg = replace(sc.sim, n_paths=400, t_end=0.5, record_times=None,
+                  coupling=coupling, small_jump_policy=policy)
+    assert _digest(simulate_coupled(sc.coeffs, sc.nu, sc.x0, sc.y0, cfg)) == digest
 
 
 def test_stacked_start_without_diffusion_term(monkeypatch):
