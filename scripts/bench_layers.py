@@ -9,11 +9,12 @@ alternating pairs.
 Each sample runs in a fresh interpreter that imports ``nlbranch`` from the
 tree's ``src/`` and times:
 
-- ``draws_at_sparse_us_per_index``: one ``simulate._draws_at`` read of one
-  slot at 25 indices of a 1e4-wide cross-section, per index (the median of
-  ``--calls`` reads);
-- ``draws_at_dense_us``: one read at 200 indices, above the cut-over, which
-  takes the dense fallback;
+- ``event_reads_us_m25`` and ``event_reads_us_m200``: one event round's
+  clock-refill, jump-size and mark reads when 25 or 200 paths of 1e4 fire,
+  all of them partnered (the median of ``--calls`` rounds): three
+  ``simulate._draws`` reads at the firing count on a tree that keys the
+  rounds by firing rank, one ``simulate._draws_at`` call at the firing
+  paths' indices on a tree that keys them by path index;
 - ``rho_rows_us``: the overlap ratios of one event round's partner rows,
   rho(-U, z) and rho(U, z) on 25 jumps of case2's measure;
 - ``<preset>.single_mpath_steps_per_s`` and ``.coupled_...``: path-steps per
@@ -25,14 +26,14 @@ With ``--parent`` the other tree is sampled too, the order of the two
 alternating from repeat to repeat, and the output holds both.  The JSON
 output records the machine, the settings, and per tree and metric the
 samples, their median and their quartiles.  The script reads both kernel
-interfaces: ``_draws_at`` by slot or by a list of reads, and the partner
-ratios through ``rho`` on the stacked shifts or through ``rho_pair``.
+interfaces: event reads keyed by firing rank or by path index, and the
+partner ratios through ``rho`` on the stacked shifts or through
+``rho_pair``.
 """
 
 from __future__ import annotations
 
 import argparse
-import inspect
 import json
 import os
 import platform
@@ -60,12 +61,15 @@ def _median_us(fn, calls):
     return 1e6 * statistics.median(times)
 
 
-def _read_one(simulate):
-    """read(slot, idx): one _draws_at read of one slot, on either interface."""
+def _event_round(simulate, fire):
+    """round(): the refill, size and mark reads of one event round in which
+    the paths fire (all of them partnered), as the tree's kernel makes them."""
     counter = 1000 * simulate._STEP_STRIDE
-    if "reads" in inspect.signature(simulate._draws_at).parameters:
-        return lambda slot, idx: simulate._draws_at(SEED, counter, ((slot, idx),), WIDTH)
-    return lambda slot, idx: simulate._draws_at(SEED, slot, counter, idx, WIDTH)
+    slots = (simulate._SLOT_JUMP_OCCUR, simulate._SLOT_JUMP_SIZE, simulate._SLOT_MARK)
+    if hasattr(simulate, "_draws_at"):
+        reads = tuple((slot, fire) for slot in slots)
+        return lambda: simulate._draws_at(SEED, counter, reads, WIDTH)
+    return lambda: [simulate._draws(SEED, slot, counter, fire.size) for slot in slots]
 
 
 def _rho_rows(nu):
@@ -81,15 +85,10 @@ def sample(paths, steps, calls):
     from nlbranch.config import load_scenario
 
     rng = np.random.default_rng(SEED)
-    read = _read_one(simulate)
-    sparse = np.sort(rng.choice(WIDTH, 25, replace=False))
-    dense = np.sort(rng.choice(WIDTH, 200, replace=False))
-    slot = simulate._SLOT_JUMP_SIZE
-    out = {
-        "draws_at_sparse_us_per_index":
-            _median_us(lambda: read(slot, sparse), calls) / sparse.size,
-        "draws_at_dense_us": _median_us(lambda: read(slot, dense), calls),
-    }
+    out = {}
+    for m in (25, 200):
+        fire = np.sort(rng.choice(WIDTH, m, replace=False))
+        out[f"event_reads_us_m{m}"] = _median_us(_event_round(simulate, fire), calls)
     case2 = load_scenario("case2-stable")
     rows = _rho_rows(case2.nu)
     z = np.asarray(case2.nu.quantile_above(case2.sim.eps, rng.random(25)))

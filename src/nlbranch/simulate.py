@@ -33,22 +33,26 @@ the frozen rate times h as its mean.  A path that would take more than
 test flags it: its rate has outrun the step.
 
 Randomness is counter-based.  The Gaussian draws of a step, and the clock
-refill, jump size and mark of its k-th event, each come from a Philox stream
-keyed by the master seed, the draw slot, the step and (for events) k, and
-path i of every start reads the i-th variate of each stream it needs, so the
-starts share each draw and a start's paths are those of a run from it alone.
-The initial clocks are the one cross-section of step 0.  Every stream a path
-reads is fixed by its own index and history, never by the path count N: the
-first k paths of an N-path run are the k-path run, bit for bit.
+refill, jump size and mark of its k-th event round, each come from a Philox
+stream keyed by the master seed, the draw slot, the step and (for events)
+k.  Path i of every start reads the i-th variate of the Gaussian streams
+and of the initial clocks, the one cross-section of step 0.  An event round
+is keyed by firing rank instead: the r-th path of a start, in index order,
+to fire in the round reads the r-th refill and size, so the starts share
+each draw and a start's paths are those of a run from it alone.  A path's
+rank counts only the lower-indexed paths of its start, so every variate a
+path reads is fixed by its own index and the history of the paths below it,
+never by the path count N: the first k paths of an N-path run are the
+k-path run, bit for bit.  The j-th partnered path to fire reads the j-th
+mark, from a slot of its own, so the X leg reads the same refills and sizes
+with or without a partner.
 Because streams are keyed, not consumed in sequence, a step reads only the
 streams it uses: the Gaussian one only when some unflagged path carries a
-diffusion term, and the event streams only for the paths that jump.  One
-``_draws_at`` call per round of events reads the refill and size slots at
-the firing paths and the mark slot at those with a partner, at those
-indices alone (bit for bit the variates a full cross-section holds there),
-so a step in which no path jumps draws nothing for its jumps.  A model
-built with ``gamma1=None`` has no diffusion term anywhere, so the kernel
-skips that work outright.
+diffusion term, and the event streams only on the rounds where some path
+jumps.  Each such round makes one contiguous ``_draws`` read per slot: the
+refills and sizes at the largest firing count of a start, the marks at the
+number of partnered firing paths.  A model built with ``gamma1=None`` has no
+diffusion term anywhere, so the kernel skips that work outright.
 
 A step does only the work that can change a value.  One test of the gaps
 against delta_c guards the pairs' crossing, repair, violation and meeting
@@ -85,8 +89,6 @@ _STATE_CAP = 1e12   # beyond this a path is flagged as blown up
 # step k's streams sit at counter word k * _STEP_STRIDE; the stride keys
 # every Gaussian draw, so changing it changes every diffusion ensemble
 _STEP_STRIDE = 17
-_SPARSE_SHIFT = 8   # _draws_at reads at most n >> _SPARSE_SHIFT variates one by one
-_DOUBLE_UNIT = 1.0 / 9007199254740992.0   # 2**-53, random()'s unit
 
 _SLOT_BROWNIAN = 0
 _SLOT_JUMP_OCCUR = 1
@@ -145,8 +147,8 @@ class SimConfig:
 @functools.lru_cache(maxsize=32)
 def _stream(key, slot):
     """The Philox generator of one (seed, slot) stream family.  The cache hands
-    every caller the same object; ``_draws`` and ``_draws_at`` set its whole
-    state before each use, so no caller sees another's position."""
+    every caller the same object; ``_draws`` sets its whole state before each
+    use, so no caller sees another's position."""
     return np.random.Generator(np.random.Philox(
         key=np.array([key, slot], dtype=np.uint64)))
 
@@ -166,49 +168,6 @@ def _draws(seed, slot, counter, n, normal=False, event=0):
         "state": {"counter": (0, event, 0, counter), "key": (key, slot)},
         "buffer": (0, 0, 0, 0), "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
     return gen.standard_normal(n) if normal else gen.random(n)
-
-
-def _draws_at(seed, counter, reads, n, event=0):
-    """For each (slot, idx) of reads, ``_draws(seed, slot, counter, n,
-    event=event)[idx]`` bit for bit, reading only the uniforms at the
-    indices idx: one call reads an event round's clock refills, sizes and
-    marks.
-
-    Variate i of a cross-section is lane i % 4 of the Philox block the
-    generator reaches after i // 4 counter increments, so a state reset to
-    counter (i // 4, event, 0, counter) and one block of uniforms reach it.
-    A reset and a one-block read take about 1.5 us on a 2-vCPU Xeon with
-    numpy 2.4, some 1/30 of a 1e4-wide ``random()`` draw (about 55 us), so a
-    slot read at more than n >> _SPARSE_SHIFT indices reads the n raw words
-    of the cross-section in one call instead, and converts only the words it
-    selects: (w >> 11) * 2**-53 is ``random()``'s conversion, bit for bit,
-    and skips the conversion of the rest.  Uniforms only: the ziggurat
-    behind normal draws consumes a variable number of words per variate.
-    """
-    key = seed & 0xFFFFFFFFFFFFFFFF
-    out = []
-    for slot, idx in reads:
-        gen = _stream(key, slot)
-        bits = gen.bit_generator
-        # one state dict, updated in place: the setter copies it
-        pos = {"counter": (0, event, 0, counter), "key": (key, slot)}
-        state = {"bit_generator": "Philox", "state": pos, "buffer": (0, 0, 0, 0),
-                 "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
-        if idx.size > n >> _SPARSE_SHIFT:
-            bits.state = state
-            words = bits.random_raw(n)[idx]
-            words >>= 11
-            out.append(words * _DOUBLE_UNIT)
-            continue
-        values = np.empty(idx.size)
-        block = np.empty(4)
-        for j, i in enumerate(idx.tolist()):
-            pos["counter"] = (i >> 2, event, 0, counter)
-            bits.state = state
-            gen.random(out=block)
-            values[j] = block[i & 3]
-        out.append(values)
-    return out
 
 
 def _checkpoint(times, t):
@@ -320,12 +279,13 @@ def _simulate(coeffs, nu, starts, y0, cfg):
     partner j, in increasing order, so a search in it finds the partner of a
     path; only a run from one start has partners, and a marginal run is the
     same loop with k = 0.  Path p of every start reads variate p of each
-    cross-section, so the Gaussian draws and the initial clocks are made once
-    at width N and spread over the starts, and everything else a path does is
-    elementwise: each start's ensemble is the one a run from that start alone
-    makes.  The
-    drift map, every draw and the jump clocks are driven by the X leg alone,
-    so X follows the marginal scheme whether or not a partner rides along.
+    Gaussian cross-section and of the initial clocks, which are made once at
+    width N and spread over the starts; the r-th firing path of every start
+    reads variate r of an event round's refills and sizes; and everything
+    else a path does is elementwise: each start's ensemble is the one a run
+    from that start alone makes.  The drift map, every draw and the jump
+    clocks are driven by the X leg alone, so X follows the marginal scheme
+    whether or not a partner rides along.
     Before coalescence the Brownian increments of Y are the reflected
     (refined-basic) or shared (synchronous) ones of its path; X jumps at the
     dominating rate gamma2(X) nu((eps, oo)), and each of its jumps is assigned
@@ -421,6 +381,7 @@ def _simulate(coeffs, nu, starts, y0, cfg):
     if nu_eps > 0:
         # the initial clocks: path i of every start reads variate i % n
         R = np.tile(-np.log1p(-_draws(cfg.seed, _SLOT_JUMP_OCCUR, 0, n)), n_starts)
+        start_at = np.arange(n_starts) * n   # each start's first place in S
 
     def add_jumps(S, base):
         """Runs the clocks over the step and adds its jumps to S in place."""
@@ -441,10 +402,10 @@ def _simulate(coeffs, nu, starts, y0, cfg):
         fire = (R <= 0.0).nonzero()[0]
         if not fire.size:
             return
-        # the firing paths with a partner come first, the first kp of them;
-        # y holds their partners' places in the state.  The rates stay frozen
-        # at the post-drift state over every event of the step: X's, against
-        # which its partner's mark is drawn, and Y's
+        # partnered marks the firing paths with a partner, kp of them; y holds
+        # their partners' places in the state, in index order.  The rates
+        # stay frozen at the post-drift state over every event of the step:
+        # X's, against which its partner's mark is drawn, and Y's
         kp = 0
         if pair.size:
             # pair is increasing: the partner of a path, if any, is where a
@@ -453,32 +414,42 @@ def _simulate(coeffs, nu, starts, y0, cfg):
             partnered = pair[yi] == fire
             kp = int(np.count_nonzero(partnered))
             if kp:
-                if kp < fire.size:
-                    fire = np.concatenate((fire[partnered], fire[~partnered]))
                 y = nx + yi[partnered]
                 g2y = coeffs.gamma2(S[y])
         g2f = g2x[fire]
         for event in range(_MAX_EVENTS):
-            # path i of the state reads variate i % n, i // n being its start
-            lane = fire % n
-            refill, u, mark = _draws_at(cfg.seed, base, (
-                (_SLOT_JUMP_OCCUR, lane), (_SLOT_JUMP_SIZE, lane),
-                (_SLOT_MARK, lane[:kp])), n, event)
+            # the r-th firing path of a start, in index order, reads variate r
+            # of the round's refill and size streams, so one read of the
+            # largest firing count per start serves every start
+            if n_starts == 1:
+                refill = _draws(cfg.seed, _SLOT_JUMP_OCCUR, base, fire.size, event=event)
+                u = _draws(cfg.seed, _SLOT_JUMP_SIZE, base, fire.size, event=event)
+            else:
+                rank = np.arange(fire.size)
+                rank -= np.searchsorted(fire, start_at)[fire // n]
+                m = int(rank.max()) + 1
+                refill = _draws(cfg.seed, _SLOT_JUMP_OCCUR, base, m, event=event)[rank]
+                u = _draws(cfg.seed, _SLOT_JUMP_SIZE, base, m, event=event)[rank]
             clock = R[fire]
             clock -= np.log1p(-refill)
             R[fire] = clock
             z, mz = nu.jumps_above(cfg.eps, u)
             if kp:
-                S[y] += _partner_jump(nu, cfg.kappa, refined, z[:kp],
-                                      None if mz is None else mz[:kp],
-                                      mark * g2f[:kp], S[fire[:kp]] - S[y], g2y)
+                # the j-th partnered firing path reads mark j; a run has
+                # partners only from one start
+                mark = _draws(cfg.seed, _SLOT_MARK, base, kp, event=event)
+                mark *= g2f[partnered]
+                S[y] += _partner_jump(nu, cfg.kappa, refined, z[partnered],
+                                      None if mz is None else mz[partnered],
+                                      mark, S[fire[partnered]] - S[y], g2y)
             S[fire] += z
             again = clock <= 0.0
             if not again.any():
                 return
             fire, g2f = fire[again], g2f[again]
             if kp:
-                keep = again[:kp]
+                keep = again[partnered]
+                partnered = partnered[again]
                 y, g2y = y[keep], g2y[keep]
                 kp = y.size
         # the clock runs out once more: past _MAX_EVENTS jumps in one step

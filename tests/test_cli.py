@@ -498,9 +498,9 @@ def test_invariant_horizon_is_the_last_record_time(tmp_path, capsys, monkeypatch
     assert (out / "mine.invariant.txt").read_text() == (
         "scenario = mine\n"
         "horizon = 0.25\n"
-        "start_2.0: mean = 1.4923088275036782, var = 0.4729433745096133, n = 50\n"
-        "start_1.0: mean = 0.6797450039447744, var = 0.16494899476002803, n = 50\n"
-        "tail_w1 = 0.8125638235589038\n")
+        "start_2.0: mean = 1.25804420405087, var = 0.5023213918388696, n = 50\n"
+        "start_1.0: mean = 0.6497642230111272, var = 0.2769165329938445, n = 50\n"
+        "tail_w1 = 0.6082799810397426\n")
     # one kernel pass of the 25 steps (h = 0.01) up to the horizon
     assert [plan[0] for plan in plans] == [25]
     assert capsys.readouterr().err == ""

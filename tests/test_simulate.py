@@ -130,88 +130,98 @@ def test_draws_equal_a_freshly_built_stream():
         assert np.array_equal(got, fresh(seed, slot, counter, n, normal, event))
 
 
-def _check_draws_at(monkeypatch, shift=None):
-    """_draws_at against full cross-sections, with the cut-over at
-    n >> shift (the kernel's when shift is None)."""
-    n = 10_000
-    if shift is not None:
-        monkeypatch.setattr(simulate, "_SPARSE_SHIFT", shift)
-    cut = n >> simulate._SPARSE_SHIFT
-    sparse = np.array([4099, 0, 1, 2, 3, 4, 4097, 4098, 4, n - 2, n - 1])
-    dense = np.concatenate((np.arange(40), [n - 1, 7, 0]))
-    if shift is None:
-        assert sparse.size <= cut < dense.size
-    empty = np.arange(0)
-    calls = count_draws(monkeypatch)
-    for seed in (-3, 2 ** 63 + 11):
-        for step in (1, 8000, 10 ** 9):
-            for event in (0, 1, simulate._MAX_EVENTS - 1):
-                counter = step * simulate._STEP_STRIDE
-                full = {slot: simulate._draws(seed, slot, counter, n, event=event)
-                        for slot in (simulate._SLOT_JUMP_OCCUR,
-                                     simulate._SLOT_JUMP_SIZE, simulate._SLOT_MARK)}
-                reads = [(simulate._SLOT_JUMP_OCCUR, sparse),
-                         (simulate._SLOT_JUMP_SIZE, dense),
-                         (simulate._SLOT_MARK, empty),
-                         (simulate._SLOT_MARK, dense[::-1]),
-                         (simulate._SLOT_JUMP_OCCUR, dense),
-                         (simulate._SLOT_JUMP_SIZE, sparse[:3])]
-                got = simulate._draws_at(seed, counter, reads, n, event)
-                assert len(got) == len(reads)
-                for (slot, idx), values in zip(reads, got):
-                    assert values.shape == idx.shape
-                    assert np.array_equal(values.view(np.uint64),
-                                          full[slot][idx].view(np.uint64))
-    # the references are the only full draws: a read makes none
-    assert sum(calls.values()) == 2 * 3 * 3 * 3
+class _RankSizes:
+    """A jump measure that shows each path's firing rank: mass 1 above any
+    cutoff, no compensator, and the jump that reads variate r of a round's
+    size stream is r + 1.  sizes holds the size reads, the last one this
+    round's.  With no drift or diffusion, a path that fires once in a step
+    moves by exactly its rank + 1.  Its overlap ratios send half the marks
+    of equal rates to the row z + U, which closes a gap of U, and none to
+    z - U."""
+
+    def __init__(self, sizes):
+        self.sizes = sizes
+
+    def tail_mass(self, eps):
+        return 1.0
+
+    def mean_above(self, eps):
+        return 0.0
+
+    def jumps_above(self, eps, u):
+        drawn = self.sizes[-1]
+        order = np.argsort(drawn)
+        return order[np.searchsorted(drawn, u, sorter=order)] + 1.0, None
+
+    def rho_pair(self, u, z, mz):
+        return np.ones_like(z), np.zeros_like(z)
 
 
-def test_draws_at_equals_the_dense_draw(monkeypatch):
-    # per-index reads give the bits of the full cross-section, below the
-    # cut-over (read one by one) and above it (raw words, converted), for
-    # every slot of one call; repeated and unsorted indices, as the lanes of
-    # stacked starts give, read the same variate twice
-    _check_draws_at(monkeypatch)
+@pytest.mark.parametrize("coupled", [False, True])
+def test_event_rounds_read_by_firing_rank(monkeypatch, coupled):
+    # each event round reads each event slot once, as one cross-section:
+    # the refills and sizes at the largest firing count of a start, the
+    # marks at the number of partnered firing paths; and within a start and
+    # a round the firing paths take variates 0, 1, ... in index order.  The
+    # starts 0 and 5 fire at different rates (4 below x = 3, 8 above), and
+    # the partners from 4 close their gap of 1 in steps of kappa = 0.5, so
+    # once some pairs have met a round marks fewer paths than fire
+    occur, size, mark = (simulate._SLOT_JUMP_OCCUR, simulate._SLOT_JUMP_SIZE,
+                         simulate._SLOT_MARK)
+    reads = {}   # (step, event) -> {slot: width}
+    sizes = []
+    draws = simulate._draws
 
+    def recording(seed, slot, counter, n, normal=False, event=0):
+        out = draws(seed, slot, counter, n, normal, event)
+        if slot in (occur, size, mark) and counter:   # not the initial clocks
+            widths = reads.setdefault((counter // simulate._STEP_STRIDE, event), {})
+            assert slot not in widths
+            widths[slot] = n
+            if slot == size:
+                sizes.append(out)
+        return out
 
-@pytest.mark.parametrize("shift", [0, 40])
-def test_draws_at_reads_alike_on_both_sides_of_the_cut_over(monkeypatch, shift):
-    # shift 0 reads every index one by one, shift 40 every nonempty read in
-    # raw words: both give every index set the bits of the full draw
-    _check_draws_at(monkeypatch, shift)
-
-
-@pytest.mark.parametrize("policy", ["drop-with-compensator", "gaussian-compensation"])
-@pytest.mark.parametrize("name", ["case2-stable", "case3-dyadic"])
-def test_sparse_reads_leave_ensembles_bit_identical(monkeypatch, name, policy):
-    # the kernel reads clock-refill, size and mark uniforms at the indices
-    # of the paths that jump only; the same kernel reading them from full
-    # cross-sections gives the same ensembles.  2000 paths put the cut-over
-    # at 7 indices
-    sc = load_scenario(name)
-    cfg = replace(sc.sim, n_paths=2000, t_end=1.0, record_times=None,
-                  small_jump_policy=policy)
-    sparse_at = simulate._draws_at
-    per_index = Counter()
-
-    def counting(seed, counter, reads, n, event=0):
-        for slot, idx in reads:
-            per_index[slot] += 0 < idx.size <= n >> simulate._SPARSE_SHIFT
-        return sparse_at(seed, counter, reads, n, event)
-
-    def dense_at(seed, counter, reads, n, event=0):
-        return [simulate._draws(seed, slot, counter, n, event=event)[idx]
-                for slot, idx in reads]
-
-    runs = []
-    for draws_at in (counting, dense_at):
-        monkeypatch.setattr(simulate, "_draws_at", draws_at)
-        runs.append((simulate_coupled(sc.coeffs, sc.nu, sc.x0, sc.y0, cfg),
-                     simulate_single(sc.coeffs, sc.nu, sc.x0, cfg)))
-    assert all(per_index[slot] > 0 for slot in (
-        simulate._SLOT_JUMP_OCCUR, simulate._SLOT_JUMP_SIZE, simulate._SLOT_MARK))
-    for sparse, dense in zip(*runs):
-        _fields_equal(sparse, dense)
+    monkeypatch.setattr(simulate, "_draws", recording)
+    coeffs = CoefficientSet(
+        gamma0=lambda x: np.zeros_like(np.asarray(x, dtype=float)), gamma1=None,
+        gamma2=lambda x: np.where(np.asarray(x, dtype=float) < 3.0, 4.0, 8.0),
+        gamma2_vanishes_at_zero=False)
+    h = 2e-3
+    cfg = SimConfig(h=h, eps=0.1, t_end=1.0, n_paths=200, seed=5,
+                    record_times=np.arange(501) * h)
+    if coupled:
+        runs = (simulate_coupled(coeffs, _RankSizes(sizes), 5.0, 4.0, cfg),)
+    else:
+        runs = simulate_starts(coeffs, _RankSizes(sizes), (0.0, 5.0), cfg)
+    moves = np.stack([np.diff(ens.X, axis=0) for ens in runs])
+    seen = Counter()
+    for (step, event), widths in reads.items():
+        m = widths[occur]
+        assert widths[size] == m > 0
+        assert coupled or mark not in widths
+        if event:
+            # a later round fires a subset of the one before
+            assert m <= reads[step, event - 1][occur]
+            seen["later rounds"] += 1
+            continue
+        if (step, 1) in reads:
+            continue
+        # a step of one round: each start's firing paths moved by 1, 2, ...
+        counts = []
+        for start in moves[:, step - 1]:
+            fired = start != 0
+            counts.append(int(np.count_nonzero(fired)))
+            assert np.array_equal(start[fired], np.arange(1.0, counts[-1] + 1.0))
+        assert m == max(counts)
+        seen["unequal starts"] += len(set(counts)) > 1
+        if coupled:
+            # partnered: the pairs that had not met before this step
+            kp = int(np.count_nonzero((moves[0, step - 1] != 0)
+                                      & (runs[0].coalescence >= step * h)))
+            assert widths.get(mark, 0) == kp
+            seen["some marked"] += 0 < kp < m
+    assert seen["later rounds"] and seen["some marked" if coupled else "unequal starts"]
 
 
 def test_different_seeds_differ():
@@ -591,12 +601,16 @@ def test_gaussian_compensation_keeps_order(name):
     assert np.any(np.isfinite(ens.coalescence))
 
 
-@pytest.mark.parametrize("name", ["cir", "case3-dyadic"])
+@pytest.mark.parametrize("name", ["cir", "case3-dyadic", "case2-stable", "logistic",
+                                  "superexp"])
 def test_coupled_x_leg_is_the_marginal_run(name):
     # both simulators run one kernel: without order repairs (which move X to
-    # the midpoint of a crossing pair) the coupled X leg is the marginal run
+    # the midpoint of a crossing pair) the coupled X leg is the marginal run.
+    # On the jump presets this also says that the partners' marks, which
+    # come from a slot of their own, never shift the X leg's refills and sizes
     sc = load_scenario(name)
-    cfg = replace(sc.sim, n_paths=200, t_end=0.3, record_times=None)
+    cfg = replace(sc.sim, n_paths=200, t_end=0.3, record_times=None,
+                  small_jump_policy="drop-with-compensator")
     single = simulate_single(sc.coeffs, sc.nu, sc.x0, cfg)
     coupled = simulate_coupled(sc.coeffs, sc.nu, sc.x0, sc.y0, cfg)
     assert coupled.order_repairs == 0
@@ -682,9 +696,9 @@ def test_steps_with_several_events_are_pinned():
     pair = simulate_coupled(coeffs, STABLE15, 40.0, 0.01, cfg)
     for ens in stacked + (pair,):
         assert np.all(np.isnan(ens.X[-1][ens.flagged]))
-    pinned = [(51.03796100280632, 100, "0b31d63a5e3c445d"),
+    pinned = [(51.03796100280632, 100, "66fa14718c8d5fe5"),
               (0.005979324086911873, 0, "5787c2061e49c4dc"),
-              (51.03796100280632, 100, "7b277313b89db535")]
+              (51.03796100280632, 100, "4be7b8f10bbbe372")]
     for ens, pin in zip(stacked + (pair,), pinned):
         assert (ens.max_step_hazard, int(np.count_nonzero(ens.flagged)),
                 _digest(ens)) == pin
@@ -695,15 +709,15 @@ def test_steps_with_several_events_are_pinned():
 # pair bookkeeping of every jump preset under both small-jump policies, and
 # the synchronous coupling on one preset
 COUPLED_PINS = [
-    ("case2-stable", "refined-basic", "drop-with-compensator", "78c0e5ba92cdfef1"),
-    ("case2-stable", "refined-basic", "gaussian-compensation", "597b1ecbf73f865d"),
-    ("case3-dyadic", "refined-basic", "drop-with-compensator", "63ac5d19d1092851"),
-    ("case3-dyadic", "refined-basic", "gaussian-compensation", "e3026a761ae1883e"),
-    ("logistic", "refined-basic", "drop-with-compensator", "0ce8208478920c17"),
-    ("logistic", "refined-basic", "gaussian-compensation", "ee8a9173c4004217"),
-    ("xlog-drift", "refined-basic", "drop-with-compensator", "d10465800a36a2fa"),
-    ("xlog-drift", "refined-basic", "gaussian-compensation", "63f634fe95fde711"),
-    ("logistic", "synchronous", "drop-with-compensator", "4f36286d1047bee5"),
+    ("case2-stable", "refined-basic", "drop-with-compensator", "b47142222e54e201"),
+    ("case2-stable", "refined-basic", "gaussian-compensation", "520a675308017fcb"),
+    ("case3-dyadic", "refined-basic", "drop-with-compensator", "465d70570e629f6e"),
+    ("case3-dyadic", "refined-basic", "gaussian-compensation", "3809ba67943e543a"),
+    ("logistic", "refined-basic", "drop-with-compensator", "900f759bd1e8595d"),
+    ("logistic", "refined-basic", "gaussian-compensation", "c4c18f0795ecd5a4"),
+    ("xlog-drift", "refined-basic", "drop-with-compensator", "00b1fa030a2e52e3"),
+    ("xlog-drift", "refined-basic", "gaussian-compensation", "f41e6797a2bbd65f"),
+    ("logistic", "synchronous", "drop-with-compensator", "6a35723d80c5b3f3"),
 ]
 
 
