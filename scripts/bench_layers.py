@@ -1,6 +1,6 @@
 #!/usr/bin/env python3
-"""Time the path kernel's layers, for one source tree or for two in
-alternating pairs.
+"""Time the path kernel's and the generator's layers, for one source tree
+or for two in alternating pairs.
 
     python3 scripts/bench_layers.py --out BENCH_kernel.json
     python3 scripts/bench_layers.py --parent /path/to/other/checkout \\
@@ -20,7 +20,12 @@ tree's ``src/`` and times:
 - ``<preset>.single_mpath_steps_per_s`` and ``.coupled_...``: path-steps per
   second of ``simulate_single`` and ``simulate_coupled`` on case2-stable,
   cir, case3-dyadic and xlog-drift, at ``--paths`` paths and ``--steps``
-  steps of the preset's h.
+  steps of the preset's h;
+- ``lyapunov_grid_ms.case2-stable`` and ``.logistic``: the 60 x 3 Lyapunov
+  grid ``nlbranch check`` scans (``verify_lyapunov`` on the preset's
+  assembled test function; the median of up to 5 scans);
+- ``coupling_L_us``: one ``apply_coupling_L`` at (x, y) = (1.5, 0.5) on
+  case2-stable's test function (the median of ``--calls`` calls).
 
 With ``--parent`` the other tree is sampled too, the order of the two
 alternating from repeat to repeat, and the output holds both.  The JSON
@@ -28,7 +33,7 @@ output records the machine, the settings, and per tree and metric the
 samples, their median and their quartiles.  The script reads both kernel
 interfaces: event reads keyed by firing rank or by path index, and the
 partner ratios through ``rho`` on the stacked shifts or through
-``rho_pair``.
+``rho_pair``.  The generator metrics go through public calls only.
 """
 
 from __future__ import annotations
@@ -48,6 +53,8 @@ import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
 PRESETS = ("case2-stable", "cir", "case3-dyadic", "xlog-drift")
+LYAPUNOV_PRESETS = ("case2-stable", "logistic")
+GRID_CALLS = 5
 SEED = 20240811
 WIDTH = 10_000
 
@@ -79,6 +86,26 @@ def _rho_rows(nu):
     return lambda u, z: nu.rho(np.concatenate((-u, u)), np.concatenate((z, z)))
 
 
+def _generator_layers(calls):
+    """The Lyapunov grid of `check` per preset, and one coupling operator."""
+    from nlbranch.cli import assemble_scenario, noise_report
+    from nlbranch.config import load_scenario
+    from nlbranch.generator import apply_coupling_L, verify_lyapunov
+
+    out = {}
+    for name in LYAPUNOV_PRESETS:
+        sc = load_scenario(name)
+        constants, fn = assemble_scenario(sc, sc.variant, noise_report(sc))
+        grid = lambda: verify_lyapunov(fn, constants.lam, sc.coeffs, sc.nu, sc.sim.kappa,
+                                       r_grid=np.logspace(-3, 1, 60))
+        out[f"lyapunov_grid_ms.{name}"] = 1e-3 * _median_us(grid, min(calls, GRID_CALLS))
+        if name == "case2-stable":
+            out["coupling_L_us"] = _median_us(
+                lambda: apply_coupling_L(fn, 1.5, 0.5, sc.coeffs, sc.nu, sc.sim.kappa),
+                calls)
+    return out
+
+
 def sample(paths, steps, calls):
     """One sample of every metric, from the nlbranch on sys.path."""
     from nlbranch import simulate
@@ -105,6 +132,7 @@ def sample(paths, steps, calls):
             run()
             out[f"{name}.{kind}_mpath_steps_per_s"] = \
                 1e-6 * paths * steps / (time.perf_counter() - t)
+    out.update(_generator_layers(calls))
     return out
 
 

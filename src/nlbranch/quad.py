@@ -16,6 +16,11 @@ mapped onto ``[0, 1)`` by ``z = lo + t / (1 - t)``.
 Every panel remembers the segment between the caller's edges that it lies in,
 so one adaptive run also yields each segment's integral
 (``integrate_segments``), e.g. the nodal values of a cumulative integral.
+
+Every panel also belongs to a group, one independent integral, and a round
+evaluates the integrand once over the panels of all groups still refining
+(``integrate_intervals``).  A group is refined exactly as it would be alone;
+``integrate_interval`` and ``integrate_segments`` are the one-group case.
 """
 
 from __future__ import annotations
@@ -30,6 +35,7 @@ from .errors import QuadratureError
 DEFAULT_ATOL = 1e-10
 DEFAULT_RTOL = 1e-8
 _MAX_SUBDIVISIONS = 200     # panel-split budget of the refinement loop
+_BATCH_NODES = 10_000       # integrand nodes of a batch's first round
 
 # Gauss-Kronrod 21/10 rule on [-1, 1] (Piessens et al., QUADPACK, 1983): the
 # 10 Gauss nodes are every other Kronrod node, so the Gauss weights vanish on
@@ -77,23 +83,39 @@ class QuadratureSpec:
 DEFAULT_QUAD = QuadratureSpec()
 
 
-def _gauss_kronrod(fn, lo, hi, mapped, z0):
-    """Kronrod values and |Kronrod - Gauss| on panels [lo_i, hi_i], with one
-    call of ``fn``.  Mapped panels live in t, with z = z0 + t / (1 - t)."""
+def _runs(gid):
+    """(start, stop) of each run of one group in the sorted group indices."""
+    cuts = (np.flatnonzero(np.diff(gid)) + 1).tolist()
+    return zip([0] + cuts, cuts + [gid.size])
+
+
+def _gauss_kronrod(fn, lo, hi, mapped, z0, gid):
+    """Kronrod values and |Kronrod - Gauss| on panels [lo_i, hi_i] of the
+    groups ``gid_i``, with one call of ``fn``.  Mapped panels live in t, with
+    z = z0_i + t / (1 - t).
+
+    A group's panels are contiguous, and the weighted sums run group by
+    group: a matrix-vector product rounds a row by where it sits in the
+    matrix, so this keeps each group's values those of a solo run."""
     half = 0.5 * (hi - lo)
     t = (0.5 * (lo + hi))[:, None] + half[:, None] * _X
     z = t.copy()
     jac = np.ones_like(t)
     if mapped.any():
         s = 1.0 / (1.0 - t[mapped])
-        z[mapped] = z0 + t[mapped] * s
+        z[mapped] = z0[mapped][:, None] + t[mapped] * s
         jac[mapped] = s * s
-    # an overflow or 0/0 shows as a non-finite value, which the caller raises on
+    # an overflow or 0/0 shows as a non-finite value, which fails the group
     with np.errstate(all="ignore"):
-        f = np.broadcast_to(np.asarray(fn(z.ravel()), dtype=float), (z.size,))
+        f = np.broadcast_to(np.asarray(fn(z.ravel(), np.repeat(gid, _X.size)),
+                                       dtype=float), (z.size,))
         f = f.reshape(z.shape) * jac
-        kronrod = half * (f @ _WK)
-        return kronrod, np.abs(kronrod - half * (f @ _WG))
+        fk, fg = np.empty(lo.size), np.empty(lo.size)
+        for a, b in _runs(gid):
+            fk[a:b] = f[a:b] @ _WK
+            fg[a:b] = f[a:b] @ _WG
+        kronrod = half * fk
+        return kronrod, np.abs(kronrod - half * fg)
 
 
 def _graded(edges):
@@ -113,58 +135,124 @@ def _graded(edges):
     return np.array(cuts[:-1]), np.array(cuts[1:]), np.array(seg, dtype=np.intp)
 
 
-def _split(lo, hi, mapped, seg):
+def _split(lo, hi, mapped, seg, gid):
     """Children of the panels [lo_i, hi_i]: the panel touching the origin
-    becomes a fresh ladder below its top, the others are halved."""
+    becomes a fresh ladder below its top, the others are halved.  Within a
+    group the children run lower halves, upper halves, ladders; the groups
+    keep their order."""
     origin = (lo == 0.0) & ~mapped
     mid = 0.5 * (lo + hi)[~origin]
     top = hi[origin][:, None]
+    rungs = _LADDER.size - 1
     child_lo = np.concatenate((lo[~origin], mid, (top * _LADDER[:-1]).ravel()))
     child_hi = np.concatenate((mid, hi[~origin], (top * _LADDER[1:]).ravel()))
     child_mapped = np.zeros(child_lo.size, dtype=bool)
     child_mapped[:2 * mid.size] = np.tile(mapped[~origin], 2)
-    child_seg = np.concatenate((np.tile(seg[~origin], 2),
-                                np.repeat(seg[origin], _LADDER.size - 1)))
-    return child_lo, child_hi, child_mapped, child_seg
+    child_seg = np.concatenate((np.tile(seg[~origin], 2), np.repeat(seg[origin], rungs)))
+    child_gid = np.concatenate((np.tile(gid[~origin], 2), np.repeat(gid[origin], rungs)))
+    order = np.argsort(child_gid, kind="stable")
+    return tuple(c[order] for c in (child_lo, child_hi, child_mapped, child_seg, child_gid))
 
 
-def _integrate(fn, edges, infinite, spec):
-    """The adaptive loop over the segments between consecutive finite
-    ``edges``, plus [edges[-1], oo) when ``infinite``: the total and the
-    integral over each segment."""
-    lo, hi, seg = _graded(edges)
-    mapped = np.zeros(lo.size, dtype=bool)
-    if infinite:
-        lo, hi = np.append(lo, 0.0), np.append(hi, 1.0)
-        mapped = np.append(mapped, True)
-        seg = np.append(seg, len(edges) - 1)
-    z0 = edges[-1]
+def _range(a, b, points):
+    """(edges, infinite) of the nonempty interval (a, b) split at the
+    interior ``points``: the finite edges, and whether [edges[-1], oo)
+    follows them."""
+    edges = [a, *sorted({float(p) for p in points if a < p < b})]
+    infinite = math.isinf(b)
+    if not infinite:
+        edges.append(float(b))
+    elif a == 0.0 and len(edges) == 1:
+        edges.append(1.0)  # the ladder needs a finite first edge
+    return edges, infinite
 
-    panels = (lo, hi, mapped, seg)
-    val, err = _gauss_kronrod(fn, *panels[:3], z0)
-    splits = 0
+
+def _integrate(fn, ranges, spec):
+    """The adaptive loop over G independent integrals, the groups: group g
+    covers the segments between consecutive finite edges of
+    ``ranges[g] = (edges, infinite)``, plus [edges[-1], oo) when infinite.
+    ``fn(z, g)`` receives the nodes and each node's group.
+
+    Consecutive groups run together in batches whose first round stays
+    within ``_BATCH_NODES`` integrand nodes (a batch holds one group at
+    least), which bounds the integrand's temporaries.  Returns, per group,
+    the total and the integral over each segment, or the QuadratureError
+    the group failed with."""
+    results, batch, nodes = [], [], 0
+    for edges, infinite in ranges:
+        lo, hi, seg = _graded(edges)
+        mapped = np.zeros(lo.size, dtype=bool)
+        if infinite:
+            lo, hi = np.append(lo, 0.0), np.append(hi, 1.0)
+            mapped = np.append(mapped, True)
+            seg = np.append(seg, len(edges) - 1)
+        if batch and nodes + lo.size * _X.size > _BATCH_NODES:
+            results += _refine(fn, batch, len(results), spec)
+            batch, nodes = [], 0
+        batch.append((lo, hi, mapped, seg, edges[-1], len(edges) - 1 + infinite))
+        nodes += lo.size * _X.size
+    return results + _refine(fn, batch, len(results), spec)
+
+
+def _refine(fn, groups, offset, spec):
+    """The adaptive loop over one batch of groups, each given by its first
+    panels, the start z0 of its mapped tail and its segment count; group g
+    of the batch is group ``offset + g`` to ``fn``.
+
+    Every group keeps the rules of a solo run: its own tolerance, split
+    test, split budget and failure tests, and its panels in a solo run's
+    order, so its result is the solo result bit for bit."""
+    size = len(groups)
+    z0 = np.array([group[4] for group in groups], dtype=float)
+    gid = np.repeat(np.arange(size), [group[0].size for group in groups])
+    panels = tuple(np.concatenate([group[k] for group in groups]) for k in range(4)) + (gid,)
+    call = (lambda z, g: fn(z, g + offset)) if offset else fn
+    val, err = _gauss_kronrod(call, *panels[:3], z0[gid], gid)
+    splits = np.zeros(size, dtype=np.intp)
+    results = [None] * size
     while True:
-        total, achieved = float(np.sum(val)), float(np.sum(err))
-        if not (math.isfinite(total) and math.isfinite(achieved)):
-            raise QuadratureError("integral did not converge (non-finite value)",
-                                  achieved=math.inf)
-        tol = spec.atol + spec.rtol * abs(total)
-        if achieved <= tol or splits >= _MAX_SUBDIVISIONS:
-            break
-        # split every panel holding more than its even share of the tolerance
-        bad = err > tol / err.size
-        splits += int(np.count_nonzero(bad))
+        # the groups still refining, each a contiguous run of panels
+        gid = panels[4]
+        share = np.full(size, math.inf)
+        largest = []
+        for a, b in _runs(gid):
+            g = gid[a]
+            total = float(np.add.reduce(val[a:b]))
+            achieved = float(np.add.reduce(err[a:b]))
+            if not (math.isfinite(total) and math.isfinite(achieved)):
+                results[g] = QuadratureError("integral did not converge (non-finite value)",
+                                             achieved=math.inf)
+                continue
+            tol = spec.atol + spec.rtol * abs(total)
+            if achieved <= tol or splits[g] >= _MAX_SUBDIVISIONS:
+                if achieved > 10.0 * max(tol, 1e-14):
+                    results[g] = QuadratureError(
+                        f"integral error estimate {achieved:.3e} exceeds tolerance "
+                        f"{tol:.3e}", achieved=achieved)
+                else:
+                    results[g] = (total, np.bincount(panels[3][a:b], weights=val[a:b],
+                                                     minlength=groups[g][5]))
+                continue
+            # split every panel holding more than its even share of the
+            # tolerance; when rounding leaves none above it, the largest
+            share[g] = tol / (b - a)
+            if not np.any(err[a:b] > share[g]):
+                largest.append(a + int(np.argmax(err[a:b])))
+        refining = share[gid] < math.inf
+        if not refining.any():
+            return results
+        bad = err > share[gid]
+        bad[largest] = True
+        splits += np.bincount(gid[bad], minlength=size)
         children = _split(*(p[bad] for p in panels))
-        child_val, child_err = _gauss_kronrod(fn, *children[:3], z0)
-        keep = ~bad
-        panels = tuple(np.concatenate((p[keep], c)) for p, c in zip(panels, children))
-        val = np.concatenate((val[keep], child_val))
-        err = np.concatenate((err[keep], child_err))
-    if achieved > 10.0 * max(tol, 1e-14):
-        raise QuadratureError(
-            f"integral error estimate {achieved:.3e} exceeds tolerance {tol:.3e}",
-            achieved=achieved)
-    return total, np.bincount(panels[3], weights=val, minlength=len(edges) - 1 + infinite)
+        child_val, child_err = _gauss_kronrod(call, *children[:3], z0[children[4]],
+                                              children[4])
+        keep = refining & ~bad
+        # each group's kept panels, then its children: a solo run's order
+        order = np.argsort(np.concatenate((gid[keep], children[4])), kind="stable")
+        panels = tuple(np.concatenate((p[keep], c))[order] for p, c in zip(panels, children))
+        val = np.concatenate((val[keep], child_val))[order]
+        err = np.concatenate((err[keep], child_err))[order]
 
 
 def integrate_interval(fn, a, b, spec=DEFAULT_QUAD, points=()):
@@ -177,13 +265,33 @@ def integrate_interval(fn, a, b, spec=DEFAULT_QUAD, points=()):
     """
     if b <= a:
         return 0.0
-    edges = [a, *sorted({float(p) for p in points if a < p < b})]
-    infinite = math.isinf(b)
-    if not infinite:
-        edges.append(float(b))
-    elif a == 0.0 and len(edges) == 1:
-        edges.append(1.0)  # the ladder needs a finite first edge
-    return _integrate(fn, edges, infinite, spec)[0]
+    (out,) = _integrate(lambda z, g: fn(z), [_range(a, b, points)], spec)
+    if isinstance(out, QuadratureError):
+        raise out
+    return out[0]
+
+
+def integrate_intervals(fn, intervals, spec=DEFAULT_QUAD):
+    """Integrals over the intervals ``[(a, b, points), ...]``, a < b, at
+    once, each one a group.  ``fn(z, g)`` receives 1-d arrays of nodes and
+    of each node's group, the index of its interval, and returns the values.
+
+    Each group is refined as ``integrate_interval`` refines it alone, and its
+    value is that call's, bit for bit.  Returns the values and, per group,
+    None or the QuadratureError that call would raise; a failed group's
+    value is NaN and leaves the others unchanged.
+    """
+    if any(b <= a for a, b, _ in intervals):
+        raise ValueError("every interval needs a < b")
+    values = np.empty(len(intervals))
+    errors = [None] * len(intervals)
+    out = _integrate(fn, [_range(*interval) for interval in intervals], spec)
+    for g, res in enumerate(out):
+        if isinstance(res, QuadratureError):
+            values[g], errors[g] = math.nan, res
+        else:
+            values[g] = res[0]
+    return values, errors
 
 
 def integrate_segments(fn, edges, spec=DEFAULT_QUAD):
@@ -191,4 +299,7 @@ def integrate_segments(fn, edges, spec=DEFAULT_QUAD):
     consecutive finite, increasing ``edges``, from one adaptive run whose
     tolerance and errors are those of ``integrate_interval`` over the whole
     range."""
-    return _integrate(fn, [float(e) for e in edges], False, spec)[1]
+    (out,) = _integrate(lambda z, g: fn(z), [([float(e) for e in edges], False)], spec)
+    if isinstance(out, QuadratureError):
+        raise out
+    return out[1]

@@ -346,14 +346,16 @@ def test_check_rejects_pure_growth_with_witnesses(tmp_path, capsys):
 
 
 def test_check_fails_on_skipped_lyapunov_points(tmp_path, capsys, monkeypatch):
-    apply = generator.apply_coupling_L
+    evaluate = generator._coupling_L
 
-    def failing_at_one_point(fn, x, y, *args, **kwargs):
-        if y == 2.0 and math.isclose(x - y, 1e-3):
-            raise QuadratureError("integrand refused")
-        return apply(fn, x, y, *args, **kwargs)
+    def failing_at_one_point(fn, x, y, *args):
+        values, errors = evaluate(fn, x, y, *args)
+        hit = (y == 2.0) & np.isclose(x - y, 1e-3, rtol=1e-9, atol=0.0)
+        for i in np.flatnonzero(hit):
+            values[i], errors[i] = math.nan, QuadratureError("integrand refused")
+        return values, errors
 
-    monkeypatch.setattr(generator, "apply_coupling_L", failing_at_one_point)
+    monkeypatch.setattr(generator, "_coupling_L", failing_at_one_point)
     code, _ = run(tmp_path, "check", "--scenario", "case2-stable")
     assert code == 1
     text = capsys.readouterr().out

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from nlbranch import generator
-from nlbranch.cli import main
+from nlbranch.cli import assemble_scenario, main
 from nlbranch.config import PRESETS, load_scenario
 from nlbranch.errors import DomainError, QuadratureError
 from nlbranch.generator import (FAILS, HOLDS, INAPPLICABLE, INCONCLUSIVE,
@@ -18,6 +18,7 @@ from nlbranch.generator import (FAILS, HOLDS, INAPPLICABLE, INCONCLUSIVE,
 from nlbranch.model import (AtomicMeasure, CoefficientSet,
                             StableTruncatedMeasure, cir_coefficients,
                             dyadic_atoms)
+from nlbranch.quad import QuadratureSpec
 from nlbranch.testfn import DriftModulus, phi1_zero
 
 STABLE15 = StableTruncatedMeasure(alpha=1.5, c0=1.0, zmax=1.0)
@@ -300,14 +301,16 @@ def test_verify_lyapunov_skipped_point_is_inconclusive(case2, case2_assembled,
                                                        monkeypatch):
     consts, psi = case2_assembled
     grid = small_grid()
-    apply = generator.apply_coupling_L
+    evaluate = generator._coupling_L
 
-    def failing_at_one_point(fn, x, y, *args, **kwargs):
-        if y == 0.5 and math.isclose(x - y, grid[3]):
-            raise QuadratureError("integrand refused")
-        return apply(fn, x, y, *args, **kwargs)
+    def failing_at_one_point(fn, x, y, *args):
+        values, errors = evaluate(fn, x, y, *args)
+        hit = (y == 0.5) & np.isclose(x - y, grid[3], rtol=1e-9, atol=0.0)
+        for i in np.flatnonzero(hit):
+            values[i], errors[i] = math.nan, QuadratureError("integrand refused")
+        return values, errors
 
-    monkeypatch.setattr(generator, "apply_coupling_L", failing_at_one_point)
+    monkeypatch.setattr(generator, "_coupling_L", failing_at_one_point)
     rep = verify_lyapunov(psi, consts.lam, case2.coeffs, case2.nu,
                           case2.sim.kappa, r_grid=grid)
     assert rep.verdict == INCONCLUSIVE and not rep.holds
@@ -319,10 +322,10 @@ def test_verify_lyapunov_all_points_skipped_reports_no_margin(case2, case2_assem
                                                               monkeypatch):
     consts, psi = case2_assembled
 
-    def always_failing(*args, **kwargs):
-        raise QuadratureError("integrand refused")
+    def always_failing(fn, x, y, *args):
+        return np.full(x.size, math.nan), [QuadratureError("integrand refused")] * x.size
 
-    monkeypatch.setattr(generator, "apply_coupling_L", always_failing)
+    monkeypatch.setattr(generator, "_coupling_L", always_failing)
     rep = verify_lyapunov(psi, consts.lam, case2.coeffs, case2.nu,
                           case2.sim.kappa, r_grid=small_grid()[:4])
     assert rep.verdict == INCONCLUSIVE and not rep.holds
@@ -355,6 +358,61 @@ def test_lyapunov_verdict_and_margin_are_pinned(tmp_path, name):
     assert section.startswith(HOLDS)
     margin = float(section.split("max_margin = ", 1)[1].split("\n", 1)[0])
     assert margin == pytest.approx(LYAPUNOV_MARGINS[name], abs=1e-9)
+
+
+def assert_chunk_matches_points(fn, coeffs, nu, kappa):
+    """Pairs (y + r, y) evaluated as one chunk agree with apply_coupling_L
+    at each pair alone."""
+    r = np.repeat(np.logspace(-3, 1, 7), 3)
+    y = np.tile((0.0, 0.5, 2.0), 7)
+    q = QuadratureSpec(atol=1e-9, rtol=1e-7)
+    values, errors = generator._coupling_L(fn, y + r, y, coeffs, nu, kappa, q)
+    assert errors == [None] * r.size
+    for val, xi, yi in zip(values, y + r, y):
+        alone = apply_coupling_L(fn, xi, yi, coeffs, nu, kappa, q=q)
+        assert val == pytest.approx(alone, rel=0.0, abs=1e-13)
+
+
+@pytest.mark.parametrize("name", sorted(LYAPUNOV_MARGINS))
+def test_grid_point_alone_and_inside_a_chunk_agree(name):
+    # case3-dyadic sums atoms per point
+    sc = load_scenario(name)
+    _, psi = assemble_scenario(sc, sc.variant)
+    assert_chunk_matches_points(psi, sc.coeffs, sc.nu, sc.sim.kappa)
+
+
+def test_chunk_agreement_on_the_tv_function(case2):
+    _, tv = assemble_scenario(case2, "tv")
+    assert len(tv.breakpoints()) == 3
+    assert_chunk_matches_points(tv, case2.coeffs, case2.nu, case2.sim.kappa)
+
+
+UNDECLARED_INI = """
+[scenario undeclared]
+x0 = 1.0
+y0 = 0.5
+
+[coefficients undeclared]
+type = custom
+gamma0 = -x
+gamma2 = x
+
+[measure undeclared]
+type = custom
+density = z**(-1.5)
+upper = 2.0
+decreasing = false
+"""
+
+
+def test_chunk_agreement_on_an_undeclared_ini_density(case2, case2_assembled, tmp_path):
+    # without the decreasing flag, overlap_mass integrates min(n(z), n(z - x))
+    path = tmp_path / "undeclared.ini"
+    path.write_text(UNDECLARED_INI)
+    sc = load_scenario("undeclared", config_path=path)
+    assert not sc.nu.density_decreasing
+    _, psi = case2_assembled
+    assert_chunk_matches_points(psi, sc.coeffs, sc.nu, case2.sim.kappa)
 
 
 # ---------------------------------------------------------------------------
