@@ -12,11 +12,10 @@ tree's ``src/`` and times:
 - ``event_reads_us_m25`` and ``event_reads_us_m200``: one event round's
   clock-refill, jump-size and mark reads when 25 or 200 paths of 1e4 fire,
   all of them partnered (the median of ``--calls`` rounds): three
-  ``simulate._draws`` reads at the firing count on a tree that keys the
-  rounds by firing rank, one ``simulate._draws_at`` call at the firing
-  paths' indices on a tree that keys them by path index;
+  ``simulate._draws`` reads at the firing count;
 - ``rho_rows_us``: the overlap ratios of one event round's partner rows,
-  rho(-U, z) and rho(U, z) on 25 jumps of case2's measure;
+  rho(-U, z) and rho(U, z) from ``rho_pair`` on 25 jumps of case2's
+  measure;
 - ``<preset>.single_mpath_steps_per_s`` and ``.coupled_...``: path-steps per
   second of ``simulate_single`` and ``simulate_coupled`` on case2-stable,
   cir, case3-dyadic and xlog-drift, at ``--paths`` paths and ``--steps``
@@ -30,10 +29,8 @@ tree's ``src/`` and times:
 With ``--parent`` the other tree is sampled too, the order of the two
 alternating from repeat to repeat, and the output holds both.  The JSON
 output records the machine, the settings, and per tree and metric the
-samples, their median and their quartiles.  The script reads both kernel
-interfaces: event reads keyed by firing rank or by path index, and the
-partner ratios through ``rho`` on the stacked shifts or through
-``rho_pair``.  The generator metrics go through public calls only.
+samples, their median and their quartiles.  The generator metrics go
+through public calls only.
 """
 
 from __future__ import annotations
@@ -70,20 +67,10 @@ def _median_us(fn, calls):
 
 def _event_round(simulate, fire):
     """round(): the refill, size and mark reads of one event round in which
-    the paths fire (all of them partnered), as the tree's kernel makes them."""
+    the paths fire (all of them partnered), as the kernel makes them."""
     counter = 1000 * simulate._STEP_STRIDE
     slots = (simulate._SLOT_JUMP_OCCUR, simulate._SLOT_JUMP_SIZE, simulate._SLOT_MARK)
-    if hasattr(simulate, "_draws_at"):
-        reads = tuple((slot, fire) for slot in slots)
-        return lambda: simulate._draws_at(SEED, counter, reads, WIDTH)
     return lambda: [simulate._draws(SEED, slot, counter, fire.size) for slot in slots]
-
-
-def _rho_rows(nu):
-    """rows(u, z): rho(-u, z) and rho(u, z), as the tree's kernel asks."""
-    if hasattr(nu, "rho_pair"):
-        return nu.rho_pair
-    return lambda u, z: nu.rho(np.concatenate((-u, u)), np.concatenate((z, z)))
 
 
 def _generator_layers(calls):
@@ -117,10 +104,9 @@ def sample(paths, steps, calls):
         fire = np.sort(rng.choice(WIDTH, m, replace=False))
         out[f"event_reads_us_m{m}"] = _median_us(_event_round(simulate, fire), calls)
     case2 = load_scenario("case2-stable")
-    rows = _rho_rows(case2.nu)
     z = np.asarray(case2.nu.quantile_above(case2.sim.eps, rng.random(25)))
     u = np.minimum(rng.random(25), case2.sim.kappa)
-    out["rho_rows_us"] = _median_us(lambda: rows(u, z), calls)
+    out["rho_rows_us"] = _median_us(lambda: case2.nu.rho_pair(u, z), calls)
     for name in PRESETS:
         sc = load_scenario(name)
         cfg = replace(sc.sim, n_paths=paths, t_end=steps * sc.sim.h, record_times=None)

@@ -18,8 +18,8 @@ from .generator import (ConditionReport, apply_L, apply_coupling_L,
                         cir_expected_hitting_time, invariant_density_residual,
                         invariant_measure_mass, verify_lyapunov)
 from .simulate import (CoupledEnsemble, SimConfig, SingleEnsemble,
-                       marginal_consistency, read_ensemble, simulate_coupled,
-                       simulate_single, simulate_starts, write_ensemble)
+                       read_ensemble, simulate_coupled, simulate_single,
+                       simulate_starts, write_ensemble)
 from .estimate import (DecayCurve, FitResult, decay_curve, empirical_w1,
                        fit_rate, invariant_summary, tail_distance, tv_upper,
                        w1_upper)

@@ -280,15 +280,21 @@ def apply_coupling_L_sum(f, g, x: float, y: float, coeffs: CoefficientSet,
         corr_plus = lambda z: g.value(y + z + uk) - g.value(y + z) - uk * dgy
         corr_minus = lambda z: g.value(y + z - uk) - g.value(y + z) + uk * dgy
         pts_u = pts + (uk,)
+        # (rho(-u_k, z), rho(u_k, z)): the densities of mu_{-u_k}, mu_{u_k} in nu
+        rows = lambda z: nu.rho_pair(np.full(z.shape, uk), z)
+
+        def rest(z):
+            up, down = rows(z)
+            return 1.0 - 0.5 * up - 0.5 * down
+
         # row 1: both jump z, Y additionally displaced +u_k; rate (1/2) gamma2(y) mu_{-u_k}
         out += 0.5 * g2y * jumps(lambda z, p: both(z, p) + corr_plus(z),
-                                 lambda z: nu.rho(-uk, z), pts_u)
+                                 lambda z: rows(z)[0], pts_u)
         # row 2: Y displaced -u_k; rate (1/2) gamma2(y) mu_{u_k}
         out += 0.5 * g2y * jumps(lambda z, p: both(z, p) + corr_minus(z),
-                                 lambda z: nu.rho(uk, z), pts_u)
+                                 lambda z: rows(z)[1], pts_u)
         # row 3: both jump z; rate gamma2(y)(nu - mu_{-u_k}/2 - mu_{u_k}/2)
-        out += g2y * jumps(both, lambda z: 1.0 - 0.5 * nu.rho(-uk, z) - 0.5 * nu.rho(uk, z),
-                           pts_u)
+        out += g2y * jumps(both, rest, pts_u)
     excess = g2x - g2y
     if excess != 0.0:
         # row 4: only X jumps; rate (gamma2(x) - gamma2(y)) nu

@@ -9,7 +9,8 @@ This module holds the coefficient triple, the jump measure ``nu`` in
 absolutely-continuous / atomic / mixture form, and the measure-level queries
 the coupling construction needs: tail masses, truncated moments, the mass of
 the overlap measure ``mu_x = nu ^ (delta_x * nu)`` and its density ratio
-``rho(x, z)``, and restricted jump sampling.
+``rho(x, z)``, and restricted jump sampling.  The path kernel and the
+generator read the ratio through one entry, ``LevyMeasure.rho_pair``.
 """
 
 from __future__ import annotations
@@ -143,7 +144,7 @@ class LevyMeasure:
 
     name = "levy"
     upper = math.inf            # supremum of the AC support (inf allowed)
-    # AC density positive and nonincreasing on (0, upper]: rho and
+    # AC density positive and nonincreasing on (0, upper]: rho_pair and
     # overlap_mass take the flag at its word and skip density calls on it
     density_decreasing = False
     atom_locations = np.empty(0)
@@ -208,36 +209,11 @@ class LevyMeasure:
 
     # -- overlap ----------------------------------------------------------
 
-    def rho(self, x, z):
-        """Density ratio d(mu_x)/d(nu) evaluated at z, vectorized in both.
-
-        rho(0, z) = 1 by convention.  Every value comes from ``_rho_core``,
-        the one expression of the ratio, which ``rho_pair`` also reads.
-        """
-        x = np.asarray(x, dtype=float)
-        z = np.asarray(z, dtype=float)
-        shape = np.broadcast_shapes(x.shape, z.shape)
-        z = np.broadcast_to(z, shape).ravel()
-        if x.ndim == 0:
-            # one shift (the generator's case): one side of the core
-            xs = float(x)
-            out = np.ones(z.shape) if xs == 0.0 else self._rho_core(z, z - xs, xs > 0.0)
-        else:
-            x = np.broadcast_to(x, shape).ravel()
-            out = np.ones(z.shape)
-            down = x > 0.0
-            # x < 0 or NaN is the uphill side, where NaN gives 0
-            for sel, downhill in ((down, True), (~down & (x != 0.0), False)):
-                if sel.any():
-                    zs = z[sel]
-                    out[sel] = self._rho_core(zs, zs - x[sel], downhill)
-        return out.reshape(shape) if shape else float(out[0])
-
     def rho_pair(self, u, z, mz=None):
         """(rho(-u, z), rho(u, z)) for 1-d float arrays u >= 0 (or NaN) and z
-        of one size: the uphill and the downhill row of the refined basic
-        coupling at gap u.  ``mz``, if given, is ``_atom_mass_at(z)``.  The
-        values are ``rho``'s, bit for bit."""
+        of one size, with rho(x, z) = d(mu_x)/d(nu) at z and rho(0, z) = 1:
+        the uphill and the downhill row of the refined basic coupling at gap
+        u.  ``mz``, if given, is ``_atom_mass_at(z)``."""
         up = self._rho_core(z, z + u, False, mz)
         down = self._rho_core(z, z - u, True, mz)
         if not u.all():

@@ -60,8 +60,8 @@ arithmetic; while no path is flagged the Brownian-draw test is two
 reductions; the clocks' NaN mask runs only on a step whose state holds a
 NaN; and the blow-up masks are built only on a step whose largest value
 fails ``<= _STATE_CAP``.  The partner rows' overlap ratios come from
-``LevyMeasure.rho_pair``, the core of ``rho`` that gives rho(-U, z) and
-rho(U, z) on the partnered jumps of a round, and reads no density where the
+``LevyMeasure.rho_pair``, which gives rho(-U, z) and rho(U, z) on the
+partnered jumps of a round, and reads no density where the
 displacement runs downhill on a decreasing density.  Each ensemble reports
 ``max_step_hazard``, the largest hazard increment of one of its paths in one
 step: the expected number of jumps there, which says how coarse h is for the
@@ -74,7 +74,7 @@ import functools
 import json
 import math
 import struct
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -133,6 +133,8 @@ class SimConfig:
     def resolved_record_times(self):
         if self.record_times is not None:
             ts = np.asarray(sorted(set(float(t) for t in self.record_times)))
+            if not ts.size:
+                raise DomainError("record times must not be empty")
             if np.any(ts < 0) or ts[-1] > self.t_end * (1 + 1e-9):
                 raise DomainError("record times must lie in [0, t_end]")
             return ts
@@ -592,32 +594,6 @@ def ks_statistic(sample_a, sample_b) -> float:
     gap = (np.searchsorted(a, pooled, side="right") / a.size
            - np.searchsorted(b, pooled, side="right") / b.size)
     return float(np.max(np.abs(gap)))
-
-
-def marginal_consistency(coeffs, nu, x0, y0, cfg: SimConfig, checkpoints=None):
-    """Compare the law of the coupled X-coordinate against an independent
-    marginal run: means, second moments and the two-sample KS statistic.
-
-    The coupling must preserve marginals; a large KS statistic is a verdict
-    against the jump-row bookkeeping, not an exception.
-    """
-    single = simulate_single(coeffs, nu, x0, cfg)
-    coupled = simulate_coupled(coeffs, nu, x0, y0, replace(cfg, seed=cfg.seed + 0x5D1F))
-    if checkpoints is None:
-        checkpoints = [t for t in single.times if t > 0]
-    rows = []
-    worst = 0.0
-    for t in checkpoints:
-        a = single.at(t)[~single.flagged]
-        b = coupled.at(t)[~coupled.flagged]
-        ks = ks_statistic(a, b)
-        worst = max(worst, ks)
-        rows.append({"t": float(t), "ks": ks,
-                     "mean_single": float(np.mean(a)),
-                     "mean_coupled": float(np.mean(b)),
-                     "m2_single": float(np.mean(a ** 2)),
-                     "m2_coupled": float(np.mean(b ** 2))})
-    return {"max_ks": worst, "checkpoints": rows}
 
 
 # ---------------------------------------------------------------------------

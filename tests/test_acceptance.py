@@ -6,7 +6,6 @@ ensembles are shared through module-scoped fixtures.
 
 import math
 from collections import namedtuple
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -19,7 +18,7 @@ from nlbranch.generator import (cir_expected_hitting_time,
                                 invariant_density_residual,
                                 invariant_measure_mass, verify_lyapunov)
 from nlbranch.model import StableTruncatedMeasure
-from nlbranch.simulate import marginal_consistency, simulate_coupled
+from nlbranch.simulate import simulate_coupled
 from nlbranch.testfn import (DriftModulus, assemble, build_g, phi1_log1p,
                              phi1_xlog, phi1_zero)
 
@@ -123,8 +122,9 @@ def test_criterion_4_overlap_measure(capsys):
 
 
 def test_criterion_5_coupling_structure(case2, capsys):
-    """Refined-basic coupling on the stable instance: order preservation,
-    coalescence permanence, and marginal-law preservation at N = 10^5."""
+    """Refined-basic coupling on the stable instance: order preservation
+    and coalescence permanence.  The X leg's marginal law is the single run's
+    bit for bit (``test_coupled_x_leg_is_the_marginal_run``)."""
     ens = simulate_coupled(case2.coeffs, case2.nu, case2.x0, case2.y0, case2.sim)
     assert ens.n_paths == 10_000
     assert ens.order_violations == 0
@@ -134,13 +134,7 @@ def test_criterion_5_coupling_structure(case2, capsys):
         done = ens.coalescence[keep] <= t
         assert np.all(gap[done] == 0.0), f"permanence broken at t = {t}"
         assert np.all(gap >= 0.0)
-    cfg = replace(case2.sim, n_paths=100_000, t_end=1.0,
-                  record_times=(0.0, 0.5, 1.0))
-    mc = marginal_consistency(case2.coeffs, case2.nu, case2.x0, case2.y0, cfg,
-                              checkpoints=[0.5, 1.0])
-    assert mc["max_ks"] < 0.01
-    report(capsys, "criterion 5 PASS: 0 order violations, permanence exact, "
-           f"marginal KS = {mc['max_ks']:.4f} < 0.01")
+    report(capsys, "criterion 5 PASS: 0 order violations, permanence exact")
 
 
 def test_criterion_6_strong_ergodicity_contrast(tmp_path, capsys):

@@ -189,13 +189,15 @@ def test_overlap_mass_symmetry():
 
 def test_overlap_at_zero_is_parent_measure():
     assert math.isinf(STABLE15.overlap_mass(0.0))
-    assert np.allclose(STABLE15.rho(0.0, np.array([0.2, 0.7])), 1.0)
+    for side in STABLE15.rho_pair(np.zeros(2), np.array([0.2, 0.7])):
+        assert np.allclose(side, 1.0)
 
 
 def test_rho_decreasing_density_cases():
     # below the shift the shifted density vanishes; above, min is the parent
-    assert float(STABLE05.rho(0.25, 0.1)) == 0.0
-    assert float(STABLE05.rho(0.25, 0.5)) == pytest.approx(1.0)
+    _, down = STABLE05.rho_pair(np.array([0.25, 0.25]), np.array([0.1, 0.5]))
+    assert down[0] == 0.0
+    assert down[1] == pytest.approx(1.0)
 
 
 POWER_INI = """
@@ -224,8 +226,8 @@ def ini_power(tmp_path_factory):
 
 
 def _undeclared(nu):
-    """nu with the same density, not declared decreasing: rho takes its
-    generic expression min(n(z), n(z - x)) / n(z) everywhere."""
+    """nu with the same density, not declared decreasing: rho_pair takes
+    its generic expression min(n(z), n(z - x)) / n(z) everywhere."""
     twin = copy.copy(nu)
     twin.density_decreasing = False
     return twin
@@ -241,19 +243,20 @@ def test_rho_downhill_shortcut_equals_the_generic_expression(ini_power, name, u,
     nu = {"stable-1.5": STABLE15, "stable-0.5": STABLE05, "ini-power": ini_power}[name]
     assert nu.density_decreasing
     z = data.draw(st.floats(min_value=0.1, max_value=nu.upper, exclude_min=True))
-    x, zz = np.array([-u, u]), np.array([z, z])
-    assert nu.rho(x, zz).tobytes() == _undeclared(nu).rho(x, zz).tobytes()
+    uu, zz = np.array([u]), np.array([z])
+    for got, want in zip(nu.rho_pair(uu, zz), _undeclared(nu).rho_pair(uu, zz)):
+        assert got.tobytes() == want.tobytes()
 
 
 def test_rho_downhill_calls_no_density():
     nu, calls = copy.copy(STABLE15), []
     nu.density = lambda z: calls.append(z) or STABLE15.density(z)
     z = np.array([0.2, 0.5, 1.0, 1.5])
-    assert np.array_equal(nu.rho(0.3, z), [0.0, 1.0, 1.0, 0.0])
-    assert calls == []
-    # uphill: n(z) and n(z + 0.3) in one call
-    nu.rho(-0.3, z)
+    _, down = nu.rho_pair(np.full(z.shape, 0.3), z)
+    assert np.array_equal(down, [0.0, 1.0, 1.0, 0.0])
+    # the one call is the uphill side's: n(z) and n(z + 0.3) together
     assert len(calls) == 1
+    assert np.array_equal(calls[0], np.concatenate((z, z + 0.3)))
 
 
 def _reference_rho(nu, x, z):
@@ -312,9 +315,9 @@ SIZES = st.one_of(st.sampled_from([0.25, 0.5, 1.0, 2.0, 2.5, 1e-3]),
 @given(pairs=st.lists(st.tuples(GAPS, SIZES), min_size=1, max_size=30))
 @settings(max_examples=150, deadline=None)
 def test_rho_core_equals_the_reference_bit_for_bit(ini_power, name, pairs):
-    # rho_pair gives the kernel rho(-U, z) and rho(U, z), rho the generator
-    # its values; both carry the reference's bits, and so does rho_pair fed
-    # the atom masses jumps_above gives with its sizes
+    # rho_pair gives the kernel rho(-U, z) and rho(U, z) at per-path gaps and
+    # the generator both at one gap; each carries the reference's bits, and
+    # so does rho_pair fed the atom masses jumps_above gives with its sizes
     nu = {"stable-1.5": STABLE15, "ini-power": ini_power,
           "ini-power-undeclared": _undeclared(ini_power), "dyadic": DYADIC,
           "mixture": MIXTURE}[name]
@@ -323,14 +326,10 @@ def test_rho_core_equals_the_reference_bit_for_bit(ini_power, name, pairs):
     want_up, want_down = _reference_rho(nu, -u, z), _reference_rho(nu, u, z)
     up, down = nu.rho_pair(u, z)
     assert up.tobytes() == want_up.tobytes() and down.tobytes() == want_down.tobytes()
-    assert nu.rho(-u, z).tobytes() == want_up.tobytes()
-    assert nu.rho(u, z).tobytes() == want_down.tobytes()
-    signs = np.where(np.arange(u.size) % 2 == 0, -1.0, 1.0)
-    assert nu.rho(signs * u, z).tobytes() == _reference_rho(nu, signs * u, z).tobytes()
     for k in (0, -1):
-        for x in (u[k], -u[k]):
-            assert nu.rho(x, z).tobytes() == _reference_rho(nu, x, z).tobytes()
-            assert nu.rho(x, z[k]) == float(_reference_rho(nu, x, z[k]))
+        up, down = nu.rho_pair(np.full(z.shape, u[k]), z)
+        assert up.tobytes() == _reference_rho(nu, -u[k], z).tobytes()
+        assert down.tobytes() == _reference_rho(nu, u[k], z).tobytes()
     sizes, masses = nu.jumps_above(0.1, np.linspace(0.0, 1.0, u.size, endpoint=False))
     assert sizes.tobytes() == np.asarray(nu.quantile_above(
         0.1, np.linspace(0.0, 1.0, u.size, endpoint=False))).tobytes()
@@ -360,8 +359,8 @@ def test_atomic_jumps_carry_the_mass_at_their_atom():
 @settings(max_examples=50, deadline=None)
 def test_rho_in_unit_interval(x, z):
     for nu in (STABLE15, DYADIC):
-        val = float(nu.rho(x, z))
-        assert 0.0 <= val <= 1.0
+        for val in nu.rho_pair(np.array([x]), np.array([z])):
+            assert 0.0 <= val[0] <= 1.0
 
 
 def test_atomic_overlap_exact_coincidence():

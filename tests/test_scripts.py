@@ -6,9 +6,12 @@ from pathlib import Path
 
 import numpy as np
 
+import nlbranch
+from nlbranch import generator
 from nlbranch.config import PRESETS
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+TRACER = SCRIPTS.parent / "perfbench" / "tracer.py"
 SUBSET = ("case2-stable", "cir")
 
 
@@ -93,3 +96,20 @@ def test_bench_layers_tiny(tmp_path, monkeypatch, capsys):
             assert stats["q1"] <= stats["median"] <= stats["q3"]
             assert len(stats["samples"]) == 1
     assert result["machine"]["numpy"] == np.__version__
+
+
+def test_benchmark_tracer_installs_and_uninstalls():
+    # the benchmark's traced runs wrap package objects by name: install looks
+    # each one up, so deleting a name the tracer lists fails here, and
+    # uninstall puts every original back
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    orig = generator.verify_lyapunov
+    trace = tracer.Tracer()
+    try:
+        trace.install(nlbranch)
+        assert generator.verify_lyapunov is not orig
+    finally:
+        trace.uninstall()
+    assert generator.verify_lyapunov is orig
