@@ -19,7 +19,8 @@ tree's ``src/`` and times:
 - ``<preset>.single_mpath_steps_per_s`` and ``.coupled_...``: path-steps per
   second of ``simulate_single`` and ``simulate_coupled`` on case2-stable,
   cir, case3-dyadic and xlog-drift, at ``--paths`` paths and ``--steps``
-  steps of the preset's h;
+  steps of the preset's h (the median of ``KERNEL_RUNS`` timed runs, after
+  ``KERNEL_WARMUPS`` untimed ones);
 - ``lyapunov_grid_ms.case2-stable`` and ``.logistic``: the 60 x 3 Lyapunov
   grid ``nlbranch check`` scans (``verify_lyapunov`` on the preset's
   assembled test function; the median of up to 5 scans);
@@ -52,6 +53,10 @@ ROOT = Path(__file__).resolve().parent.parent
 PRESETS = ("case2-stable", "cir", "case3-dyadic", "xlog-drift")
 LYAPUNOV_PRESETS = ("case2-stable", "logistic")
 GRID_CALLS = 5
+# a kernel metric's untimed and timed runs per sample: a fresh interpreter's
+# first run is slower than its later ones, and one run alone is noisy
+KERNEL_WARMUPS = 1
+KERNEL_RUNS = 3
 SEED = 20240811
 WIDTH = 10_000
 
@@ -114,10 +119,11 @@ def sample(paths, steps, calls):
                 ("single", lambda: simulate.simulate_single(sc.coeffs, sc.nu, sc.x0, cfg)),
                 ("coupled", lambda: simulate.simulate_coupled(sc.coeffs, sc.nu, sc.x0,
                                                               sc.y0, cfg))):
-            t = time.perf_counter()
-            run()
+            for _ in range(KERNEL_WARMUPS):
+                run()
+            # path-steps per microsecond are Mpath-steps per second
             out[f"{name}.{kind}_mpath_steps_per_s"] = \
-                1e-6 * paths * steps / (time.perf_counter() - t)
+                paths * steps / _median_us(run, KERNEL_RUNS)
     out.update(_generator_layers(calls))
     return out
 

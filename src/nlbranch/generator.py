@@ -346,23 +346,23 @@ def check_drift_condition(coeffs: CoefficientSet, modulus, grid=None,
                                         math.log10(50.0 * l0), 40)])
         ys = np.array([0.0, 0.5 * l0, 2.0 * l0, 10.0 * l0])
         grid = [(float(y + ri), float(y)) for ri in r for y in ys]
-    witnesses = []
-    worst = -math.inf
-    for x, y in grid:
-        if x <= y:
-            raise DomainError("drift-condition grid needs x > y")
-        r = x - y
-        d = _at(coeffs.gamma0, x) - _at(coeffs.gamma0, y)
-        if r <= l0:
-            bound = _at(modulus.phi1.value, r)
-        elif modulus.phi2 is not None:
-            bound = -_at(modulus.phi2.value, r)
-        else:
-            bound = -modulus.k2 * r
-        margin = d - bound
-        worst = max(worst, margin)
-        if margin > tol * (1.0 + abs(bound)):
-            witnesses.append(((x, y), margin))
+    x, y = np.array(grid, dtype=float).reshape(-1, 2).T
+    if np.any(x <= y):
+        raise DomainError("drift-condition grid needs x > y")
+    r = x - y
+    d = _on(coeffs.gamma0, x) - _on(coeffs.gamma0, y)
+    inner = r <= l0
+    bound = np.empty(r.size)
+    bound[inner] = _on(modulus.phi1.value, r[inner])
+    if modulus.phi2 is not None:
+        bound[~inner] = -_on(modulus.phi2.value, r[~inner])
+    else:
+        bound[~inner] = -modulus.k2 * r[~inner]
+    margin = d - bound
+    worst = float(np.max(margin, initial=-math.inf))
+    bad = margin > tol * (1.0 + np.abs(bound))
+    witnesses = [((a, b), m) for a, b, m in zip(x[bad].tolist(), y[bad].tolist(),
+                                                margin[bad].tolist())]
     verdict = HOLDS if not witnesses else FAILS
     return ConditionReport("drift", verdict, witnesses,
                            derived={"l0": l0, "worst_margin": worst})

@@ -11,6 +11,7 @@ the coupling construction needs: tail masses, truncated moments, the mass of
 the overlap measure ``mu_x = nu ^ (delta_x * nu)`` and its density ratio
 ``rho(x, z)``, and restricted jump sampling.  The path kernel and the
 generator read the ratio through one entry, ``LevyMeasure.rho_pair``.
+Every integral of a density, a custom sampler's table too, runs in ``quad``.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from typing import Callable, Optional, Sequence, Tuple
 import numpy as np
 
 from .errors import DomainError, NoJumpError, QuadratureError, ValidationError
-from .quad import DEFAULT_QUAD, integrate_interval
+from .quad import DEFAULT_QUAD, integrate_interval, integrate_segments
 
 _ATOM_RTOL = 1e-12  # relative tolerance for coinciding atom locations
 
@@ -286,8 +287,7 @@ class LevyMeasure:
                 return math.inf
             total = float(np.sum(self.atom_masses))
             if self.has_ac_part:
-                total += self.tail_mass(self.upper * 1e-16) if self.upper < math.inf \
-                    else integrate_interval(self.density, 0.0, math.inf, self.quad)
+                total += integrate_interval(self.density, 0.0, self.upper, self.quad)
             return total
         total = 0.0
         if self.atom_locations.size:
@@ -362,14 +362,16 @@ class AbsolutelyContinuousMeasure(LevyMeasure):
     def quantile_above(self, eps, u):
         key = float(eps)
         if key not in self._inv_cdf_cache:
-            hi = self.upper if np.isfinite(self.upper) else max(10.0, 10.0 * eps)
-            while not np.isfinite(self.upper) and self.tail_mass(hi) > 1e-12 * self.tail_mass(eps):
-                hi *= 4.0
-            zs = np.linspace(eps, hi, 4097)
-            dens = self.density(zs)
-            cdf = np.concatenate(([0.0], np.cumsum((dens[1:] + dens[:-1]) * 0.5 * np.diff(zs))))
-            if not cdf[-1] > 0.0:
+            mass = self.tail_mass(eps)
+            if not mass > 0.0:
                 raise NoJumpError(f"nu((eps, oo)) = 0 for eps = {eps}")
+            hi = self.upper if np.isfinite(self.upper) else max(10.0, 10.0 * eps)
+            while not np.isfinite(self.upper) and self.tail_mass(hi) > 1e-12 * mass:
+                hi *= 4.0
+            # quad's masses between nodes spaced by ratio, as a power law needs
+            zs = np.geomspace(eps, hi, 4097)
+            cdf = np.concatenate(([0.0], np.cumsum(integrate_segments(self.density, zs,
+                                                                      self.quad))))
             cdf /= cdf[-1]
             self._inv_cdf_cache[key] = (zs, cdf)
         zs, cdf = self._inv_cdf_cache[key]

@@ -17,9 +17,10 @@ have not met.  ``simulate_starts`` runs several starts in one pass, and
 ``simulate_single`` is its one-start case; a coupled run has one start.  A
 pair that meets gets its coalescence time and leaves the state, since after
 it Y moves with X, and the record times write Y = X before the unmet
-partners.  A path that blows up is flagged and set to NaN, and its NaN state
-alone keeps it out of every later step (the drift map, the clamp at 0 and the
-jump clocks all carry NaN through), so no other mask tracks it.
+partners.  A crossed or repaired pair meets too, X alone moved to the midpoint.
+A path that blows up is flagged and set to NaN, and its NaN state alone
+keeps it out of every later step (the drift map, the clamp at 0 and the jump
+clocks all carry NaN through), so no other mask tracks it.
 
 Jumps above eps run on exact per-path clocks, the random time change of the
 modified next reaction method (Anderson 2007).  Each path carries the
@@ -115,6 +116,8 @@ class SimConfig:
     def __post_init__(self):
         if self.h <= 0 or self.eps <= 0 or self.t_end <= 0:
             raise DomainError("h, eps and t_end must be positive")
+        if round(self.t_end / self.h) < 1:
+            raise DomainError(f"t_end = {self.t_end} rounds to no step of h = {self.h}")
         if self.n_paths < 1:
             raise DomainError("need at least one path")
         if self.kappa <= 0:
@@ -489,33 +492,30 @@ def _simulate(coeffs, nu, starts, y0, cfg):
             # order bookkeeping of the pairs that have not met.  With an
             # active Gaussian part (the diffusion, or the small-jump term of
             # gaussian-compensation, driven the same way) a sign change means
-            # the two paths crossed inside the step, i.e. they met: project to
-            # the midpoint and let the coalescence test pick the pair up.  On
+            # the two paths crossed inside the step, i.e. they met.  On
             # pure-jump paths the scheme preserves order exactly, so a
             # negative gap beyond the rounding threshold is a genuine
-            # violation and is counted.
+            # violation and is counted; a smaller one is a rounding slip,
+            # repaired.  A crossing or a repair moves X alone to the
+            # midpoint, and the pair meets: its Y leaves the state.
             gap = S[pair] - S[nx:]
             # every gap above delta_c (the common step): no pair crossed,
             # needs a repair, counts a violation or meets
             near = gap <= delta_c
             if near.any():
-                neg = gap < 0
-                crossed = False
                 # with no negative gap, |gap| <= delta_c is gap <= delta_c
                 met = near
+                neg = gap < 0
                 if neg.any():
                     if small_var > 0.0:
                         noise = noise + small_var * (g2[pair] + g2[nx:])
                     crossed = neg & (noise > 0)
-                    small_neg = (neg & ~crossed & (gap >= -delta_c)) | crossed
-                    if np.any(small_neg):
-                        repairs += int(np.count_nonzero(small_neg & ~crossed))
-                        j = np.flatnonzero(small_neg)
-                        S[pair[j]] = S[nx + j] = 0.5 * (S[pair[j]] + S[nx + j])
-                        gap = S[pair] - S[nx:]
-                    violations += int(np.count_nonzero(neg & ~crossed
-                                                       & (gap < -delta_c)))
-                    met = (np.abs(gap) <= delta_c) | crossed
+                    deep = (gap < -delta_c) & ~crossed
+                    violations += int(np.count_nonzero(deep))
+                    moved = np.flatnonzero(neg & ~deep)
+                    repairs += moved.size - int(np.count_nonzero(crossed))
+                    S[pair[moved]] = 0.5 * (S[pair[moved]] + S[nx + moved])
+                    met = near & ~deep
 
                 # coalescence (time at step resolution): the pair leaves the
                 # state

@@ -8,7 +8,7 @@ optionally a dissipation modulus Phi2 beyond l0):
 * ``build_psi``   -- the two-piece concave distance-like function
                      psi(r) = c1 r + int_0^r exp(-c2 g(s)) ds with an
                      exponential bridge past 2 l0;
-* ``build_strong_psi`` -- the bounded variant whose bridge integrates 1/Phi2;
+* ``build_strong_psi`` -- psi's bounded variant, whose bridge integrates 1/Phi2;
 * ``build_tv_fn`` -- the bounded-below three-piece function used for total
                      variation estimates;
 * ``assemble``    -- the explicit constants (c0..c3, lambda, C), assembled
@@ -498,32 +498,30 @@ def build_psi(g: GFunction, c1: float, c2: float, l0: float) -> PsiFunction:
                                        * math.exp(-c2 * float(g.value(np.asarray(r0))))))
 
 
-def build_strong_psi(g: GFunction, c1: float, c2: float, modulus: DriftModulus,
-                     delta: float = 0.5) -> PsiFunction:
-    """Bounded variant: past 2 l0 the slope decays like 1/Phi2, so psi(oo) < oo.
+def build_strong_psi(psi: PsiFunction, phi2: Phi2, delta: float = 0.5) -> PsiFunction:
+    """Bounded variant of ``psi``, equal to it on (0, 2 l0] with psi's l0:
+    past 2 l0 the slope decays like 1/Phi2, so psi(oo) < oo.
 
     delta is shrunk geometrically until the bridge coefficient B is positive.
     """
-    if c1 <= 0 or c2 <= 0 or delta <= 0:
-        raise DomainError("c1, c2 and delta must be positive")
-    phi2 = modulus.phi2
+    if delta <= 0:
+        raise DomainError("delta must be positive")
     if phi2 is None or not phi2.tail_convergent:
         raise DomainError("strong-ergodicity bridge needs Phi2 with convergent "
                           "int 1/Phi2; the tail integral diverges")
-    base = build_psi(g, c1, c2, modulus.l0)
-    l0 = modulus.l0
+    l0 = psi.l0
     p2, dp2 = float(phi2.value(2.0 * l0)), float(phi2.d1(2.0 * l0))
     if dp2 <= 0:
         raise DomainError("Phi2'(2 l0) must be positive for the bounded bridge")
     for _ in range(80):
-        B = -base.d2psi_2l0 * p2 * (delta + 1.0) / (base.dpsi_2l0 * dp2) - delta
+        B = -psi.d2psi_2l0 * p2 * (delta + 1.0) / (psi.dpsi_2l0 * dp2) - delta
         if B > 0:
             break
         delta *= 0.5
     else:
         raise DomainError("could not find delta > 0 with positive bridge coefficient")
-    A = base.dpsi_2l0 * p2 / (delta + 1.0)
-    return replace(base, variant="strong", phi2=phi2, A=A, B=B, delta_bridge=delta)
+    A = psi.dpsi_2l0 * p2 / (delta + 1.0)
+    return replace(psi, variant="strong", phi2=phi2, A=A, B=B, delta_bridge=delta)
 
 
 # ---------------------------------------------------------------------------
@@ -778,7 +776,7 @@ def assemble(case: str, modulus: DriftModulus, params: dict, variant: str = "w1"
                       long_rate * l0 / F(l0),
                       short_rate / (1.0 + c1))  # tiny-r region f_n = psi
         else:
-            psi = build_strong_psi(g, c1, c2, modulus)
+            psi = build_strong_psi(psi, modulus.phi2)
             lam = min(short_rate * l0_star,
                       M2,
                       c1 * float(modulus.phi2.value(np.asarray(l0))),

@@ -393,6 +393,27 @@ def test_sample_above_matches_restricted_cdf(rng):
     assert ks < 0.005
 
 
+@pytest.mark.parametrize("upper", [1.0, 10.0, 1e3, math.inf])
+def test_custom_density_quantiles_match_the_closed_form(upper):
+    # the sampling table holds quad's masses between geometric nodes: the
+    # quantiles of z^-2.5 above eps match the closed-form inverse for every
+    # upper, an infinite one included
+    nu = AbsolutelyContinuousMeasure(lambda z: z ** -2.5, upper=upper, decreasing=True)
+    eps, u = 0.1, np.linspace(0.001, 0.999, 999)
+    lo, hi = eps ** -1.5, upper ** -1.5
+    want = (lo - u * (lo - hi)) ** (-1.0 / 1.5)
+    assert np.max(np.abs(nu.quantile_above(eps, u) / want - 1.0)) <= 1e-5
+    if math.isfinite(upper):
+        with pytest.raises(NoJumpError):
+            nu.quantile_above(upper, u)
+
+
+def test_total_mass_of_a_singular_finite_density():
+    # nu(R+) of z^-0.9 on (0, 1] is 10, the mass next to the origin included
+    nu = AbsolutelyContinuousMeasure(lambda z: z ** -0.9, upper=1.0)
+    assert nu.overlap_mass(0.0) == pytest.approx(10.0, rel=1e-6)
+
+
 def test_sample_above_single_admissible_atom(rng):
     nu = AtomicMeasure([0.5, 1.0], [1.0, 1.0])
     z = nu.quantile_above(0.6, rng.random(100))

@@ -66,6 +66,8 @@ def test_sim_config_validation():
         SimConfig(record_times=[0.5, 2.0], t_end=1.0).resolved_record_times()
     with pytest.raises(DomainError):
         SimConfig(record_times=()).resolved_record_times()
+    with pytest.raises(DomainError):
+        SimConfig(h=1.0, t_end=0.4)
 
 
 def test_sim_config_echo_roundtrips_record_times():

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from nlbranch.cli import assemble_scenario, noise_report
 from nlbranch.config import PRESETS, load_scenario
+from nlbranch import testfn
 from nlbranch.errors import DomainError, ValidationError
 from nlbranch.testfn import (ContractionConstants, DriftModulus, Phi1, assemble,
                              build_g, build_psi, build_strong_psi, build_tv_fn,
@@ -219,7 +220,7 @@ def test_psi_subadditive_in_distance():
 def test_strong_psi_bounded_and_glued():
     mod = DriftModulus(phi1=phi1_zero(), l0=L0, k2=1.0, phi2=phi2_power(0.5, 2.0))
     g = build_g(mod, THETA, 1.0)
-    psi = build_strong_psi(g, 0.5, 1.0, mod)
+    psi = build_strong_psi(build_psi(g, 0.5, 1.0, L0), mod.phi2)
     assert math.isfinite(psi.sup())
     big = np.array([1e3, 1e6, 1e9])
     assert np.all(psi.value(big) <= psi.sup() + 1e-9)
@@ -238,7 +239,7 @@ def test_strong_psi_needs_convergent_tail():
     mod = DriftModulus(phi1=phi1_zero(), l0=L0, k2=1.0, phi2=phi2_linear(1.0))
     g = build_g(mod, THETA, 1.0)
     with pytest.raises(DomainError, match="tail integral diverges"):
-        build_strong_psi(g, 0.5, 1.0, mod)
+        build_strong_psi(build_psi(g, 0.5, 1.0, L0), mod.phi2)
 
 
 # ---------------------------------------------------------------------------
@@ -361,6 +362,23 @@ def test_tv_and_strong_variants(case2):
     consts_s, fn_s = assemble_scenario(replace(case2, modulus=mod_strong), "strong")
     assert consts_s.lam > 0
     assert math.isfinite(fn_s.psi.sup())
+
+
+def test_strong_assembly_builds_psi_once(case2, monkeypatch):
+    # the bounded psi is derived from the psi assemble has built, so the one
+    # cumulative integral is psi's (case2's Phi1 vanishes: g needs none)
+    calls = []
+    cumulative = testfn._cumulative_integral
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return cumulative(*args, **kwargs)
+
+    monkeypatch.setattr(testfn, "_cumulative_integral", counted)
+    assert case2.modulus.phi1.is_zero
+    mod_strong = replace(case2.modulus, phi2=phi2_power(0.5, 2.0))
+    assemble_scenario(replace(case2, modulus=mod_strong), "strong")
+    assert len(calls) == 1
 
 
 # (lambda, C) of every (preset, variant) whose constants assemble: the
