@@ -25,7 +25,11 @@ tree's ``src/`` and times:
   grid ``nlbranch check`` scans (``verify_lyapunov`` on the preset's
   assembled test function; the median of up to 5 scans);
 - ``coupling_L_us``: one ``apply_coupling_L`` at (x, y) = (1.5, 0.5) on
-  case2-stable's test function (the median of ``--calls`` calls).
+  case2-stable's test function (the median of ``--calls`` calls);
+- ``assemble_ms.case2-stable.w1``, ``assemble_ms.logistic.w1`` and
+  ``assemble_ms.logistic.strong``: constant assembly, one
+  ``assemble_scenario`` call for the preset and variant from its noise
+  report (the median of up to 5 calls).
 
 With ``--parent`` the other tree is sampled too, the order of the two
 alternating from repeat to repeat, and the output holds both.  The JSON
@@ -52,6 +56,7 @@ import numpy as np
 ROOT = Path(__file__).resolve().parent.parent
 PRESETS = ("case2-stable", "cir", "case3-dyadic", "xlog-drift")
 LYAPUNOV_PRESETS = ("case2-stable", "logistic")
+ASSEMBLIES = (("case2-stable", "w1"), ("logistic", "w1"), ("logistic", "strong"))
 GRID_CALLS = 5
 # a kernel metric's untimed and timed runs per sample: a fresh interpreter's
 # first run is slower than its later ones, and one run alone is noisy
@@ -79,7 +84,8 @@ def _event_round(simulate, fire):
 
 
 def _generator_layers(calls):
-    """The Lyapunov grid of `check` per preset, and one coupling operator."""
+    """The Lyapunov grid of `check` per preset, one coupling operator, and
+    constant assembly per preset and variant."""
     from nlbranch.cli import assemble_scenario, noise_report
     from nlbranch.config import load_scenario
     from nlbranch.generator import apply_coupling_L, verify_lyapunov
@@ -95,6 +101,11 @@ def _generator_layers(calls):
             out["coupling_L_us"] = _median_us(
                 lambda: apply_coupling_L(fn, 1.5, 0.5, sc.coeffs, sc.nu, sc.sim.kappa),
                 calls)
+    for name, variant in ASSEMBLIES:
+        sc = load_scenario(name)
+        noise = noise_report(sc)
+        out[f"assemble_ms.{name}.{variant}"] = 1e-3 * _median_us(
+            lambda: assemble_scenario(sc, variant, noise), min(calls, GRID_CALLS))
     return out
 
 

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -66,6 +67,10 @@ _WG = np.concatenate((_WG_HALF[:-1], _WG_HALF[::-1]))
 # e * 4^-k, k = 1..24, below its top e
 _RUNG_RATIO = 0.25
 _LADDER = np.concatenate(([0.0], _RUNG_RATIO ** np.arange(24.0, -1.0, -1.0)))
+# libm's log and pow on arrays, element by element: numpy's own may round
+# differently
+_LOG = np.frompyfunc(math.log, 1, 1)
+_POW = np.frompyfunc(math.pow, 2, 1)
 
 
 @dataclass(frozen=True)
@@ -118,21 +123,52 @@ def _gauss_kronrod(fn, lo, hi, mapped, z0, gid):
         return kronrod, np.abs(kronrod - half * fg)
 
 
-def _graded(edges):
-    """Panels [lo_i, hi_i] over the finite edges ``edges`` and the segment
-    between consecutive edges each lies in: a ladder of rungs below the first
-    edge when the range starts at 0, and every panel on (0, oo) split
-    geometrically so that no panel spans more than a factor 4."""
-    cuts = list(edges[1] * _LADDER[:-1]) if edges[0] == 0.0 else [edges[0]]
-    seg = [0] * (len(cuts) - 1)
-    for k, (lo, hi) in enumerate(zip(edges[:-1], edges[1:])):
-        n = 1
-        if lo > 0.0:
-            n = max(1, math.ceil(math.log(hi / lo) / -math.log(_RUNG_RATIO) - 1e-9))
-            cuts += [lo * (hi / lo) ** (j / n) for j in range(1, n)]
-        cuts.append(hi)
-        seg += [k] * n
-    return np.array(cuts[:-1]), np.array(cuts[1:]), np.array(seg, dtype=np.intp)
+def _first_panels(ranges):
+    """The first panels [lo_i, hi_i] of the groups ``ranges[g] = (edges,
+    infinite)``, with their mapped flags, segments and groups.
+
+    Each group's panels are contiguous, and the groups come in order.  A
+    group's segments between consecutive finite edges come in order, then
+    its mapped tail [0, 1) when it is infinite.  A segment from 0 at the
+    start of the range becomes a ladder of rungs below its top; any other
+    segment is one panel, cut geometrically into n when it spans more than
+    a factor 4, so that no panel on (0, oo) does.  The n and the cuts come
+    from libm's log and pow, element by element, as scalar code would."""
+    sizes = np.array([len(e) for e, _ in ranges], dtype=np.intp)
+    edges = np.fromiter(chain.from_iterable(e for e, _ in ranges), dtype=float,
+                        count=sizes.sum())
+    gid = np.repeat(np.arange(sizes.size), sizes)
+    last = np.cumsum(sizes) - 1
+    seg = np.arange(edges.size) - (last + 1 - sizes)[gid]
+    # the segment from each edge, in count[i] panels; from a group's last
+    # edge, its mapped tail when infinite, else no panel
+    mapped = np.zeros(edges.size, dtype=bool)
+    mapped[last] = True
+    lo = np.where(mapped, 0.0, edges)
+    hi = np.append(edges[1:], 1.0)
+    hi[last] = 1.0
+    count = np.ones(edges.size, dtype=np.intp)
+    count[last] = [infinite for _, infinite in ranges]
+    ladder = np.flatnonzero((seg == 0) & (lo == 0.0) & ~mapped)
+    # a segment within a factor 4 is one panel (mapped ones have lo = 0),
+    # and a wider one gets n >= 1
+    wide = np.flatnonzero((lo > 0.0) & (hi > 4.0 * lo))
+    ratio = hi[wide] / lo[wide]
+    n = np.ceil(_LOG(ratio).astype(float) / -math.log(_RUNG_RATIO) - 1e-9).astype(np.intp)
+    count[ladder] = _LADDER.size - 1
+    count[wide] = n
+    offset = np.cumsum(count) - count
+    top = hi[ladder][:, None]
+    # cut j = 1..n-1 of each wide segment: lo * (hi / lo) ** (j / n)
+    w = np.repeat(np.arange(wide.size), n - 1)
+    j = np.arange(w.size) - (np.cumsum(n - 1) - (n - 1))[w] + 1
+    cut = lo[wide][w] * _POW(ratio[w], j / n[w]).astype(float)
+    at = offset[wide][w] + j
+    lo, hi, mapped, seg, gid = (np.repeat(x, count) for x in (lo, hi, mapped, seg, gid))
+    rungs = offset[ladder][:, None] + np.arange(_LADDER.size - 1)
+    lo[rungs], hi[rungs] = top * _LADDER[:-1], top * _LADDER[1:]
+    lo[at], hi[at - 1] = cut, cut
+    return lo, hi, mapped, seg, gid
 
 
 def _split(lo, hi, mapped, seg, gid):
@@ -178,36 +214,39 @@ def _integrate(fn, ranges, spec):
     least), which bounds the integrand's temporaries.  Returns, per group,
     the total and the integral over each segment, or the QuadratureError
     the group failed with."""
-    results, batch, nodes = [], [], 0
-    for edges, infinite in ranges:
-        lo, hi, seg = _graded(edges)
-        mapped = np.zeros(lo.size, dtype=bool)
-        if infinite:
-            lo, hi = np.append(lo, 0.0), np.append(hi, 1.0)
-            mapped = np.append(mapped, True)
-            seg = np.append(seg, len(edges) - 1)
-        if batch and nodes + lo.size * _X.size > _BATCH_NODES:
-            results += _refine(fn, batch, len(results), spec)
-            batch, nodes = [], 0
-        batch.append((lo, hi, mapped, seg, edges[-1], len(edges) - 1 + infinite))
-        nodes += lo.size * _X.size
-    return results + _refine(fn, batch, len(results), spec)
+    panels = _first_panels(ranges)
+    z0 = np.array([edges[-1] for edges, _ in ranges], dtype=float)
+    nseg = [len(edges) - 1 + infinite for edges, infinite in ranges]
+    counts = np.bincount(panels[4], minlength=len(ranges))
+    bounds = np.concatenate(([0], np.cumsum(counts))).tolist()
+
+    def batch(a, b):
+        """The results of groups a..b-1, refined together."""
+        part = slice(bounds[a], bounds[b])
+        return _refine(fn, tuple(p[part] for p in panels[:4]) + (panels[4][part] - a,),
+                       z0[a:b], nseg[a:b], a, spec)
+
+    results, first, nodes = [], 0, 0
+    for g, n in enumerate((counts * _X.size).tolist()):
+        if g > first and nodes + n > _BATCH_NODES:
+            results += batch(first, g)
+            first, nodes = g, 0
+        nodes += n
+    return results + batch(first, len(ranges))
 
 
-def _refine(fn, groups, offset, spec):
-    """The adaptive loop over one batch of groups, each given by its first
-    panels, the start z0 of its mapped tail and its segment count; group g
-    of the batch is group ``offset + g`` to ``fn``.
+def _refine(fn, panels, z0, nseg, offset, spec):
+    """The adaptive loop over one batch of groups, given by their first
+    panels (lo, hi, mapped, seg, gid), the start z0 of each one's mapped
+    tail and each one's segment count; group g of the batch is group
+    ``offset + g`` to ``fn``.
 
     Every group keeps the rules of a solo run: its own tolerance, split
     test, split budget and failure tests, and its panels in a solo run's
     order, so its result is the solo result bit for bit."""
-    size = len(groups)
-    z0 = np.array([group[4] for group in groups], dtype=float)
-    gid = np.repeat(np.arange(size), [group[0].size for group in groups])
-    panels = tuple(np.concatenate([group[k] for group in groups]) for k in range(4)) + (gid,)
+    size = len(nseg)
     call = (lambda z, g: fn(z, g + offset)) if offset else fn
-    val, err = _gauss_kronrod(call, *panels[:3], z0[gid], gid)
+    val, err = _gauss_kronrod(call, *panels[:3], z0[panels[4]], panels[4])
     splits = np.zeros(size, dtype=np.intp)
     results = [None] * size
     while True:
@@ -231,7 +270,7 @@ def _refine(fn, groups, offset, spec):
                         f"{tol:.3e}", achieved=achieved)
                 else:
                     results[g] = (total, np.bincount(panels[3][a:b], weights=val[a:b],
-                                                     minlength=groups[g][5]))
+                                                     minlength=nseg[g]))
                 continue
             # split every panel holding more than its even share of the
             # tolerance; when rounding leaves none above it, the largest
@@ -299,7 +338,8 @@ def integrate_segments(fn, edges, spec=DEFAULT_QUAD):
     consecutive finite, increasing ``edges``, from one adaptive run whose
     tolerance and errors are those of ``integrate_interval`` over the whole
     range."""
-    (out,) = _integrate(lambda z, g: fn(z), [([float(e) for e in edges], False)], spec)
+    (out,) = _integrate(lambda z, g: fn(z), [(np.asarray(edges, dtype=float).tolist(), False)],
+                        spec)
     if isinstance(out, QuadratureError):
         raise out
     return out[1]

@@ -280,20 +280,17 @@ class GFunction:
         return out
 
     def d1(self, r):
-        r = np.asarray(r, dtype=float)
-        out = self.theta * r ** (self.theta - 1.0)
-        if not self.phi1.is_zero:
-            out = out + self.c0g * self.phi1.value(r) * r ** (self.theta - 2.0)
-        return out
+        return self._derivative(r, 1)
 
     def d2(self, r):
-        r = np.asarray(r, dtype=float)
-        out = self.theta * (self.theta - 1.0) * r ** (self.theta - 2.0)
-        if not self.phi1.is_zero:
-            out = out + self.c0g * (self.phi1.d1(r) * r ** (self.theta - 2.0)
-                                    + (self.theta - 2.0) * self.phi1.value(r)
-                                    * r ** (self.theta - 3.0))
-        return out
+        return self._derivative(r, 2)
+
+    def d3(self, r):
+        return self._derivative(r, 3)
+
+    def _derivative(self, r, order):
+        return _g_derivative(self.c0g,
+                             _g_terms(self.phi1, self.theta, np.asarray(r, dtype=float), order))
 
     def d1_at_zero(self):
         """The limit g'(0+): infinite for theta < 1, else 1 + c0g Phi1'(0+)."""
@@ -307,16 +304,36 @@ class GFunction:
                 slope = float(self.phi1.d1(np.asarray(0.0)))
         return 1.0 + self.c0g * slope
 
-    def d3(self, r):
-        r = np.asarray(r, dtype=float)
-        t = self.theta
-        out = t * (t - 1.0) * (t - 2.0) * r ** (t - 3.0)
-        if not self.phi1.is_zero:
-            out = out + self.c0g * (self.phi1.d2(r) * r ** (t - 2.0)
-                                    + 2.0 * (t - 2.0) * self.phi1.d1(r) * r ** (t - 3.0)
-                                    + (t - 2.0) * (t - 3.0) * self.phi1.value(r)
-                                    * r ** (t - 4.0))
-        return out
+
+def _g_terms(phi1: Phi1, theta: float, r, order: int):
+    """The parts of g's derivative of ``order`` (1, 2 or 3) at the array r
+    that do not depend on c0g: the power term, and the factors that c0g
+    multiplies, which are Phi1(r) and r^(theta-2) for g' and the Phi1
+    bracket for g'' and g''' (none when Phi1 vanishes)."""
+    t = theta
+    if order == 1:
+        power = t * r ** (t - 1.0)
+    elif order == 2:
+        power = t * (t - 1.0) * r ** (t - 2.0)
+    else:
+        power = t * (t - 1.0) * (t - 2.0) * r ** (t - 3.0)
+    if phi1.is_zero:
+        return power, ()
+    if order == 1:
+        return power, (phi1.value(r), r ** (t - 2.0))
+    if order == 2:
+        return power, (phi1.d1(r) * r ** (t - 2.0)
+                       + (t - 2.0) * phi1.value(r) * r ** (t - 3.0),)
+    return power, (phi1.d2(r) * r ** (t - 2.0)
+                   + 2.0 * (t - 2.0) * phi1.d1(r) * r ** (t - 3.0)
+                   + (t - 2.0) * (t - 3.0) * phi1.value(r) * r ** (t - 4.0),)
+
+
+def _g_derivative(c0g, terms):
+    """A derivative of g from its ``_g_terms``: the power term plus c0g
+    times the factors, multiplied from the left."""
+    power, factors = terms
+    return power + math.prod(factors, start=c0g) if factors else power
 
 
 def _g_integral(modulus: DriftModulus, theta: float):
@@ -341,17 +358,25 @@ def _g_integral(modulus: DriftModulus, theta: float):
             f"for theta = {theta}") from exc
 
 
-def _certify_g(modulus: DriftModulus, theta: float, c0g: float, gint) -> GFunction:
+def _sup_terms(modulus: DriftModulus, theta: float):
+    """The grid on (0, 2 l0] on which g is certified, and the ``_g_terms``
+    of g', g'' and g''' on it."""
+    top = math.log10(2.0 * modulus.l0)
+    grid = np.logspace(top - 8, top, _SUP_GRID_POINTS)
+    return grid, [_g_terms(modulus.phi1, theta, grid, order) for order in (1, 2, 3)]
+
+
+def _certify_g(modulus: DriftModulus, theta: float, c0g: float, gint,
+               sup_terms) -> GFunction:
     """g on the integral ``gint``, with its concavity pattern certified on
-    (0, 2 l0]."""
+    (0, 2 l0] from its ``_sup_terms``."""
     if c0g <= 0:
         raise DomainError("c0g must be positive")
-    l0 = modulus.l0
     phi1 = modulus.phi1
-    g = GFunction(theta=theta, c0g=c0g, phi1=phi1, l0=l0, _gint=gint)
+    g = GFunction(theta=theta, c0g=c0g, phi1=phi1, l0=modulus.l0, _gint=gint)
 
-    grid = np.logspace(math.log10(2.0 * l0) - 8, math.log10(2.0 * l0), _SUP_GRID_POINTS)
-    gp, gpp, gppp = g.d1(grid), g.d2(grid), g.d3(grid)
+    grid, terms = sup_terms
+    gp, gpp, gppp = (_g_derivative(c0g, t) for t in terms)
     if np.any(gp < -1e-10) or np.any(gpp > 1e-10) or np.any(gppp < -1e-8):
         raise ValidationError("g violates the sign pattern g' >= 0, g'' <= 0, g''' >= 0")
     sup_neg = float(np.max(-grid * gpp / gp))
@@ -366,7 +391,8 @@ def _certify_g(modulus: DriftModulus, theta: float, c0g: float, gint) -> GFuncti
 
 def build_g(modulus: DriftModulus, theta: float, c0g: float) -> GFunction:
     """Construct g and certify its concavity pattern on (0, 2 l0]."""
-    return _certify_g(modulus, theta, c0g, _g_integral(modulus, theta))
+    return _certify_g(modulus, theta, c0g, _g_integral(modulus, theta),
+                      _sup_terms(modulus, theta))
 
 
 # ---------------------------------------------------------------------------
@@ -668,7 +694,9 @@ def assemble(case: str, modulus: DriftModulus, params: dict, variant: str = "w1"
                 (``generator.check_noise_conditions``), which certifies them.
     variant  -- 'w1', 'tv' or 'strong'.
     The dissipation rate k2 comes from the modulus.  A missing parameter is a
-    ValidationError naming it.
+    ValidationError naming it.  The c3 balance iteration certifies g for
+    each iterate from the terms of g's certificate built once per call
+    (``_sup_terms``), which do not depend on c3.
     Returns (constants, test_function).
     """
     if variant not in ("w1", "tv", "strong"):
@@ -719,11 +747,12 @@ def assemble(case: str, modulus: DriftModulus, params: dict, variant: str = "w1"
         mult = 2.0 + l0_star ** (theta_tv - 1.0)
 
     gint = _g_integral(modulus, theta_exp)
+    sup_terms = _sup_terms(modulus, theta_exp)
 
     def derive(c3):
         """g for this c3, with c0, c2 and the mid-range noise coefficient M
         (the coefficient of theta e^(-c2 g(l0)) r in the short-range rate)."""
-        g = _certify_g(modulus, theta_exp, c3, gint)
+        g = _certify_g(modulus, theta_exp, c3, gint, sup_terms)
         S1, S2 = g.sup_neg_ratio, g.sup_r_gprime
         c0 = min(1.0 / l0, 1.0 / S1) if S1 > 0 else 1.0 / l0
         c2 = S1 / S2 if S1 > 0 else 1.0 / float(g.value(np.asarray(l0)))
@@ -756,6 +785,7 @@ def assemble(case: str, modulus: DriftModulus, params: dict, variant: str = "w1"
             "exceeds what the certified jump/diffusion activity can absorb "
             "(try a larger noise coefficient or a smaller Phi1)")
     g, c0, c2, M = derive(c3)
+    del sup_terms   # freed before psi is built, the peak of an assembly
     c1 = math.exp(-c2 * float(g.value(np.asarray(l0))))
     psi = build_psi(g, c1, c2, l0)
 

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import os
 import re
@@ -399,6 +400,67 @@ def test_testfn_row_at_zero_is_the_limit_without_warnings(tmp_path, capsys, name
     rows = (out / f"{name}.testfn.csv").read_text().splitlines()
     r, _, _, d2psi = (float(v) for v in rows[1].split(","))
     assert r == 0.0 and d2psi == -math.inf
+
+
+# per preset with a case: the exit code of `check`, and the sha256 of its
+# report and of the CSV and constants file `testfn` writes.  A change to the
+# verifier that moves any constant, margin or table entry shows here.
+OUTPUT_PINS = {
+    "case1-diffusion": (
+        0, "9590c4fd0ecb9351a691426733d654cd5402c41e845b85673a08cec72bf123b7",
+        "68df4feb07e6e458dac6ed7b0ad8e5312ccbcc80a7493ce26ff917eb9d89c1c0",
+        "c9e3fa1282c7bc19d7ccb95c795f817c22e7fd7936614e9ca477f42f686dd35f"),
+    "case2-stable": (
+        0, "7d8ae04844a277172166b4ff5df975fdfc1e9d7d60e921c7b87a7125e2556f3a",
+        "dbc3d9454a32ee6bc0b3cefe6b6006b800c54c6a747467ed932c905c39a0f5eb",
+        "fe79b79353614415e94680ba20ad0a04c14b3ee618f1a45445d675030179cff7"),
+    "case3-dyadic": (
+        0, "2ff8715563f3315bbeaeded3152ccebc693330649c28fe9a5a48cdcbc7a3f429",
+        "dbc3d9454a32ee6bc0b3cefe6b6006b800c54c6a747467ed932c905c39a0f5eb",
+        "f0cec3368970b4dd97ce6aa304bab51e1755a1a5dd61db2a50a452532e630efd"),
+    "cir": (
+        0, "6ab04130f3970201411e8b96c84aabba5b2e8e3e17edf7c8aedf0e6ed8c0a10e",
+        "68df4feb07e6e458dac6ed7b0ad8e5312ccbcc80a7493ce26ff917eb9d89c1c0",
+        "01ddabfe29263744bd10c86b415af734fc937f3bcfe902d6ea00a9130287d7cf"),
+    "cir-rate": (
+        0, "8f71aadb38141543a8bb3ca3f8f2c85dc582474d0eb9c3d5860f9d24c8484381",
+        "68df4feb07e6e458dac6ed7b0ad8e5312ccbcc80a7493ce26ff917eb9d89c1c0",
+        "01ddabfe29263744bd10c86b415af734fc937f3bcfe902d6ea00a9130287d7cf"),
+    "logistic": (
+        0, "f555d9c8dcd17bba26e365d2c4236e8ead63704c97aac9b1d3fb999849e9bb9e",
+        "170bc11c51d965ab5dfcad3ea1ee7a3f1b3829c3914433e5859ee787738e74af",
+        "80a4b3c9d0d370d059c4cc40b7dbba2fdb33380df82bab5b0d8301f94c5ca974"),
+    "pure-growth": (
+        1, "52b166f63baba8ddd0f9a89821658882877a2d84046b25407f709b0277646c7e",
+        "68df4feb07e6e458dac6ed7b0ad8e5312ccbcc80a7493ce26ff917eb9d89c1c0",
+        "c9e3fa1282c7bc19d7ccb95c795f817c22e7fd7936614e9ca477f42f686dd35f"),
+    "superexp": (
+        0, "339d900810fecad76941f2f3e2141c2c06653f037936f45f0b27105ab9afbb36",
+        "dbc3d9454a32ee6bc0b3cefe6b6006b800c54c6a747467ed932c905c39a0f5eb",
+        "103d43101d1d625f0eda04dfb38c12548855027181bfa7a336c610879cc1e710"),
+    "xlog-drift": (
+        0, "1d56931065718228684932eacf6af0043da7456a68181ba0b3b1c6bf97f4af2d",
+        "161cd9520383dc1541fe998d89ba046b98a9399b8ff3daaceb68f35e12fe34c5",
+        "ed3da8c1b47424403ce8982f52bc2ce490553329a3ed2df5fb0274c50f451617"),
+}
+
+
+def test_output_pins_cover_every_preset_with_a_case():
+    assert sorted(OUTPUT_PINS) == sorted(name for name in PRESETS
+                                         if load_scenario(name).case)
+
+
+@pytest.mark.parametrize("name", sorted(OUTPUT_PINS))
+def test_check_and_testfn_outputs_are_pinned(tmp_path, capsys, name):
+    check_code, report, table, constants = OUTPUT_PINS[name]
+    digest = lambda path: hashlib.sha256(path.read_bytes()).hexdigest()
+    code, out = run(tmp_path, "check", "--scenario", name)
+    assert code == check_code
+    assert digest(out / f"{name}.check.txt") == report
+    code, out = run(tmp_path, "testfn", "--scenario", name)
+    assert code == 0
+    assert digest(out / f"{name}.testfn.csv") == table
+    assert digest(out / f"{name}.constants.txt") == constants
 
 
 def test_couple_runs_and_is_idempotent(tmp_path, capsys):

@@ -183,3 +183,88 @@ def test_batches_bound_the_nodes_of_an_integrand_call():
     for g in range(40):
         assert values[g] == integrate_interval(lambda z: np.cos(z) + g, 0.0, 1.0, spec)
         assert values[g] == pytest.approx(math.sin(1.0) + g, rel=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# first panels: one vectorized build for every group, against the scalar
+# per-segment builder it replaced
+
+
+def graded(edges):
+    """The scalar builder of one finite group's first panels that
+    ``quad._first_panels`` replaced, kept as the oracle of its bits."""
+    cuts = list(edges[1] * quad._LADDER[:-1]) if edges[0] == 0.0 else [edges[0]]
+    seg = [0] * (len(cuts) - 1)
+    for k, (lo, hi) in enumerate(zip(edges[:-1], edges[1:])):
+        n = 1
+        if lo > 0.0:
+            n = max(1, math.ceil(math.log(hi / lo) / -math.log(quad._RUNG_RATIO) - 1e-9))
+            cuts += [lo * (hi / lo) ** (j / n) for j in range(1, n)]
+        cuts.append(hi)
+        seg += [k] * n
+    return np.array(cuts[:-1]), np.array(cuts[1:]), np.array(seg, dtype=np.intp)
+
+
+def assert_same_arrays(got, want):
+    for a, b in zip(got, want, strict=True):
+        assert a.dtype == b.dtype and a.shape == b.shape and np.array_equal(a, b)
+
+
+def assert_first_panels_match_the_oracle(edges):
+    lo, hi, mapped, seg, gid = quad._first_panels([(edges, False)])
+    assert_same_arrays((lo, hi, seg), graded(edges))
+    assert not mapped.any() and not gid.any()
+
+
+# a step to the next edge: a factor, or a factor of exactly 4 (0), one ulp
+# below it (-1) or one ulp above it (1)
+STEPS = st.one_of(st.floats(1.0 + 1e-9, 40.0), st.sampled_from((-1, 0, 1)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(zero=st.booleans(), start=st.floats(1e-3, 10.0), steps=st.lists(STEPS, max_size=10))
+def test_first_panels_match_the_scalar_builder(zero, start, steps):
+    edges = [start]
+    for step in steps:
+        if isinstance(step, int):
+            four = 4.0 * edges[-1]
+            nxt = four if step == 0 else math.nextafter(four, step * math.inf)
+        else:
+            nxt = edges[-1] * step
+        if nxt > 1e6 * start:   # spans up to 1e6
+            break
+        edges.append(nxt)
+    edges = [0.0] * zero + edges
+    if len(edges) >= 2:
+        assert_first_panels_match_the_oracle(edges)
+
+
+@pytest.mark.parametrize("edges", [
+    2.0 * np.sin(np.linspace(0.0, np.pi / 2, 2400)) ** 2,    # testfn's g grid
+    0.04 * np.sin(np.linspace(0.0, np.pi / 2, 1200)) ** 2,   # testfn's psi grid
+    np.geomspace(1e-2, 10.0, 4097),                          # quantile_above's grid
+    [1.0, 4.0, np.nextafter(16.0, 0.0), np.nextafter(64.0, np.inf), 1e6],
+], ids=["g-2400", "psi-1200", "quantile-4097", "fours"])
+def test_first_panels_of_the_package_grids(edges):
+    assert_first_panels_match_the_oracle(np.asarray(edges, dtype=float).tolist())
+
+
+def test_first_panels_of_many_groups_are_their_solo_builds():
+    # Lyapunov-like ranges from 0 with a switch point and a kink, tails,
+    # a tail alone, and ranges not from 0
+    ranges = [quad._range(*interval) for interval in [
+        (0.0, 1.0, (1e-4, 0.039)), (0.0, 1.0, (math.nextafter(1e-4, 1.0),)),
+        (0.0, math.inf, (2.0,)), (0.5, math.inf, ()), (0.0, math.inf, ()),
+        (1e-3, 30.0, (0.2, 5.0)), (-1.0, 2.0, (0.0,))]]
+    lo, hi, mapped, seg, gid = quad._first_panels(ranges)
+    assert np.all(np.diff(gid) >= 0)
+    for g, (edges, infinite) in enumerate(ranges):
+        mine = tuple(p[gid == g] for p in (lo, hi, mapped, seg))
+        assert_same_arrays(mine, quad._first_panels([(edges, infinite)])[:4])
+        # the finite panels, then the mapped tail [0, 1) past the last edge
+        n = mine[0].size - infinite
+        if len(edges) > 1:
+            assert_same_arrays((mine[0][:n], mine[1][:n], mine[3][:n]), graded(edges))
+        assert mine[2].sum() == infinite and not mine[2][:n].any()
+        if infinite:
+            assert (mine[0][-1], mine[1][-1], mine[3][-1]) == (0.0, 1.0, len(edges) - 1)

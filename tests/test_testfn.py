@@ -1,3 +1,4 @@
+import hashlib
 import math
 from dataclasses import replace
 
@@ -68,6 +69,89 @@ def test_g_derivatives_vs_finite_differences(name):
     fd2 = fd4(g.d1, r, h)
     assert np.max(np.abs(fd1 - g.d1(r)) / np.abs(g.d1(r))) < 1e-6
     assert np.max(np.abs(fd2 - g.d2(r)) / np.abs(g.d2(r))) < 1e-6
+
+
+# sha256 of d1, d2 and d3 of g (c0g = 1.3) for each PHI1_INSTANCES entry, in
+# sorted order, and theta = 0.5, 1.0, on G_PIN_GRID: the bits of the
+# derivatives the certificate and psi consume
+G_PIN_GRID = np.logspace(-6, math.log10(2 * L0), 500)
+G_DERIVATIVES_SHA256 = "f0bd6d18658cd8ca94dfc6a2569adad03913d0c4a3e65ea16ff470734f1c9dba"
+
+
+def test_g_derivatives_keep_their_bits():
+    digest = hashlib.sha256()
+    for name in sorted(PHI1_INSTANCES):
+        for theta in (0.5, 1.0):
+            g = build_g(modulus_for(PHI1_INSTANCES[name]), theta, 1.3)
+            for d in (g.d1, g.d2, g.d3):
+                digest.update(np.ascontiguousarray(d(G_PIN_GRID), dtype="<f8").tobytes())
+    assert digest.hexdigest() == G_DERIVATIVES_SHA256
+
+
+@pytest.mark.parametrize("theta", sorted({THETA, 0.5, 1.0}))
+@pytest.mark.parametrize("name", sorted(PHI1_INSTANCES))
+def test_certificate_from_terms_built_once(name, theta):
+    # assemble certifies every c3 iterate from one set of sup-grid terms; each
+    # certificate is build_g's, and its sups are those of g's own derivatives
+    mod = modulus_for(PHI1_INSTANCES[name])
+    gint = testfn._g_integral(mod, theta)
+    terms = testfn._sup_terms(mod, theta)
+    grid = terms[0]
+    for c0g in (0.4, 1.0, 1.3):
+        g = testfn._certify_g(mod, theta, c0g, gint, terms)
+        solo = build_g(mod, theta, c0g)
+        gp, gpp = g.d1(grid), g.d2(grid)
+        sup_neg = float(np.max(-grid * gpp / gp))
+        if PHI1_INSTANCES[name].is_zero:
+            sup_neg = max(sup_neg, 1.0 - theta)
+        for got, want in ((g.sup_neg_ratio, solo.sup_neg_ratio),
+                          (g.sup_r_gprime, solo.sup_r_gprime),
+                          (g.sup_neg_ratio, sup_neg),
+                          (g.sup_r_gprime, float(np.max(grid * gp)))):
+            assert got.hex() == want.hex()
+
+
+def bump_phi1(top):
+    """Phi1 = 0 on (0, 1] and r h(r) beyond, with 1 + h = ((top - r)/(top - 1))^2.
+    It is admissible on (0, l0] = (0, 1]; for theta = 1 and c0g = 1 it gives
+    g' = 1 + h, g'' = h' and g''' = h'' on (1, 2]."""
+    span = top - 1.0
+
+    def parts(r):
+        r = np.asarray(r, dtype=float)
+        beyond = r > 1.0
+        u = np.maximum(r, 1.0)
+        h = ((top - u) / span) ** 2 - 1.0
+        dh = np.where(beyond, -2.0 * (top - u) / span ** 2, 0.0)
+        ddh = np.where(beyond, 2.0 / span ** 2, 0.0)
+        return r, h, dh, ddh
+
+    def value(r):
+        r, h, _, _ = parts(r)
+        return r * h
+
+    def d1(r):
+        r, h, dh, _ = parts(r)
+        return h + r * dh
+
+    def d2(r):
+        r, _, dh, ddh = parts(r)
+        return 2.0 * dh + r * ddh
+
+    def d3(r):
+        return 3.0 * parts(r)[3]
+
+    return Phi1(value=value, d1=d1, d2=d2, d3=d3)
+
+
+@pytest.mark.parametrize("top,match", [
+    (1.9, "sign pattern"),      # g'' = h' > 0 past r = 1.9
+    (2.05, "certified cap"),    # -r g''/g' = 2 r / (2.05 - r) reaches 80
+])
+def test_assemble_raises_the_certificate_errors(top, match):
+    mod = DriftModulus(phi1=bump_phi1(top), l0=1.0, k2=1.0)
+    with pytest.raises(ValidationError, match=match):
+        assemble("A1", mod, {"beta": 1.0, "k3": 1.0})
 
 
 def test_g_rejects_bad_parameters():
