@@ -34,8 +34,9 @@ tree's ``src/`` and times:
 With ``--parent`` the other tree is sampled too, the order of the two
 alternating from repeat to repeat, and the output holds both.  The JSON
 output records the machine, the settings, and per tree and metric the
-samples, their median and their quartiles.  The generator metrics go
-through public calls only.
+samples in run order, so that sample i of the two trees ran as a pair,
+with their median and quartiles.  The generator metrics go through public
+calls only.
 """
 
 from __future__ import annotations
@@ -163,9 +164,11 @@ def _sample_tree(tree, args):
 
 
 def _summary(samples):
+    """Per metric: median, quartiles, and the samples in run order, so that
+    sample i of two trees is the pair that ran together."""
     out = {}
     for key in samples[0]:
-        values = sorted(s[key] for s in samples)
+        values = [s[key] for s in samples]
         q1, med, q3 = (np.percentile(values, [25, 50, 75]).tolist()
                        if len(values) > 1 else values * 3)
         out[key] = {"median": med, "q1": q1, "q3": q3, "samples": values}

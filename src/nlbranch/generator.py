@@ -135,8 +135,12 @@ def _L(f, r, drift, var, rate, nu, q, extra=0.0):
     """drift f'(r) + (1/2) var f''(r) + extra
     + rate int (f(r+z) - f(r) - z f'(r)) nu(dz) at arrays of points: the
     body shared by the generator and the reduced coupling operators, added
-    in this order.  Returns the values and, per point, None or the
-    QuadratureError its jump integral failed with."""
+    in this order.
+
+    The jump integral depends on r alone: it is one quadrature group per
+    distinct r among the points with rate != 0, shared by every point at
+    that r.  Returns the values and, per point, None or the QuadratureError
+    its r's jump integral failed with."""
     out = drift * _on(f.d1, r)
     pos = var > 0.0
     if pos.any():
@@ -145,11 +149,15 @@ def _L(f, r, drift, var, rate, nu, q, extra=0.0):
     errors = [None] * r.size
     live = np.flatnonzero(rate != 0.0)
     if live.size:
-        integrand, zs = _compensated_integrand(f, r[live])
-        jumps, failed = _nu_integral(nu, integrand, q, _kinks(f, r[live], zs))
-        out[live] += rate[live] * jumps
-        for i, exc in zip(live, failed):
-            errors[i] = exc
+        # distinct r in first-occurrence order (np.unique would import numpy.ma)
+        groups = {}
+        group = [groups.setdefault(v, len(groups)) for v in r[live].tolist()]
+        at = np.array(list(groups))
+        integrand, zs = _compensated_integrand(f, at)
+        jumps, failed = _nu_integral(nu, integrand, q, _kinks(f, at, zs))
+        out[live] += rate[live] * jumps[group]
+        for i, g in zip(live.tolist(), group):
+            errors[i] = failed[g]
     return out, errors
 
 
@@ -163,15 +171,17 @@ def apply_L(f, x: float, coeffs: CoefficientSet, nu: LevyMeasure,
                    _on(coeffs.gamma2, x), nu, q))
 
 
-def _coupling_L(f, x, y, coeffs: CoefficientSet, nu: LevyMeasure,
+def _coupling_L(f, x, y, r, coeffs: CoefficientSet, nu: LevyMeasure,
                 kappa: float, q: QuadratureSpec):
-    """``apply_coupling_L`` at the pairs of the 1-d arrays x > y: the values
-    and, per pair, None or the QuadratureError that pair's call raises."""
+    """``apply_coupling_L`` at the pairs of the 1-d arrays x > y, acting on
+    f at the given r, x - y up to rounding: the values and, per pair, None
+    or the QuadratureError its evaluation failed with.  The coefficients
+    come from x and y; each distinct r's jump integral is one quadrature
+    group, shared by the pairs at that r (``_L``)."""
     if kappa <= 0:
         raise DomainError("kappa must be positive")
     if np.any(x <= y):
         raise DomainError("the reduced coupling operator needs x > y")
-    r = x - y
     g2y = _on(coeffs.gamma2, y)
     overlap = np.zeros(r.size)
     errors = [None] * r.size
@@ -214,8 +224,8 @@ def apply_coupling_L(f, x: float, y: float, coeffs: CoefficientSet,
 
     with r_k = min(r, kappa).
     """
-    return _one(_coupling_L(f, np.array([x], dtype=float), np.array([y], dtype=float),
-                            coeffs, nu, kappa, q))
+    x, y = np.array([x], dtype=float), np.array([y], dtype=float)
+    return _one(_coupling_L(f, x, y, x - y, coeffs, nu, kappa, q))
 
 
 def apply_synchronous_L(f, x: float, y: float, coeffs: CoefficientSet,
@@ -460,8 +470,10 @@ def verify_lyapunov(fn, lam: float, coeffs: CoefficientSet,
     the verdict is then inconclusive, which does not hold.  Pairs
     (x, y) = (y + r, y) are scanned over y in ``_LYAPUNOV_Y`` for each r, so
     state dependence of the coefficients is exercised, not just the
-    difference process at y = 0.  The points are evaluated together, one
-    quadrature group each, in chunks of about 1e4 integrand nodes per call.
+    difference process at y = 0.  The operator acts at exactly the grid r,
+    with the coefficients taken at y + r and y.  The points are evaluated
+    together: each distinct r's jump integral is one quadrature group,
+    shared by its y values, in chunks of about 1e4 integrand nodes per call.
     """
     if q is None:
         # the interpolated test functions carry interpolation error ~1e-9;
@@ -473,8 +485,8 @@ def verify_lyapunov(fn, lam: float, coeffs: CoefficientSet,
     r = np.repeat(r_grid, len(_LYAPUNOV_Y))
     y = np.tile(_LYAPUNOV_Y, r_grid.size)
     target = lam * _on(fn.value, r) if mode == "contraction" else np.full(r.size, lam)
-    # one call for the grid: the quadrature batches its points by node count
-    values, errors = _coupling_L(fn, y + r, y, coeffs, nu, kappa, q)
+    # one call for the grid: the quadrature batches its groups by node count
+    values, errors = _coupling_L(fn, y + r, y, r, coeffs, nu, kappa, q)
     worst = -math.inf
     worst_point = None
     witnesses = []

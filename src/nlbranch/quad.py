@@ -318,10 +318,13 @@ def integrate_intervals(fn, intervals, spec=DEFAULT_QUAD):
     Each group is refined as ``integrate_interval`` refines it alone, and its
     value is that call's, bit for bit.  Returns the values and, per group,
     None or the QuadratureError that call would raise; a failed group's
-    value is NaN and leaves the others unchanged.
+    value is NaN and leaves the others unchanged.  No intervals give no
+    values and no errors.
     """
     if any(b <= a for a, b, _ in intervals):
         raise ValueError("every interval needs a < b")
+    if not intervals:
+        return np.empty(0), []
     values = np.empty(len(intervals))
     errors = [None] * len(intervals)
     out = _integrate(fn, [_range(*interval) for interval in intervals], spec)
@@ -337,9 +340,11 @@ def integrate_segments(fn, edges, spec=DEFAULT_QUAD):
     """Integrals of the vectorized ``fn`` over each segment between the
     consecutive finite, increasing ``edges``, from one adaptive run whose
     tolerance and errors are those of ``integrate_interval`` over the whole
-    range."""
-    (out,) = _integrate(lambda z, g: fn(z), [(np.asarray(edges, dtype=float).tolist(), False)],
-                        spec)
+    range.  Fewer than two edges bound no segment and give an empty array."""
+    edges = np.asarray(edges, dtype=float).tolist()
+    if len(edges) < 2:
+        return np.empty(0)
+    (out,) = _integrate(lambda z, g: fn(z), [(edges, False)], spec)
     if isinstance(out, QuadratureError):
         raise out
     return out[1]

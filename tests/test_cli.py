@@ -415,7 +415,7 @@ OUTPUT_PINS = {
         "dbc3d9454a32ee6bc0b3cefe6b6006b800c54c6a747467ed932c905c39a0f5eb",
         "fe79b79353614415e94680ba20ad0a04c14b3ee618f1a45445d675030179cff7"),
     "case3-dyadic": (
-        0, "2ff8715563f3315bbeaeded3152ccebc693330649c28fe9a5a48cdcbc7a3f429",
+        0, "1eaeb4a49ccf5262b8d7219fc8cec92bdd65bf9dcb1f75fc5ffa060b190abdbd",
         "dbc3d9454a32ee6bc0b3cefe6b6006b800c54c6a747467ed932c905c39a0f5eb",
         "f0cec3368970b4dd97ce6aa304bab51e1755a1a5dd61db2a50a452532e630efd"),
     "cir": (

@@ -334,6 +334,64 @@ def test_verify_lyapunov_all_points_skipped_reports_no_margin(case2, case2_assem
     assert len(rep.derived["skipped"]) == 12
 
 
+def scan(grid):
+    """The (r, y) points of verify_lyapunov's scan over the r grid."""
+    return np.repeat(grid, 3), np.tile((0.0, 0.5, 2.0), grid.size)
+
+
+def recording_groups(monkeypatch, fail_at=None):
+    """Patch the generator's grouped quadrature: record the intervals of
+    every call, and fail the groups whose last point is ``fail_at``."""
+    calls = []
+    integrate = generator.integrate_intervals
+
+    def recorded(fn, intervals, spec):
+        calls.append(intervals)
+        values, errors = integrate(fn, intervals, spec)
+        for g, (_, _, points) in enumerate(intervals):
+            if points[-1] == fail_at:
+                values[g], errors[g] = math.nan, QuadratureError("group refused")
+        return values, errors
+
+    monkeypatch.setattr(generator, "integrate_intervals", recorded)
+    return calls
+
+
+def test_lyapunov_scan_integrates_each_r_once_at_the_grid_r(case2, case2_assembled,
+                                                           monkeypatch):
+    consts, psi = case2_assembled
+    grid = small_grid()
+    calls = recording_groups(monkeypatch)
+    rep = verify_lyapunov(psi, consts.lam, case2.coeffs, case2.nu,
+                          case2.sim.kappa, r_grid=grid)
+    assert rep.holds
+    groups = [points for intervals in calls for _, _, points in intervals]
+    assert len(groups) == grid.size
+    # each group's last point is its small-z switch 0.1 r, at the grid r itself
+    assert [points[-1] for points in groups] == (0.1 * grid).tolist()
+
+
+def test_a_failed_r_group_skips_its_three_points_only(case2, case2_assembled,
+                                                      monkeypatch):
+    consts, psi = case2_assembled
+    grid = small_grid()
+    r, y = scan(grid)
+    args = (case2.coeffs, case2.nu, case2.sim.kappa, QuadratureSpec(atol=1e-9, rtol=1e-7))
+    before, _ = generator._coupling_L(psi, y + r, y, r, *args)
+    recording_groups(monkeypatch, fail_at=0.1 * grid[3])
+    values, errors = generator._coupling_L(psi, y + r, y, r, *args)
+    hit = r == grid[3]
+    assert hit.sum() == 3 and np.isnan(values[hit]).all()
+    assert all(str(e) == "group refused" for e, h in zip(errors, hit) if h)
+    assert all(e is None for e, h in zip(errors, hit) if not h)
+    assert values[~hit].tolist() == before[~hit].tolist()
+    rep = verify_lyapunov(psi, consts.lam, case2.coeffs, case2.nu,
+                          case2.sim.kappa, r_grid=grid)
+    assert rep.verdict == INCONCLUSIVE
+    assert rep.derived["skipped"] == [(float(grid[3]), yi) for yi in (0.0, 0.5, 2.0)]
+    assert "group refused" in rep.to_text()
+
+
 # max_margin of `nlbranch check` (60 x 3 grid) for every preset that runs the
 # Lyapunov scan, as the scalar QUADPACK integrator computed it
 LYAPUNOV_MARGINS = {
@@ -363,12 +421,12 @@ def test_lyapunov_verdict_and_margin_are_pinned(tmp_path, name):
 def assert_chunk_matches_points(fn, coeffs, nu, kappa):
     """Pairs (y + r, y) evaluated as one chunk agree with apply_coupling_L
     at each pair alone."""
-    r = np.repeat(np.logspace(-3, 1, 7), 3)
-    y = np.tile((0.0, 0.5, 2.0), 7)
+    r, y = scan(np.logspace(-3, 1, 7))
+    x = y + r
     q = QuadratureSpec(atol=1e-9, rtol=1e-7)
-    values, errors = generator._coupling_L(fn, y + r, y, coeffs, nu, kappa, q)
+    values, errors = generator._coupling_L(fn, x, y, x - y, coeffs, nu, kappa, q)
     assert errors == [None] * r.size
-    for val, xi, yi in zip(values, y + r, y):
+    for val, xi, yi in zip(values, x, y):
         alone = apply_coupling_L(fn, xi, yi, coeffs, nu, kappa, q=q)
         assert val == pytest.approx(alone, rel=0.0, abs=1e-13)
 

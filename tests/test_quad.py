@@ -89,6 +89,21 @@ def test_empty_interval_is_zero():
     assert integrate_interval(lambda z: np.ones_like(z), 1.0, 1.0) == 0.0
 
 
+def test_no_intervals_give_no_values_and_no_errors():
+    fn = counting(np.ones_like)
+    values, errors = integrate_intervals(lambda z, g: fn(z), [])
+    assert values.shape == (0,) and values.dtype == float
+    assert errors == [] and fn.calls == 0
+
+
+@pytest.mark.parametrize("edges", [[], [0.5], np.array([2.0])])
+def test_fewer_than_two_edges_give_no_segments(edges):
+    fn = counting(np.ones_like)
+    out = integrate_segments(fn, edges)
+    assert out.shape == (0,) and out.dtype == float
+    assert fn.calls == 0
+
+
 def test_refinement_splits_when_no_panel_exceeds_its_share(monkeypatch):
     # three panels each hold exactly their share tol/3 of the tolerance, yet
     # the rounded sum of the errors exceeds tol: no panel is above its share,

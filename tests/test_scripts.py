@@ -97,6 +97,14 @@ def test_bench_layers_tiny(tmp_path, monkeypatch, capsys):
             assert stats["q1"] <= stats["median"] <= stats["q3"]
             assert len(stats["samples"]) == 1
     assert result["machine"]["numpy"] == np.__version__
+    # samples stay in run order, so sample i of the two trees is a pair
+    runs = {script.ROOT: iter([5.0, 1.0, 3.0]), tmp_path.resolve(): iter([2.0, 6.0, 4.0])}
+    monkeypatch.setattr(script, "_sample_tree", lambda tree, args: {"m": next(runs[tree])})
+    assert script.main(["--parent", str(tmp_path), "--repeats", "3", "--out", str(out)]) == 0
+    trees = json.loads(out.read_text())["trees"]
+    assert trees["change"]["m"]["samples"] == [5.0, 1.0, 3.0]
+    assert trees["parent"]["m"]["samples"] == [2.0, 6.0, 4.0]
+    assert trees["change"]["m"]["median"] == 3.0
 
 
 def test_benchmark_tracer_installs_and_uninstalls():
