@@ -29,7 +29,11 @@ tree's ``src/`` and times:
 - ``assemble_ms.case2-stable.w1``, ``assemble_ms.logistic.w1`` and
   ``assemble_ms.logistic.strong``: constant assembly, one
   ``assemble_scenario`` call for the preset and variant from its noise
-  report (the median of up to 5 calls).
+  report (the median of up to 5 calls);
+- ``check_ms.case2-stable`` and ``check_ms.logistic``: one in-process
+  ``nlbranch check`` of the preset, ``cli.main`` into a temporary
+  directory with its report to stdout discarded (the median of up to 5
+  calls).
 
 With ``--parent`` the other tree is sampled too, the order of the two
 alternating from repeat to repeat, and the output holds both.  The JSON
@@ -42,12 +46,15 @@ calls only.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import io
 import json
 import os
 import platform
 import statistics
 import subprocess
 import sys
+import tempfile
 import time
 from dataclasses import replace
 from pathlib import Path
@@ -85,9 +92,9 @@ def _event_round(simulate, fire):
 
 
 def _generator_layers(calls):
-    """The Lyapunov grid of `check` per preset, one coupling operator, and
-    constant assembly per preset and variant."""
-    from nlbranch.cli import assemble_scenario, noise_report
+    """The Lyapunov grid of `check` per preset, one coupling operator,
+    constant assembly per preset and variant, and `check` per preset."""
+    from nlbranch.cli import assemble_scenario, main, noise_report
     from nlbranch.config import load_scenario
     from nlbranch.generator import apply_coupling_L, verify_lyapunov
 
@@ -107,6 +114,10 @@ def _generator_layers(calls):
         noise = noise_report(sc)
         out[f"assemble_ms.{name}.{variant}"] = 1e-3 * _median_us(
             lambda: assemble_scenario(sc, variant, noise), min(calls, GRID_CALLS))
+    with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(io.StringIO()):
+        for name in LYAPUNOV_PRESETS:
+            check = lambda: main(["check", "--scenario", name, "--out", tmp])
+            out[f"check_ms.{name}"] = 1e-3 * _median_us(check, min(calls, GRID_CALLS))
     return out
 
 

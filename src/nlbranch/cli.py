@@ -1,6 +1,6 @@
 """Command-line experiment driver.
 
-Subcommands:
+Commands:
 
 * ``check``     -- drift/noise conditions, constants, Lyapunov grid.
 * ``testfn``    -- dump the test-function table and constants report.
@@ -232,23 +232,22 @@ def cmd_invariant(args):
     return _exit_code(ens_a, ens_b)
 
 
+COMMANDS = {"check": cmd_check, "testfn": cmd_testfn, "couple": cmd_couple,
+            "simulate": cmd_simulate, "invariant": cmd_invariant}
+
+
 def build_parser():
     p = argparse.ArgumentParser(
         prog="nlbranch",
         description="Simulation and verification for nonlinear branching SDEs")
-    sub = p.add_subparsers(dest="command", required=True)
-    for name, fn in (("check", cmd_check), ("testfn", cmd_testfn),
-                     ("couple", cmd_couple), ("simulate", cmd_simulate),
-                     ("invariant", cmd_invariant)):
-        sp = sub.add_parser(name)
-        sp.add_argument("--config", default=None, help="INI config file")
-        sp.add_argument("--scenario", required=True,
-                        help="scenario name (preset or config section)")
-        sp.add_argument("--out", default=None, help="output directory")
-        sp.add_argument("--seed", type=int, default=None)
-        sp.add_argument("--paths", type=int, default=None)
-        sp.add_argument("--step", type=float, default=None)
-        sp.set_defaults(fn=fn)
+    p.add_argument("command", choices=tuple(COMMANDS))
+    p.add_argument("--config", default=None, help="INI config file")
+    p.add_argument("--scenario", required=True,
+                   help="scenario name (preset or config section)")
+    p.add_argument("--out", default=None, help="output directory")
+    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--paths", type=int, default=None)
+    p.add_argument("--step", type=float, default=None)
     return p
 
 
@@ -259,7 +258,7 @@ def main(argv=None):
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
-        return args.fn(args)
+        return COMMANDS[args.command](args)
     except (ValidationError, DomainError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

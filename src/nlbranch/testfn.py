@@ -289,8 +289,8 @@ class GFunction:
         return self._derivative(r, 3)
 
     def _derivative(self, r, order):
-        return _g_derivative(self.c0g,
-                             _g_terms(self.phi1, self.theta, np.asarray(r, dtype=float), order))
+        return _g_derivative(self.c0g, _g_terms(self.phi1, self.theta,
+                                                np.asarray(r, dtype=float), (order,))[0])
 
     def d1_at_zero(self):
         """The limit g'(0+): infinite for theta < 1, else 1 + c0g Phi1'(0+)."""
@@ -305,35 +305,61 @@ class GFunction:
         return 1.0 + self.c0g * slope
 
 
-def _g_terms(phi1: Phi1, theta: float, r, order: int):
-    """The parts of g's derivative of ``order`` (1, 2 or 3) at the array r
-    that do not depend on c0g: the power term, and the factors that c0g
-    multiplies, which are Phi1(r) and r^(theta-2) for g' and the Phi1
-    bracket for g'' and g''' (none when Phi1 vanishes)."""
+def _g_terms(phi1: Phi1, theta: float, r, orders):
+    """For each of ``orders`` (each 1, 2 or 3), the parts of g's derivative
+    of that order at the array r that do not depend on c0g: the power term,
+    and the factors that c0g multiplies, which are Phi1(r) and r^(theta-2)
+    for g' and the Phi1 bracket for g'' and g''' (none when Phi1 vanishes).
+    Each power r^(theta-k) and each derivative of Phi1 is evaluated once
+    for all the orders."""
     t = theta
-    if order == 1:
-        power = t * r ** (t - 1.0)
-    elif order == 2:
-        power = t * (t - 1.0) * r ** (t - 2.0)
-    else:
-        power = t * (t - 1.0) * (t - 2.0) * r ** (t - 3.0)
-    if phi1.is_zero:
-        return power, ()
-    if order == 1:
-        return power, (phi1.value(r), r ** (t - 2.0))
-    if order == 2:
-        return power, (phi1.d1(r) * r ** (t - 2.0)
-                       + (t - 2.0) * phi1.value(r) * r ** (t - 3.0),)
-    return power, (phi1.d2(r) * r ** (t - 2.0)
-                   + 2.0 * (t - 2.0) * phi1.d1(r) * r ** (t - 3.0)
-                   + (t - 2.0) * (t - 3.0) * phi1.value(r) * r ** (t - 4.0),)
+    powers, phis = {}, {}
+
+    def rp(k):
+        """r^(theta - k)."""
+        if k not in powers:
+            powers[k] = r ** (t - k)
+        return powers[k]
+
+    def phi(k):
+        """Phi1's derivative of order k at r."""
+        if k not in phis:
+            phis[k] = (phi1.value, phi1.d1, phi1.d2)[k](r)
+        return phis[k]
+
+    terms = []
+    for order in orders:
+        if order == 1:
+            power = t * rp(1.0)
+        elif order == 2:
+            power = t * (t - 1.0) * rp(2.0)
+        else:
+            power = t * (t - 1.0) * (t - 2.0) * rp(3.0)
+        if phi1.is_zero:
+            factors = ()
+        elif order == 1:
+            factors = (phi(0), rp(2.0))
+        elif order == 2:
+            factors = (phi(1) * rp(2.0) + (t - 2.0) * phi(0) * rp(3.0),)
+        else:
+            factors = (phi(2) * rp(2.0)
+                       + 2.0 * (t - 2.0) * phi(1) * rp(3.0)
+                       + (t - 2.0) * (t - 3.0) * phi(0) * rp(4.0),)
+        terms.append((power, factors))
+    return terms
 
 
 def _g_derivative(c0g, terms):
     """A derivative of g from its ``_g_terms``: the power term plus c0g
     times the factors, multiplied from the left."""
     power, factors = terms
-    return power + math.prod(factors, start=c0g) if factors else power
+    if not factors:
+        return power
+    out = c0g * factors[0]
+    for factor in factors[1:]:
+        out *= factor
+    out += power
+    return out
 
 
 def _g_integral(modulus: DriftModulus, theta: float):
@@ -359,34 +385,46 @@ def _g_integral(modulus: DriftModulus, theta: float):
 
 
 def _sup_terms(modulus: DriftModulus, theta: float):
-    """The grid on (0, 2 l0] on which g is certified, and the ``_g_terms``
-    of g', g'' and g''' on it."""
+    """The grid on (0, 2 l0] on which g is certified, its negation, and the
+    ``_g_terms`` of g', g'' and g''' on it."""
     top = math.log10(2.0 * modulus.l0)
     grid = np.logspace(top - 8, top, _SUP_GRID_POINTS)
-    return grid, [_g_terms(modulus.phi1, theta, grid, order) for order in (1, 2, 3)]
+    return grid, -grid, _g_terms(modulus.phi1, theta, grid, (1, 2, 3))
+
+
+# g', g'' and g''' on the certificate grid: the name of each, and the bounds
+# below and above that the sign pattern g' >= 0, g'' <= 0, g''' >= 0 allows
+_SIGN_PATTERN = (("g'", -1e-10, math.inf), ("g''", -math.inf, 1e-10),
+                 ("g'''", -1e-8, math.inf))
 
 
 def _certify_g(modulus: DriftModulus, theta: float, c0g: float, gint,
                sup_terms) -> GFunction:
     """g on the integral ``gint``, with its concavity pattern certified on
-    (0, 2 l0] from its ``_sup_terms``."""
+    (0, 2 l0] from its ``_sup_terms``.  A derivative that is not finite
+    somewhere on the grid is a ValidationError naming it."""
     if c0g <= 0:
         raise DomainError("c0g must be positive")
-    phi1 = modulus.phi1
-    g = GFunction(theta=theta, c0g=c0g, phi1=phi1, l0=modulus.l0, _gint=gint)
-
-    grid, terms = sup_terms
-    gp, gpp, gppp = (_g_derivative(c0g, t) for t in terms)
-    if np.any(gp < -1e-10) or np.any(gpp > 1e-10) or np.any(gppp < -1e-8):
-        raise ValidationError("g violates the sign pattern g' >= 0, g'' <= 0, g''' >= 0")
-    sup_neg = float(np.max(-grid * gpp / gp))
+    grid, neg_grid, terms = sup_terms
+    derivs = [_g_derivative(c0g, t) for t in terms]
+    for (name, lo, hi), d in zip(_SIGN_PATTERN, derivs):
+        # min and max both carry a NaN, and one of them any infinity
+        d_min, d_max = d.min(), d.max()
+        if not (math.isfinite(d_min) and math.isfinite(d_max)):
+            raise ValidationError(f"{name} is not finite on g's certificate grid")
+        if d_min < lo or d_max > hi:
+            raise ValidationError("g violates the sign pattern g' >= 0, g'' <= 0, g''' >= 0")
+    gp, gpp, _ = derivs
+    ratio = neg_grid * gpp
+    ratio /= gp
+    sup_neg = float(ratio.max())
     # analytic limit at 0+ of the pure-power part
-    sup_neg = max(sup_neg, 1.0 - theta if phi1.is_zero else sup_neg)
-    sup_rgp = float(np.max(grid * gp))
-    if sup_neg > 2.0 - theta + 1e-8:
+    sup_neg = max(sup_neg, 1.0 - theta if modulus.phi1.is_zero else sup_neg)
+    if not sup_neg <= 2.0 - theta + 1e-8:     # a NaN ratio fails too
         raise ValidationError(
             f"sup(-r g''/g') = {sup_neg} exceeds the certified cap {2.0 - theta}")
-    return replace(g, sup_neg_ratio=sup_neg, sup_r_gprime=sup_rgp)
+    return GFunction(theta=theta, c0g=c0g, phi1=modulus.phi1, l0=modulus.l0, _gint=gint,
+                     sup_neg_ratio=sup_neg, sup_r_gprime=float(np.max(grid * gp)))
 
 
 def build_g(modulus: DriftModulus, theta: float, c0g: float) -> GFunction:
@@ -405,6 +443,11 @@ class PsiFunction:
 
     'wasserstein': linear growth, exponential bridge past 2 l0.
     'strong': bounded, bridge integrating 1/Phi2 (needs A, B, delta_bridge).
+
+    ``value``, ``d1`` and ``d2`` evaluate each piece on its own points
+    only: the inner piece where r <= 2 l0 and the bridge elsewhere (NaN
+    included), so no point computes the piece it does not take.  The inner
+    integral and the values at 2 l0 are built once, by ``build_psi``.
     """
 
     c1: float
@@ -423,54 +466,62 @@ class PsiFunction:
 
     # -- evaluators -------------------------------------------------------
 
-    def _inner(self, r):
-        return self.c1 * r + self._expint(r)
+    def _pieces(self, r, inner, bridge):
+        """inner(r) where r <= 2 l0, bridge(r - 2 l0) elsewhere (NaN
+        included), each piece evaluated on its own points only."""
+        r = np.asarray(r, dtype=float)
+        r0 = 2.0 * self.l0
+        near = r <= r0
+        n_near = np.count_nonzero(near)
+        if n_near == near.size:
+            out = inner(r)
+        elif n_near == 0:
+            out = bridge(r - r0)
+        else:
+            out = np.empty_like(r)
+            out[near] = inner(r[near])
+            far = ~near
+            out[far] = bridge(r[far] - r0)
+        return out if out.shape else float(out)
 
     def value(self, r):
-        r = np.asarray(r, dtype=float)
-        s = r - 2.0 * self.l0
         if self.variant == "wasserstein":
             a = 2.0 * self.d2psi_2l0 / self.dpsi_2l0
-            bridge = self.psi_2l0 + 0.5 * self.dpsi_2l0 * (
-                s + np.expm1(a * np.maximum(s, 0.0)) / a)
+            bridge = lambda s: self.psi_2l0 + 0.5 * self.dpsi_2l0 * (s + np.expm1(a * s) / a)
         else:
-            bridge = self.psi_2l0 + self._strong_bridge(np.maximum(s, 0.0))
-        out = np.where(r <= 2.0 * self.l0, self._inner(np.minimum(r, 2.0 * self.l0)), bridge)
-        return out if out.shape else float(out)
+            bridge = lambda s: self.psi_2l0 + self._strong_bridge(s)
+        return self._pieces(r, lambda r: self.c1 * r + self._expint(r), bridge)
 
     def d1(self, r):
-        r = np.asarray(r, dtype=float)
-        s = np.maximum(r - 2.0 * self.l0, 0.0)
-        inner = self.c1 + np.exp(-self.c2 * self.g.value(np.minimum(r, 2.0 * self.l0)))
         if self.variant == "wasserstein":
             a = 2.0 * self.d2psi_2l0 / self.dpsi_2l0
-            outer = 0.5 * self.dpsi_2l0 * (1.0 + np.exp(a * s))
+            bridge = lambda s: 0.5 * self.dpsi_2l0 * (1.0 + np.exp(a * s))
         else:
-            outer = (self.A / self.phi2.value(self.B * s + 2.0 * self.l0)
-                     + self.delta_bridge * self.A / self.phi2.value(s + 2.0 * self.l0))
-        out = np.where(r <= 2.0 * self.l0, inner, outer)
-        return out if out.shape else float(out)
+            bridge = lambda s: (self.A / self.phi2.value(self.B * s + 2.0 * self.l0)
+                                + self.delta_bridge * self.A
+                                / self.phi2.value(s + 2.0 * self.l0))
+        return self._pieces(r, lambda r: self.c1 + np.exp(-self.c2 * self.g.value(r)),
+                            bridge)
 
     def d2(self, r):
-        r = np.asarray(r, dtype=float)
-        s = np.maximum(r - 2.0 * self.l0, 0.0)
-        # g' is singular at 0: there psi'' takes its limit -c2 g'(0+)
-        rin = np.where(r > 0, np.minimum(r, 2.0 * self.l0), 2.0 * self.l0)
-        inner = np.where(r > 0, -self.c2 * self.g.d1(rin) * np.exp(-self.c2 * self.g.value(rin)),
-                         -self.c2 * self.g.d1_at_zero())
         if self.variant == "wasserstein":
             a = 2.0 * self.d2psi_2l0 / self.dpsi_2l0
-            outer = self.d2psi_2l0 * np.exp(a * s)
+            bridge = lambda s: self.d2psi_2l0 * np.exp(a * s)
         else:
-            u1, u2 = self.B * s + 2.0 * self.l0, s + 2.0 * self.l0
-            outer = (-self.A * self.B * self.phi2.d1(u1) / self.phi2.value(u1) ** 2
-                     - self.delta_bridge * self.A * self.phi2.d1(u2)
-                     / self.phi2.value(u2) ** 2)
-        out = np.where(r <= 2.0 * self.l0, inner, outer)
-        return out if out.shape else float(out)
+            def bridge(s):
+                u1, u2 = self.B * s + 2.0 * self.l0, s + 2.0 * self.l0
+                return (-self.A * self.B * self.phi2.d1(u1) / self.phi2.value(u1) ** 2
+                        - self.delta_bridge * self.A * self.phi2.d1(u2)
+                        / self.phi2.value(u2) ** 2)
+        return self._pieces(r, self._d2_inner, bridge)
+
+    def _d2_inner(self, r):
+        # g' is singular at 0: there psi'' takes its limit -c2 g'(0+)
+        rin = np.where(r > 0, r, 2.0 * self.l0)
+        return np.where(r > 0, -self.c2 * self.g.d1(rin) * np.exp(-self.c2 * self.g.value(rin)),
+                        -self.c2 * self.g.d1_at_zero())
 
     def _strong_bridge(self, s):
-        s = np.asarray(s, dtype=float)
         coef, expo = self.phi2.coef, self.phi2.exponent
         c = 2.0 * self.l0
         if expo == 1.0:
@@ -694,9 +745,14 @@ def assemble(case: str, modulus: DriftModulus, params: dict, variant: str = "w1"
                 (``generator.check_noise_conditions``), which certifies them.
     variant  -- 'w1', 'tv' or 'strong'.
     The dissipation rate k2 comes from the modulus.  A missing parameter is a
-    ValidationError naming it.  The c3 balance iteration certifies g for
-    each iterate from the terms of g's certificate built once per call
-    (``_sup_terms``), which do not depend on c3.
+    ValidationError naming it.  Built once per call and shared by every c3
+    iterate, as none of it depends on c3: g's integral (``_g_integral``),
+    and the certificate grid, its negation and the terms of g', g'' and g'''
+    on it (``_sup_terms``, which evaluates each power of r and each Phi1
+    derivative once for the three orders).  Each iterate's certificate
+    then costs the three derivatives, a min and a max of each (a NaN or an
+    infinity among them is a ValidationError naming the derivative) and the
+    two sups, and builds its GFunction once, with the sups.
     Returns (constants, test_function).
     """
     if variant not in ("w1", "tv", "strong"):

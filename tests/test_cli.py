@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from nlbranch import generator, simulate
+from nlbranch import cli, generator, simulate
 from nlbranch.cli import main
 from nlbranch.config import PRESETS, compile_expression, load_scenario
 from nlbranch.errors import QuadratureError, ValidationError
@@ -374,6 +374,38 @@ def test_check_unknown_scenario_is_usage_error(tmp_path, capsys):
 def test_missing_subcommand_is_usage_error(capsys):
     assert main([]) == 2
     assert main(["check"]) == 2  # --scenario required
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["check", "--help"]])
+def test_help_exits_zero(argv, capsys):
+    assert main(argv) == 0
+    assert "--scenario" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--scenario", "cir"],                # unknown command
+    ["check", "--scenario", "cir", "--sed", "1"],   # unknown option
+    ["couple", "--paths", "10"],                    # no --scenario
+])
+def test_usage_errors_exit_two(argv, capsys):
+    assert main(argv) == 2
+    assert "usage: nlbranch" in capsys.readouterr().err
+
+
+def test_each_command_reaches_its_own_function(monkeypatch):
+    calls = []
+    for name in cli.COMMANDS:
+        monkeypatch.setitem(cli.COMMANDS, name,
+                            lambda args, name=name: calls.append((name, args)) or 7)
+    for name in ("check", "testfn", "couple", "simulate", "invariant"):
+        assert main([name, "--scenario", "mine", "--config", "my.ini", "--out", "d",
+                     "--seed", "11", "--paths", "40", "--step", "0.25"]) == 7
+        reached, args = calls.pop()
+        assert reached == name and not calls
+        assert (args.scenario, args.config, args.out) == ("mine", "my.ini", "d")
+        assert (args.seed, args.paths, args.step) == (11, 40, 0.25)
+        assert (type(args.seed), type(args.paths), type(args.step)) == (int, int, float)
+    assert sorted(cli.COMMANDS) == ["check", "couple", "invariant", "simulate", "testfn"]
 
 
 def test_testfn_writes_table(tmp_path, capsys):

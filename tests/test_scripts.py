@@ -78,7 +78,7 @@ def test_bench_layers_tiny(tmp_path, monkeypatch, capsys):
     layers = ("event_reads_us_m25", "event_reads_us_m200", "rho_rows_us",
               "lyapunov_grid_ms.case2-stable", "lyapunov_grid_ms.logistic",
               "coupling_L_us", "assemble_ms.case2-stable.w1", "assemble_ms.logistic.w1",
-              "assemble_ms.logistic.strong")
+              "assemble_ms.logistic.strong", "check_ms.case2-stable", "check_ms.logistic")
     rates = [f"{name}.{kind}_mpath_steps_per_s" for name in SUBSET
              for kind in ("single", "coupled")]
     assert sorted(one) == sorted(layers + tuple(rates))

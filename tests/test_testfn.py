@@ -111,6 +111,39 @@ def test_certificate_from_terms_built_once(name, theta):
             assert got.hex() == want.hex()
 
 
+@pytest.mark.parametrize("theta", (0.5, 1.0))
+@pytest.mark.parametrize("name", sorted(PHI1_INSTANCES))
+def test_g_terms_of_several_orders_are_each_orders_own(name, theta):
+    # one call shares the powers of r and the Phi1 evaluations between the
+    # orders; each order's terms keep the bits of a call for it alone
+    phi1 = PHI1_INSTANCES[name]
+    together = testfn._g_terms(phi1, theta, G_PIN_GRID, (1, 2, 3))
+    assert len(together) == 3
+    for order, (power, factors) in zip((1, 2, 3), together):
+        [(solo_power, solo_factors)] = testfn._g_terms(phi1, theta, G_PIN_GRID, (order,))
+        assert len(factors) == len(solo_factors)
+        for got, want in zip((power,) + factors, (solo_power,) + solo_factors):
+            assert [x.hex() for x in got.tolist()] == [x.hex() for x in want.tolist()]
+
+
+@pytest.mark.parametrize("slot,derivative", [("d1", "g''"), ("d2", "g'''")])
+def test_certificate_rejects_a_non_finite_derivative(slot, derivative):
+    # a Phi1 derivative that is NaN beyond l0/2 makes g's derivative of one
+    # order higher NaN there; it is named, not skipped by the sign tests
+    sc = load_scenario("logistic")
+    mod = sc.modulus
+    exact = getattr(mod.phi1, slot)
+
+    def broken(r):
+        r = np.asarray(r, dtype=float)
+        return np.where(r > 0.5 * mod.l0, np.nan, exact(r))
+
+    mod = replace(mod, phi1=replace(mod.phi1, **{slot: broken}))
+    derived = noise_report(sc).derived
+    with pytest.raises(ValidationError, match=f"^{derivative} is not finite"):
+        assemble(sc.case, mod, derived, variant=sc.variant, kappa=sc.sim.kappa)
+
+
 def bump_phi1(top):
     """Phi1 = 0 on (0, 1] and r h(r) beyond, with 1 + h = ((top - r)/(top - 1))^2.
     It is admissible on (0, l0] = (0, 1]; for theta = 1 and c0g = 1 it gives
@@ -317,6 +350,32 @@ def test_strong_psi_bounded_and_glued():
     for order in (psi.value, psi.d1):
         assert float(order(np.asarray(bp - eps))) == pytest.approx(
             float(order(np.asarray(bp + eps))), rel=1e-5)
+
+
+@pytest.fixture(scope="module")
+def logistic_fns():
+    """logistic's w1 psi, its strong psi and the tv function on the latter."""
+    sc = load_scenario("logistic")
+    _, psi = assemble_scenario(sc, "w1")
+    _, tv = assemble_scenario(sc, "strong")
+    return {"w1": psi, "strong": tv.psi, "tv": tv}
+
+
+@pytest.mark.parametrize("kind", ["w1", "strong", "tv"])
+def test_pieces_of_one_array_are_each_points_own(logistic_fns, kind):
+    # each piece runs on its own points only; every element keeps the bits
+    # it has when evaluated alone, and a 0-d input still gives a float
+    fn = logistic_fns[kind]
+    r0 = fn.breakpoints()[-1]       # 2 l0, where psi's bridge starts
+    # both sides of 2 l0 and 2 l0 itself, r = 0, NaN, and the tv function's
+    # three pieces (its bridge runs on [1/11, 1/10])
+    r = np.array([0.0, 0.5 * r0, 3.0 * r0, r0, np.nan, 1e-3, np.nextafter(r0, np.inf),
+                  np.nextafter(r0, 0.0), 0.05, 0.095, 10.0])
+    for evaluate in (fn.value, fn.d1, fn.d2):
+        together = evaluate(r)
+        alone = [evaluate(np.asarray(x)) for x in r]
+        assert all(type(x) is float for x in alone)
+        assert [x.hex() for x in together.tolist()] == [x.hex() for x in alone]
 
 
 def test_strong_psi_needs_convergent_tail():
