@@ -10,8 +10,8 @@ The coupled ensemble upper-bounds both distances of interest:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 

@@ -15,14 +15,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
 from .errors import DomainError, QuadratureError
 from .model import CoefficientSet, LevyMeasure
-from .quad import (DEFAULT_QUAD, QuadratureSpec, integrate_interval,
-                   integrate_intervals)
+from .quad import DEFAULT_QUAD, QuadratureSpec, integrate_interval
 
 HOLDS = "holds-on-grid"
 FAILS = "fails-at"
@@ -31,40 +30,6 @@ INCONCLUSIVE = "inconclusive"   # some grid points could not be evaluated
 
 _VERIFY_TOL = 1e-6
 _LYAPUNOV_Y = (0.0, 0.5, 2.0)
-
-
-def _nu_integral(nu: LevyMeasure, integrand, q: QuadratureSpec, points,
-                 weight=None):
-    """Per point p: int integrand(z, p) [weight(z)] nu(dz), atoms summed, AC
-    part by quadrature, one group per point.
-
-    ``integrand`` is vectorized over nodes z and the point p of each node,
-    ``weight`` over z.  ``points[p]`` marks interior locations where point
-    p's integrand loses smoothness (piece junctions of interpolated test
-    functions), so the adaptive routine is not penalized for the kinks.
-    Returns the values and, per point, None or the QuadratureError its
-    integral failed with; a failed point's value is NaN.
-    """
-    n = len(points)
-    total = np.zeros(n)
-    errors = [None] * n
-    locs, masses = nu.atom_locations, nu.atom_masses
-    if locs.size:
-        w = masses if weight is None else masses * weight(locs)
-        hit = w != 0.0
-        if hit.any():
-            z = locs[hit]
-            vals = integrand(np.tile(z, n), np.repeat(np.arange(n), z.size))
-            total += np.sum(w[hit] * vals.reshape(n, z.size), axis=1)
-    if nu.has_ac_part:
-        if weight is None:
-            fn = lambda z, p: integrand(z, p) * nu.density(z)
-        else:
-            fn = lambda z, p: integrand(z, p) * weight(z) * nu.density(z)
-        values, errors = integrate_intervals(
-            fn, [(0.0, nu.upper, pts) for pts in points], q)
-        total += values
-    return total, errors
 
 
 def _shifted_breakpoints(f, r):
@@ -154,7 +119,7 @@ def _L(f, r, drift, var, rate, nu, q, extra=0.0):
         group = [groups.setdefault(v, len(groups)) for v in r[live].tolist()]
         at = np.array(list(groups))
         integrand, zs = _compensated_integrand(f, at)
-        jumps, failed = _nu_integral(nu, integrand, q, _kinks(f, at, zs))
+        jumps, failed = nu.integrate(integrand, _kinks(f, at, zs), q)
         out[live] += rate[live] * jumps[group]
         for i, g in zip(live.tolist(), group):
             errors[i] = failed[g]
@@ -271,8 +236,8 @@ def apply_coupling_L_sum(f, g, x: float, y: float, coeffs: CoefficientSet,
     pts = (_shifted_breakpoints(f, x) + _shifted_breakpoints(g, y)
            + (float(zsf[0]), float(zsg[0])))
 
-    def jumps(integrand, weight=None, points=pts):
-        return _one(_nu_integral(nu, integrand, q, [points], weight))
+    def jumps(integrand, points=pts):
+        return _one(nu.integrate(integrand, [points], q))
 
     if synchronous or u == 0.0:
         common = min(g2x, g2y)
@@ -298,13 +263,13 @@ def apply_coupling_L_sum(f, g, x: float, y: float, coeffs: CoefficientSet,
             return 1.0 - 0.5 * up - 0.5 * down
 
         # row 1: both jump z, Y additionally displaced +u_k; rate (1/2) gamma2(y) mu_{-u_k}
-        out += 0.5 * g2y * jumps(lambda z, p: both(z, p) + corr_plus(z),
-                                 lambda z: rows(z)[0], pts_u)
+        out += 0.5 * g2y * jumps(lambda z, p: (both(z, p) + corr_plus(z)) * rows(z)[0],
+                                 pts_u)
         # row 2: Y displaced -u_k; rate (1/2) gamma2(y) mu_{u_k}
-        out += 0.5 * g2y * jumps(lambda z, p: both(z, p) + corr_minus(z),
-                                 lambda z: rows(z)[1], pts_u)
+        out += 0.5 * g2y * jumps(lambda z, p: (both(z, p) + corr_minus(z)) * rows(z)[1],
+                                 pts_u)
         # row 3: both jump z; rate gamma2(y)(nu - mu_{-u_k}/2 - mu_{u_k}/2)
-        out += g2y * jumps(both, rest, pts_u)
+        out += g2y * jumps(lambda z, p: both(z, p) * rest(z), pts_u)
     excess = g2x - g2y
     if excess != 0.0:
         # row 4: only X jumps; rate (gamma2(x) - gamma2(y)) nu

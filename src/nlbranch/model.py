@@ -10,8 +10,10 @@ absolutely-continuous / atomic / mixture form, and the measure-level queries
 the coupling construction needs: tail masses, truncated moments, the mass of
 the overlap measure ``mu_x = nu ^ (delta_x * nu)`` and its density ratio
 ``rho(x, z)``, and restricted jump sampling.  The path kernel and the
-generator read the ratio through one entry, ``LevyMeasure.rho_pair``.
-Every integral of a density, a custom sampler's table too, runs in ``quad``.
+generator read the ratio through one entry, ``LevyMeasure.rho_pair``, and
+every integral against nu, the generator's jump terms and every moment,
+through another, ``LevyMeasure.integrate``.  Every integral of a density, a
+custom sampler's table too, runs in ``quad``.
 """
 
 from __future__ import annotations
@@ -23,7 +25,8 @@ from typing import Callable, Optional, Sequence, Tuple
 import numpy as np
 
 from .errors import DomainError, NoJumpError, QuadratureError, ValidationError
-from .quad import DEFAULT_QUAD, integrate_interval, integrate_segments
+from .quad import (DEFAULT_QUAD, integrate_interval, integrate_intervals,
+                   integrate_segments)
 
 _ATOM_RTOL = 1e-12  # relative tolerance for coinciding atom locations
 
@@ -135,12 +138,20 @@ def logistic_coefficients(b1, b2, c1=0.0, c2=1.0):
 # jump measures
 
 
+def _radius(r):
+    """The radius r of a tail or truncated moment, which must be positive."""
+    if r <= 0:
+        raise DomainError(f"moments of nu need a radius r > 0, got {r}")
+    return r
+
+
 class LevyMeasure:
     """Base class: a sigma-finite measure on (0, oo) with finite (z ^ z^2) moment.
 
     Subclasses describe the absolutely-continuous part through ``density`` /
     ``upper`` / ``density_decreasing`` and the atomic part through
-    ``atom_locations`` / ``atom_masses``.
+    ``atom_locations`` / ``atom_masses``; one with closed-form moments
+    overrides ``_moment``.
     """
 
     name = "levy"
@@ -170,28 +181,50 @@ class LevyMeasure:
         if not np.isfinite(m):
             raise ValidationError("measure violates the (z ^ z^2) moment condition")
 
-    # -- mass and moment queries ------------------------------------------
+    # -- integrals against nu ---------------------------------------------
+
+    def integrate(self, fn, points, spec, lo=0.0, hi=math.inf):
+        """Per group p: int_(lo, hi] fn(z, p) nu(dz), the atoms summed and
+        the AC part by quadrature, one group per entry of ``points``.
+
+        ``fn`` is vectorized over nodes z and the group p of each node.
+        ``points[p]`` marks interior locations where group p's integrand
+        loses smoothness (piece junctions of interpolated test functions), so
+        the adaptive routine is not penalized for the kinks.  Returns the
+        values and, per group, None or the QuadratureError its integral
+        failed with; a failed group's value is NaN.
+        """
+        n = len(points)
+        total = np.zeros(n)
+        errors = [None] * n
+        sel = (self.atom_locations > lo) & (self.atom_locations <= hi)
+        if sel.any():
+            z = self.atom_locations[sel]
+            vals = fn(np.tile(z, n), np.repeat(np.arange(n), z.size))
+            total += np.sum(self.atom_masses[sel] * vals.reshape(n, z.size), axis=1)
+        top = min(hi, self.upper)
+        if self.has_ac_part and lo < top:
+            values, errors = integrate_intervals(
+                lambda z, p: fn(z, p) * self.density(z),
+                [(lo, top, pts) for pts in points], spec)
+            total += values
+        return total, errors
+
+    def _moment(self, k, lo, hi):
+        """int_(lo, hi] z^k nu(dz)."""
+        (value,), (error,) = self.integrate(lambda z, p: z ** k, [()], self.quad, lo, hi)
+        if error is not None:
+            raise error
+        return float(value)
 
     def tail_mass(self, r):
         """nu((r, oo))."""
-        if r <= 0:
-            raise DomainError("tail mass requires r > 0")
-        total = float(np.sum(self.atom_masses[self.atom_locations > r]))
-        if self.has_ac_part and r < self.upper:
-            total += integrate_interval(lambda z: self.density(z), r, self.upper,
-                                        self.quad)
-        return total
+        return self._moment(0, _radius(r), math.inf)
 
     def trunc_second_moment(self, r):
         """Integral of z^2 nu(dz) over (0, r]."""
-        if r <= 0:
-            raise DomainError("truncated second moment requires r > 0")
-        sel = self.atom_locations <= r * (1.0 + 1e-15)
-        total = float(np.sum(self.atom_masses[sel] * self.atom_locations[sel] ** 2))
-        if self.has_ac_part:
-            total += integrate_interval(lambda z: z * z * self.density(z),
-                                        0.0, min(r, self.upper), self.quad)
-        if not np.isfinite(total) or total < 0:
+        total = self._moment(2, 0.0, _radius(r))
+        if not math.isfinite(total) or total < 0:
             # adaptive extrapolation can return a finite-part value for a
             # divergent singular integrand; a negative "moment" exposes it
             raise ValidationError("divergent truncated second moment")
@@ -199,14 +232,7 @@ class LevyMeasure:
 
     def mean_above(self, r):
         """Integral of z nu(dz) over (r, oo); the compensator rate above a cutoff."""
-        if r <= 0:
-            raise DomainError("mean_above requires r > 0")
-        total = float(np.sum(self.atom_masses[self.atom_locations > r]
-                             * self.atom_locations[self.atom_locations > r]))
-        if self.has_ac_part and r < self.upper:
-            total += integrate_interval(lambda z: z * self.density(z), r, self.upper,
-                                        self.quad)
-        return total
+        return self._moment(1, _radius(r), math.inf)
 
     # -- overlap ----------------------------------------------------------
 
@@ -283,12 +309,7 @@ class LevyMeasure:
         """Total mass of mu_x; math.inf when x = 0 and nu is infinite."""
         x = abs(float(x))
         if x == 0.0:
-            if self.has_infinite_mass:
-                return math.inf
-            total = float(np.sum(self.atom_masses))
-            if self.has_ac_part:
-                total += integrate_interval(self.density, 0.0, self.upper, self.quad)
-            return total
+            return math.inf if self.has_infinite_mass else self._moment(0, 0.0, math.inf)
         total = 0.0
         if self.atom_locations.size:
             shifted = self.atom_locations + x
@@ -333,7 +354,7 @@ class AbsolutelyContinuousMeasure(LevyMeasure):
         if infinite_mass is None:
             # probe: total mass diverges iff the density is non-integrable at 0
             try:
-                integrate_interval(self._density, 0.0, min(1.0, self.upper), self.quad)
+                self._moment(0, 0.0, 1.0)
                 infinite_mass = False
             except QuadratureError:
                 infinite_mass = True
@@ -395,30 +416,15 @@ class StableTruncatedMeasure(AbsolutelyContinuousMeasure):
     def validate(self):
         pass  # moments are finite in closed form
 
-    def tail_mass(self, r):
-        if r <= 0:
-            raise DomainError("tail mass requires r > 0")
-        if r >= self.upper:
+    def _moment(self, k, lo, hi):
+        # c0 int_lo^hi z^(p-1) dz with p = k - alpha
+        hi = min(hi, self.upper)
+        if lo >= hi:
             return 0.0
-        a = self.alpha
-        return self.c0 * (r ** -a - self.upper ** -a) / a
-
-    def trunc_second_moment(self, r):
-        if r <= 0:
-            raise DomainError("truncated second moment requires r > 0")
-        r = min(r, self.upper)
-        a = self.alpha
-        return self.c0 * r ** (2.0 - a) / (2.0 - a)
-
-    def mean_above(self, r):
-        if r <= 0:
-            raise DomainError("mean_above requires r > 0")
-        if r >= self.upper:
-            return 0.0
-        a = self.alpha
-        if a == 1.0:
-            return self.c0 * math.log(self.upper / r)
-        return self.c0 * (r ** (1.0 - a) - self.upper ** (1.0 - a)) / (a - 1.0)
+        p = k - self.alpha
+        if p == 0.0:
+            return self.c0 * math.log(hi / lo)
+        return self.c0 * (hi ** p - lo ** p) / p
 
     def quantile_above(self, eps, u):
         if eps >= self.upper:
@@ -516,20 +522,8 @@ class MixtureMeasure(LevyMeasure):
     def has_infinite_mass(self):
         return any(m.has_infinite_mass for _, m in self.components)
 
-    def tail_mass(self, r):
-        if r <= 0:
-            raise DomainError("tail mass requires r > 0")
-        return sum(w * m.tail_mass(r) for w, m in self.components)
-
-    def trunc_second_moment(self, r):
-        if r <= 0:
-            raise DomainError("truncated second moment requires r > 0")
-        return sum(w * m.trunc_second_moment(r) for w, m in self.components)
-
-    def mean_above(self, r):
-        if r <= 0:
-            raise DomainError("mean_above requires r > 0")
-        return sum(w * m.mean_above(r) for w, m in self.components)
+    def _moment(self, k, lo, hi):
+        return sum(w * m._moment(k, lo, hi) for w, m in self.components)
 
     def quantile_above(self, eps, u):
         # split the uniform across components by their tail weight

@@ -161,13 +161,24 @@ def phi2_power(coef, exponent):
     return Phi2(coef, exponent)
 
 
+def _finite(name, values, window):
+    """The values of the derivative ``name`` on its validation grid, which
+    must all be finite: a NaN passes every sign test."""
+    values = np.asarray(values, dtype=float)
+    if not np.isfinite(values).all():
+        raise ValidationError(f"{name} is not finite on {window}")
+    return values
+
+
 @dataclass(frozen=True)
 class DriftModulus:
     """(Phi1, l0) with optional dissipation data beyond l0.
 
     Either ``k2`` (linear dissipation rate) or ``phi2`` must be present for
     contraction constants to be derivable.  Phi1's concavity pattern is
-    validated on (0, l0]; the pattern required on the full window (0, 2 l0]
+    validated on (0, l0] and Phi2's on [l0, 10 l0]; a derivative that is not
+    finite there is a ValidationError naming it.  The pattern required on
+    the full window (0, 2 l0]
     is certified at the level of g in ``build_g``, which is the form the
     construction actually consumes.
     """
@@ -188,12 +199,16 @@ class DriftModulus:
             raise ValidationError("Phi1(0) must vanish")
         if np.any(v < -1e-12):
             raise ValidationError("Phi1 must be nonnegative")
-        if np.any(self.phi1.d1(grid) < -1e-9) or np.any(self.phi1.d2(grid) > 1e-9) \
-                or np.any(self.phi1.d3(grid) < -1e-9):
+        d1, d2, d3 = (_finite(name, d(grid), "(0, l0]") for name, d in
+                      (("Phi1'", self.phi1.d1), ("Phi1''", self.phi1.d2),
+                       ("Phi1'''", self.phi1.d3)))
+        if np.any(d1 < -1e-9) or np.any(d2 > 1e-9) or np.any(d3 < -1e-9):
             raise ValidationError("Phi1 must be nondecreasing, concave, with convex slope on (0, l0]")
         if self.phi2 is not None:
             g2 = np.linspace(self.l0, 10.0 * self.l0, 200)
-            if np.any(self.phi2.d1(g2) < -1e-9) or np.any(self.phi2.d2(g2) < -1e-9):
+            d1, d2 = (_finite(name, d(g2), "[l0, 10 l0]") for name, d in
+                      (("Phi2'", self.phi2.d1), ("Phi2''", self.phi2.d2)))
+            if np.any(d1 < -1e-9) or np.any(d2 < -1e-9):
                 raise ValidationError("Phi2 must be nondecreasing and convex on [l0, oo)")
 
     def dissipation_rate(self):

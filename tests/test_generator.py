@@ -4,7 +4,7 @@ from collections import namedtuple
 import numpy as np
 import pytest
 
-from nlbranch import generator
+from nlbranch import generator, model
 from nlbranch.cli import assemble_scenario, main
 from nlbranch.config import PRESETS, load_scenario
 from nlbranch.errors import DomainError, QuadratureError
@@ -340,10 +340,10 @@ def scan(grid):
 
 
 def recording_groups(monkeypatch, fail_at=None):
-    """Patch the generator's grouped quadrature: record the intervals of
+    """Patch the measure's grouped quadrature: record the intervals of
     every call, and fail the groups whose last point is ``fail_at``."""
     calls = []
-    integrate = generator.integrate_intervals
+    integrate = model.integrate_intervals
 
     def recorded(fn, intervals, spec):
         calls.append(intervals)
@@ -353,7 +353,7 @@ def recording_groups(monkeypatch, fail_at=None):
                 values[g], errors[g] = math.nan, QuadratureError("group refused")
         return values, errors
 
-    monkeypatch.setattr(generator, "integrate_intervals", recorded)
+    monkeypatch.setattr(model, "integrate_intervals", recorded)
     return calls
 
 

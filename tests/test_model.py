@@ -9,11 +9,12 @@ from scipy import stats
 
 from nlbranch.config import load_scenario
 from nlbranch.errors import (DomainError, NLBranchError, NoJumpError,
-                             ValidationError)
+                             QuadratureError, ValidationError)
 from nlbranch.model import (AbsolutelyContinuousMeasure, AtomicMeasure,
                             CoefficientSet, MixtureMeasure,
                             StableTruncatedMeasure, cir_coefficients,
                             dyadic_atoms, logistic_coefficients)
+from nlbranch.quad import integrate_interval
 
 STABLE15 = StableTruncatedMeasure(alpha=1.5, c0=1.0, zmax=1.0)
 STABLE05 = StableTruncatedMeasure(alpha=0.5, c0=1.0, zmax=1.0)
@@ -103,8 +104,14 @@ def test_tail_mass_stable_closed_form():
 
 
 def test_tail_mass_requires_positive_radius():
-    with pytest.raises(DomainError):
-        STABLE15.tail_mass(0.0)
+    generic = AbsolutelyContinuousMeasure(lambda z: np.asarray(z, dtype=float) ** -1.5,
+                                          upper=1.0)
+    mix = MixtureMeasure([(2.0, STABLE15), (1.0, AtomicMeasure([0.5], [3.0]))])
+    for nu in (generic, STABLE15, DYADIC, mix):
+        for moment in (nu.tail_mass, nu.mean_above, nu.trunc_second_moment):
+            for r in (0.0, -0.5):
+                with pytest.raises(DomainError):
+                    moment(r)
 
 
 def test_truncated_second_moment_stable():
@@ -127,15 +134,91 @@ def test_truncated_second_moment_monotone(r1, r2):
 
 
 def test_quadrature_agrees_with_closed_forms():
-    # the generic AC machinery against the stable closed forms
-    generic = AbsolutelyContinuousMeasure(
-        lambda z: np.asarray(z, dtype=float) ** -2.5, upper=1.0,
-        decreasing=True, infinite_mass=True)
-    for r in (0.1, 0.35, 0.9):
-        assert generic.tail_mass(r) == pytest.approx(STABLE15.tail_mass(r), rel=1e-8)
-        assert generic.trunc_second_moment(r) == \
-            pytest.approx(STABLE15.trunc_second_moment(r), rel=1e-8)
-        assert generic.mean_above(r) == pytest.approx(STABLE15.mean_above(r), rel=1e-8)
+    # the generic AC machinery against the stable closed forms; alpha = 1
+    # reaches the logarithm of the first moment, r >= zmax the empty tail
+    for alpha in (0.5, 1.0, 1.5):
+        stable = StableTruncatedMeasure(alpha=alpha, c0=1.0, zmax=1.0)
+        generic = AbsolutelyContinuousMeasure(
+            lambda z: np.asarray(z, dtype=float) ** (-1.0 - alpha), upper=1.0,
+            decreasing=True, infinite_mass=True)
+        for r in (0.1, 0.35, 0.9, 1.0, 2.0):
+            assert generic.trunc_second_moment(r) == \
+                pytest.approx(stable.trunc_second_moment(r), rel=1e-8)
+            for moment in ("tail_mass", "mean_above"):
+                got, want = getattr(generic, moment)(r), getattr(stable, moment)(r)
+                if r >= 1.0:
+                    assert got == want == 0.0
+                else:
+                    assert got == pytest.approx(want, rel=1e-8)
+
+
+# the measures LevyMeasure.integrate is checked on: case2's stable measure,
+# the dyadic atoms, an AC density on (0, oo) and a mixture of both kinds
+INTEGRATE_MEASURES = {
+    "stable": lambda: load_scenario("case2-stable").nu,
+    "dyadic": lambda: DYADIC,
+    "ac-unbounded": lambda: AbsolutelyContinuousMeasure(
+        lambda z: np.asarray(z, dtype=float) ** -1.5 * np.exp(-np.asarray(z, dtype=float)),
+        decreasing=True),
+    "mixture": lambda: MixtureMeasure([(2.0, STABLE15),
+                                       (1.0, AtomicMeasure([0.25, 0.5], [3.0, 1.0]))]),
+}
+SCALES = np.array([0.5, 1.0, 2.0])
+KINKS = [(), (0.3,), (0.1, 0.7)]
+
+
+def scaled(z, p):
+    """A bounded multiple of z^2 ^ z, of another scale in each group p."""
+    return z * z / (SCALES[p] + z)
+
+
+def hexes(values):
+    return [float(v).hex() for v in values]
+
+
+@pytest.mark.parametrize("name", sorted(INTEGRATE_MEASURES))
+@pytest.mark.parametrize("lo,hi", [(0.0, math.inf), (0.2, 0.6)])
+def test_integrate_is_the_atom_sum_plus_the_quadrature(name, lo, hi):
+    nu = INTEGRATE_MEASURES[name]()
+    (got,), (error,) = nu.integrate(scaled, [KINKS[1]], nu.quad, lo, hi)
+    assert error is None
+    locs, masses = nu.atom_locations, nu.atom_masses
+    inside = (locs > lo) & (locs <= hi)
+    want = float(np.sum(masses[inside] * scaled(locs[inside], np.zeros(inside.sum(), int))))
+    if nu.has_ac_part:
+        want += integrate_interval(lambda z: scaled(z, np.zeros(z.size, int)) * nu.density(z),
+                                   lo, min(hi, nu.upper), nu.quad, points=KINKS[1])
+    assert got.hex() == want.hex()
+
+
+@pytest.mark.parametrize("name", sorted(INTEGRATE_MEASURES))
+def test_integrate_groups_are_each_groups_own_call(name):
+    nu = INTEGRATE_MEASURES[name]()
+    values, errors = nu.integrate(scaled, KINKS, nu.quad)
+    assert errors == [None] * 3
+    alone = [nu.integrate(lambda z, _, p=p: scaled(z, np.full(z.size, p)), [KINKS[p]],
+                          nu.quad)[0][0] for p in range(3)]
+    assert hexes(values) == hexes(alone)
+    if not nu.has_ac_part:
+        return
+
+    def refused(z, p):
+        # group 1 is infinite next to the origin, below every atom
+        return np.where((p == 1) & (z < 1e-3), np.inf, scaled(z, p))
+
+    values, errors = nu.integrate(refused, KINKS, nu.quad)
+    assert isinstance(errors[1], QuadratureError) and math.isnan(values[1])
+    assert errors[0] is errors[2] is None
+    assert hexes(values[[0, 2]]) == hexes([alone[0], alone[2]])
+
+
+@pytest.mark.parametrize("name", sorted(INTEGRATE_MEASURES))
+def test_public_moments_are_the_moment_of_their_order(name):
+    nu = INTEGRATE_MEASURES[name]()
+    for r in (0.05, 0.3, 1.0, 4.0):
+        assert nu.tail_mass(r) == nu._moment(0, r, math.inf)
+        assert nu.mean_above(r) == nu._moment(1, r, math.inf)
+        assert nu.trunc_second_moment(r) == nu._moment(2, 0.0, r)
 
 
 def test_mass_probe_infers_infinite_mass_only_from_quadrature():

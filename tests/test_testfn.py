@@ -10,7 +10,7 @@ from nlbranch.cli import assemble_scenario, noise_report
 from nlbranch.config import PRESETS, load_scenario
 from nlbranch import testfn
 from nlbranch.errors import DomainError, ValidationError
-from nlbranch.testfn import (ContractionConstants, DriftModulus, Phi1, assemble,
+from nlbranch.testfn import (ContractionConstants, DriftModulus, Phi1, Phi2, assemble,
                              build_g, build_psi, build_strong_psi, build_tv_fn,
                              phi1_linear, phi1_log1p, phi1_xlog, phi1_zero,
                              phi2_linear, phi2_power, psi_table)
@@ -128,20 +128,46 @@ def test_g_terms_of_several_orders_are_each_orders_own(name, theta):
 
 @pytest.mark.parametrize("slot,derivative", [("d1", "g''"), ("d2", "g'''")])
 def test_certificate_rejects_a_non_finite_derivative(slot, derivative):
-    # a Phi1 derivative that is NaN beyond l0/2 makes g's derivative of one
-    # order higher NaN there; it is named, not skipped by the sign tests
+    # a Phi1 derivative that is NaN beyond 1.5 l0, outside the window
+    # (0, l0] DriftModulus validates, makes g's derivative of one order
+    # higher NaN there; it is named, not skipped by the sign tests
     sc = load_scenario("logistic")
     mod = sc.modulus
     exact = getattr(mod.phi1, slot)
 
     def broken(r):
         r = np.asarray(r, dtype=float)
-        return np.where(r > 0.5 * mod.l0, np.nan, exact(r))
+        return np.where(r > 1.5 * mod.l0, np.nan, exact(r))
 
     mod = replace(mod, phi1=replace(mod.phi1, **{slot: broken}))
     derived = noise_report(sc).derived
     with pytest.raises(ValidationError, match=f"^{derivative} is not finite"):
         assemble(sc.case, mod, derived, variant=sc.variant, kappa=sc.sim.kappa)
+
+
+@pytest.mark.parametrize("function,slot", [("phi1", "d1"), ("phi1", "d2"), ("phi1", "d3"),
+                                           ("phi2", "d1"), ("phi2", "d2")])
+def test_modulus_rejects_a_non_finite_derivative(function, slot):
+    # on logistic's modulus (l0 = 0.02) the derivative is NaN beyond r = 0.01,
+    # on Phi2's grid [l0, 10 l0] everywhere; it is named, not skipped by the
+    # sign tests
+    mod = load_scenario("logistic").modulus
+    part = getattr(mod, function)
+    exact = getattr(part, slot)
+
+    def broken(r):
+        r = np.asarray(r, dtype=float)
+        return np.where(r > 0.01, np.nan, exact(r))
+
+    if function == "phi1":
+        part = replace(part, **{slot: broken})
+    else:
+        # Phi2's derivatives are methods: override this one in a subclass
+        part = type("BrokenPhi2", (Phi2,), {slot: lambda self, r: broken(r)})(
+            part.coef, part.exponent)
+    name = function.capitalize() + "'" * int(slot[1])
+    with pytest.raises(ValidationError, match=f"^{name} is not finite"):
+        replace(mod, **{function: part})
 
 
 def bump_phi1(top):
