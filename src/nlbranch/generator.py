@@ -320,8 +320,10 @@ def check_drift_condition(coeffs: CoefficientSet, modulus, grid=None,
                             np.logspace(math.log10(l0 * 1.0001),
                                         math.log10(50.0 * l0), 40)])
         ys = np.array([0.0, 0.5 * l0, 2.0 * l0, 10.0 * l0])
-        grid = [(float(y + ri), float(y)) for ri in r for y in ys]
-    x, y = np.array(grid, dtype=float).reshape(-1, 2).T
+        # the pairs (y + r_i, y), r_i in the outer loop
+        x, y = (r[:, None] + ys).ravel(), np.tile(ys, r.size)
+    else:
+        x, y = np.array(grid, dtype=float).reshape(-1, 2).T
     if np.any(x <= y):
         raise DomainError("drift-condition grid needs x > y")
     r = x - y

@@ -234,6 +234,11 @@ class LevyMeasure:
         """Integral of z nu(dz) over (r, oo); the compensator rate above a cutoff."""
         return self._moment(1, _radius(r), math.inf)
 
+    def _ac_tail(self, r):
+        """The AC part's own mass on (r, oo).  Only a mixture carries atoms
+        beside an AC part, so elsewhere this is the whole tail."""
+        return self.tail_mass(r)
+
     # -- overlap ----------------------------------------------------------
 
     def rho_pair(self, u, z, mz=None):
@@ -318,7 +323,7 @@ class LevyMeasure:
         if self.has_ac_part:
             if self.density_decreasing:
                 # min(n(z), n(z - x)) = n(z) on (x, upper]
-                total += self.tail_mass(x) if x < self.upper else 0.0
+                total += self._ac_tail(x) if x < self.upper else 0.0
             else:
                 hi = self.upper + x if np.isfinite(self.upper) else math.inf
                 # the density vanishes off its support, so below the shift too
@@ -363,12 +368,17 @@ class AbsolutelyContinuousMeasure(LevyMeasure):
         self.validate()
 
     def density(self, z):
+        """n(z), zero off (0, upper].  When every z lies in (0, upper], as
+        the Lyapunov jump nodes do, this is ``_density(z)`` itself, without
+        a masked copy of z."""
         z = np.asarray(z, dtype=float)
         inside = (z > 0) & (z <= self.upper)
-        out = np.zeros(z.shape)
-        if inside.any():
-            # singular densities overflow harmlessly just above 0
-            with np.errstate(over="ignore", divide="ignore"):
+        # singular densities overflow harmlessly just above 0
+        with np.errstate(over="ignore", divide="ignore"):
+            if inside.all():
+                return np.asarray(self._density(z), dtype=float)
+            out = np.zeros(z.shape)
+            if inside.any():
                 out[inside] = self._density(z[inside])
         return out
 
@@ -524,6 +534,9 @@ class MixtureMeasure(LevyMeasure):
 
     def _moment(self, k, lo, hi):
         return sum(w * m._moment(k, lo, hi) for w, m in self.components)
+
+    def _ac_tail(self, r):
+        return sum(w * m._ac_tail(r) for w, m in self.components if m.has_ac_part)
 
     def quantile_above(self, eps, u):
         # split the uniform across components by their tail weight

@@ -1,9 +1,12 @@
 """Adaptive Gauss-Kronrod quadrature on arrays of panels.
 
 Jump integrands are numpy-vectorized, so the integrator works on arrays: each
-refinement round evaluates the integrand once, on the 21 Kronrod nodes of
-every panel that round needs, and compares the 21-point Kronrod value with the
-embedded 10-point Gauss value on each panel for its error estimate.
+refinement round evaluates the integrand on the 21 Kronrod nodes of every
+panel that round needs, and compares the 21-point Kronrod value with the
+embedded 10-point Gauss value on each panel for its error estimate.  A round
+passes the integrand slices of whole panels, so that no call sees more than
+``_BATCH_NODES`` nodes, a single large group included; a group's value does
+not depend on where the slices fall.
 
 Densities of interest behave like ``z**(-1-alpha)`` near the origin, which is
 integrable against ``z**2`` but singular.  An interval with left endpoint 0 is
@@ -18,7 +21,7 @@ so one adaptive run also yields each segment's integral
 (``integrate_segments``), e.g. the nodal values of a cumulative integral.
 
 Every panel also belongs to a group, one independent integral, and a round
-evaluates the integrand once over the panels of all groups still refining
+evaluates the integrand over the panels of all groups still refining
 (``integrate_intervals``).  A group is refined exactly as it would be alone;
 ``integrate_interval`` and ``integrate_segments`` are the one-group case.
 """
@@ -36,7 +39,7 @@ from .errors import QuadratureError
 DEFAULT_ATOL = 1e-10
 DEFAULT_RTOL = 1e-8
 _MAX_SUBDIVISIONS = 200     # panel-split budget of the refinement loop
-_BATCH_NODES = 10_000       # integrand nodes of a batch's first round
+_BATCH_NODES = 10_000       # integrand nodes of a call and of a batch's first round
 
 # Gauss-Kronrod 21/10 rule on [-1, 1] (Piessens et al., QUADPACK, 1983): the
 # 10 Gauss nodes are every other Kronrod node, so the Gauss weights vanish on
@@ -96,25 +99,31 @@ def _runs(gid):
 
 def _gauss_kronrod(fn, lo, hi, mapped, z0, gid):
     """Kronrod values and |Kronrod - Gauss| on panels [lo_i, hi_i] of the
-    groups ``gid_i``, with one call of ``fn``.  Mapped panels live in t, with
-    z = z0_i + t / (1 - t).
+    groups ``gid_i``.  Mapped panels live in t, with z = z0_i + t / (1 - t).
 
-    A group's panels are contiguous, and the weighted sums run group by
-    group: a matrix-vector product rounds a row by where it sits in the
-    matrix, so this keeps each group's values those of a solo run."""
+    ``fn`` sees the nodes of whole panels, at most ``_BATCH_NODES`` of them
+    per call, and its values fill one array.  A slice with no mapped panel
+    passes its nodes as they are, and only mapped panels are scaled by the
+    Jacobian.  A group's panels are contiguous, and the weighted sums run
+    group by group: a matrix-vector product rounds a row by where it sits in
+    the matrix, so this keeps each group's values those of a solo run."""
     half = 0.5 * (hi - lo)
-    t = (0.5 * (lo + hi))[:, None] + half[:, None] * _X
-    z = t.copy()
-    jac = np.ones_like(t)
-    if mapped.any():
-        s = 1.0 / (1.0 - t[mapped])
-        z[mapped] = z0[mapped][:, None] + t[mapped] * s
-        jac[mapped] = s * s
+    mid = 0.5 * (lo + hi)
+    f = np.empty((lo.size, _X.size))
+    flat = f.reshape(-1)
+    step = _BATCH_NODES // _X.size
     # an overflow or 0/0 shows as a non-finite value, which fails the group
     with np.errstate(all="ignore"):
-        f = np.broadcast_to(np.asarray(fn(z.ravel(), np.repeat(gid, _X.size)),
-                                       dtype=float), (z.size,))
-        f = f.reshape(z.shape) * jac
+        for a in range(0, lo.size, step):
+            b = min(a + step, lo.size)
+            t = mid[a:b, None] + half[a:b, None] * _X
+            m = np.flatnonzero(mapped[a:b])
+            if m.size:
+                s = 1.0 / (1.0 - t[m])
+                t[m] = z0[a + m][:, None] + t[m] * s
+            flat[a * _X.size:b * _X.size] = fn(t.reshape(-1), np.repeat(gid[a:b], _X.size))
+            if m.size:
+                f[a + m] *= s * s
         fk, fg = np.empty(lo.size), np.empty(lo.size)
         for a, b in _runs(gid):
             fk[a:b] = f[a:b] @ _WK
@@ -211,7 +220,7 @@ def _integrate(fn, ranges, spec):
 
     Consecutive groups run together in batches whose first round stays
     within ``_BATCH_NODES`` integrand nodes (a batch holds one group at
-    least), which bounds the integrand's temporaries.  Returns, per group,
+    least), which bounds the arrays a round builds.  Returns, per group,
     the total and the integral over each segment, or the QuadratureError
     the group failed with."""
     panels = _first_panels(ranges)

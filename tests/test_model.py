@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import stats
 
+from nlbranch import quad
 from nlbranch.config import load_scenario
 from nlbranch.errors import (DomainError, NLBranchError, NoJumpError,
                              QuadratureError, ValidationError)
@@ -270,6 +271,17 @@ def test_overlap_mass_symmetry():
         assert abs(m_plus - m_minus) <= 1e-8 * (1.0 + m_plus)
 
 
+def test_overlap_mass_of_a_mixture_counts_each_atom_once():
+    # the AC part is declared decreasing: its overlap is its own tail from
+    # the shift, and an atom overlaps only where a shifted atom meets one
+    nu = MixtureMeasure([(1, StableTruncatedMeasure(1.5)), (1, AtomicMeasure([0.25, 0.5], [3, 1]))])
+    tail = StableTruncatedMeasure(1.5).tail_mass
+    # the atoms shifted to 0.35 and 0.6 meet none
+    assert nu.overlap_mass(0.1) == tail(0.1) == 20.415184401122527
+    # the atom at 0.25 shifted to 0.5 meets mass 1 there
+    assert nu.overlap_mass(0.25) == tail(0.25) + 1.0
+
+
 def test_overlap_at_zero_is_parent_measure():
     assert math.isinf(STABLE15.overlap_mass(0.0))
     for side in STABLE15.rho_pair(np.zeros(2), np.array([0.2, 0.7])):
@@ -489,6 +501,42 @@ def test_custom_density_quantiles_match_the_closed_form(upper):
     if math.isfinite(upper):
         with pytest.raises(NoJumpError):
             nu.quantile_above(upper, u)
+
+
+def test_a_custom_sampler_table_is_built_in_batch_sized_calls(monkeypatch):
+    # the 4,096-segment table is one quadrature group of 86,016 first-round
+    # nodes: no density call sees more than a batch, and the table keeps the
+    # bits of a run that takes each round in one call
+    sizes = []
+
+    def table():
+        nu = AbsolutelyContinuousMeasure(lambda z: sizes.append(z.size) or z ** -2.5,
+                                          upper=10.0, decreasing=True)
+        sizes.clear()
+        nu.quantile_above(0.1, 0.5)
+        return nu._inv_cdf_cache[0.1][1]
+
+    sliced = table()
+    assert 0 < max(sizes) <= quad._BATCH_NODES < sum(sizes)
+    monkeypatch.setattr(quad, "_BATCH_NODES", 10 ** 9)
+    whole = table()
+    assert max(sizes) == 4096 * quad._X.size
+    assert sliced.tobytes() == whole.tobytes()
+
+
+@pytest.mark.parametrize("name", ["stable-1.5", "stable-0.5", "ini-power", "unbounded"])
+def test_density_inside_its_support_keeps_the_masked_bits(ini_power, name):
+    # nodes all in (0, upper] go to the density in one call; with a point
+    # outside appended they are masked and copied, to the same bits
+    nu = {"stable-1.5": STABLE15, "stable-0.5": STABLE05, "ini-power": ini_power,
+          "unbounded": AbsolutelyContinuousMeasure(lambda z: np.exp(-z) / z)}[name]
+    top = nu.upper if math.isfinite(nu.upper) else 50.0
+    z = np.geomspace(1e-300, top, 5001)
+    inside = nu.density(z)
+    for outside in [0.0, -1.0, np.nan] + [2.0 * nu.upper] * math.isfinite(nu.upper):
+        masked = nu.density(np.append(z, outside))
+        assert masked[-1] == 0.0
+        assert masked[:-1].tobytes() == inside.tobytes()
 
 
 def test_total_mass_of_a_singular_finite_density():

@@ -200,6 +200,75 @@ def test_batches_bound_the_nodes_of_an_integrand_call():
         assert values[g] == pytest.approx(math.sin(1.0) + g, rel=1e-12)
 
 
+def first_round_nodes(ranges):
+    return quad._first_panels(ranges)[0].size * quad._X.size
+
+
+def test_a_group_larger_than_a_batch_is_evaluated_in_slices(monkeypatch):
+    # psi's cumulative-integral grid is one group whose first round holds
+    # 25,683 nodes: no call sees more than a batch, and the nodal integrals
+    # keep the bits of a run that takes each round in one call
+    edges = 0.04 * np.sin(np.linspace(0.0, np.pi / 2, 1200)) ** 2
+    assert first_round_nodes([(edges.tolist(), False)]) > quad._BATCH_NODES
+    spec = QuadratureSpec(atol=1e-14, rtol=1e-12)
+    sizes = []
+
+    def fn(z):
+        sizes.append(z.size)
+        return np.exp(-30.0 * z) * z ** -0.5
+
+    sliced = integrate_segments(fn, edges, spec)
+    assert max(sizes) <= quad._BATCH_NODES < sizes[0] + sizes[1]
+    monkeypatch.setattr(quad, "_BATCH_NODES", 10 ** 9)
+    sizes.clear()
+    whole = integrate_segments(fn, edges, spec)
+    assert sizes[0] == first_round_nodes([(edges.tolist(), False)])
+    assert sliced.tobytes() == whole.tobytes()
+
+
+def test_a_mapped_group_larger_than_a_batch_keeps_its_bits(monkeypatch):
+    # a tail group whose first round exceeds a batch: its mapped panel sits
+    # in the last slice, the only one scaled by the Jacobian
+    interval = (0.0, math.inf, tuple(np.geomspace(1e-3, 50.0, 600)))
+    assert first_round_nodes([quad._range(*interval)]) > quad._BATCH_NODES
+    sizes = []
+
+    def fn(z, g):
+        sizes.append(z.size)
+        return np.exp(-z) * z ** -0.5
+
+    sliced = integrate_intervals(fn, [interval])
+    assert max(sizes) <= quad._BATCH_NODES < sizes[0] + sizes[1]
+    monkeypatch.setattr(quad, "_BATCH_NODES", 10 ** 9)
+    whole = integrate_intervals(fn, [interval])
+    assert sliced[0].tobytes() == whole[0].tobytes() and sliced[1] == whole[1] == [None]
+    assert sliced[0][0] == pytest.approx(math.sqrt(math.pi), rel=1e-8)
+
+
+def test_every_slice_maps_its_panels_from_their_own_start(monkeypatch):
+    # a round of 100 groups, 1,000 panels in three slices, each group with
+    # a mapped tail from its own start z0
+    rng = np.random.default_rng(7)
+    gid = np.repeat(np.arange(100), 10)
+    lo = rng.random(gid.size)
+    hi = lo + rng.random(gid.size)
+    mapped = np.arange(gid.size) % 10 == 9
+    lo[mapped], hi[mapped] = 0.0, 1.0
+    z0 = np.repeat(10.0 * rng.random(100), 10)
+
+    def fn(z, g):
+        return np.exp(-z) * (1.0 + g)
+
+    sliced = quad._gauss_kronrod(fn, lo, hi, mapped, z0, gid)
+    monkeypatch.setattr(quad, "_BATCH_NODES", 10 ** 9)
+    whole = quad._gauss_kronrod(fn, lo, hi, mapped, z0, gid)
+    for a, b in zip(sliced, whole, strict=True):
+        assert a.tobytes() == b.tobytes()
+    # a mapped panel holds int_z0^oo e^-z (1 + g) dz
+    assert sliced[0][mapped] == pytest.approx(np.exp(-z0[mapped]) * (1.0 + gid[mapped]),
+                                              rel=1e-6)
+
+
 # ---------------------------------------------------------------------------
 # first panels: one vectorized build for every group, against the scalar
 # per-segment builder it replaced
