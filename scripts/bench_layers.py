@@ -18,7 +18,9 @@ tree's ``src/`` and times:
   measure;
 - ``<preset>.single_mpath_steps_per_s`` and ``.coupled_...``: path-steps per
   second of ``simulate_single`` and ``simulate_coupled`` on case2-stable,
-  cir, case3-dyadic and xlog-drift, at ``--paths`` paths and ``--steps``
+  cir, case3-dyadic, xlog-drift and case1-diffusion (a diffusion under the
+  refined-basic coupling, whose reflection cir's synchronous coupling does
+  not take), at ``--paths`` paths and ``--steps``
   steps of the preset's h (the median of ``KERNEL_RUNS`` timed runs, after
   ``KERNEL_WARMUPS`` untimed ones);
 - ``lyapunov_grid_ms.case2-stable`` and ``.logistic``: the 60 x 3 Lyapunov
@@ -65,7 +67,7 @@ from pathlib import Path
 import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
-PRESETS = ("case2-stable", "cir", "case3-dyadic", "xlog-drift")
+PRESETS = ("case2-stable", "cir", "case3-dyadic", "xlog-drift", "case1-diffusion")
 LYAPUNOV_PRESETS = ("case2-stable", "logistic")
 ASSEMBLIES = (("case2-stable", "w1"), ("logistic", "w1"), ("logistic", "strong"))
 GRID_CALLS = 5

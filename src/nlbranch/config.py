@@ -144,7 +144,8 @@ def _preset_case1(name="case1-diffusion"):
             gamma0=lambda x: -np.asarray(x, dtype=float),
             gamma1=lambda x: np.asarray(x, dtype=float),
             gamma2=lambda x: np.zeros_like(np.asarray(x, dtype=float)),
-            name="sqrt-diffusion"),
+            name="sqrt-diffusion",
+            gamma1_prime=lambda x: np.ones_like(np.asarray(x, dtype=float))),
         nu=None,
         modulus=DriftModulus(phi1_zero(), l0=1.0, k2=1.0),
         case="A1", params={"beta": 1.0},
@@ -259,7 +260,8 @@ def _preset_nonergodic(name="nonergodic-diffusion"):
             gamma0=lambda x: -np.asarray(x, dtype=float) ** 2,
             gamma1=lambda x: 2.0 * np.asarray(x, dtype=float) ** 2,
             gamma2=lambda x: np.zeros_like(np.asarray(x, dtype=float)),
-            name="non-ergodic-diffusion"),
+            name="non-ergodic-diffusion",
+            gamma1_prime=lambda x: 4.0 * np.asarray(x, dtype=float)),
         nu=None, modulus=None, case=None, params={},
         x0=10.0, y0=0.1,
         sim=SimConfig(h=1e-3, eps=0.1, t_end=20.0, n_paths=5000, seed=20240811,
@@ -275,7 +277,8 @@ def _preset_pure_growth(name="pure-growth"):
             gamma0=lambda x: np.asarray(x, dtype=float),
             gamma1=lambda x: np.asarray(x, dtype=float),
             gamma2=lambda x: np.zeros_like(np.asarray(x, dtype=float)),
-            name="pure-growth"),
+            name="pure-growth",
+            gamma1_prime=lambda x: np.ones_like(np.asarray(x, dtype=float))),
         nu=None,
         modulus=DriftModulus(phi1_zero(), l0=1.0, k2=1.0),
         case="A1", params={"beta": 1.0},

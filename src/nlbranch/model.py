@@ -47,6 +47,56 @@ def _no_diffusion(x):
     return np.zeros_like(np.asarray(x, dtype=float))
 
 
+def _difference_nodes(x):
+    """The nodes x -/+ 1e-5 (1 + |x|) of gamma1's difference quotient, the
+    lower one clipped at 0 (new arrays)."""
+    d = np.abs(x)
+    d += 1.0
+    d *= 1e-5
+    hi = x + d
+    lo = np.subtract(x, d, out=d)
+    np.maximum(lo, 0.0, out=lo)
+    return lo, hi
+
+
+class _CentralDifference:
+    """gamma1' by the difference quotient of gamma1 over its nodes.  It is
+    the default of a coefficient set that declares no gamma1', and one
+    rebuilt from such a set (``dataclasses.replace``) makes its own for its
+    gamma1 rather than keeping this one."""
+
+    def __init__(self, gamma1):
+        self.gamma1 = gamma1
+
+    def __call__(self, x):
+        lo, hi = _difference_nodes(np.asarray(x, dtype=float))
+        # gamma1 may hand back its argument: hi and lo change only after both calls
+        quotient = self.gamma1(hi) - self.gamma1(lo)
+        hi -= lo
+        quotient /= hi
+        return quotient
+
+
+def _check_gamma1_prime(gamma1, gamma1_prime, grid):
+    """A declared gamma1' must be finite on the grid and match the difference
+    quotient of gamma1 there.  The quotient is the mean of gamma1' over its
+    nodes, which a quadratic gamma1 takes at their midpoint, so the two are
+    compared at the midpoint: at 0, where the lower node is clipped, too."""
+    got = gamma1_prime(grid)
+    bad = ~np.isfinite(got)
+    if np.any(bad):
+        raise ValidationError(f"gamma1_prime({grid[bad][0]}) = {got[bad][0]} is not finite")
+    lo, hi = _difference_nodes(grid)
+    got = gamma1_prime(0.5 * (lo + hi))
+    want = _CentralDifference(gamma1)(grid)
+    bad = ~(np.abs(got - want) <= 1e-6 * (1.0 + np.abs(got)))
+    if np.any(bad):
+        i = np.flatnonzero(bad)[0]
+        raise ValidationError(
+            f"gamma1_prime = {got[i]} near x = {grid[i]}, where gamma1's "
+            f"difference quotient is {want[i]}: it is not gamma1's derivative")
+
+
 @dataclass(frozen=True)
 class CoefficientSet:
     """The triple (gamma0, gamma1, gamma2) defining the SDE.
@@ -58,6 +108,15 @@ class CoefficientSet:
     no diffusion part (as ``nu=None`` states it has no jumps): gamma1 is then
     stored as the zero function and ``has_diffusion`` is false, which lets
     the simulator skip the diffusion terms altogether.
+
+    ``gamma1_prime`` is the derivative of gamma1, which sets the simulator's
+    Milstein term (1/4) gamma1'(X) (xi^2 - 1) h.  A model declares it in
+    closed form, and construction checks it against the difference quotient
+    of gamma1 on the validation grid.  Without one (an INI ``custom``
+    coefficient set among them) it is that quotient: the central difference
+    over x -/+ 1e-5 (1 + |x|), one-sided where x - 1e-5 (1 + |x|) < 0.  Like
+    the gammas, it may return its argument, so nothing it returns is written
+    to.
     """
 
     gamma0: Callable
@@ -67,8 +126,14 @@ class CoefficientSet:
     gamma1_vanishes_at_zero: bool = True
     gamma2_vanishes_at_zero: bool = True
     name: str = ""
+    gamma1_prime: Optional[Callable] = None
 
     def __post_init__(self):
+        declared = self.gamma1_prime
+        if isinstance(declared, _CentralDifference):
+            declared = None
+        if self.gamma1 is None and declared is not None:
+            raise ValidationError("gamma1_prime given without gamma1")
         object.__setattr__(self, "gamma0", _as_vectorized(self.gamma0))
         object.__setattr__(self, "gamma1", _no_diffusion if self.gamma1 is None
                            else _as_vectorized(self.gamma1))
@@ -88,6 +153,12 @@ class CoefficientSet:
             scale = 1.0 + np.max(np.abs(g2))
             if np.any(np.diff(g2) < -1e-9 * scale):
                 raise ValidationError("gamma2 must be non-decreasing on the validation grid")
+        if declared is not None:
+            object.__setattr__(self, "gamma1_prime", _as_vectorized(declared))
+            _check_gamma1_prime(self.gamma1, self.gamma1_prime, grid)
+        else:
+            object.__setattr__(self, "gamma1_prime", _CentralDifference(self.gamma1)
+                               if self.has_diffusion else None)
 
     @property
     def has_diffusion(self):
@@ -119,6 +190,7 @@ def cir_coefficients(b, c, d, diffusion="sqrt2c"):
         gamma1=lambda x: amp * np.asarray(x, dtype=float),
         gamma2=lambda x: np.zeros_like(np.asarray(x, dtype=float)),
         name=f"cir(b={b},c={c},d={d},{diffusion})",
+        gamma1_prime=lambda x: np.full_like(np.asarray(x, dtype=float), amp),
     )
 
 
@@ -131,6 +203,8 @@ def logistic_coefficients(b1, b2, c1=0.0, c2=1.0):
         gamma1=None if c1 == 0 else (lambda x: c1 * np.asarray(x, dtype=float)),
         gamma2=lambda x: c2 * np.asarray(x, dtype=float),
         name=f"logistic(b1={b1},b2={b2},c1={c1},c2={c2})",
+        gamma1_prime=None if c1 == 0 else (
+            lambda x: np.full_like(np.asarray(x, dtype=float), c1)),
     )
 
 

@@ -1,6 +1,12 @@
 """Path simulation: the single SDE and the coupled pair.
 
-Euler-Maruyama on a fixed grid with the jumps above a cutoff eps.  Small
+Euler-Maruyama on a fixed grid with the jumps above a cutoff eps, and the
+Milstein term (1/4) gamma1'(X) (xi^2 - 1) h beside the diffusion increment
+sqrt(gamma1(X) h) xi.  The term keeps square-root diffusions nonnegative at
+the reflecting boundary and removes the O(sqrt(h)) clamping bias there, and
+its zero mean leaves coupled gap means exact.  gamma1' comes from the model,
+``CoefficientSet.gamma1_prime``; a coefficient set that declares none, an
+INI ``custom`` one among them, takes the central difference of gamma1.  Small
 jumps are dropped together with their compensator (they form a martingale, so
 the mean is untouched); optionally a Gaussian term with the matching variance
 is added instead.  The coupled scheme drives the Brownian parts by reflection
@@ -217,27 +223,6 @@ class CoupledEnsemble(SingleEnsemble):
         return self.X[i] - self.Y[i]
 
 
-def _milstein_coef(coeffs, X):
-    """(1/2) sigma sigma' = (1/4) gamma1', by central difference of gamma1.
-
-    The correction (1/4) gamma1'(X) (xi^2 - 1) h keeps square-root diffusions
-    nonnegative at the reflecting boundary and removes the O(sqrt(h)) clamping
-    bias there; its increment has zero mean, so coupled gap means are exact.
-    """
-    d = np.abs(X)
-    d += 1.0
-    d *= 1e-5
-    hi = X + d
-    lo = np.subtract(X, d, out=d)
-    np.maximum(lo, 0.0, out=lo)
-    # gamma1 may hand back its argument: hi and lo change only after both calls
-    coef = coeffs.gamma1(hi) - coeffs.gamma1(lo)
-    coef *= 0.25
-    hi -= lo
-    coef /= hi
-    return coef
-
-
 def _jump_setup(nu, cfg):
     if nu is None:
         return 0.0, 0.0, 0.0
@@ -370,7 +355,8 @@ def _simulate(coeffs, nu, starts, y0, cfg):
         # (also for a start whose paths carry none, while another start's
         # do).  Flagged paths hold NaN and would keep the draw on forever
         sig = coeffs.sigma(S)
-        mil = _milstein_coef(coeffs, S)
+        # a multiply, not *=: gamma1' may return S itself
+        mil = 0.25 * coeffs.gamma1_prime(S)
         if any_flagged:
             noisy = (sig != 0.0) | (mil != 0.0)
             draw = np.any(noisy[:nx] & ~flagged) or np.any(noisy[nx:] & ~flagged[pair])

@@ -30,8 +30,10 @@ def test_cir_coefficients_forms():
     c = cir_coefficients(1.0, 1.0, 1.0)
     assert float(c.gamma0(np.asarray(2.0))) == pytest.approx(-1.0)
     assert float(c.gamma1(np.asarray(2.0))) == pytest.approx(2.0 * math.sqrt(2.0))
+    assert float(c.gamma1_prime(np.asarray(2.0))) == math.sqrt(2.0)
     c2 = cir_coefficients(1.0, 1.0, 1.0, diffusion="2c")
     assert float(c2.gamma1(np.asarray(2.0))) == pytest.approx(4.0)
+    assert float(c2.gamma1_prime(np.asarray(2.0))) == 2.0
     with pytest.raises(DomainError):
         cir_coefficients(0.0, 1.0, 1.0)
     with pytest.raises(DomainError):
@@ -43,6 +45,8 @@ def test_logistic_coefficients():
     x = np.array([0.0, 1.0, 2.0])
     assert np.allclose(c.gamma0(x), x - 2.0 * x ** 2)
     assert np.allclose(c.gamma2(x), 3.0 * x)
+    assert np.array_equal(c.gamma1_prime(x), np.full(3, 0.5))
+    assert logistic_coefficients(1.0, 2.0).gamma1_prime is None
     with pytest.raises(DomainError):
         logistic_coefficients(-1.0, 1.0)
 
@@ -65,6 +69,36 @@ def test_coefficient_validation_rejects_bad_sets():
         CoefficientSet(gamma0=lambda x: np.zeros_like(np.asarray(x, dtype=float)),
                        gamma1=lambda x: 1.0 + np.asarray(x, dtype=float),
                        gamma2=lambda x: np.asarray(x, dtype=float))
+
+
+def test_declared_gamma1_prime_must_be_gamma1s_derivative():
+    cir = cir_coefficients(1.0, 1.0, 1.0)
+    amp = math.sqrt(2.0)
+    with pytest.raises(ValidationError, match="gamma1_prime .* not gamma1's derivative"):
+        replace(cir, gamma1_prime=lambda x: np.full_like(np.asarray(x, dtype=float),
+                                                         2.0 * amp))
+    with pytest.raises(ValidationError, match=r"gamma1_prime\(0.0\) = nan is not finite"):
+        replace(cir, gamma1_prime=lambda x: np.where(np.asarray(x) > 0, amp, np.nan))
+    with pytest.raises(ValidationError, match="gamma1_prime given without gamma1"):
+        replace(cir, gamma1=None)
+    # gamma1 = 2x^2: its one-sided quotient at 0 is 2e-5, which the closed
+    # form takes at the midpoint of the quotient's nodes
+    nonergodic = load_scenario("nonergodic-diffusion").coeffs
+    assert nonergodic.gamma1_prime(np.asarray(0.0)) == 0.0
+
+
+def test_undeclared_gamma1_prime_is_the_difference_quotient():
+    quadratic = CoefficientSet(gamma0=lambda x: np.zeros_like(np.asarray(x, dtype=float)),
+                               gamma1=lambda x: 2.0 * np.asarray(x, dtype=float) ** 2,
+                               gamma2=lambda x: np.asarray(x, dtype=float))
+    x = np.array([0.0, 0.5, 4.0])
+    assert np.allclose(quadratic.gamma1_prime(x), [2e-5, 2.0, 16.0], rtol=1e-9, atol=1e-12)
+    # a set rebuilt from it takes the quotient of its own gamma1
+    cubic = replace(quadratic, gamma1=lambda x: np.asarray(x, dtype=float) ** 3)
+    assert np.allclose(cubic.gamma1_prime(x[1:]), [0.75, 48.0], rtol=1e-9)
+    assert replace(quadratic, gamma1=None).gamma1_prime is None
+    assert CoefficientSet(gamma0=quadratic.gamma0, gamma1=None,
+                          gamma2=quadratic.gamma2).gamma1_prime is None
 
 
 def test_sigma_is_sqrt_of_gamma1():

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from scipy import stats
 
 from nlbranch import simulate
-from nlbranch.config import load_scenario
+from nlbranch.config import PRESETS, load_scenario
 from nlbranch.errors import DomainError, ValidationError
 from nlbranch.model import (CoefficientSet, StableTruncatedMeasure,
                             cir_coefficients)
@@ -460,6 +460,61 @@ def test_diffusion_runs_draw_brownian_once_per_step(monkeypatch):
     assert calls == {simulate._SLOT_BROWNIAN: 200}
     simulate_coupled(sc.coeffs, sc.nu, sc.x0, sc.y0, cfg)
     assert calls == {simulate._SLOT_BROWNIAN: 400}
+
+
+def test_a_step_evaluates_gamma1_once():
+    # for sigma alone: every bundled diffusion preset declares gamma1', so no
+    # step takes the difference quotient's two further gamma1 calls
+    steps = 20
+    for name in sorted(PRESETS):
+        sc = load_scenario(name)
+        if not sc.coeffs.has_diffusion:
+            continue
+        calls = Counter()
+        gamma1 = sc.coeffs.gamma1
+
+        def counting(x):
+            calls["gamma1"] += 1
+            return gamma1(x)
+
+        coeffs = replace(sc.coeffs, gamma1=counting)
+        cfg = replace(sc.sim, n_paths=50, t_end=steps * sc.sim.h, record_times=None)
+        for run in (lambda: simulate_single(coeffs, sc.nu, sc.x0, cfg),
+                    lambda: simulate_coupled(coeffs, sc.nu, sc.x0, sc.y0, cfg)):
+            calls.clear()
+            run()
+            assert calls["gamma1"] == steps, name
+
+
+@pytest.mark.parametrize("name", ["case1-diffusion", "pure-growth"])
+def test_declared_gamma1_prime_keeps_the_quotients_bits(name):
+    # gamma1 = x: the difference quotient is exactly 1, the declared gamma1'
+    sc = load_scenario(name)
+    quotient = replace(sc.coeffs, gamma1_prime=None)
+    assert quotient.gamma1_prime is not sc.coeffs.gamma1_prime
+    cfg = replace(sc.sim, n_paths=200, t_end=0.5, record_times=None)
+    assert _digest(simulate_single(sc.coeffs, sc.nu, sc.x0, cfg)) == \
+        _digest(simulate_single(quotient, sc.nu, sc.x0, cfg))
+    for coupling in ("refined-basic", "synchronous"):
+        cfg = replace(cfg, coupling=coupling)
+        assert _digest(simulate_coupled(sc.coeffs, sc.nu, sc.x0, sc.y0, cfg)) == \
+            _digest(simulate_coupled(quotient, sc.nu, sc.x0, sc.y0, cfg))
+
+
+def test_kernel_writes_nothing_gamma1_prime_returns():
+    # gamma1 = x^2 / 2, whose gamma1' = x may hand back the state itself
+    gammas = dict(gamma0=lambda x: -np.asarray(x, dtype=float),
+                  gamma1=lambda x: 0.5 * np.asarray(x, dtype=float) ** 2,
+                  gamma2=lambda x: np.zeros_like(np.asarray(x, dtype=float)))
+    aliasing = CoefficientSet(**gammas, gamma1_prime=lambda x: np.asarray(x))
+    copying = CoefficientSet(**gammas, gamma1_prime=lambda x: np.array(x, dtype=float))
+    cfg = SimConfig(h=1e-2, t_end=0.5, n_paths=100, seed=5)
+    assert _digest(simulate_single(aliasing, None, 2.0, cfg)) == \
+        _digest(simulate_single(copying, None, 2.0, cfg))
+    for coupling in ("refined-basic", "synchronous"):
+        cfg = replace(cfg, coupling=coupling)
+        assert _digest(simulate_coupled(aliasing, None, 2.0, 1.0, cfg)) == \
+            _digest(simulate_coupled(copying, None, 2.0, 1.0, cfg))
 
 
 def _fields_equal(a, b):
