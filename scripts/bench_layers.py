@@ -35,9 +35,7 @@ tree's ``src/`` and times:
 - ``check_ms.case2-stable`` and ``check_ms.logistic``: one in-process
   ``nlbranch check`` of the preset, ``cli.main`` into a temporary
   directory with its report to stdout discarded (the median of up to 5
-  calls); beside each, ``check_minflt.<preset>`` and
-  ``check_sys_ms.<preset>``, the minor page faults and system milliseconds
-  of the same calls (getrusage deltas, their medians).
+  calls).
 
 With ``--parent`` the other tree is sampled too, the order of the two
 alternating from repeat to repeat, and the output holds both.  The JSON
@@ -55,7 +53,6 @@ import io
 import json
 import os
 import platform
-import resource
 import statistics
 import subprocess
 import sys
@@ -88,20 +85,6 @@ def _median_us(fn, calls):
     return 1e6 * statistics.median(times)
 
 
-def _median_usage(fn, calls):
-    """Medians over ``calls`` calls of fn's wall milliseconds, minor page
-    faults and system milliseconds, the last two getrusage deltas."""
-    rows = []
-    for _ in range(calls):
-        r0 = resource.getrusage(resource.RUSAGE_SELF)
-        t = time.perf_counter()
-        fn()
-        t = time.perf_counter() - t
-        r1 = resource.getrusage(resource.RUSAGE_SELF)
-        rows.append((1e3 * t, r1.ru_minflt - r0.ru_minflt, 1e3 * (r1.ru_stime - r0.ru_stime)))
-    return [statistics.median(column) for column in zip(*rows)]
-
-
 def _event_round(simulate, fire):
     """round(): the refill, size and mark reads of one event round in which
     the paths fire (all of them partnered), as the kernel makes them."""
@@ -111,16 +94,14 @@ def _event_round(simulate, fire):
 
 
 def _check_layers(calls):
-    """`check` per preset: its wall and system milliseconds and its minor
-    page faults."""
+    """`check` per preset: its wall milliseconds."""
     from nlbranch.cli import main
 
     out = {}
     with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(io.StringIO()):
         for name in LYAPUNOV_PRESETS:
             check = lambda: main(["check", "--scenario", name, "--out", tmp])
-            (out[f"check_ms.{name}"], out[f"check_minflt.{name}"],
-             out[f"check_sys_ms.{name}"]) = _median_usage(check, min(calls, GRID_CALLS))
+            out[f"check_ms.{name}"] = 1e-3 * _median_us(check, min(calls, GRID_CALLS))
     return out
 
 
@@ -155,9 +136,7 @@ def sample(paths, steps, calls):
     from nlbranch import simulate
     from nlbranch.config import load_scenario
 
-    # `check` first, on a fresh heap as in its own process: once the kernel
-    # layers have freed their large arrays, glibc's raised mmap and trim
-    # thresholds hide the page faults a `check` process pays
+    # `check` first, on a fresh heap as in its own process
     out = _check_layers(calls)
     rng = np.random.default_rng(SEED)
     for m in (25, 200):

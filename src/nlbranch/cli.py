@@ -173,6 +173,8 @@ def cmd_couple(args):
     sc = _load(args)
     out = _out_dir(args)
     ens = simulate_coupled(sc.coeffs, sc.nu, sc.x0, sc.y0, sc.sim)
+    if ens.flagged.all():           # no path left to estimate from
+        return _exit_code(ens)
     n_bad = int(np.count_nonzero(ens.flagged))
     write_ensemble(os.path.join(out, f"{sc.name}.ensemble.bin"), ens)
     curve = decay_curve(ens)
@@ -191,6 +193,8 @@ def cmd_simulate(args):
     sc = _load(args)
     out = _out_dir(args)
     ens = simulate_single(sc.coeffs, sc.nu, sc.x0, sc.sim)
+    if ens.flagged.all():
+        return _exit_code(ens)
     path = os.path.join(out, f"{sc.name}.single.csv")
     with open(path, "w") as fh:
         fh.write("t,mean,var,q05,q50,q95,n\n")
@@ -216,6 +220,8 @@ def cmd_invariant(args):
                           "after t = 0")
     ens_a, ens_b = simulate_starts(sc.coeffs, sc.nu, (sc.x0, sc.y0),
                                    replace(sc.sim, t_end=t_end, record_times=(t_end,)))
+    if ens_a.flagged.all() or ens_b.flagged.all():
+        return _exit_code(ens_a, ens_b)
     sa = invariant_summary(ens_a.X[-1][~ens_a.flagged])
     sb = invariant_summary(ens_b.X[-1][~ens_b.flagged])
     w1 = tail_distance(ens_a, ens_b, t_end)

@@ -3,8 +3,8 @@
 The coupled ensemble upper-bounds both distances of interest:
 
 * W1 by the mean coupled gap E|X_t - Y_t| (the coupling inequality), and
-* total variation by the non-coalescence probability P(T > t), reported both
-  as the half-normalized distance and as the unnormalized bound 2 P(T > t).
+* total variation by the non-coalescence probability P(T > t), the
+  half-normalized distance.
 """
 
 from __future__ import annotations
@@ -29,21 +29,16 @@ def w1_upper(ens: CoupledEnsemble, t: float):
     return float(np.mean(gap)), float(np.std(gap, ddof=1) / math.sqrt(n)) if n > 1 else 0.0
 
 
-def tv_upper(ens: CoupledEnsemble, t: float, normalized: bool = True):
-    """(estimate, binomial se) of the coalescence bound at t.
-
-    normalized=True reports P(T > t) (half-normalized total variation);
-    False reports the unnormalized bound 2 P(T > t).
-    """
+def tv_upper(ens: CoupledEnsemble, t: float):
+    """(P(T > t), binomial se): the coalescence bound at t on the
+    half-normalized total variation."""
     keep = ~ens.flagged
     if not np.any(keep):
         raise DomainError("ensemble has no usable paths")
     alive = ens.coalescence[keep] > t
     n = alive.size
     frac = float(np.mean(alive))
-    se = math.sqrt(max(frac * (1.0 - frac), 0.0) / n)
-    scale = 1.0 if normalized else 2.0
-    return scale * frac, scale * se
+    return frac, math.sqrt(max(frac * (1.0 - frac), 0.0) / n)
 
 
 def empirical_w1(sample_a, sample_b) -> float:
@@ -65,7 +60,7 @@ class FitResult:
     n_points: int
 
 
-def fit_rate(ts, ds, ses=None, window=None) -> FitResult:
+def fit_rate(ts, ds, ses=None) -> FitResult:
     """Least squares on log d vs t: d(t) ~ C exp(-lam t).
 
     Points with d <= 0 (or, when standard errors are given, d <= 10 se,
@@ -77,8 +72,6 @@ def fit_rate(ts, ds, ses=None, window=None) -> FitResult:
     keep = ds > 0
     if ses is not None:
         keep &= ds > 10.0 * np.asarray(ses, dtype=float)
-    if window is not None:
-        keep &= (ts >= window[0]) & (ts <= window[1])
     t, d = ts[keep], ds[keep]
     if t.size < 3:
         raise DomainError(f"rate fit needs >= 3 usable points, have {t.size}")
@@ -166,27 +159,17 @@ def decay_curve(ens: CoupledEnsemble) -> DecayCurve:
 class InvariantSummary:
     mean: float
     var: float
-    skew: float
-    hist_edges: np.ndarray
-    hist_counts: np.ndarray
     n: int
 
 
-def invariant_summary(tail_samples, bins: int = 60,
-                      hist_range=None) -> InvariantSummary:
-    """Post-burn-in moments and a fixed-bin histogram of a stationary sample."""
+def invariant_summary(tail_samples) -> InvariantSummary:
+    """Mean and variance of the finite values of a stationary sample."""
     x = np.asarray(tail_samples, dtype=float).ravel()
     x = x[np.isfinite(x)]
     if x.size == 0:
         raise DomainError("no usable samples after burn-in")
-    if hist_range is None:
-        hist_range = (0.0, float(np.quantile(x, 0.999)) or 1.0)
-    counts, edges = np.histogram(x, bins=bins, range=hist_range)
-    mu = float(np.mean(x))
     sd = float(np.std(x))
-    skew = float(np.mean(((x - mu) / sd) ** 3)) if sd > 0 else 0.0
-    return InvariantSummary(mean=mu, var=float(sd * sd), skew=skew,
-                            hist_edges=edges, hist_counts=counts, n=int(x.size))
+    return InvariantSummary(mean=float(np.mean(x)), var=float(sd * sd), n=int(x.size))
 
 
 def tail_distance(ens_a, ens_b, t) -> float:

@@ -30,6 +30,9 @@ INCONCLUSIVE = "inconclusive"   # some grid points could not be evaluated
 
 _VERIFY_TOL = 1e-6
 _LYAPUNOV_Y = (0.0, 0.5, 2.0)
+# the interpolated test functions carry interpolation error ~1e-9; asking the
+# integrator for more than that only produces refusals
+_VERIFY_QUAD = QuadratureSpec(atol=1e-9, rtol=1e-7)
 
 
 def _shifted_breakpoints(f, r):
@@ -162,9 +165,6 @@ def _coupling_L(f, x, y, r, coeffs: CoefficientSet, nu: LevyMeasure,
                 m = math.nan
                 for i in on[at]:
                     errors[i] = exc
-            else:
-                if not math.isfinite(m):
-                    raise DomainError("overlap mass is infinite; r = 0 is outside the domain")
             mass[at] = m
         ro = r[on]
         bracket = _on(f.value, ro + rk) + _on(f.value, ro - rk) - 2.0 * _on(f.value, ro)
@@ -310,22 +310,15 @@ class ConditionReport:
         return "\n".join(lines)
 
 
-def check_drift_condition(coeffs: CoefficientSet, modulus, grid=None,
-                          tol: float = 1e-9) -> ConditionReport:
+def check_drift_condition(coeffs: CoefficientSet, modulus) -> ConditionReport:
     """gamma0(x) - gamma0(y) <= Phi1(x - y) for 0 < x - y <= l0 and
     <= -k2 (x - y) (or <= -Phi2(x - y)) beyond, on a grid of pairs."""
     l0 = modulus.l0
-    if grid is None:
-        r = np.concatenate([np.logspace(-4, math.log10(l0), 40),
-                            np.logspace(math.log10(l0 * 1.0001),
-                                        math.log10(50.0 * l0), 40)])
-        ys = np.array([0.0, 0.5 * l0, 2.0 * l0, 10.0 * l0])
-        # the pairs (y + r_i, y), r_i in the outer loop
-        x, y = (r[:, None] + ys).ravel(), np.tile(ys, r.size)
-    else:
-        x, y = np.array(grid, dtype=float).reshape(-1, 2).T
-    if np.any(x <= y):
-        raise DomainError("drift-condition grid needs x > y")
+    r = np.concatenate([np.logspace(-4, math.log10(l0), 40),
+                        np.logspace(math.log10(l0 * 1.0001), math.log10(50.0 * l0), 40)])
+    ys = np.array([0.0, 0.5 * l0, 2.0 * l0, 10.0 * l0])
+    # the pairs (y + r_i, y), r_i in the outer loop
+    x, y = (r[:, None] + ys).ravel(), np.tile(ys, r.size)
     r = x - y
     d = _on(coeffs.gamma0, x) - _on(coeffs.gamma0, y)
     inner = r <= l0
@@ -337,7 +330,7 @@ def check_drift_condition(coeffs: CoefficientSet, modulus, grid=None,
         bound[~inner] = -modulus.k2 * r[~inner]
     margin = d - bound
     worst = float(np.max(margin, initial=-math.inf))
-    bad = margin > tol * (1.0 + np.abs(bound))
+    bad = margin > 1e-9 * (1.0 + np.abs(bound))
     witnesses = [((a, b), m) for a, b, m in zip(x[bad].tolist(), y[bad].tolist(),
                                                 margin[bad].tolist())]
     verdict = HOLDS if not witnesses else FAILS
@@ -426,13 +419,12 @@ def check_noise_conditions(coeffs: CoefficientSet, nu: Optional[LevyMeasure],
 
 def verify_lyapunov(fn, lam: float, coeffs: CoefficientSet,
                     nu: Optional[LevyMeasure], kappa: float, r_grid=None,
-                    mode: str = "contraction",
-                    q: Optional[QuadratureSpec] = None,
-                    tol: float = _VERIFY_TOL) -> ConditionReport:
+                    mode: str = "contraction") -> ConditionReport:
     """Report max over the grid of (L-tilde f + lambda f) (mode 'contraction')
     or (L-tilde f + lambda) (mode 'uniform', the strong-ergodicity target).
 
-    Holds-on-grid iff the max is <= tol at every grid point.  A point whose
+    Holds-on-grid iff the max is <= ``_VERIFY_TOL`` at every grid point,
+    with the jump integrals to ``_VERIFY_QUAD``.  A point whose
     quadrature fails is skipped and listed under ``skipped``; with no witness
     the verdict is then inconclusive, which does not hold.  Pairs
     (x, y) = (y + r, y) are scanned over y in ``_LYAPUNOV_Y`` for each r, so
@@ -442,10 +434,6 @@ def verify_lyapunov(fn, lam: float, coeffs: CoefficientSet,
     together: each distinct r's jump integral is one quadrature group,
     shared by its y values, in chunks of about 1e4 integrand nodes per call.
     """
-    if q is None:
-        # the interpolated test functions carry interpolation error ~1e-9;
-        # asking the integrator for more than that only produces refusals
-        q = QuadratureSpec(atol=1e-9, rtol=1e-7)
     if r_grid is None:
         r_grid = np.logspace(-3, 1, 200)
     r_grid = np.asarray(r_grid, dtype=float)
@@ -453,7 +441,7 @@ def verify_lyapunov(fn, lam: float, coeffs: CoefficientSet,
     y = np.tile(_LYAPUNOV_Y, r_grid.size)
     target = lam * _on(fn.value, r) if mode == "contraction" else np.full(r.size, lam)
     # one call for the grid: the quadrature batches its groups by node count
-    values, errors = _coupling_L(fn, y + r, y, r, coeffs, nu, kappa, q)
+    values, errors = _coupling_L(fn, y + r, y, r, coeffs, nu, kappa, _VERIFY_QUAD)
     worst = -math.inf
     worst_point = None
     witnesses = []
@@ -468,7 +456,7 @@ def verify_lyapunov(fn, lam: float, coeffs: CoefficientSet,
         margin = val + t
         if margin > worst:
             worst, worst_point = margin, (ri, yi)
-        if margin > tol:
+        if margin > _VERIFY_TOL:
             witnesses.append(((ri, yi), margin))
     if worst_point is None:
         worst = math.nan  # no point was evaluated: there is no margin to report

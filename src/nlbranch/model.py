@@ -24,7 +24,7 @@ from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .errors import DomainError, NoJumpError, QuadratureError, ValidationError
+from .errors import DomainError, NoJumpError, ValidationError
 from .quad import (DEFAULT_QUAD, integrate_interval, integrate_intervals,
                    integrate_segments)
 
@@ -246,10 +246,6 @@ class LevyMeasure:
     def has_ac_part(self):
         return False
 
-    @property
-    def has_infinite_mass(self):
-        return False
-
     def validate(self):
         m = self.trunc_second_moment(1.0) + self.mean_above(1.0)
         if not np.isfinite(m):
@@ -385,10 +381,10 @@ class LevyMeasure:
             return np.where(mz > 0, np.minimum(mz, ms) / np.where(mz > 0, mz, 1.0), 0.0)
 
     def overlap_mass(self, x):
-        """Total mass of mu_x; math.inf when x = 0 and nu is infinite."""
+        """Total mass of mu_x, x != 0."""
         x = abs(float(x))
         if x == 0.0:
-            return math.inf if self.has_infinite_mass else self._moment(0, 0.0, math.inf)
+            raise DomainError("the overlap measure needs a shift x != 0")
         total = 0.0
         if self.atom_locations.size:
             shifted = self.atom_locations + x
@@ -424,20 +420,11 @@ class LevyMeasure:
 class AbsolutelyContinuousMeasure(LevyMeasure):
     """nu(dz) = n(z) dz on (0, upper]."""
 
-    def __init__(self, density, upper=math.inf, decreasing=False,
-                 infinite_mass=None, name="ac"):
+    def __init__(self, density, upper=math.inf, decreasing=False, name="ac"):
         self._density = _as_vectorized(density)
         self.upper = float(upper)
         self.density_decreasing = bool(decreasing)
         self.name = name
-        if infinite_mass is None:
-            # probe: total mass diverges iff the density is non-integrable at 0
-            try:
-                self._moment(0, 0.0, 1.0)
-                infinite_mass = False
-            except QuadratureError:
-                infinite_mass = True
-        self._infinite_mass = bool(infinite_mass)
         self._inv_cdf_cache = {}
         self.validate()
 
@@ -459,10 +446,6 @@ class AbsolutelyContinuousMeasure(LevyMeasure):
     @property
     def has_ac_part(self):
         return True
-
-    @property
-    def has_infinite_mass(self):
-        return self._infinite_mass
 
     def quantile_above(self, eps, u):
         key = float(eps)
@@ -494,7 +477,7 @@ class StableTruncatedMeasure(AbsolutelyContinuousMeasure):
         self.alpha = float(alpha)
         self.c0 = float(c0)
         super().__init__(lambda z: c0 * np.asarray(z, dtype=float) ** (-1.0 - alpha),
-                         upper=zmax, decreasing=True, infinite_mass=True,
+                         upper=zmax, decreasing=True,
                          name=f"stable_truncated(alpha={alpha},c0={c0},zmax={zmax})")
 
     def validate(self):
@@ -601,10 +584,6 @@ class MixtureMeasure(LevyMeasure):
     @property
     def has_ac_part(self):
         return any(m.has_ac_part for _, m in self.components)
-
-    @property
-    def has_infinite_mass(self):
-        return any(m.has_infinite_mass for _, m in self.components)
 
     def _moment(self, k, lo, hi):
         return sum(w * m._moment(k, lo, hi) for w, m in self.components)

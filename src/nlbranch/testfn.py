@@ -400,11 +400,11 @@ def _g_integral(modulus: DriftModulus, theta: float):
 
 
 def _sup_terms(modulus: DriftModulus, theta: float):
-    """The grid on (0, 2 l0] on which g is certified, its negation, and the
-    ``_g_terms`` of g', g'' and g''' on it."""
+    """The grid on (0, 2 l0] on which g is certified and the ``_g_terms`` of
+    g', g'' and g''' on it."""
     top = math.log10(2.0 * modulus.l0)
     grid = np.logspace(top - 8, top, _SUP_GRID_POINTS)
-    return grid, -grid, _g_terms(modulus.phi1, theta, grid, (1, 2, 3))
+    return grid, _g_terms(modulus.phi1, theta, grid, (1, 2, 3))
 
 
 # g', g'' and g''' on the certificate grid: the name of each, and the bounds
@@ -420,7 +420,7 @@ def _certify_g(modulus: DriftModulus, theta: float, c0g: float, gint,
     somewhere on the grid is a ValidationError naming it."""
     if c0g <= 0:
         raise DomainError("c0g must be positive")
-    grid, neg_grid, terms = sup_terms
+    grid, terms = sup_terms
     derivs = [_g_derivative(c0g, t) for t in terms]
     for (name, lo, hi), d in zip(_SIGN_PATTERN, derivs):
         # min and max both carry a NaN, and one of them any infinity
@@ -430,9 +430,10 @@ def _certify_g(modulus: DriftModulus, theta: float, c0g: float, gint,
         if d_min < lo or d_max > hi:
             raise ValidationError("g violates the sign pattern g' >= 0, g'' <= 0, g''' >= 0")
     gp, gpp, _ = derivs
-    ratio = neg_grid * gpp
+    ratio = grid * gpp
     ratio /= gp
-    sup_neg = float(ratio.max())
+    # rounding is symmetric in sign: -min(r g''/g') is max(-r g''/g') to the bit
+    sup_neg = -float(ratio.min())
     # analytic limit at 0+ of the pure-power part
     sup_neg = max(sup_neg, 1.0 - theta if modulus.phi1.is_zero else sup_neg)
     if not sup_neg <= 2.0 - theta + 1e-8:     # a NaN ratio fails too
@@ -590,14 +591,13 @@ def build_psi(g: GFunction, c1: float, c2: float, l0: float) -> PsiFunction:
                                        * math.exp(-c2 * float(g.value(np.asarray(r0))))))
 
 
-def build_strong_psi(psi: PsiFunction, phi2: Phi2, delta: float = 0.5) -> PsiFunction:
+def build_strong_psi(psi: PsiFunction, phi2: Phi2) -> PsiFunction:
     """Bounded variant of ``psi``, equal to it on (0, 2 l0] with psi's l0:
     past 2 l0 the slope decays like 1/Phi2, so psi(oo) < oo.
 
-    delta is shrunk geometrically until the bridge coefficient B is positive.
+    The bridge's delta starts at 0.5 and is halved until the bridge
+    coefficient B is positive.
     """
-    if delta <= 0:
-        raise DomainError("delta must be positive")
     if phi2 is None or not phi2.tail_convergent:
         raise DomainError("strong-ergodicity bridge needs Phi2 with convergent "
                           "int 1/Phi2; the tail integral diverges")
@@ -605,6 +605,7 @@ def build_strong_psi(psi: PsiFunction, phi2: Phi2, delta: float = 0.5) -> PsiFun
     p2, dp2 = float(phi2.value(2.0 * l0)), float(phi2.d1(2.0 * l0))
     if dp2 <= 0:
         raise DomainError("Phi2'(2 l0) must be positive for the bounded bridge")
+    delta = 0.5
     for _ in range(80):
         B = -psi.d2psi_2l0 * p2 * (delta + 1.0) / (psi.dpsi_2l0 * dp2) - delta
         if B > 0:

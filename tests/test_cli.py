@@ -547,14 +547,24 @@ seed = 20240811
 
 
 def test_blowups_fail_every_simulating_command(tmp_path, capsys):
-    # gamma0 = 4x(x - 1) sends a path that jumps above 1 to infinity
-    cfg = tmp_path / "blowup.ini"
-    cfg.write_text(BLOWUP_INI)
-    for command in ("couple", "simulate", "invariant"):
-        code, _ = run(tmp_path, command, "--config", str(cfg), "--scenario", "blowup")
-        assert code == 1
-        err = capsys.readouterr().err
-        assert "too many flagged paths" in err
+    # gamma0 = 4x(x - 1) sends a path that jumps above 1 to infinity; with
+    # gamma0 = x^3 from x0 = 10 every path blows up, leaving nothing to
+    # estimate from, and no estimate file is written
+    every = (BLOWUP_INI.replace("x0 = 0.9", "x0 = 10")
+             .replace("gamma0 = 4*x*(x - 1)", "gamma0 = x**3"))
+    for ini, n_bad in ((BLOWUP_INI, None), (every, 400)):
+        cfg = tmp_path / "blowup.ini"
+        cfg.write_text(ini)
+        for command in ("couple", "simulate", "invariant"):
+            out = tmp_path / f"{command}-{n_bad}"
+            code = main([command, "--config", str(cfg), "--scenario", "blowup",
+                         "--out", str(out)])
+            assert code == 1
+            err = capsys.readouterr().err
+            assert "too many flagged paths" in err
+            if n_bad is not None:
+                assert f"too many flagged paths ({n_bad}/{n_bad})" in err
+                assert not any(out.iterdir())
 
 
 def test_seed_override_changes_ensemble(tmp_path):

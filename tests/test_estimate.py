@@ -51,8 +51,6 @@ def test_tv_upper_normalization():
     frac, se = tv_upper(ens, 1.0)
     assert frac == pytest.approx(0.5)
     assert se == pytest.approx(0.25)
-    full, full_se = tv_upper(ens, 1.0, normalized=False)
-    assert full == pytest.approx(1.0) and full_se == pytest.approx(0.5)
 
 
 def test_estimators_reject_empty_ensembles():
@@ -116,14 +114,6 @@ def test_fit_rate_drops_noise_dominated_points():
     assert fit.lam == pytest.approx(1.0, abs=1e-9)
 
 
-def test_fit_rate_window_argument():
-    t = np.linspace(1.0, 10.0, 10)
-    d = np.exp(-0.5 * t)
-    fit = fit_rate(t, d, window=(2.0, 6.0))
-    assert fit.window == (2.0, 6.0)
-    assert fit.lam == pytest.approx(0.5, abs=1e-10)
-
-
 def test_fit_rate_needs_three_points():
     with pytest.raises(DomainError):
         fit_rate([1.0, 2.0, 3.0], [0.5, 0.0, -1.0])
@@ -170,9 +160,7 @@ def test_invariant_summary_moments():
     s = invariant_summary(x)
     assert s.mean == pytest.approx(2.0, abs=0.02)
     assert s.var == pytest.approx(1.0, abs=0.03)
-    assert s.skew == pytest.approx(1.0, abs=0.05)  # gamma skew = 2/sqrt(k)
     assert s.n == 200_000
-    assert s.hist_counts.sum() <= s.n
 
 
 def test_invariant_summary_rejects_empty():

@@ -376,7 +376,7 @@ def test_a_failed_r_group_skips_its_three_points_only(case2, case2_assembled,
     consts, psi = case2_assembled
     grid = small_grid()
     r, y = scan(grid)
-    args = (case2.coeffs, case2.nu, case2.sim.kappa, QuadratureSpec(atol=1e-9, rtol=1e-7))
+    args = (case2.coeffs, case2.nu, case2.sim.kappa, generator._VERIFY_QUAD)
     before, _ = generator._coupling_L(psi, y + r, y, r, *args)
     recording_groups(monkeypatch, fail_at=0.1 * grid[3])
     values, errors = generator._coupling_L(psi, y + r, y, r, *args)

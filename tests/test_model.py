@@ -175,7 +175,7 @@ def test_quadrature_agrees_with_closed_forms():
         stable = StableTruncatedMeasure(alpha=alpha, c0=1.0, zmax=1.0)
         generic = AbsolutelyContinuousMeasure(
             lambda z: np.asarray(z, dtype=float) ** (-1.0 - alpha), upper=1.0,
-            decreasing=True, infinite_mass=True)
+            decreasing=True)
         for r in (0.1, 0.35, 0.9, 1.0, 2.0):
             assert generic.trunc_second_moment(r) == \
                 pytest.approx(stable.trunc_second_moment(r), rel=1e-8)
@@ -256,30 +256,10 @@ def test_public_moments_are_the_moment_of_their_order(name):
         assert nu.trunc_second_moment(r) == nu._moment(2, 0.0, r)
 
 
-def test_mass_probe_infers_infinite_mass_only_from_quadrature():
-    # a non-integrable density fails the quadrature: infinite mass
-    assert AbsolutelyContinuousMeasure(lambda z: np.asarray(z, dtype=float) ** -2.5,
-                                       upper=1.0).has_infinite_mass
-    assert not AbsolutelyContinuousMeasure(lambda z: np.asarray(z, dtype=float) ** -0.5,
-                                           upper=1.0).has_infinite_mass
-
-    def buggy(z):
-        # the probe follows z^-2.5 toward 0 until it overflows near 1e-123,
-        # far below any node of the moment integrals that validate() runs
-        z = np.asarray(z, dtype=float)
-        if np.min(z) < 1e-100:
-            raise ZeroDivisionError("float division by zero")
-        return z ** -2.5
-
-    # a density that raises is a bug to report, not an infinite-mass measure
-    with pytest.raises(ZeroDivisionError):
-        AbsolutelyContinuousMeasure(buggy, upper=1.0)
-
-
 def test_divergent_moment_is_rejected():
     with pytest.raises(NLBranchError):
         AbsolutelyContinuousMeasure(lambda z: np.asarray(z, dtype=float) ** -3.2,
-                                    upper=1.0, infinite_mass=True)
+                                    upper=1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -317,7 +297,9 @@ def test_overlap_mass_of_a_mixture_counts_each_atom_once():
 
 
 def test_overlap_at_zero_is_parent_measure():
-    assert math.isinf(STABLE15.overlap_mass(0.0))
+    # the overlap mass needs a shift; at shift 0 the density ratio is 1
+    with pytest.raises(DomainError):
+        STABLE15.overlap_mass(0.0)
     for side in STABLE15.rho_pair(np.zeros(2), np.array([0.2, 0.7])):
         assert np.allclose(side, 1.0)
 
@@ -576,7 +558,7 @@ def test_density_inside_its_support_keeps_the_masked_bits(ini_power, name):
 def test_total_mass_of_a_singular_finite_density():
     # nu(R+) of z^-0.9 on (0, 1] is 10, the mass next to the origin included
     nu = AbsolutelyContinuousMeasure(lambda z: z ** -0.9, upper=1.0)
-    assert nu.overlap_mass(0.0) == pytest.approx(10.0, rel=1e-6)
+    assert nu._moment(0, 0.0, math.inf) == pytest.approx(10.0, rel=1e-6)
 
 
 def test_sample_above_single_admissible_atom(rng):

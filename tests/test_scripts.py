@@ -81,12 +81,8 @@ def test_bench_layers_tiny(tmp_path, monkeypatch, capsys):
               "assemble_ms.logistic.strong", "check_ms.case2-stable", "check_ms.logistic")
     rates = [f"{name}.{kind}_mpath_steps_per_s" for name in SUBSET
              for kind in ("single", "coupled")]
-    # page faults and system time of each check, which a warm heap can make 0
-    usage = [f"check_{kind}.{name}" for name in ("case2-stable", "logistic")
-             for kind in ("minflt", "sys_ms")]
-    assert sorted(one) == sorted(layers + tuple(rates) + tuple(usage))
+    assert sorted(one) == sorted(layers + tuple(rates))
     assert all(one[key] > 0 for key in layers + tuple(rates))
-    assert all(one[key] >= 0 for key in usage)
     # this tree against itself, one pair of fresh interpreters
     out = tmp_path / "bench.json"
     assert script.main(["--parent", str(SCRIPTS.parent), "--repeats", "1",
