@@ -41,8 +41,10 @@ With ``--parent`` the other tree is sampled too, the order of the two
 alternating from repeat to repeat, and the output holds both.  The JSON
 output records the machine, the settings, and per tree and metric the
 samples in run order, so that sample i of the two trees ran as a pair,
-with their median and quartiles.  The generator metrics go through public
-calls only.
+with their median and quartiles.  With ``--parent`` it also holds, per
+metric, the paired ratio change / parent of each sample pair, with their
+median and quartiles: a change the file resolves moves the ratios'
+quartile range off 1.  The generator metrics go through public calls only.
 """
 
 from __future__ import annotations
@@ -185,16 +187,23 @@ def _sample_tree(tree, args):
     return json.loads(done.stdout.splitlines()[-1])
 
 
+def _stats(values):
+    """Median, quartiles, and the values in run order."""
+    q1, med, q3 = (np.percentile(values, [25, 50, 75]).tolist()
+                   if len(values) > 1 else values * 3)
+    return {"median": med, "q1": q1, "q3": q3, "samples": values}
+
+
 def _summary(samples):
-    """Per metric: median, quartiles, and the samples in run order, so that
-    sample i of two trees is the pair that ran together."""
-    out = {}
-    for key in samples[0]:
-        values = [s[key] for s in samples]
-        q1, med, q3 = (np.percentile(values, [25, 50, 75]).tolist()
-                       if len(values) > 1 else values * 3)
-        out[key] = {"median": med, "q1": q1, "q3": q3, "samples": values}
-    return out
+    """Per metric: the stats of its samples, in run order, so that sample i
+    of two trees is the pair that ran together."""
+    return {key: _stats([s[key] for s in samples]) for key in samples[0]}
+
+
+def _paired(change, parent):
+    """Per metric: the stats of the ratio change / parent of each pair."""
+    return {key: _stats([c[key] / p[key] for c, p in zip(change, parent)])
+            for key in change[0]}
 
 
 def main(argv=None):
@@ -224,6 +233,8 @@ def main(argv=None):
                            "steps": args.steps, "calls": args.calls, "seed": SEED,
                            "width": WIDTH, "presets": list(PRESETS)},
               "trees": {label: _summary(samples[label]) for label in trees}}
+    if args.parent:
+        result["paired"] = _paired(samples["change"], samples["parent"])
     text = json.dumps(result, indent=1, sort_keys=True)
     if args.out:
         Path(args.out).write_text(text + "\n")

@@ -17,6 +17,11 @@ source trees give the same ensembles exactly when their outputs are equal, so
 
     PYTHONPATH=src python3 scripts/kernel_fingerprint.py > after.txt
 
+``scripts/kernel_fingerprint.txt`` holds this tree's output, and CI diffs a
+fresh run against it.  A change that moves ensembles on purpose regenerates it:
+
+    PYTHONPATH=src python3 scripts/kernel_fingerprint.py > scripts/kernel_fingerprint.txt
+
 It also runs ``simulate_starts`` from (x0, y0) in one pass, and exits 1 (after
 a message on stderr) where that does not reproduce both single digests.
 """

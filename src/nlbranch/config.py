@@ -145,7 +145,7 @@ def _preset_case1(name="case1-diffusion"):
             gamma1=lambda x: np.asarray(x, dtype=float),
             gamma2=lambda x: np.zeros_like(np.asarray(x, dtype=float)),
             name="sqrt-diffusion",
-            gamma1_prime=lambda x: np.ones_like(np.asarray(x, dtype=float))),
+            gamma1_prime=1.0),
         nu=None,
         modulus=DriftModulus(phi1_zero(), l0=1.0, k2=1.0),
         case="A1", params={"beta": 1.0},
@@ -278,7 +278,7 @@ def _preset_pure_growth(name="pure-growth"):
             gamma1=lambda x: np.asarray(x, dtype=float),
             gamma2=lambda x: np.zeros_like(np.asarray(x, dtype=float)),
             name="pure-growth",
-            gamma1_prime=lambda x: np.ones_like(np.asarray(x, dtype=float))),
+            gamma1_prime=1.0),
         nu=None,
         modulus=DriftModulus(phi1_zero(), l0=1.0, k2=1.0),
         case="A1", params={"beta": 1.0},

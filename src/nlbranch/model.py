@@ -19,8 +19,9 @@ custom sampler's table too, runs in ``quad``.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence, Tuple
+from typing import Callable, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -111,12 +112,15 @@ class CoefficientSet:
 
     ``gamma1_prime`` is the derivative of gamma1, which sets the simulator's
     Milstein term (1/4) gamma1'(X) (xi^2 - 1) h.  A model declares it in
-    closed form, and construction checks it against the difference quotient
-    of gamma1 on the validation grid.  Without one (an INI ``custom``
-    coefficient set among them) it is that quotient: the central difference
-    over x -/+ 1e-5 (1 + |x|), one-sided where x - 1e-5 (1 + |x|) < 0.  Like
-    the gammas, it may return its argument, so nothing it returns is written
-    to.
+    closed form: as a callable, or as a number, which states that gamma1 is
+    linear with that slope and lets the simulator form the term once per
+    draw rather than once per path.  Construction checks either form against
+    the difference quotient of gamma1 on the validation grid, and stores a
+    number as a float.  Without one (an INI ``custom`` coefficient set among
+    them) it is that quotient: the central difference over
+    x -/+ 1e-5 (1 + |x|), one-sided where x - 1e-5 (1 + |x|) < 0.  Like the
+    gammas, a callable may return its argument, so nothing it returns is
+    written to.
     """
 
     gamma0: Callable
@@ -126,7 +130,7 @@ class CoefficientSet:
     gamma1_vanishes_at_zero: bool = True
     gamma2_vanishes_at_zero: bool = True
     name: str = ""
-    gamma1_prime: Optional[Callable] = None
+    gamma1_prime: Union[Callable, float, None] = None
 
     def __post_init__(self):
         declared = self.gamma1_prime
@@ -153,7 +157,11 @@ class CoefficientSet:
             scale = 1.0 + np.max(np.abs(g2))
             if np.any(np.diff(g2) < -1e-9 * scale):
                 raise ValidationError("gamma2 must be non-decreasing on the validation grid")
-        if declared is not None:
+        if isinstance(declared, numbers.Real):
+            slope = float(declared)
+            _check_gamma1_prime(self.gamma1, lambda x: np.full_like(x, slope), grid)
+            object.__setattr__(self, "gamma1_prime", slope)
+        elif declared is not None:
             object.__setattr__(self, "gamma1_prime", _as_vectorized(declared))
             _check_gamma1_prime(self.gamma1, self.gamma1_prime, grid)
         else:
@@ -190,7 +198,7 @@ def cir_coefficients(b, c, d, diffusion="sqrt2c"):
         gamma1=lambda x: amp * np.asarray(x, dtype=float),
         gamma2=lambda x: np.zeros_like(np.asarray(x, dtype=float)),
         name=f"cir(b={b},c={c},d={d},{diffusion})",
-        gamma1_prime=lambda x: np.full_like(np.asarray(x, dtype=float), amp),
+        gamma1_prime=amp,
     )
 
 
@@ -203,8 +211,7 @@ def logistic_coefficients(b1, b2, c1=0.0, c2=1.0):
         gamma1=None if c1 == 0 else (lambda x: c1 * np.asarray(x, dtype=float)),
         gamma2=lambda x: c2 * np.asarray(x, dtype=float),
         name=f"logistic(b1={b1},b2={b2},c1={c1},c2={c2})",
-        gamma1_prime=None if c1 == 0 else (
-            lambda x: np.full_like(np.asarray(x, dtype=float), c1)),
+        gamma1_prime=None if c1 == 0 else c1,
     )
 
 

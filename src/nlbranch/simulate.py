@@ -5,8 +5,9 @@ Milstein term (1/4) gamma1'(X) (xi^2 - 1) h beside the diffusion increment
 sqrt(gamma1(X) h) xi.  The term keeps square-root diffusions nonnegative at
 the reflecting boundary and removes the O(sqrt(h)) clamping bias there, and
 its zero mean leaves coupled gap means exact.  gamma1' comes from the model,
-``CoefficientSet.gamma1_prime``; a coefficient set that declares none, an
-INI ``custom`` one among them, takes the central difference of gamma1.  Small
+``CoefficientSet.gamma1_prime``, as a callable or, for a linear gamma1, as a
+number; a coefficient set that declares none, an INI ``custom`` one among
+them, takes the central difference of gamma1.  Small
 jumps are dropped together with their compensator (they form a martingale, so
 the mean is untouched); optionally a Gaussian term with the matching variance
 is added instead.  The coupled scheme drives the Brownian parts by reflection
@@ -61,15 +62,19 @@ refills and sizes at the largest firing count of a start, the marks at the
 number of partnered firing paths.  A model built with ``gamma1=None`` has no
 diffusion term anywhere, so the kernel skips that work outright.
 
-A step does only the work that can change a value.  One test of the gaps
-against delta_c guards the pairs' crossing, repair, violation and meeting
-arithmetic; while no path is flagged the Brownian-draw test is two
+A step does only the work that can change a value.  One minimum of the
+gaps against delta_c guards the pairs' crossing, repair, violation and
+meeting arithmetic; while no path is flagged the Brownian-draw test is two
 reductions; the clocks' NaN mask runs only on a step whose state holds a
 NaN; and the blow-up masks are built only on a step whose largest value
-fails ``<= _STATE_CAP``.  The partner rows' overlap ratios come from
-``LevyMeasure.rho_pair``, which gives rho(-U, z) and rho(U, z) on the
-partnered jumps of a round, and reads no density where the
-displacement runs downhill on a decreasing density.  Each ensemble reports
+fails ``<= _STATE_CAP``.  For a gamma1' given as a number the Milstein term
+is one product on the draw's cross-section, added to each start's row, not
+a coefficient per path.  A partnered jump whose mark lies at or above
+gamma2(Y) selects row 4, where Y stays whatever rho is, so only the marks
+below gamma2(Y) read a gap and a row.  Their overlap ratios come from
+``LevyMeasure.rho_pair``, which gives rho(-U, z) and rho(U, z) on those
+jumps of a round, and reads no density where the displacement runs
+downhill on a decreasing density.  Each ensemble reports
 ``max_step_hazard``, the largest hazard increment of one of its paths in one
 step: the expected number of jumps there, which says how coarse h is for the
 jump part.
@@ -120,16 +125,20 @@ class SimConfig:
     record_times: Optional[Sequence[float]] = None
 
     def __post_init__(self):
-        if self.h <= 0 or self.eps <= 0 or self.t_end <= 0:
-            raise DomainError("h, eps and t_end must be positive")
-        if round(self.t_end / self.h) < 1:
+        # "not 0 < v < inf" rejects NaN too, which fails every comparison
+        if not all(0 < v < math.inf for v in (self.h, self.eps, self.t_end)):
+            raise DomainError("h, eps and t_end must be positive and finite")
+        steps = self.t_end / self.h
+        if not steps < math.inf:
+            raise DomainError(f"t_end / h = {self.t_end} / {self.h} overflows")
+        if round(steps) < 1:
             raise DomainError(f"t_end = {self.t_end} rounds to no step of h = {self.h}")
         if self.n_paths < 1:
             raise DomainError("need at least one path")
-        if self.kappa <= 0:
-            raise DomainError("kappa must be positive")
-        if self.delta_c is not None and self.delta_c <= 0:
-            raise DomainError("coalescence threshold must be positive")
+        if not 0 < self.kappa < math.inf:
+            raise DomainError("kappa must be positive and finite")
+        if self.delta_c is not None and not 0 < self.delta_c < math.inf:
+            raise DomainError("coalescence threshold must be positive and finite")
         if self.small_jump_policy not in ("drop-with-compensator",
                                           "gaussian-compensation"):
             raise DomainError(f"unknown small-jump policy {self.small_jump_policy!r}")
@@ -244,20 +253,22 @@ def _record_plan(cfg):
 
 
 def _partner_jump(nu, kappa, refined, z, mz, mark, gap, g2y):
-    """Displacement of Y for X-jumps of size z: the row of the
-    refined basic coupling (or the common jump of the synchronous one) that
-    the mark on [0, gamma2(X)) selects, with rho evaluated at the gap.  mz is
-    the atom mass at z, as ``LevyMeasure.jumps_above`` gives it."""
+    """Displacement of Y for X-jumps of size z whose mark on [0, gamma2(X))
+    lies below gamma2(Y): the row of the refined basic coupling (or the
+    common jump of the synchronous one) that the mark selects, with rho
+    evaluated at the gap.  A mark at or above gamma2(Y) selects row 4, where
+    Y stays, so the caller passes none.  mz is the atom mass at z, as
+    ``LevyMeasure.jumps_above`` gives it."""
     if not refined:
-        return np.where(mark < g2y, z, 0.0)
+        return z
     Uk = np.minimum(np.maximum(gap, 0.0), kappa)
     up, down = nu.rho_pair(Uk, z, mz)
     half = 0.5 * g2y
     a1 = half * up
     a2 = a1 + half * down
-    # rows 4, 3, 2 and 1 in turn: a lower row's test overrides a higher one's
-    dy = np.where(mark < g2y, z, 0.0)
-    dy = np.where(mark < a2, z - Uk, dy)
+    # rows 3, 2 and 1 in turn: a lower row's test overrides a higher one's.
+    # rho <= 1, so a2 <= gamma2(Y) and row 3 is all that is left
+    dy = np.where(mark < a2, z - Uk, z)
     return np.where(mark < a1, z + Uk, dy)
 
 
@@ -330,6 +341,10 @@ def _simulate(coeffs, nu, starts, y0, cfg):
                 snaps_y[k] = S[:nx]
                 snaps_y[k, pair] = S[nx:]
 
+    # gamma1' given as a number: gamma1 is linear, and the Milstein
+    # coefficient is that number on every path
+    linear = isinstance(coeffs.gamma1_prime, float)
+
     def times_rows(a, v):
         """a *= v in place, v broadcast over the rows of a."""
         a_rows = rows(a)
@@ -356,17 +371,20 @@ def _simulate(coeffs, nu, starts, y0, cfg):
         # do).  Flagged paths hold NaN and would keep the draw on forever
         sig = coeffs.sigma(S)
         # a multiply, not *=: gamma1' may return S itself
-        mil = 0.25 * coeffs.gamma1_prime(S)
+        mil = 0.25 * (coeffs.gamma1_prime if linear else coeffs.gamma1_prime(S))
         if any_flagged:
             noisy = (sig != 0.0) | (mil != 0.0)
             draw = np.any(noisy[:nx] & ~flagged) or np.any(noisy[nx:] & ~flagged[pair])
         else:
             # no flagged path: a nonzero (or NaN) term anywhere
-            draw = sig.any() or mil.any()
+            draw = sig.any() or np.any(mil)
         if draw:
             xi = shared(_draws(cfg.seed, _SLOT_BROWNIAN, base, n, normal=True))
             dS += times_rows(sig * sqh, xi)
-            dS += times_rows(mil, (xi * xi - 1.0) * h)
+            # the Milstein term: a number times the draw's cross-section,
+            # added to each start's row, or one coefficient per path
+            dS_rows = rows(dS)
+            dS_rows += (mil if linear else rows(mil)) * ((xi * xi - 1.0) * h)
         return sig[pair] + sig[nx:]
 
     if nu_eps > 0:
@@ -427,12 +445,18 @@ def _simulate(coeffs, nu, starts, y0, cfg):
             z, mz = nu.jumps_above(cfg.eps, u)
             if kp:
                 # the j-th partnered firing path reads mark j; a run has
-                # partners only from one start
+                # partners only from one start.  A mark at or above gamma2(Y)
+                # leaves Y where it is, so only the paths whose mark lies
+                # below read a gap and a row
                 mark = _draws(cfg.seed, _SLOT_MARK, base, kp, event=event)
                 mark *= g2f[partnered]
-                S[y] += _partner_jump(nu, cfg.kappa, refined, z[partnered],
-                                      None if mz is None else mz[partnered],
-                                      mark, S[fire[partnered]] - S[y], g2y)
+                moves = (mark < g2y).nonzero()[0]
+                if moves.size:
+                    ym = y[moves]
+                    at = partnered.nonzero()[0][moves]
+                    S[ym] += _partner_jump(nu, cfg.kappa, refined, z[at],
+                                           None if mz is None else mz[at], mark[moves],
+                                           S[fire[at]] - S[ym], g2y[moves])
             S[fire] += z
             again = clock <= 0.0
             if not again.any():
@@ -486,10 +510,11 @@ def _simulate(coeffs, nu, starts, y0, cfg):
             # midpoint, and the pair meets: its Y leaves the state.
             gap = S[pair] - S[nx:]
             # every gap above delta_c (the common step): no pair crossed,
-            # needs a repair, counts a violation or meets
-            near = gap <= delta_c
-            if near.any():
+            # needs a repair, counts a violation or meets.  fmin skips a
+            # flagged pair's NaN gap, as gap <= delta_c does
+            if np.fmin.reduce(gap) <= delta_c:
                 # with no negative gap, |gap| <= delta_c is gap <= delta_c
+                near = gap <= delta_c
                 met = near
                 neg = gap < 0
                 if neg.any():

@@ -371,6 +371,25 @@ def test_check_unknown_scenario_is_usage_error(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, ini_line", [
+    (["couple", "--scenario", "case2-stable", "--step", "nan"], None),
+    (["couple", "--scenario", "mine"], "kappa = nan"),
+    (["couple", "--scenario", "mine"], "t_end = inf"),
+], ids=["step-nan", "ini-kappa-nan", "ini-t_end-inf"])
+def test_non_finite_sim_value_is_config_error(tmp_path, capsys, argv, ini_line):
+    # a NaN kappa would read every partner row's rho at a NaN gap, and a NaN
+    # step or infinite horizon would die in the step count
+    if ini_line is not None:
+        cfg = tmp_path / "scen.ini"
+        cfg.write_text(with_line(INI, "sim", ini_line))
+        argv = argv + ["--config", str(cfg)]
+    code, out = run(tmp_path, *argv)
+    assert code == 2
+    assert not out.exists() or not any(out.iterdir())
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and "finite" in err
+
+
 def test_missing_subcommand_is_usage_error(capsys):
     assert main([]) == 2
     assert main(["check"]) == 2  # --scenario required

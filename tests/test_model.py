@@ -30,10 +30,11 @@ def test_cir_coefficients_forms():
     c = cir_coefficients(1.0, 1.0, 1.0)
     assert float(c.gamma0(np.asarray(2.0))) == pytest.approx(-1.0)
     assert float(c.gamma1(np.asarray(2.0))) == pytest.approx(2.0 * math.sqrt(2.0))
-    assert float(c.gamma1_prime(np.asarray(2.0))) == math.sqrt(2.0)
+    # gamma1 is linear: gamma1' is declared as its slope
+    assert c.gamma1_prime == math.sqrt(2.0) and type(c.gamma1_prime) is float
     c2 = cir_coefficients(1.0, 1.0, 1.0, diffusion="2c")
     assert float(c2.gamma1(np.asarray(2.0))) == pytest.approx(4.0)
-    assert float(c2.gamma1_prime(np.asarray(2.0))) == 2.0
+    assert c2.gamma1_prime == 2.0
     with pytest.raises(DomainError):
         cir_coefficients(0.0, 1.0, 1.0)
     with pytest.raises(DomainError):
@@ -45,7 +46,7 @@ def test_logistic_coefficients():
     x = np.array([0.0, 1.0, 2.0])
     assert np.allclose(c.gamma0(x), x - 2.0 * x ** 2)
     assert np.allclose(c.gamma2(x), 3.0 * x)
-    assert np.array_equal(c.gamma1_prime(x), np.full(3, 0.5))
+    assert c.gamma1_prime == 0.5 and type(c.gamma1_prime) is float
     assert logistic_coefficients(1.0, 2.0).gamma1_prime is None
     with pytest.raises(DomainError):
         logistic_coefficients(-1.0, 1.0)
@@ -85,6 +86,28 @@ def test_declared_gamma1_prime_must_be_gamma1s_derivative():
     # form takes at the midpoint of the quotient's nodes
     nonergodic = load_scenario("nonergodic-diffusion").coeffs
     assert nonergodic.gamma1_prime(np.asarray(0.0)) == 0.0
+
+
+def test_gamma1_prime_given_as_a_number_is_checked_like_a_callable():
+    cir = cir_coefficients(1.0, 1.0, 1.0)
+    amp = math.sqrt(2.0)
+    assert replace(cir, gamma1_prime=np.float64(amp)).gamma1_prime == amp
+    assert type(replace(cir, gamma1_prime=np.float64(amp)).gamma1_prime) is float
+    with pytest.raises(ValidationError, match="gamma1_prime .* not gamma1's derivative"):
+        replace(cir, gamma1_prime=2.0 * amp)
+    # an integer slope is a number too: gamma1 = x has slope 1, not 2
+    assert load_scenario("case1-diffusion").coeffs.gamma1_prime == 1.0
+    with pytest.raises(ValidationError, match="not gamma1's derivative"):
+        replace(load_scenario("case1-diffusion").coeffs, gamma1_prime=2)
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValidationError, match="is not finite"):
+            replace(cir, gamma1_prime=bad)
+    with pytest.raises(ValidationError, match="gamma1_prime given without gamma1"):
+        CoefficientSet(gamma0=cir.gamma0, gamma1=None, gamma2=cir.gamma2,
+                       gamma1_prime=amp)
+    # a nonlinear gamma1 has no constant slope
+    with pytest.raises(ValidationError, match="not gamma1's derivative"):
+        replace(load_scenario("nonergodic-diffusion").coeffs, gamma1_prime=4.0)
 
 
 def test_undeclared_gamma1_prime_is_the_difference_quotient():

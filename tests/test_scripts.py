@@ -53,6 +53,20 @@ def test_kernel_fingerprint(monkeypatch, capsys):
     assert sum(line.startswith("many-events ") for line in lines) == 12
 
 
+def test_committed_fingerprint_names_every_configuration(monkeypatch):
+    # CI diffs a fresh run against the committed output, so the file must
+    # hold one line per configuration the script prints, in its order
+    script = load_script("kernel_fingerprint", monkeypatch)
+    monkeypatch.setattr(script, "PRESETS", PRESETS)
+    tags = [f"{case[0]} {coupling} {policy} {simulator}" for case in script._cases()
+            for coupling in ("refined-basic", "synchronous")
+            for policy in ("drop-with-compensator", "gaussian-compensation")
+            for simulator in ("coupled", "single", "single-y0")]
+    lines = (SCRIPTS / "kernel_fingerprint.txt").read_text().splitlines()
+    assert [line.rsplit(" ", 1)[0] for line in lines] == tags
+    assert all(len(line.rsplit(" ", 1)[1]) == 64 for line in lines)
+
+
 def test_kernel_fingerprint_fails_when_stacking_differs(monkeypatch, capsys):
     # starts stacked in the wrong order reproduce neither single digest
     script = load_script("kernel_fingerprint", monkeypatch)
@@ -91,6 +105,8 @@ def test_bench_layers_tiny(tmp_path, monkeypatch, capsys):
     result = json.loads(out.read_text())
     assert json.loads(capsys.readouterr().out) == result
     assert sorted(result["trees"]) == ["change", "parent"]
+    assert set(result["paired"]) == set(result["trees"]["change"])
+    assert all(stats["samples"][0] > 0 for stats in result["paired"].values())
     for metrics in result["trees"].values():
         assert set(layers) <= set(metrics)
         for stats in metrics.values():
@@ -105,6 +121,11 @@ def test_bench_layers_tiny(tmp_path, monkeypatch, capsys):
     assert trees["change"]["m"]["samples"] == [5.0, 1.0, 3.0]
     assert trees["parent"]["m"]["samples"] == [2.0, 6.0, 4.0]
     assert trees["change"]["m"]["median"] == 3.0
+    # the ratio change / parent of each pair, with its median and quartiles
+    paired = json.loads(out.read_text())["paired"]["m"]
+    assert paired["samples"] == [2.5, 1.0 / 6.0, 0.75]
+    assert paired["median"] == 0.75
+    assert paired["q1"] <= paired["median"] <= paired["q3"]
 
 
 def test_benchmark_tracer_installs_and_uninstalls():

@@ -68,6 +68,13 @@ def test_sim_config_validation():
         SimConfig(record_times=()).resolved_record_times()
     with pytest.raises(DomainError):
         SimConfig(h=1.0, t_end=0.4)
+    # NaN fails every comparison, so each value is tested for finiteness too
+    for key in ("h", "eps", "t_end", "kappa", "delta_c"):
+        for bad in (math.nan, math.inf):
+            with pytest.raises(DomainError, match="finite"):
+                SimConfig(**{key: bad})
+    with pytest.raises(DomainError, match="overflows"):
+        SimConfig(h=1e-300, t_end=1e10)
 
 
 def test_sim_config_echo_roundtrips_record_times():
@@ -501,6 +508,28 @@ def test_declared_gamma1_prime_keeps_the_quotients_bits(name):
             _digest(simulate_coupled(quotient, sc.nu, sc.x0, sc.y0, cfg))
 
 
+@pytest.mark.parametrize("name", ["cir", "case1-diffusion"])
+def test_gamma1_prime_as_a_number_keeps_the_callables_bits(name):
+    # a number forms the Milstein term on the draws' cross-section, a
+    # callable per path: the products are the same
+    sc = load_scenario(name)
+    slope = sc.coeffs.gamma1_prime
+    assert type(slope) is float
+    per_path = replace(sc.coeffs, gamma1_prime=lambda x: np.full_like(
+        np.asarray(x, dtype=float), slope))
+    assert callable(per_path.gamma1_prime)
+    cfg = replace(sc.sim, n_paths=200, t_end=0.25, record_times=None)
+    assert _digest(simulate_single(sc.coeffs, sc.nu, sc.x0, cfg)) == \
+        _digest(simulate_single(per_path, sc.nu, sc.x0, cfg))
+    starts = (sc.x0, sc.y0)
+    assert [_digest(e) for e in simulate_starts(sc.coeffs, sc.nu, starts, cfg)] == \
+        [_digest(e) for e in simulate_starts(per_path, sc.nu, starts, cfg)]
+    for coupling in ("refined-basic", "synchronous"):
+        cfg = replace(cfg, coupling=coupling)
+        assert _digest(simulate_coupled(sc.coeffs, sc.nu, sc.x0, sc.y0, cfg)) == \
+            _digest(simulate_coupled(per_path, sc.nu, sc.x0, sc.y0, cfg))
+
+
 def test_kernel_writes_nothing_gamma1_prime_returns():
     # gamma1 = x^2 / 2, whose gamma1' = x may hand back the state itself
     gammas = dict(gamma0=lambda x: -np.asarray(x, dtype=float),
@@ -608,6 +637,46 @@ def test_coupled_rejects_bad_starts():
         simulate_coupled(linear_branching(), STABLE15, 0.5, 1.0, cfg)
     with pytest.raises(DomainError):
         simulate_coupled(linear_branching(), STABLE15, 1.0, -0.1, cfg)
+
+
+def test_marks_at_or_above_gamma2_y_read_no_rho(monkeypatch):
+    # from y0 = 0, gamma2(Y) = 0: every mark selects row 4, where Y stays
+    # whatever rho is, so no partner row reads rho
+    sc = load_scenario("case2-stable")
+    cfg = replace(sc.sim, n_paths=200, t_end=0.2, record_times=None)
+    single = simulate_single(sc.coeffs, sc.nu, sc.x0, cfg)
+
+    def no_rho(u, z, mz=None):
+        raise AssertionError("rho_pair called")
+
+    monkeypatch.setattr(sc.nu, "rho_pair", no_rho)
+    calls = count_draws(monkeypatch)
+    ens = simulate_coupled(sc.coeffs, sc.nu, sc.x0, 0.0, cfg)
+    assert calls[simulate._SLOT_MARK] > 0
+    assert np.array_equal(ens.X, single.X)
+    assert np.all(ens.Y[:, np.isinf(ens.coalescence)] == 0.0)
+
+
+def test_partner_rows_read_rho_only_below_gamma2_y(monkeypatch):
+    # from y0 = 0.5 < x0 = 1 part of the marks lie at or above gamma2(Y)
+    # = 0.5: rho is read on fewer jumps than took a mark
+    sc = load_scenario("case2-stable")
+    cfg = replace(sc.sim, n_paths=200, t_end=0.2, record_times=None)
+    sizes = Counter()
+    rho_pair, draws = sc.nu.rho_pair, simulate._draws
+
+    def counting_rho(u, z, mz=None):
+        sizes["rho"] += z.size
+        return rho_pair(u, z, mz)
+
+    def counting_draws(seed, slot, counter, n, normal=False, event=0):
+        sizes[slot] += n
+        return draws(seed, slot, counter, n, normal, event)
+
+    monkeypatch.setattr(sc.nu, "rho_pair", counting_rho)
+    monkeypatch.setattr(simulate, "_draws", counting_draws)
+    simulate_coupled(sc.coeffs, sc.nu, sc.x0, sc.y0, cfg)
+    assert 0 < sizes["rho"] < sizes[simulate._SLOT_MARK]
 
 
 def test_order_and_permanence_case2(case2):
