@@ -45,16 +45,30 @@ with their median and quartiles.  With ``--parent`` it also holds, per
 metric, the paired ratio change / parent of each sample pair, with their
 median and quartiles: a change the file resolves moves the ratios'
 quartile range off 1.  The generator metrics go through public calls only.
+
+Fresh interpreters differ in heap and cache state by more than a kernel
+change of a few percent, so with ``--parent`` the kernel metrics are also
+timed with both trees in one interpreter (``one_interpreter`` in the
+output): the parent's ``src/nlbranch`` is copied under the name
+``nlbranch_parent``, which works because the package imports itself only
+through relative imports.  After ``KERNEL_WARMUPS`` untimed runs of every
+metric in each tree, each repeat times one run of each metric in both
+trees back to back, the tree that runs first alternating from repeat to
+repeat, and the output holds the samples, stats and paired ratios as
+above.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
+import importlib
 import io
 import json
 import os
 import platform
+import shutil
 import statistics
 import subprocess
 import sys
@@ -76,6 +90,7 @@ KERNEL_WARMUPS = 1
 KERNEL_RUNS = 3
 SEED = 20240811
 WIDTH = 10_000
+TWIN = "nlbranch_parent"   # the parent tree's package in a one-interpreter run
 
 
 def _median_us(fn, calls):
@@ -133,6 +148,21 @@ def _generator_layers(calls):
     return out
 
 
+def _kernel_runs(package, paths, steps):
+    """metric -> run() of each kernel metric, on the named package."""
+    simulate = importlib.import_module(f"{package}.simulate")
+    load_scenario = importlib.import_module(f"{package}.config").load_scenario
+    runs = {}
+    for name in PRESETS:
+        sc = load_scenario(name)
+        cfg = replace(sc.sim, n_paths=paths, t_end=steps * sc.sim.h, record_times=None)
+        runs[f"{name}.single_mpath_steps_per_s"] = functools.partial(
+            simulate.simulate_single, sc.coeffs, sc.nu, sc.x0, cfg)
+        runs[f"{name}.coupled_mpath_steps_per_s"] = functools.partial(
+            simulate.simulate_coupled, sc.coeffs, sc.nu, sc.x0, sc.y0, cfg)
+    return runs
+
+
 def sample(paths, steps, calls):
     """One sample of every metric, from the nlbranch on sys.path."""
     from nlbranch import simulate
@@ -148,20 +178,34 @@ def sample(paths, steps, calls):
     z = np.asarray(case2.nu.quantile_above(case2.sim.eps, rng.random(25)))
     u = np.minimum(rng.random(25), case2.sim.kappa)
     out["rho_rows_us"] = _median_us(lambda: case2.nu.rho_pair(u, z), calls)
-    for name in PRESETS:
-        sc = load_scenario(name)
-        cfg = replace(sc.sim, n_paths=paths, t_end=steps * sc.sim.h, record_times=None)
-        for kind, run in (
-                ("single", lambda: simulate.simulate_single(sc.coeffs, sc.nu, sc.x0, cfg)),
-                ("coupled", lambda: simulate.simulate_coupled(sc.coeffs, sc.nu, sc.x0,
-                                                              sc.y0, cfg))):
-            for _ in range(KERNEL_WARMUPS):
-                run()
-            # path-steps per microsecond are Mpath-steps per second
-            out[f"{name}.{kind}_mpath_steps_per_s"] = \
-                paths * steps / _median_us(run, KERNEL_RUNS)
+    for metric, run in _kernel_runs("nlbranch", paths, steps).items():
+        for _ in range(KERNEL_WARMUPS):
+            run()
+        # path-steps per microsecond are Mpath-steps per second
+        out[metric] = paths * steps / _median_us(run, KERNEL_RUNS)
     out.update(_generator_layers(calls))
     return out
+
+
+def twin(paths, steps, repeats):
+    """label -> the kernel samples of nlbranch ("change") and of TWIN
+    ("parent"), both imported into this interpreter, in run order."""
+    runs = {"change": _kernel_runs("nlbranch", paths, steps),
+            "parent": _kernel_runs(TWIN, paths, steps)}
+    for tree in runs.values():
+        for run in tree.values():
+            for _ in range(KERNEL_WARMUPS):
+                run()
+    samples = {label: [] for label in runs}
+    for r in range(repeats):
+        order = list(runs) if r % 2 else list(runs)[::-1]
+        times = {label: {} for label in runs}
+        for metric in runs["change"]:
+            for label in order:
+                times[label][metric] = paths * steps / _median_us(runs[label][metric], 1)
+        for label in runs:
+            samples[label].append(times[label])
+    return samples
 
 
 def machine():
@@ -184,6 +228,20 @@ def _sample_tree(tree, args):
            "--paths", str(args.paths), "--steps", str(args.steps),
            "--calls", str(args.calls)]
     done = subprocess.run(cmd, env=env, capture_output=True, text=True, check=True)
+    return json.loads(done.stdout.splitlines()[-1])
+
+
+def _twin_samples(parent, args):
+    """twin() from a fresh interpreter on this tree's src/ and a copy of the
+    parent's src/nlbranch named TWIN."""
+    with tempfile.TemporaryDirectory() as tmp:
+        shutil.copytree(Path(parent) / "src" / "nlbranch", Path(tmp) / TWIN,
+                        ignore=shutil.ignore_patterns("__pycache__"))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join((str(ROOT / "src"), tmp)))
+        cmd = [sys.executable, str(Path(__file__).resolve()), "--twin",
+               "--paths", str(args.paths), "--steps", str(args.steps),
+               "--repeats", str(args.repeats)]
+        done = subprocess.run(cmd, env=env, capture_output=True, text=True, check=True)
     return json.loads(done.stdout.splitlines()[-1])
 
 
@@ -216,9 +274,15 @@ def main(argv=None):
     p.add_argument("--out", help="write the JSON here as well as to stdout")
     p.add_argument("--sample", action="store_true",
                    help="print one sample of the nlbranch on the path and exit")
+    p.add_argument("--twin", action="store_true",
+                   help=f"print the kernel samples of the nlbranch and {TWIN} on the "
+                        "path, in one interpreter, and exit")
     args = p.parse_args(argv)
     if args.sample:
         print(json.dumps(sample(args.paths, args.steps, args.calls)))
+        return 0
+    if args.twin:
+        print(json.dumps(twin(args.paths, args.steps, args.repeats)))
         return 0
     trees = {"change": ROOT}
     if args.parent:
@@ -235,6 +299,10 @@ def main(argv=None):
               "trees": {label: _summary(samples[label]) for label in trees}}
     if args.parent:
         result["paired"] = _paired(samples["change"], samples["parent"])
+        pairs = _twin_samples(trees["parent"], args)
+        result["one_interpreter"] = {
+            "trees": {label: _summary(pairs[label]) for label in pairs},
+            "paired": _paired(pairs["change"], pairs["parent"])}
     text = json.dumps(result, indent=1, sort_keys=True)
     if args.out:
         Path(args.out).write_text(text + "\n")

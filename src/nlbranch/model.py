@@ -172,9 +172,9 @@ class CoefficientSet:
     def has_diffusion(self):
         return self.gamma1 is not _no_diffusion
 
-    def sigma(self, x):
-        """Diffusion amplitude sqrt(gamma1(x))."""
-        return np.sqrt(np.maximum(self.gamma1(x), 0.0))
+    def sigma(self, x, out=None):
+        """Diffusion amplitude sqrt(gamma1(x)), in out when given."""
+        return np.sqrt(np.maximum(self.gamma1(x), 0.0, out=out), out=out)
 
 
 def cir_coefficients(b, c, d, diffusion="sqrt2c"):

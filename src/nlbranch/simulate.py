@@ -62,14 +62,22 @@ refills and sizes at the largest firing count of a start, the marks at the
 number of partnered firing paths.  A model built with ``gamma1=None`` has no
 diffusion term anywhere, so the kernel skips that work outright.
 
-A step does only the work that can change a value.  One minimum of the
-gaps against delta_c guards the pairs' crossing, repair, violation and
-meeting arithmetic; while no path is flagged the Brownian-draw test is two
-reductions; the clocks' NaN mask runs only on a step whose state holds a
-NaN; and the blow-up masks are built only on a step whose largest value
-fails ``<= _STATE_CAP``.  For a gamma1' given as a number the Milstein term
-is one product on the draw's cross-section, added to each start's row, not
-a coefficient per path.  A partnered jump whose mark lies at or above
+A step does only the work that can change a value, and makes one pass per
+quantity into a workspace allocated once per run: S and dS take turns in
+two buffers sized to the largest state, and every other per-step quantity
+is written with ``out=`` into a view of the live size, so the only
+state-wide numbers a step allocates are those the coefficient callables and
+``_draws`` return.  Where a reduction decides what a write pass would, the
+reduction runs instead.  One minimum of the gaps against delta_c guards the
+pairs' crossing, repair, violation and meeting arithmetic, and its sign
+guards the negative-gap part; one minimum of S + dS skips the clamp at 0 on
+a step that leaves no value negative (exact, since the state never holds
+-0.0: starts enter as +0.0) and, unless it is NaN, the clocks' NaN mask;
+while no path is flagged the Brownian-draw test is two reductions; and the
+blow-up masks are built only on a step whose largest value fails
+``<= _STATE_CAP``.  For a gamma1' given as a number the Milstein term is one
+product on the draw's cross-section, added to each start's row, not a
+coefficient per path.  A partnered jump whose mark lies at or above
 gamma2(Y) selects row 4, where Y stays whatever rho is, so only the marks
 below gamma2(Y) read a gap and a row.  Their overlap ratios come from
 ``LevyMeasure.rho_pair``, which gives rho(-U, z) and rho(U, z) on those
@@ -302,7 +310,6 @@ def _simulate(coeffs, nu, starts, y0, cfg):
     nx = n_starts * n
     coupled = y0 is not None
     refined = cfg.coupling == "refined-basic"
-    ysign = -1.0 if refined else 1.0   # of Y's share of a Gaussian draw
     nu_eps, mean_eps, small_var = _jump_setup(nu, cfg)
     n_steps, rec_times, rec_steps = _record_plan(cfg)
 
@@ -312,9 +319,6 @@ def _simulate(coeffs, nu, starts, y0, cfg):
     no_pairs = not coupled or x0 - y0 <= delta_c
     coal = np.full(n, 0.0 if no_pairs else math.inf)
     pair = np.arange(0 if no_pairs else n)
-    S = np.empty(nx + pair.size)
-    S[:nx] = np.repeat(starts, n)
-    S[nx:] = y0
     flagged = np.zeros(nx, dtype=bool)
     any_flagged = False
     violations = 0
@@ -323,6 +327,36 @@ def _simulate(coeffs, nu, starts, y0, cfg):
     # (start, record time, path): each start's snapshots are one block
     snaps_x = np.empty((n_starts, rec_times.size, n))
     snaps_y = np.empty_like(snaps_x[0]) if coupled else None
+
+    # the workspace, sized to the largest state and made once per run.  S
+    # and dS take turns in live and spare: S + dS is written over dS, which
+    # becomes S, and a pair compaction writes the new S into spare.  Every
+    # other per-step quantity is written into a view of its live size in
+    # work (sigma keeps its own buffer, which the order bookkeeping reads
+    # after the jumps), and nothing is written into an array a coefficient
+    # callable returned: a gamma may return S itself
+    size = nx + pair.size
+    live, spare, work = np.empty(size), np.empty(size), np.empty(size)
+    S = live
+    S[:nx] = np.repeat(starts, n)
+    S[nx:] = y0
+    linear = isinstance(coeffs.gamma1_prime, float)
+    if coeffs.has_diffusion:
+        sig_buf = np.empty(size)
+        # gamma1' given as a number: gamma1 is linear, and the Milstein
+        # coefficient is that number on every path
+        mil_buf = None if linear else np.empty(size)
+    # a Gaussian cross-section spread over the partners: X's N draws, then
+    # those of each partner's path, reflected under refined-basic
+    xi_buf = np.empty(n + pair.size) if pair.size else None
+    # glibc maps a block above its mmap threshold and raises that threshold,
+    # and its heap trim threshold to twice it, to the size of the largest
+    # mapped block freed.  Freeing an untouched block of three state widths
+    # here keeps the arrays the coefficient callables return each step (two
+    # at once for d - b x) in the heap, instead of being mapped, faulted in
+    # and handed back to the system on every step.  It touches no page, and
+    # under another allocator it is one allocation and nothing more
+    np.empty(3 * size)
 
     def rows(a):
         """a over the state as one row per start, against which a
@@ -341,10 +375,6 @@ def _simulate(coeffs, nu, starts, y0, cfg):
                 snaps_y[k] = S[:nx]
                 snaps_y[k, pair] = S[nx:]
 
-    # gamma1' given as a number: gamma1 is linear, and the Milstein
-    # coefficient is that number on every path
-    linear = isinstance(coeffs.gamma1_prime, float)
-
     def times_rows(a, v):
         """a *= v in place, v broadcast over the rows of a."""
         a_rows = rows(a)
@@ -353,56 +383,68 @@ def _simulate(coeffs, nu, starts, y0, cfg):
 
     def shared(xi):
         """A cross-section of Gaussian draws spread over the partners."""
-        return np.concatenate((xi, ysign * xi[pair])) if pair.size else xi
+        if not pair.size:
+            return xi
+        out = xi_buf[:n + pair.size]
+        out[:n] = xi
+        y = xi.take(pair, out=out[n:])
+        if refined:
+            np.negative(y, out=y)
+        return out
 
     h = cfg.h
     sqh = math.sqrt(h)
 
-    # the two parts of a step run as functions, so that their temporaries
-    # are freed on return and not held into the next step
-
     def add_diffusion(S, dS, base):
-        """dS += sigma sqrt(h) xi + mil (xi^2 - 1) h, in that order; returns
-        the partners' sigma(X) + sigma(Y) for the order bookkeeping."""
+        """dS += sigma sqrt(h) xi + mil (xi^2 - 1) h, in that order; leaves
+        sigma in sig_buf for the order bookkeeping."""
+        m = S.size
         # the Gaussian stream is read only when an unflagged path carries a
         # diffusion term (a NaN term counts); a skipped draw shifts no other
         # stream, and the terms it would feed are zero, so no value changes
         # (also for a start whose paths carry none, while another start's
         # do).  Flagged paths hold NaN and would keep the draw on forever
-        sig = coeffs.sigma(S)
-        # a multiply, not *=: gamma1' may return S itself
-        mil = 0.25 * (coeffs.gamma1_prime if linear else coeffs.gamma1_prime(S))
+        sig = coeffs.sigma(S, out=sig_buf[:m])
+        mil = (0.25 * coeffs.gamma1_prime if linear else
+               np.multiply(coeffs.gamma1_prime(S), 0.25, out=mil_buf[:m]))
         if any_flagged:
             noisy = (sig != 0.0) | (mil != 0.0)
             draw = np.any(noisy[:nx] & ~flagged) or np.any(noisy[nx:] & ~flagged[pair])
         else:
             # no flagged path: a nonzero (or NaN) term anywhere
             draw = sig.any() or np.any(mil)
-        if draw:
-            xi = shared(_draws(cfg.seed, _SLOT_BROWNIAN, base, n, normal=True))
-            dS += times_rows(sig * sqh, xi)
-            # the Milstein term: a number times the draw's cross-section,
-            # added to each start's row, or one coefficient per path
+        if not draw:
+            return
+        xi = shared(_draws(cfg.seed, _SLOT_BROWNIAN, base, n, normal=True))
+        dS += times_rows(np.multiply(sig, sqh, out=work[:m]), xi)
+        # the Milstein term: a number times the draw's cross-section, added
+        # to each start's row, or one coefficient per path
+        q = np.multiply(xi, xi, out=work[:xi.size])
+        q -= 1.0
+        q *= h
+        if linear:
+            q *= mil
             dS_rows = rows(dS)
-            dS_rows += (mil if linear else rows(mil)) * ((xi * xi - 1.0) * h)
-        return sig[pair] + sig[nx:]
+            dS_rows += q
+        else:
+            dS += times_rows(mil, q)
 
     if nu_eps > 0:
         # the initial clocks: path i of every start reads variate i % n
         R = np.tile(-np.log1p(-_draws(cfg.seed, _SLOT_JUMP_OCCUR, 0, n)), n_starts)
         start_at = np.arange(n_starts) * n   # each start's first place in S
 
-    def add_jumps(S, base):
-        """Runs the clocks over the step and adds its jumps to S in place."""
+    def add_jumps(S, base, nan_free):
+        """Runs the clocks over the step and adds its jumps to S in place;
+        nan_free states that no value of S is NaN."""
         X = S[:nx]
         g2x = coeffs.gamma2(X)
-        p = g2x * (nu_eps * h)
+        p = np.multiply(g2x, nu_eps * h, out=work[:nx])
         # p = NaN keeps a path whose state is NaN off its clock and out of the
         # maximum: a flagged one (gamma2 may map its NaN to a number: np.fmin,
         # a constant) and one this step's drift made NaN (a NaN rate does).
-        # A NaN rate at a number is NaN in p by itself.  The maximum of X is
-        # NaN exactly when some X is, so a state without NaN skips the mask
-        if np.isnan(np.maximum.reduce(X)):
+        # A NaN rate at a number is NaN in p by itself
+        if not nan_free:
             p[np.isnan(X)] = np.nan
         np.maximum(max_hazard, np.fmax.reduce(rows(p), axis=1, initial=0.0),
                    out=max_hazard)
@@ -474,29 +516,40 @@ def _simulate(coeffs, nu, starts, y0, cfg):
     record(0)
     for step in range(1, n_steps + 1):
         base = step * _STEP_STRIDE
-        # a new array: gamma0 and gamma2 may return S itself, so nothing they
-        # return is written to
-        dS = coeffs.gamma0(S) * h
+        m = S.size
+        dS = np.multiply(coeffs.gamma0(S), h, out=spare[:m])
         g2 = coeffs.gamma2(S) if nu_eps > 0 or small_var > 0.0 else None
-        noise = add_diffusion(S, dS, base) if coeffs.has_diffusion else 0.0
+        if coeffs.has_diffusion:
+            add_diffusion(S, dS, base)
         if nu_eps > 0:
-            dS -= g2 * mean_eps * h
+            comp = np.multiply(g2, mean_eps, out=work[:m])
+            comp *= h
+            dS -= comp
             if small_var > 0.0:
                 xi2 = shared(_draws(cfg.seed, _SLOT_GAUSS_COMP, base, n, normal=True))
-                term = g2 * small_var
+                term = np.multiply(g2, small_var, out=work[:m])
                 term *= h
                 np.maximum(term, 0.0, out=term)
                 np.sqrt(term, out=term)
                 dS += times_rows(term, xi2)
-        # S = max(S + dS, 0), in the buffer of dS
-        S = np.maximum(np.add(S, dS, out=dS), 0.0, out=dS)
+        # S = max(S + dS, 0), in the buffer of dS.  The state never holds
+        # -0.0 (starts are normalized, and no sum of values that are not
+        # -0.0 gives it), so on a step whose smallest value is >= 0 the clamp
+        # would write every value back unchanged and is skipped.  A NaN
+        # minimum fails the test too, so it also tells the jump clocks
+        # whether any value is NaN
+        np.add(S, dS, out=dS)
+        low = np.minimum.reduce(dS)
+        if not low >= 0.0:
+            np.maximum(dS, 0.0, out=dS)
+        S, live, spare = dS, spare, live
         # jumps act on the post-drift state, at rates frozen there: the row
         # geometry (gap, rho) is evaluated where the jump lands, so an
         # exact-meeting row really produces gap 0 instead of gap minus one
         # drift increment.  Each path runs on its own clock, driven by its X
         # leg, so no path's draws depend on another path
         if nu_eps > 0:
-            add_jumps(S, base)
+            add_jumps(S, base, not math.isnan(low))
 
         if pair.size:
             # order bookkeeping of the pairs that have not met.  With an
@@ -508,16 +561,20 @@ def _simulate(coeffs, nu, starts, y0, cfg):
             # violation and is counted; a smaller one is a rounding slip,
             # repaired.  A crossing or a repair moves X alone to the
             # midpoint, and the pair meets: its Y leaves the state.
-            gap = S[pair] - S[nx:]
+            gap = S.take(pair, out=work[:pair.size])
+            gap -= S[nx:]
             # every gap above delta_c (the common step): no pair crossed,
             # needs a repair, counts a violation or meets.  fmin skips a
-            # flagged pair's NaN gap, as gap <= delta_c does
-            if np.fmin.reduce(gap) <= delta_c:
+            # flagged pair's NaN gap, as gap <= delta_c and gap < 0 do
+            closest = np.fmin.reduce(gap)
+            if closest <= delta_c:
                 # with no negative gap, |gap| <= delta_c is gap <= delta_c
                 near = gap <= delta_c
                 met = near
-                neg = gap < 0
-                if neg.any():
+                if closest < 0:
+                    neg = gap < 0
+                    # sigma(X) + sigma(Y) of the step's pre-drift state
+                    noise = sig_buf[pair] + sig_buf[nx:m] if coeffs.has_diffusion else 0.0
                     if small_var > 0.0:
                         noise = noise + small_var * (g2[pair] + g2[nx:])
                     crossed = neg & (noise > 0)
@@ -534,7 +591,9 @@ def _simulate(coeffs, nu, starts, y0, cfg):
                     coal[pair[met]] = step * h
                     keep = ~met
                     pair = pair[keep]
-                    S = np.concatenate((S[:nx], S[nx:][keep]))
+                    S = np.concatenate((S[:nx], S[nx:][keep]),
+                                       out=spare[:nx + pair.size])
+                    live, spare = spare, live
 
         # a pair blows up as a whole: a bad Y flags its path.  No value is
         # -inf (the clamp sends it to 0, and jumps are finite), so one
@@ -565,6 +624,17 @@ def _simulate(coeffs, nu, starts, y0, cfg):
                             order_violations=violations, order_repairs=repairs),)
 
 
+def _start(v, name):
+    """A start as a float in [0, inf), with -0.0 made +0.0: the kernel
+    skips its clamp at 0 on a step that leaves no value negative, which
+    keeps the sign of zero only when the state never holds -0.0."""
+    v = float(v)
+    # "not 0 <= v < inf" rejects NaN too, which fails every comparison
+    if not 0.0 <= v < math.inf:
+        raise DomainError(f"{name} = {v} must be nonnegative and finite")
+    return v + 0.0   # -0.0 + 0.0 is +0.0
+
+
 def simulate_starts(coeffs: CoefficientSet, nu: Optional[LevyMeasure],
                     starts: Sequence[float], cfg: SimConfig
                     ) -> tuple[SingleEnsemble, ...]:
@@ -572,11 +642,9 @@ def simulate_starts(coeffs: CoefficientSet, nu: Optional[LevyMeasure],
     one kernel pass that draws each variate once for all starts.  The
     ensemble of ``starts[k]`` is the one ``simulate_single`` makes from it at
     the same seed, bit for bit."""
-    starts = tuple(float(x) for x in starts)
+    starts = tuple(_start(x, "start") for x in starts)
     if not starts:
         raise DomainError("need at least one start")
-    if min(starts) < 0:
-        raise DomainError("x0 must be nonnegative")
     return _simulate(coeffs, nu, starts, None, cfg)
 
 
@@ -590,7 +658,8 @@ def simulate_coupled(coeffs: CoefficientSet, nu: Optional[LevyMeasure],
                      x0: float, y0: float, cfg: SimConfig) -> CoupledEnsemble:
     """Coupled ensemble from x0 > y0 >= 0 (x0 = y0 starts coalesced); its X
     leg is the marginal run ``simulate_single`` makes at the same seed."""
-    if y0 < 0 or x0 < y0:
+    x0, y0 = _start(x0, "x0"), _start(y0, "y0")
+    if x0 < y0:
         raise DomainError("need x0 >= y0 >= 0")
     return _simulate(coeffs, nu, (x0,), y0, cfg)[0]
 

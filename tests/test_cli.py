@@ -132,6 +132,22 @@ def test_ini_constant_key_is_config_error(tmp_path, capsys, line):
         assert err.startswith("config error: ") and key in err
 
 
+@pytest.mark.parametrize("line", ["x0 = nan", "x0 = inf", "y0 = nan", "y0 = inf"])
+def test_ini_non_finite_start_is_config_error(tmp_path, capsys, line):
+    # a NaN or infinite start is refused before any step, not run as a
+    # blown-up ensemble that fails the flagged-path limit
+    cfg = tmp_path / "scen.ini"
+    cfg.write_text(with_line(INI, "scenario", line))
+    for cmd in ("couple", "invariant", "simulate"):
+        code, _ = run(tmp_path, cmd, "--scenario", "mine", "--config", str(cfg))
+        err = capsys.readouterr().err
+        if cmd == "simulate" and line.startswith("y0"):
+            assert code == 0      # simulate runs from x0 alone
+            continue
+        assert code == 2
+        assert err.startswith("config error: ") and "must be nonnegative and finite" in err
+
+
 def test_ini_noise_failure_fails_constants(tmp_path, capsys):
     # gamma2 = 0 has no jump activity: the noise check fails, and the
     # constants, which have nothing certified to rest on, fail with it

@@ -113,9 +113,22 @@ def test_bench_layers_tiny(tmp_path, monkeypatch, capsys):
             assert stats["q1"] <= stats["median"] <= stats["q3"]
             assert len(stats["samples"]) == 1
     assert result["machine"]["numpy"] == np.__version__
+    # the kernel metrics of both trees timed in one interpreter, every preset
+    # (the fresh interpreter reads the unpatched PRESETS)
+    twin = result["one_interpreter"]
+    assert sorted(twin["trees"]) == ["change", "parent"]
+    kernel = {f"{name}.{kind}_mpath_steps_per_s" for name in script.PRESETS
+              for kind in ("single", "coupled")}
+    assert kernel == set(rates)
+    for metrics in (*twin["trees"].values(), twin["paired"]):
+        assert kernel <= set(metrics)
+        assert all(len(stats["samples"]) == 1 and stats["samples"][0] > 0
+                   for stats in metrics.values())
     # samples stay in run order, so sample i of the two trees is a pair
     runs = {script.ROOT: iter([5.0, 1.0, 3.0]), tmp_path.resolve(): iter([2.0, 6.0, 4.0])}
     monkeypatch.setattr(script, "_sample_tree", lambda tree, args: {"m": next(runs[tree])})
+    monkeypatch.setattr(script, "_twin_samples", lambda parent, args: {
+        "change": [{"m": 1.0}], "parent": [{"m": 2.0}]})
     assert script.main(["--parent", str(tmp_path), "--repeats", "3", "--out", str(out)]) == 0
     trees = json.loads(out.read_text())["trees"]
     assert trees["change"]["m"]["samples"] == [5.0, 1.0, 3.0]

@@ -77,6 +77,73 @@ def test_sim_config_validation():
         SimConfig(h=1e-300, t_end=1e10)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, -1.0])
+def test_starts_must_be_nonnegative_and_finite(bad):
+    # NaN would run as a flagged path from step 0, and x0 = inf would make
+    # delta_c = 1e-6 (1 + x0) infinite, so that every pair met at once
+    cfg = SimConfig(h=1e-2, eps=0.1, t_end=0.1, n_paths=5, seed=4)
+    runs = [lambda: simulate_single(linear_branching(), STABLE15, bad, cfg),
+            lambda: simulate_starts(linear_branching(), STABLE15, (1.0, bad), cfg),
+            lambda: simulate_coupled(linear_branching(), STABLE15, 1.0, bad, cfg)]
+    if not bad < 0:
+        runs.append(lambda: simulate_coupled(linear_branching(), STABLE15, bad, 0.5, cfg))
+    for run in runs:
+        with pytest.raises(DomainError, match="nonnegative and finite"):
+            run()
+
+
+def _rows_digest(*arrays):
+    """SHA-256 of the arrays' bytes, first 16 hex digits."""
+    sha = hashlib.sha256()
+    for a in arrays:
+        sha.update(np.ascontiguousarray(a).tobytes())
+    return sha.hexdigest()[:16]
+
+
+def test_negative_zero_start_is_positive_zero():
+    # a start of -0.0 enters as +0.0, so that no value of the state is -0.0
+    # and the kernel's skipped clamp keeps every sign.  From step 1 on the
+    # ensembles are the ones the kernel made when it clamped on every step
+    # (the digests), which recorded -0.0 at t = 0 only
+    cfg = SimConfig(h=1e-3, eps=0.1, t_end=0.2, n_paths=300, seed=11)
+    neg = simulate_coupled(linear_branching(), STABLE15, 1.0, -0.0, cfg)
+    pos = simulate_coupled(linear_branching(), STABLE15, 1.0, 0.0, cfg)
+    _fields_equal(neg, pos)
+    # Y stays at 0 (gamma2(0) = 0), where the clamp is skipped
+    assert not np.signbit(neg.y0) and not np.any(np.signbit(neg.Y))
+    assert _rows_digest(neg.X[1:], neg.Y[1:], neg.coalescence, neg.flagged) == \
+        "ab37141eb2c7f380"
+    cir = cir_coefficients(1.0, 1.0, 1.0)
+    neg, pos = (simulate_single(cir, None, x0, cfg) for x0 in (-0.0, 0.0))
+    _fields_equal(neg, pos)
+    assert not np.signbit(neg.x0) and not np.any(np.signbit(neg.X[0]))
+    assert _rows_digest(neg.X[1:], neg.flagged) == "6e5ff9fc461a6bee"
+
+
+def test_drift_overshooting_zero_ends_at_positive_zero():
+    # gamma0 = -1500 x at h = 1e-3 sends every path to -x/2 in one step, and
+    # a path at 0 meets the Milstein term (xi^2 - 1) h / 4 of gamma1' = 1:
+    # the clamp sets these to +0.0 on the steps it runs, and the steps that
+    # skip it hold no -0.0.  The digests are those of the kernel that
+    # clamped on every step
+    coeffs = CoefficientSet(
+        gamma0=lambda x: -1500.0 * np.asarray(x, dtype=float),
+        gamma1=lambda x: np.asarray(x, dtype=float),
+        gamma2=lambda x: 1.0 + 0.0 * np.asarray(x, dtype=float),
+        gamma2_vanishes_at_zero=False, gamma1_prime=1.0)
+    cfg = SimConfig(h=1e-3, eps=0.1, t_end=0.2, n_paths=300, seed=11)
+    for coupling, digest in (("refined-basic", "d0c0c17f91a9311a"),
+                             ("synchronous", "9f6f13743dd2dd07")):
+        ens = simulate_coupled(coeffs, STABLE15, 1.0, 0.5, replace(cfg, coupling=coupling))
+        values = np.concatenate((ens.X[1:], ens.Y[1:]))
+        zeros = values[values == 0.0]
+        assert zeros.size > values.size // 2
+        assert not np.any(np.signbit(zeros))
+        assert _digest(ens) == digest
+    assert [_digest(ens) for ens in simulate_starts(coeffs, STABLE15, (1.0, 0.5), cfg)] \
+        == ["d8a4884a4587c7f7", "c1b11ea090936b4e"]
+
+
 def test_sim_config_echo_roundtrips_record_times():
     cfg = SimConfig(t_end=2.0, record_times=[0.0, 1.0, 2.0])
     echo = cfg.echo()
