@@ -18,7 +18,9 @@ source trees give the same ensembles exactly when their outputs are equal, so
     PYTHONPATH=src python3 scripts/kernel_fingerprint.py > after.txt
 
 ``scripts/kernel_fingerprint.txt`` holds this tree's output, and CI diffs a
-fresh run against it.  A change that moves ensembles on purpose regenerates it:
+fresh run against it; the tests check the lines of a short run against it
+and take their coupled-ensemble pins from it.  A change that moves ensembles
+on purpose regenerates it:
 
     PYTHONPATH=src python3 scripts/kernel_fingerprint.py > scripts/kernel_fingerprint.txt
 

@@ -345,9 +345,9 @@ def _boolean(text):
     return configparser.ConfigParser.BOOLEAN_STATES[text.lower()]
 
 
-def _custom_coefficients(gamma0, gamma2, gamma1=None, name="custom", **flags):
+def _custom_coefficients(gamma0, gamma2, gamma1=None, name="custom"):
     """Expression coefficients; without a gamma1 the model has no diffusion."""
-    return CoefficientSet(gamma0, gamma1, gamma2, name=name, **flags)
+    return CoefficientSet(gamma0, gamma1, gamma2, name=name)
 
 
 _NONE = (lambda: None, {})
@@ -367,8 +367,7 @@ _COEFFICIENTS = {
                  {"b1": float, "b2": float, "c1": float, "c2": float}),
     "custom": (_custom_coefficients,
                {"gamma0": compile_expression, "gamma1": compile_expression,
-                "gamma2": compile_expression, "gamma2_nondecreasing": _boolean,
-                "name": str}),
+                "gamma2": compile_expression, "name": str}),
 }
 _PHI1 = {"zero": (phi1_zero, {}), "linear": (phi1_linear, {"k1": float}),
          "xlog": (phi1_xlog, {"k1": float, "l0": float}),

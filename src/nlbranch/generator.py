@@ -330,7 +330,8 @@ def check_drift_condition(coeffs: CoefficientSet, modulus) -> ConditionReport:
         bound[~inner] = -modulus.k2 * r[~inner]
     margin = d - bound
     worst = float(np.max(margin, initial=-math.inf))
-    bad = margin > 1e-9 * (1.0 + np.abs(bound))
+    # a NaN margin fails too: no grid point holds unless it was evaluated
+    bad = ~(margin <= 1e-9 * (1.0 + np.abs(bound)))
     witnesses = [((a, b), m) for a, b, m in zip(x[bad].tolist(), y[bad].tolist(),
                                                 margin[bad].tolist())]
     verdict = HOLDS if not witnesses else FAILS
@@ -425,7 +426,8 @@ def verify_lyapunov(fn, lam: float, coeffs: CoefficientSet,
 
     Holds-on-grid iff the max is <= ``_VERIFY_TOL`` at every grid point,
     with the jump integrals to ``_VERIFY_QUAD``.  A point whose
-    quadrature fails is skipped and listed under ``skipped``; with no witness
+    quadrature fails, or whose margin is NaN (coefficients that are NaN
+    there), is skipped and listed under ``skipped``; with no witness
     the verdict is then inconclusive, which does not hold.  Pairs
     (x, y) = (y + r, y) are scanned over y in ``_LYAPUNOV_Y`` for each r, so
     state dependence of the coefficients is exercised, not just the
@@ -449,11 +451,11 @@ def verify_lyapunov(fn, lam: float, coeffs: CoefficientSet,
     quad_notes = []
     for ri, yi, val, t, exc in zip(r.tolist(), y.tolist(), values.tolist(),
                                    target.tolist(), errors):
-        if exc is not None:
-            skipped.append((ri, yi))
-            quad_notes.append(f"r={ri:.4g},y={yi:.4g}: {exc}")
-            continue
         margin = val + t
+        if exc is not None or math.isnan(margin):
+            skipped.append((ri, yi))
+            quad_notes.append(f"r={ri:.4g},y={yi:.4g}: {exc or 'the margin is NaN'}")
+            continue
         if margin > worst:
             worst, worst_point = margin, (ri, yi)
         if margin > _VERIFY_TOL:

@@ -126,7 +126,6 @@ class CoefficientSet:
     gamma0: Callable
     gamma1: Optional[Callable]
     gamma2: Callable
-    gamma2_nondecreasing: bool = True
     gamma1_vanishes_at_zero: bool = True
     gamma2_vanishes_at_zero: bool = True
     name: str = ""
@@ -153,10 +152,11 @@ class CoefficientSet:
             raise ValidationError(f"gamma1(0) = {g1[0]} must vanish")
         if self.gamma2_vanishes_at_zero and abs(g2[0]) > tol:
             raise ValidationError(f"gamma2(0) = {g2[0]} must vanish")
-        if self.gamma2_nondecreasing:
-            scale = 1.0 + np.max(np.abs(g2))
-            if np.any(np.diff(g2) < -1e-9 * scale):
-                raise ValidationError("gamma2 must be non-decreasing on the validation grid")
+        # the coupling's partner marks on [0, gamma2(X)) and the reduced
+        # operator's (gamma2(x) - gamma2(y)) jump term both need it
+        scale = 1.0 + np.max(np.abs(g2))
+        if np.any(np.diff(g2) < -1e-9 * scale):
+            raise ValidationError("gamma2 must be non-decreasing on the validation grid")
         if isinstance(declared, numbers.Real):
             slope = float(declared)
             _check_gamma1_prime(self.gamma1, lambda x: np.full_like(x, slope), grid)
@@ -185,8 +185,9 @@ def cir_coefficients(b, c, d, diffusion="sqrt2c"):
     the same mean ODE dE[X]/dt = d - b E[X]; the discrepancy between the two
     parameterizations is deliberately left visible here.
     """
-    if b <= 0 or c <= 0 or d <= 0:
-        raise DomainError("CIR parameters b, c, d must be positive")
+    # "not 0 < v < inf" rejects NaN too, which fails every comparison
+    if not all(0 < v < math.inf for v in (b, c, d)):
+        raise DomainError("CIR parameters b, c, d must be positive and finite")
     if diffusion == "sqrt2c":
         amp = math.sqrt(2.0 * c)
     elif diffusion == "2c":
@@ -204,8 +205,10 @@ def cir_coefficients(b, c, d, diffusion="sqrt2c"):
 
 def logistic_coefficients(b1, b2, c1=0.0, c2=1.0):
     """Logistic branching coefficients gamma0 = b1 x - b2 x^2, gamma_i = c_i x."""
-    if b1 <= 0 or b2 <= 0 or c1 < 0 or c2 < 0:
-        raise DomainError("logistic parameters must be positive (c1, c2 nonnegative)")
+    if not (all(0 < v < math.inf for v in (b1, b2))
+            and all(0 <= v < math.inf for v in (c1, c2))):
+        raise DomainError("logistic parameters must be positive (c1, c2 nonnegative) "
+                          "and finite")
     return CoefficientSet(
         gamma0=lambda x: b1 * np.asarray(x, dtype=float) - b2 * np.asarray(x, dtype=float) ** 2,
         gamma1=None if c1 == 0 else (lambda x: c1 * np.asarray(x, dtype=float)),
@@ -430,6 +433,8 @@ class AbsolutelyContinuousMeasure(LevyMeasure):
     def __init__(self, density, upper=math.inf, decreasing=False, name="ac"):
         self._density = _as_vectorized(density)
         self.upper = float(upper)
+        if not self.upper > 0:
+            raise DomainError(f"upper = {self.upper} must be positive")
         self.density_decreasing = bool(decreasing)
         self.name = name
         self._inv_cdf_cache = {}
@@ -479,8 +484,9 @@ class StableTruncatedMeasure(AbsolutelyContinuousMeasure):
     def __init__(self, alpha, c0=1.0, zmax=1.0):
         if not 0.0 < alpha < 2.0:
             raise DomainError("stable index alpha must lie in (0, 2)")
-        if c0 <= 0 or zmax <= 0:
-            raise DomainError("c0 and zmax must be positive")
+        # zmax = inf is the untruncated measure
+        if not (0 < c0 < math.inf and zmax > 0):
+            raise DomainError("c0 must be positive and finite, zmax positive")
         self.alpha = float(alpha)
         self.c0 = float(c0)
         super().__init__(lambda z: c0 * np.asarray(z, dtype=float) ** (-1.0 - alpha),
@@ -516,8 +522,9 @@ class AtomicMeasure(LevyMeasure):
         masses = np.asarray(masses, dtype=float)
         if locations.shape != masses.shape or locations.ndim != 1:
             raise DomainError("locations and masses must be matching 1-d sequences")
-        if np.any(locations <= 0) or np.any(masses <= 0):
-            raise ValidationError("atom locations and masses must be strictly positive")
+        if not np.all((0 < locations) & (locations < math.inf)
+                      & (0 < masses) & (masses < math.inf)):
+            raise ValidationError("atom locations and masses must be positive and finite")
         order = np.argsort(locations)
         self.atom_locations = locations[order]
         self.atom_masses = masses[order]

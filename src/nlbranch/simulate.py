@@ -25,9 +25,11 @@ have not met.  ``simulate_starts`` runs several starts in one pass, and
 pair that meets gets its coalescence time and leaves the state, since after
 it Y moves with X, and the record times write Y = X before the unmet
 partners.  A crossed or repaired pair meets too, X alone moved to the midpoint.
-A path that blows up is flagged and set to NaN, and its NaN state alone
-keeps it out of every later step (the drift map, the clamp at 0 and the jump
-clocks all carry NaN through), so no other mask tracks it.
+A path that blows up (a value that is not finite, or above ``_STATE_CAP``)
+is set to NaN in both legs, and that NaN is the one record of it: the drift
+map, the clamp at 0 and the jump clocks carry it through, and a NaN gap
+never meets.  An ensemble's ``flagged`` is the NaN mask of the final state,
+which may lie past the last record time.
 
 Jumps above eps run on exact per-path clocks, the random time change of the
 modified next reaction method (Anderson 2007).  Each path carries the
@@ -55,11 +57,12 @@ k-path run, bit for bit.  The j-th partnered path to fire reads the j-th
 mark, from a slot of its own, so the X leg reads the same refills and sizes
 with or without a partner.
 Because streams are keyed, not consumed in sequence, a step reads only the
-streams it uses: the Gaussian one only when some unflagged path carries a
-diffusion term, and the event streams only on the rounds where some path
-jumps.  Each such round makes one contiguous ``_draws`` read per slot: the
-refills and sizes at the largest firing count of a start, the marks at the
-number of partnered firing paths.  A model built with ``gamma1=None`` has no
+streams it uses: the Gaussian one whenever the model has a diffusion part
+(a path whose sigma and Milstein coefficient are 0 adds +-0, which leaves
+its value as it is), and the event streams only on the rounds where some
+path jumps.  Each such round makes one contiguous ``_draws`` read per slot:
+the refills and sizes at the largest firing count of a start, the marks at
+the number of partnered firing paths.  A model built with ``gamma1=None`` has no
 diffusion term anywhere, so the kernel skips that work outright.
 
 A step does only the work that can change a value, and makes one pass per
@@ -73,11 +76,10 @@ pairs' crossing, repair, violation and meeting arithmetic, and its sign
 guards the negative-gap part; one minimum of S + dS skips the clamp at 0 on
 a step that leaves no value negative (exact, since the state never holds
 -0.0: starts enter as +0.0) and, unless it is NaN, the clocks' NaN mask;
-while no path is flagged the Brownian-draw test is two reductions; and the
-blow-up masks are built only on a step whose largest value fails
-``<= _STATE_CAP``.  For a gamma1' given as a number the Milstein term is one
-product on the draw's cross-section, added to each start's row, not a
-coefficient per path.  A partnered jump whose mark lies at or above
+and the blow-up mask is built only on a step whose largest value fails
+``<= _STATE_CAP``, as a NaN does.  For a gamma1' given as a number the
+Milstein term is one product on the draw's cross-section, added to each
+start's row, not a coefficient per path.  A partnered jump whose mark lies at or above
 gamma2(Y) selects row 4, where Y stays whatever rho is, so only the marks
 below gamma2(Y) read a gap and a row.  Their overlap ratios come from
 ``LevyMeasure.rho_pair``, which gives rho(-U, z) and rho(U, z) on those
@@ -152,6 +154,7 @@ class SimConfig:
             raise DomainError(f"unknown small-jump policy {self.small_jump_policy!r}")
         if self.coupling not in ("refined-basic", "synchronous"):
             raise DomainError(f"unknown coupling kind {self.coupling!r}")
+        self.resolved_record_times()
 
     def resolved_delta_c(self, x0):
         return self.delta_c if self.delta_c is not None else 1e-6 * (1.0 + x0)
@@ -161,7 +164,8 @@ class SimConfig:
             ts = np.asarray(sorted(set(float(t) for t in self.record_times)))
             if not ts.size:
                 raise DomainError("record times must not be empty")
-            if np.any(ts < 0) or ts[-1] > self.t_end * (1 + 1e-9):
+            # "not 0 <= t <= t_end" rejects NaN too, which no step would write
+            if not np.all((ts >= 0) & (ts <= self.t_end * (1 + 1e-9))):
                 raise DomainError("record times must lie in [0, t_end]")
             return ts
         return np.linspace(0.0, self.t_end, 11)
@@ -319,8 +323,6 @@ def _simulate(coeffs, nu, starts, y0, cfg):
     no_pairs = not coupled or x0 - y0 <= delta_c
     coal = np.full(n, 0.0 if no_pairs else math.inf)
     pair = np.arange(0 if no_pairs else n)
-    flagged = np.zeros(nx, dtype=bool)
-    any_flagged = False
     violations = 0
     repairs = 0
     max_hazard = np.zeros(n_starts)
@@ -399,22 +401,7 @@ def _simulate(coeffs, nu, starts, y0, cfg):
         """dS += sigma sqrt(h) xi + mil (xi^2 - 1) h, in that order; leaves
         sigma in sig_buf for the order bookkeeping."""
         m = S.size
-        # the Gaussian stream is read only when an unflagged path carries a
-        # diffusion term (a NaN term counts); a skipped draw shifts no other
-        # stream, and the terms it would feed are zero, so no value changes
-        # (also for a start whose paths carry none, while another start's
-        # do).  Flagged paths hold NaN and would keep the draw on forever
         sig = coeffs.sigma(S, out=sig_buf[:m])
-        mil = (0.25 * coeffs.gamma1_prime if linear else
-               np.multiply(coeffs.gamma1_prime(S), 0.25, out=mil_buf[:m]))
-        if any_flagged:
-            noisy = (sig != 0.0) | (mil != 0.0)
-            draw = np.any(noisy[:nx] & ~flagged) or np.any(noisy[nx:] & ~flagged[pair])
-        else:
-            # no flagged path: a nonzero (or NaN) term anywhere
-            draw = sig.any() or np.any(mil)
-        if not draw:
-            return
         xi = shared(_draws(cfg.seed, _SLOT_BROWNIAN, base, n, normal=True))
         dS += times_rows(np.multiply(sig, sqh, out=work[:m]), xi)
         # the Milstein term: a number times the draw's cross-section, added
@@ -423,10 +410,11 @@ def _simulate(coeffs, nu, starts, y0, cfg):
         q -= 1.0
         q *= h
         if linear:
-            q *= mil
+            q *= 0.25 * coeffs.gamma1_prime
             dS_rows = rows(dS)
             dS_rows += q
         else:
+            mil = np.multiply(coeffs.gamma1_prime(S), 0.25, out=mil_buf[:m])
             dS += times_rows(mil, q)
 
     if nu_eps > 0:
@@ -595,25 +583,24 @@ def _simulate(coeffs, nu, starts, y0, cfg):
                                        out=spare[:nx + pair.size])
                     live, spare = spare, live
 
-        # a pair blows up as a whole: a bad Y flags its path.  No value is
-        # -inf (the clamp sends it to 0, and jumps are finite), so one
-        # NaN-propagating maximum finds every non-finite or too large one; a
-        # flagged NaN fails it too
+        # a pair blows up as a whole: a bad Y sets its path to NaN too.  No
+        # value is -inf (the clamp sends it to 0, and jumps are finite), so
+        # one NaN-propagating maximum finds every non-finite or too large
+        # one; a NaN from an earlier step fails it too and is written again
         if not np.maximum.reduce(S) <= _STATE_CAP:
-            bad = ~np.isfinite(S) | (S > _STATE_CAP)
+            bad = ~(S <= _STATE_CAP)
             bad[pair[bad[nx:]]] = True
-            bad = bad[:nx] & ~flagged
-            if np.any(bad):
-                flagged |= bad
-                any_flagged = True
-                S[:nx][bad] = np.nan
-                S[nx:][bad[pair]] = np.nan
+            S[:nx][bad[:nx]] = np.nan
+            S[nx:][bad[pair]] = np.nan
         record(step)
 
     # a flagged path's NaN went through later steps' arithmetic, which may
     # set its sign bit; one bit pattern keeps ensemble files independent of it
     for snaps in (snaps_x, snaps_y) if coupled else (snaps_x,):
         snaps[np.isnan(snaps)] = np.nan
+    # a path is flagged by its final state, which may lie past the last
+    # record time
+    flagged = np.isnan(S[:nx])
     marginals = [dict(times=rec_times, X=snaps_x[k], x0=float(starts[k]),
                       flagged=flagged[k * n:(k + 1) * n], config=cfg.echo(),
                       max_step_hazard=float(max_hazard[k]))

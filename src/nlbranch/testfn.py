@@ -61,8 +61,9 @@ def phi1_zero():
 
 
 def phi1_linear(k1):
-    if k1 < 0:
-        raise DomainError("k1 must be nonnegative")
+    # "not 0 <= v < inf" rejects NaN too, which fails every comparison
+    if not 0 <= k1 < math.inf:
+        raise DomainError("k1 must be nonnegative and finite")
 
     def closed(theta):
         return lambda r: k1 * np.asarray(r, dtype=float) ** theta / theta
@@ -77,8 +78,8 @@ def phi1_linear(k1):
 
 def phi1_xlog(k1, l0):
     """Phi1(r) = k1 r log(4 l0 / r), the one-sided non-Lipschitz modulus."""
-    if k1 < 0 or l0 <= 0:
-        raise DomainError("k1 must be nonnegative and l0 positive")
+    if not (0 <= k1 < math.inf and 0 < l0 < math.inf):
+        raise DomainError("k1 must be nonnegative and l0 positive, both finite")
     L = lambda r: np.log(4.0 * l0 / np.asarray(r, dtype=float))
 
     def closed(theta):
@@ -101,8 +102,8 @@ def phi1_xlog(k1, l0):
 
 def phi1_log1p(b1):
     """Phi1(r) = b1 r log(1 + 1/r)."""
-    if b1 < 0:
-        raise DomainError("b1 must be nonnegative")
+    if not 0 <= b1 < math.inf:
+        raise DomainError("b1 must be nonnegative and finite")
 
     def value(r):
         r = np.asarray(r, dtype=float)
@@ -149,15 +150,15 @@ class Phi2:
 
 
 def phi2_linear(k2):
-    if k2 <= 0:
-        raise DomainError("k2 must be positive")
+    if not 0 < k2 < math.inf:
+        raise DomainError("k2 must be positive and finite")
     return Phi2(k2, 1.0)
 
 
 def phi2_power(coef, exponent):
     """Phi2(r) = coef * r**exponent; tail integrable iff exponent > 1."""
-    if coef <= 0 or exponent <= 0:
-        raise DomainError("coefficient and exponent must be positive")
+    if not all(0 < v < math.inf for v in (coef, exponent)):
+        raise DomainError("coefficient and exponent must be positive and finite")
     return Phi2(coef, exponent)
 
 
@@ -189,10 +190,10 @@ class DriftModulus:
     phi2: Optional[Phi2] = None
 
     def __post_init__(self):
-        if self.l0 <= 0:
-            raise DomainError("l0 must be positive")
-        if self.k2 is not None and self.k2 <= 0:
-            raise DomainError("k2 must be positive")
+        if not 0 < self.l0 < math.inf:
+            raise DomainError("l0 must be positive and finite")
+        if self.k2 is not None and not 0 < self.k2 < math.inf:
+            raise DomainError("k2 must be positive and finite")
         grid = np.logspace(math.log10(self.l0) - 8, math.log10(self.l0), 400)
         v = self.phi1.value(grid)
         if abs(float(self.phi1.value(np.asarray(0.0)))) > 1e-12:

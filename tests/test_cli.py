@@ -211,6 +211,9 @@ def with_line(ini, section, line):
     ("modulus", "phi1 = quadratic"),
     ("scenario", "checks = drift, noise, constants, lyapnov"),
     ("scenario", "try_strong = maybe"),
+    # gone: the coupling needs a nondecreasing gamma2, so nothing turns the
+    # check off
+    ("coefficients", "gamma2_nondecreasing = no"),
 ])
 def test_ini_unknown_key_is_config_error(tmp_path, capsys, section, line):
     # a misspelt or removed key, form, check name or boolean word would
@@ -223,6 +226,29 @@ def test_ini_unknown_key_is_config_error(tmp_path, capsys, section, line):
     assert code == 2
     err = capsys.readouterr().err
     assert repr(line.split()[0]) in err and f"[{section} mine]" in err
+
+
+CIR = "type = cir\nb = 1.0\nc = 1.0\nd = 1.0\n"
+
+
+@pytest.mark.parametrize("section, line", [
+    ("coefficients", "b = nan"),
+    ("measure", "c0 = nan"),
+    ("modulus", "k2 = nan"),
+    ("sim", "record_times = 0.0, nan, 0.5"),
+])
+def test_ini_nan_value_is_config_error(tmp_path, capsys, section, line):
+    # NaN fails every comparison: a NaN cir rate made the drift check hold
+    # on NaN margins, a NaN c0 a run without jumps, and a NaN record time a
+    # snapshot that no step wrote
+    ini = INI.replace("type = custom\ngamma0 = -x\ngamma1 = 0*x\ngamma2 = x\n", CIR)
+    cfg = tmp_path / "scen.ini"
+    cfg.write_text(with_line(ini, section, line))
+    for cmd in ("check", "couple", "simulate"):
+        code, out = run(tmp_path, cmd, "--scenario", "mine", "--config", str(cfg))
+        assert code == 2 and not out.exists()
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and f"[{section} mine]" in err
 
 
 def test_ini_missing_model_key_is_config_error(tmp_path, capsys):

@@ -168,6 +168,25 @@ def test_drift_condition_pure_growth_fails_with_witnesses():
     assert "witness" in rep.to_text()
 
 
+def nan_above_3():
+    """Linear branching whose drift is NaN above x = 3."""
+    def gamma0(x):
+        x = np.asarray(x, dtype=float)
+        return np.where(x > 3.0, np.nan, -x)
+
+    return CoefficientSet(gamma0=gamma0, gamma1=None,
+                          gamma2=lambda x: np.asarray(x, dtype=float))
+
+
+def test_drift_condition_fails_on_nan_margins():
+    # NaN fails every comparison, so a NaN margin once counted as holding
+    rep = check_drift_condition(nan_above_3(), DriftModulus(phi1=phi1_zero(), l0=1.0, k2=1.0))
+    assert rep.verdict == FAILS and math.isnan(rep.derived["worst_margin"])
+    assert rep.witnesses
+    for (x, y), margin in rep.witnesses:
+        assert x > 3.0 and math.isnan(margin)
+
+
 def test_noise_condition_a1_sqrt_diffusion():
     # gamma1 = x: (sqrt(x) + sqrt(y))^2 >= x - y with equality at y = 0
     coeffs = CoefficientSet(
@@ -316,6 +335,20 @@ def test_verify_lyapunov_skipped_point_is_inconclusive(case2, case2_assembled,
     assert rep.verdict == INCONCLUSIVE and not rep.holds
     assert rep.derived["skipped"] == [(float(grid[3]), 0.5)]
     assert "integrand refused" in rep.to_text()
+
+
+def test_verify_lyapunov_nan_margin_is_skipped(case2, case2_assembled):
+    # the points with y + r > 3 have a NaN drift: they are skipped, not held,
+    # and the others hold as on case2-stable, whose drift is -x
+    consts, psi = case2_assembled
+    grid = small_grid()
+    rep = verify_lyapunov(psi, consts.lam, nan_above_3(), case2.nu,
+                          case2.sim.kappa, r_grid=grid)
+    assert rep.verdict == INCONCLUSIVE and not rep.holds
+    assert rep.derived["skipped"] == [(r, y) for r in grid.tolist()
+                                      for y in generator._LYAPUNOV_Y if y + r > 3.0]
+    assert math.isfinite(rep.derived["max_margin"])
+    assert "the margin is NaN" in rep.to_text()
 
 
 def test_verify_lyapunov_all_points_skipped_reports_no_margin(case2, case2_assembled,

@@ -72,6 +72,42 @@ def test_coefficient_validation_rejects_bad_sets():
                        gamma2=lambda x: np.asarray(x, dtype=float))
 
 
+def test_gamma2_must_be_nondecreasing():
+    # the coupling's partner marks on [0, gamma2(X)) and the reduced
+    # operator's (gamma2(x) - gamma2(y)) jump term assume it, and no flag
+    # turns the check off: where gamma2(Y) > gamma2(X), a Y leg would jump at
+    # X's rate at most
+    x = lambda v: np.asarray(v, dtype=float)
+    with pytest.raises(ValidationError, match="gamma2 must be non-decreasing"):
+        CoefficientSet(gamma0=lambda v: -x(v), gamma1=x,
+                       gamma2=lambda v: 20.0 * x(v) * np.exp(-x(v)))
+    with pytest.raises(TypeError):
+        CoefficientSet(gamma0=lambda v: -x(v), gamma1=x, gamma2=x,
+                       gamma2_nondecreasing=False)
+
+
+NAN = math.nan
+
+
+@pytest.mark.parametrize("make", [
+    lambda: cir_coefficients(NAN, 1.0, 1.0),
+    lambda: cir_coefficients(1.0, 1.0, math.inf),
+    lambda: logistic_coefficients(1.0, NAN),
+    lambda: logistic_coefficients(1.0, 1.0, c1=NAN),
+    lambda: StableTruncatedMeasure(1.5, c0=NAN),
+    lambda: StableTruncatedMeasure(1.5, zmax=NAN),
+    lambda: AtomicMeasure([NAN, 1.0], [1.0, 1.0]),
+    lambda: AtomicMeasure([0.5, 1.0], [1.0, NAN]),
+    lambda: AbsolutelyContinuousMeasure(lambda z: z ** -1.5, upper=NAN),
+], ids=["cir-b", "cir-d-inf", "logistic-b2", "logistic-c1", "stable-c0",
+        "stable-zmax", "atomic-location", "atomic-mass", "ac-upper"])
+def test_nan_model_parameters_are_rejected(make):
+    # NaN fails every comparison, so "v <= 0" let it in: a NaN c0 made a
+    # measure whose tail mass is NaN, and a run without jumps
+    with pytest.raises((DomainError, ValidationError), match="positive"):
+        make()
+
+
 def test_declared_gamma1_prime_must_be_gamma1s_derivative():
     cir = cir_coefficients(1.0, 1.0, 1.0)
     amp = math.sqrt(2.0)

@@ -1,7 +1,9 @@
 import hashlib
+import importlib.util
 import math
 from collections import Counter
 from dataclasses import fields, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,6 +20,24 @@ from nlbranch.simulate import (CoupledEnsemble, SimConfig, ks_statistic,
                                simulate_starts, write_ensemble)
 
 STABLE15 = StableTruncatedMeasure(alpha=1.5, c0=1.0, zmax=1.0)
+SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+
+
+def _load_fingerprint():
+    spec = importlib.util.spec_from_file_location("kernel_fingerprint",
+                                                  SCRIPTS / "kernel_fingerprint.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+fingerprint = _load_fingerprint()
+
+
+def _digest(ens):
+    """The first 16 hex digits of the SHA-256 that
+    scripts/kernel_fingerprint.py prints for an ensemble."""
+    return fingerprint._digest(ens)[:16]
 
 
 def linear_branching():
@@ -142,6 +162,14 @@ def test_drift_overshooting_zero_ends_at_positive_zero():
         assert _digest(ens) == digest
     assert [_digest(ens) for ens in simulate_starts(coeffs, STABLE15, (1.0, 0.5), cfg)] \
         == ["d8a4884a4587c7f7", "c1b11ea090936b4e"]
+
+
+@pytest.mark.parametrize("bad", [math.nan, -0.1, 1.5, math.inf])
+def test_record_times_must_lie_in_zero_to_t_end(bad):
+    # no step writes the snapshot of a NaN record time: it would hold
+    # whatever memory the snapshot array was given
+    with pytest.raises(DomainError, match=r"record times must lie in \[0, t_end\]"):
+        SimConfig(t_end=1.0, record_times=[0.0, bad, 1.0])
 
 
 def test_sim_config_echo_roundtrips_record_times():
@@ -401,7 +429,7 @@ def test_boundary_clamps_to_zero():
     assert np.all(ens.X >= 0.0)
 
 
-def test_blow_up_paths_are_flagged(monkeypatch):
+def test_blow_up_paths_are_flagged():
     # every path blows up, with and without jumps; with them no clock is
     # left with an unflagged rate at all, and the run must still go on
     coeffs = CoefficientSet(
@@ -409,7 +437,6 @@ def test_blow_up_paths_are_flagged(monkeypatch):
         gamma1=lambda x: np.zeros_like(np.asarray(x, dtype=float)),
         gamma2=lambda x: np.asarray(x, dtype=float))
     cfg = SimConfig(h=1e-2, t_end=5.0, n_paths=4, seed=1)
-    calls = count_draws(monkeypatch)
     for nu in (None, STABLE15):
         single = simulate_single(coeffs, nu, 10.0, cfg)
         pair = simulate_coupled(coeffs, nu, 10.0, 5.0, cfg)
@@ -417,8 +444,24 @@ def test_blow_up_paths_are_flagged(monkeypatch):
             assert np.all(ens.flagged)
             assert np.all(np.isnan(ens.at(5.0)))
         assert np.all(np.isnan(pair.Y[-1]))
-    # no diffusion, and flagged paths (NaN) do not count as noise
-    assert calls[simulate._SLOT_BROWNIAN] == 0
+
+
+def test_blow_ups_after_the_last_record_time_are_flagged():
+    # the run goes on to t_end = 0.5 after its last record time 0.1, and the
+    # paths that blow up in between are flagged by their final state, though
+    # every value of their last snapshot is finite
+    x = lambda v: np.asarray(v, dtype=float)
+    coeffs = CoefficientSet(gamma0=lambda v: 4.0 * x(v) * (x(v) - 1.0), gamma1=x, gamma2=x)
+    cfg = SimConfig(h=1e-3, eps=0.1, t_end=0.5, n_paths=400, seed=20240811,
+                    record_times=(0.0, 0.1))
+    single = simulate_single(coeffs, STABLE15, 0.9, cfg)
+    pair = simulate_coupled(coeffs, STABLE15, 0.9, 0.45, cfg)
+    assert np.all(np.isfinite(single.X)) and np.all(np.isfinite(pair.X))
+    assert np.all(np.isfinite(pair.Y))
+    assert (int(np.count_nonzero(single.flagged)), _rows_digest(single.flagged)) == \
+        (89, "459dcd4f7ac2224d")
+    assert (int(np.count_nonzero(pair.flagged)), _rows_digest(pair.flagged)) == \
+        (104, "ba5fd5169ea879a0")
 
 
 def partial_blow_up(gamma2=lambda x: np.asarray(x, dtype=float)):
@@ -489,9 +532,9 @@ def test_a_nan_rate_takes_no_jump():
 
 
 def test_nan_sigma_at_a_finite_state_is_flagged_after_one_step(monkeypatch):
-    # gamma1 = x log^2 x is NaN at x = 0 (0 * inf).  The paths there are
-    # unflagged, so the first step draws and its NaN diffusion term flags
-    # them; after that no path is unflagged and the stream is not read again
+    # gamma1 = x log^2 x is NaN at x = 0 (0 * inf), so the first step's NaN
+    # diffusion term flags the paths there.  Their NaN changes no read: the
+    # Gaussian stream is read once per step
     def gamma1(x):
         x = np.asarray(x, dtype=float)
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -512,7 +555,7 @@ def test_nan_sigma_at_a_finite_state_is_flagged_after_one_step(monkeypatch):
         # gamma0 = -x flips the sign bit of a NaN; the ensemble stores one
         # NaN pattern whatever the arithmetic left
         assert np.all(ens.X[1:].view(np.uint64) == np.array(np.nan).view(np.uint64))
-    assert calls == {simulate._SLOT_BROWNIAN: 2}
+    assert calls == {simulate._SLOT_BROWNIAN: 2 * 10}
 
 
 def test_pure_jump_runs_skip_the_brownian_draw(monkeypatch):
@@ -866,19 +909,6 @@ def test_stacked_thinning_limits_stay_with_their_start(starts):
         assert (ens.max_step_hazard > simulate._MAX_EVENTS) == hit
 
 
-def _digest(ens):
-    """SHA-256 of every field of an ensemble (as scripts/kernel_fingerprint.py
-    hashes it), first 16 hex digits."""
-    sha = hashlib.sha256()
-    for name in sorted(f.name for f in fields(ens)):
-        val = getattr(ens, name)
-        if isinstance(val, np.ndarray):
-            sha.update(np.ascontiguousarray(val).tobytes())
-        else:
-            sha.update(repr(val).encode())
-    return sha.hexdigest()[:16]
-
-
 def test_steps_with_several_events_are_pinned():
     # at h = 0.05 the paths from 40 take dozens of jumps a step (gamma2 =
     # fmin(x, 50) gives a hazard of up to 51) and blow up or meet the event
@@ -902,21 +932,27 @@ def test_steps_with_several_events_are_pinned():
 # simulate_coupled at 400 paths and t_end = 0.5, each ensemble's _digest:
 # the partner rows (rho, the atom masses at the sizes, the marks) and the
 # pair bookkeeping of every jump preset under both small-jump policies, and
-# the synchronous coupling on one preset
+# the synchronous coupling on one preset.  The digests are those of the
+# committed scripts/kernel_fingerprint.txt
 COUPLED_PINS = [
-    ("case2-stable", "refined-basic", "drop-with-compensator", "b47142222e54e201"),
-    ("case2-stable", "refined-basic", "gaussian-compensation", "520a675308017fcb"),
-    ("case3-dyadic", "refined-basic", "drop-with-compensator", "465d70570e629f6e"),
-    ("case3-dyadic", "refined-basic", "gaussian-compensation", "3809ba67943e543a"),
-    ("logistic", "refined-basic", "drop-with-compensator", "900f759bd1e8595d"),
-    ("logistic", "refined-basic", "gaussian-compensation", "c4c18f0795ecd5a4"),
-    ("xlog-drift", "refined-basic", "drop-with-compensator", "00b1fa030a2e52e3"),
-    ("xlog-drift", "refined-basic", "gaussian-compensation", "f41e6797a2bbd65f"),
-    ("logistic", "synchronous", "drop-with-compensator", "6a35723d80c5b3f3"),
+    ("case2-stable", "refined-basic", "drop-with-compensator"),
+    ("case2-stable", "refined-basic", "gaussian-compensation"),
+    ("case3-dyadic", "refined-basic", "drop-with-compensator"),
+    ("case3-dyadic", "refined-basic", "gaussian-compensation"),
+    ("logistic", "refined-basic", "drop-with-compensator"),
+    ("logistic", "refined-basic", "gaussian-compensation"),
+    ("xlog-drift", "refined-basic", "drop-with-compensator"),
+    ("xlog-drift", "refined-basic", "gaussian-compensation"),
+    ("logistic", "synchronous", "drop-with-compensator"),
 ]
 
 
-@pytest.mark.parametrize("name, coupling, policy, digest", COUPLED_PINS)
+COMMITTED = {tuple(line.split()[:4]): line.split()[4] for line in
+             (SCRIPTS / "kernel_fingerprint.txt").read_text().splitlines()}
+
+
+@pytest.mark.parametrize("name, coupling, policy, digest",
+                         [(*pin, COMMITTED[(*pin, "coupled")][:16]) for pin in COUPLED_PINS])
 def test_coupled_ensembles_are_pinned(name, coupling, policy, digest):
     sc = load_scenario(name)
     cfg = replace(sc.sim, n_paths=400, t_end=0.5, record_times=None,
@@ -925,9 +961,9 @@ def test_coupled_ensembles_are_pinned(name, coupling, policy, digest):
 
 
 def test_stacked_start_without_diffusion_term(monkeypatch):
-    # gamma1 vanishes below 1 and the drift keeps a path from 0.5 there: run
-    # alone it never reads the Gaussian stream; stacked with a start at 3 it
-    # shares every draw, and the terms the draws feed are zero
+    # gamma1 vanishes below 1 and the drift keeps a path from 0.5 there: the
+    # terms the draws feed are zero, and stacked with a start at 3 it shares
+    # every draw.  Every run reads the Gaussian stream once per step
     coeffs = CoefficientSet(
         gamma0=lambda x: -np.asarray(x, dtype=float),
         gamma1=lambda x: np.maximum(np.asarray(x, dtype=float) - 1.0, 0.0),
@@ -935,9 +971,10 @@ def test_stacked_start_without_diffusion_term(monkeypatch):
     cfg = SimConfig(h=1e-2, t_end=0.5, n_paths=100, seed=5)
     calls = count_draws(monkeypatch)
     simulate_single(coeffs, None, 0.5, cfg)
-    assert calls[simulate._SLOT_BROWNIAN] == 0
+    assert calls == {simulate._SLOT_BROWNIAN: 50}
+    # the stacked run and the run from each start alone
     _stacked_equals_singles(coeffs, None, (3.0, 0.5), cfg)
-    assert calls[simulate._SLOT_BROWNIAN] > 0
+    assert calls == {simulate._SLOT_BROWNIAN: 4 * 50}
 
 
 def test_stacked_paths_do_not_depend_on_path_count():

@@ -622,6 +622,26 @@ def test_modulus_validation():
                         phi2=phi2_power(0.5, 2.0)).dissipation_rate() == 1.0
 
 
+@pytest.mark.parametrize("make", [
+    lambda: DriftModulus(phi1=phi1_zero(), l0=math.nan),
+    lambda: DriftModulus(phi1=phi1_zero(), l0=1.0, k2=math.nan),
+    lambda: DriftModulus(phi1=phi1_zero(), l0=1.0, k2=math.inf),
+    lambda: phi1_linear(math.nan),
+    lambda: phi1_xlog(math.nan, 1.0),
+    lambda: phi1_xlog(1.0, math.nan),
+    lambda: phi1_log1p(math.nan),
+    lambda: phi2_linear(math.nan),
+    lambda: phi2_power(math.nan, 2.0),
+    lambda: phi2_power(1.0, math.nan),
+], ids=["l0", "k2", "k2-inf", "linear-k1", "xlog-k1", "xlog-l0", "log1p-b1",
+        "phi2-linear-k2", "power-coef", "power-exponent"])
+def test_modulus_rejects_nan_parameters(make):
+    # NaN fails every comparison: a NaN k2 made a NaN drift bound, on
+    # which the drift check held
+    with pytest.raises(DomainError, match="finite"):
+        make()
+
+
 def test_psi_table_shape():
     g = build_g(modulus_for(phi1_zero()), THETA, 1.0)
     psi = build_psi(g, 0.5, 1.0, L0)
