@@ -24,20 +24,25 @@ on purpose regenerates it:
 
     PYTHONPATH=src python3 scripts/kernel_fingerprint.py > scripts/kernel_fingerprint.txt
 
-It also runs ``simulate_starts`` from (x0, y0) in one pass, and exits 1 (after
-a message on stderr) where that does not reproduce both single digests.
+It also runs ``simulate_starts`` from (x0, y0) in one pass, and writes each
+coupled ensemble with ``write_ensemble`` and reads it back; it exits 1 (after
+a message on stderr) where the stacked run does not reproduce both single
+digests, or where the file does not give back every field of the coupled
+ensemble.
 """
 
 import hashlib
+import os
 import sys
+import tempfile
 from dataclasses import fields, replace
 
 import numpy as np
 
 from nlbranch.config import PRESETS, load_scenario
 from nlbranch.model import CoefficientSet, StableTruncatedMeasure
-from nlbranch.simulate import (SimConfig, simulate_coupled, simulate_single,
-                               simulate_starts)
+from nlbranch.simulate import (SimConfig, read_ensemble, simulate_coupled,
+                               simulate_single, simulate_starts, write_ensemble)
 
 N_PATHS = 400
 T_END = 0.5
@@ -98,6 +103,27 @@ def _digest(ens):
     return sha.hexdigest()
 
 
+def _file_changes(ens):
+    """The names of the fields of ens that a write_ensemble / read_ensemble
+    round trip does not give back: arrays bit for bit, other values by
+    equality."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "pair.nlbe")
+        write_ensemble(path, ens)
+        back = read_ensemble(path)
+    changed = []
+    for f in fields(ens):
+        a, b = getattr(ens, f.name), getattr(back, f.name)
+        if isinstance(a, np.ndarray):
+            same = (a.dtype == b.dtype and a.shape == b.shape
+                    and a.tobytes() == b.tobytes())
+        else:
+            same = a == b
+        if not same:
+            changed.append(f.name)
+    return changed
+
+
 def run():
     code = 0
     for name, coeffs, nu, x0, y0, base in _cases():
@@ -107,6 +133,11 @@ def run():
                 tag = f"{name} {coupling} {policy}"
                 pair = simulate_coupled(coeffs, nu, x0, y0, cfg)
                 print(tag, "coupled", _digest(pair), flush=True)
+                changed = _file_changes(pair)
+                if changed:
+                    print(f"{tag}: the ensemble file changes {', '.join(changed)}",
+                          file=sys.stderr)
+                    code = 1
                 singles = [_digest(simulate_single(coeffs, nu, start, cfg))
                            for start in (x0, y0)]
                 print(tag, "single", singles[0], flush=True)

@@ -77,9 +77,12 @@ def cmd_check(args):
         lines.append(rep.to_text())
         ok &= rep.holds
 
+    # the strong-ergodicity branch is attempted exactly when the modulus has
+    # a Phi2
+    phi2 = sc.modulus.phi2 if sc.modulus is not None else None
     noise = None
     if sc.case and ("noise" in sc.checks or "constants" in sc.checks
-                    or sc.try_strong):
+                    or phi2 is not None):
         noise = noise_report(sc)
         lines.append(noise.to_text())
         ok &= noise.holds
@@ -103,9 +106,8 @@ def cmd_check(args):
         lines.append(rep.to_text())
         ok &= rep.holds
 
-    if sc.try_strong:
-        phi2 = sc.modulus.phi2 if sc.modulus is not None else None
-        if phi2 is None or not phi2.tail_convergent:
+    if phi2 is not None:
+        if not phi2.tail_convergent:
             lines.append("strong-ergodicity branch: rejected "
                          "(divergent tail integral of 1/Phi2)")
         elif sc.case != "A2":

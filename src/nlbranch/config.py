@@ -51,7 +51,6 @@ class Scenario:
     case: Optional[str] = None          # 'A1' or 'A2'
     variant: str = "w1"
     checks: Sequence[str] = _ALL_CHECKS
-    try_strong: bool = False
     expect_drift_failure: bool = False
 
     def __post_init__(self):
@@ -114,8 +113,7 @@ def _preset_cir(name="cir"):
         x0=2.0, y0=1.0,
         sim=SimConfig(h=1e-3, eps=0.1, t_end=2.0, n_paths=20000, seed=20240811,
                       coupling="synchronous", record_times=(0.0, 0.5, 1.0, 1.5, 2.0)),
-        checks=("drift", "noise", "constants"),
-        try_strong=True)   # attempted and expected to be rejected
+        checks=("drift", "noise", "constants"))
 
 
 def _preset_case2(name="case2-stable"):
@@ -194,8 +192,7 @@ def _preset_logistic(name="logistic"):
         x0=1.5, y0=0.5,
         sim=SimConfig(h=1e-3, eps=0.1, t_end=8.0, n_paths=10000, seed=20240811,
                       kappa=kappa, coupling="refined-basic",
-                      record_times=(0.0, 1.0, 2.0, 4.0, 8.0)),
-        try_strong=True)
+                      record_times=(0.0, 1.0, 2.0, 4.0, 8.0)))
 
 
 def _preset_xlog_drift(name="xlog-drift"):
@@ -249,8 +246,7 @@ def _preset_superexp(name="superexp"):
         x0=1.0, y0=0.5,
         sim=SimConfig(h=1e-4, eps=0.1, t_end=2.0, n_paths=2000, seed=20240811,
                       kappa=kappa, coupling="refined-basic",
-                      record_times=(0.0, 0.5, 1.0, 2.0)),
-        try_strong=True)
+                      record_times=(0.0, 0.5, 1.0, 2.0)))
 
 
 def _preset_nonergodic(name="nonergodic-diffusion"):
@@ -379,7 +375,7 @@ _SIM = {"h": float, "eps": float, "t_end": float, "n_paths": int, "seed": int,
         "small_jump_policy": str, "kappa": float, "coupling": str,
         "record_times": _floats}
 _SCENARIO = {"x0": float, "y0": float, "case": str, "variant": str,
-             "checks": _names, "try_strong": _boolean}
+             "checks": _names}
 # the case exponents; the noise check certifies the constants' k3 and C_star
 _PARAMS = {"alpha": float, "beta": float}
 

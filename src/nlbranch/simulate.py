@@ -10,7 +10,8 @@ number; a coefficient set that declares none, an INI ``custom`` one among
 them, takes the central difference of gamma1.  Small
 jumps are dropped together with their compensator (they form a martingale, so
 the mean is untouched); optionally a Gaussian term with the matching variance
-is added instead.  The coupled scheme drives the Brownian parts by reflection
+is added instead, whenever that variance is positive, whether or not nu has
+mass above eps.  The coupled scheme drives the Brownian parts by reflection
 (refined-basic) or synchronously, and assigns each jump of X to one of the
 four displacement rows of the refined basic coupling by a uniform mark thinned
 against the overlap ratio rho.
@@ -105,7 +106,7 @@ from .errors import DomainError, ValidationError
 from .model import CoefficientSet, LevyMeasure
 
 _MAGIC = b"NLBE"
-_VERSION = 2
+_VERSION = 3
 _MAX_EVENTS = 64    # a path that would jump more often in one step is flagged
 _STATE_CAP = 1e12   # beyond this a path is flagged as blown up
 # step k's streams sit at counter word k * _STEP_STRIDE; the stride keys
@@ -513,13 +514,13 @@ def _simulate(coeffs, nu, starts, y0, cfg):
             comp = np.multiply(g2, mean_eps, out=work[:m])
             comp *= h
             dS -= comp
-            if small_var > 0.0:
-                xi2 = shared(_draws(cfg.seed, _SLOT_GAUSS_COMP, base, n, normal=True))
-                term = np.multiply(g2, small_var, out=work[:m])
-                term *= h
-                np.maximum(term, 0.0, out=term)
-                np.sqrt(term, out=term)
-                dS += times_rows(term, xi2)
+        if small_var > 0.0:
+            xi2 = shared(_draws(cfg.seed, _SLOT_GAUSS_COMP, base, n, normal=True))
+            term = np.multiply(g2, small_var, out=work[:m])
+            term *= h
+            np.maximum(term, 0.0, out=term)
+            np.sqrt(term, out=term)
+            dS += times_rows(term, xi2)
         # S = max(S + dS, 0), in the buffer of dS.  The state never holds
         # -0.0 (starts are normalized, and no sum of values that are not
         # -0.0 gives it), so on a step whose smallest value is >= 0 the clamp
@@ -668,15 +669,16 @@ def ks_statistic(sample_a, sample_b) -> float:
 
 
 def _record_dtype(k):
-    """One path's record: id, seed, coalescence time and k (t, X, Y) triples,
-    packed little-endian."""
-    return np.dtype([("id", "<u8"), ("seed", "<u8"), ("coal", "<f8"),
+    """One path's record: id, flag (1 for a path the kernel flagged, else 0),
+    coalescence time and k (t, X, Y) triples, packed little-endian."""
+    return np.dtype([("id", "<u8"), ("flagged", "<u8"), ("coal", "<f8"),
                      ("txy", "<f8", (k, 3))])
 
 
 def write_ensemble(path, ens: CoupledEnsemble):
     """Binary record file: magic, version, JSON header, then one
-    ``_record_dtype`` record per path."""
+    ``_record_dtype`` record per path, with the kernel's flag, which no
+    snapshot gives back: a path may blow up after the last record time."""
     header = json.dumps({"config": ens.config, "x0": ens.x0, "y0": ens.y0,
                          "n_paths": int(ens.n_paths),
                          "times": [float(t) for t in ens.times],
@@ -686,7 +688,7 @@ def write_ensemble(path, ens: CoupledEnsemble):
                         sort_keys=True).encode()
     rec = np.empty(ens.n_paths, _record_dtype(ens.times.size))
     rec["id"] = np.arange(ens.n_paths)
-    rec["seed"] = int(ens.config.get("seed", 0))
+    rec["flagged"] = ens.flagged
     rec["coal"] = ens.coalescence
     rec["txy"][:, :, 0] = ens.times
     rec["txy"][:, :, 1] = ens.X.T
@@ -710,11 +712,10 @@ def read_ensemble(path) -> CoupledEnsemble:
         rec = np.fromfile(fh, _record_dtype(times.size), count=header["n_paths"])
     X = np.ascontiguousarray(rec["txy"][:, :, 1].T, dtype=float)
     Y = np.ascontiguousarray(rec["txy"][:, :, 2].T, dtype=float)
-    flagged = ~np.isfinite(X[-1]) | ~np.isfinite(Y[-1])
     return CoupledEnsemble(times=times, X=X, Y=Y, x0=header["x0"], y0=header["y0"],
                            coalescence=rec["coal"].astype(float),
                            order_violations=header["order_violations"],
                            order_repairs=header["order_repairs"],
-                           flagged=flagged, config=header["config"],
+                           flagged=rec["flagged"] != 0, config=header["config"],
                            max_step_hazard=header["max_step_hazard"])
 

@@ -210,6 +210,7 @@ def with_line(ini, section, line):
     ("measure", "type = stable"),
     ("modulus", "phi1 = quadratic"),
     ("scenario", "checks = drift, noise, constants, lyapnov"),
+    # gone: the strong branch is attempted exactly when the modulus has a Phi2
     ("scenario", "try_strong = maybe"),
     # gone: the coupling needs a nondecreasing gamma2, so nothing turns the
     # check off
@@ -226,6 +227,38 @@ def test_ini_unknown_key_is_config_error(tmp_path, capsys, section, line):
     assert code == 2
     err = capsys.readouterr().err
     assert repr(line.split()[0]) in err and f"[{section} mine]" in err
+
+
+def test_ini_bad_boolean_is_config_error(tmp_path, capsys):
+    # a boolean word outside yes/no, true/false, on/off and 1/0 would
+    # otherwise leave the default in place
+    cfg = tmp_path / "scen.ini"
+    cfg.write_text(INI.replace("type = stable_truncated\nalpha = 1.5\n",
+                               "type = custom\ndensity = z**-2.5\nupper = 1.0\n"
+                               "decreasing = maybe\n"))
+    with pytest.raises(ValidationError, match="bad value 'maybe' of 'decreasing'"):
+        load_scenario("mine", config_path=cfg)
+    code, _ = run(tmp_path, "check", "--scenario", "mine", "--config", str(cfg))
+    assert code == 2
+    assert "[measure mine]" in capsys.readouterr().err
+
+
+def test_ini_phi2_attempts_the_strong_branch(tmp_path, capsys):
+    # no key asks for the strong-ergodicity branch: a modulus with a Phi2
+    # attempts it, one without does not.  The drift and the modulus are
+    # superexp's
+    ini = (INI.replace("gamma0 = -x\n", "gamma0 = x - exp(x) + 1\n")
+           .replace("k2 = 1.0\n", "k2 = 0.5\n"))
+    cfg = tmp_path / "scen.ini"
+    cfg.write_text(ini)
+    code, _ = run(tmp_path, "check", "--scenario", "mine", "--config", str(cfg))
+    assert code == 0
+    assert "strong-ergodicity branch" not in capsys.readouterr().out
+    cfg.write_text(ini.replace("k2 = 0.5\n",
+                               "k2 = 0.5\nphi2 = power\ncoef = 0.5\nexponent = 2.0\n"))
+    code, _ = run(tmp_path, "check", "--scenario", "mine", "--config", str(cfg))
+    assert code == 0
+    assert "\nstrong-ergodicity branch: accepted (" in capsys.readouterr().out
 
 
 CIR = "type = cir\nb = 1.0\nc = 1.0\nd = 1.0\n"

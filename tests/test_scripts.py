@@ -2,6 +2,7 @@
 
 import importlib.util
 import json
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -86,6 +87,32 @@ def test_kernel_fingerprint_fails_when_stacking_differs(monkeypatch, capsys):
     # the blow-up model and the many-events model
     assert len(out.splitlines()) == 24
     assert err.count("simulate_starts differs from the single runs") == 8
+
+
+def test_kernel_fingerprint_fails_when_the_file_loses_flags(monkeypatch, capsys):
+    # records that stop at t = 0.1 of a run to t_end = 0.5: a reader that
+    # rebuilds the flags from the last snapshot loses the paths that blow up
+    # after it
+    script = load_script("kernel_fingerprint", monkeypatch)
+    blow_up = "blowup-jumps-diffusion"
+    monkeypatch.setattr(script, "PRESETS", {})
+    monkeypatch.setattr(script, "N_PATHS", 100)
+    monkeypatch.setattr(script, "BLOW_UPS", {blow_up: script.BLOW_UPS[blow_up]})
+    cases = script._cases
+    monkeypatch.setattr(script, "_cases", lambda: (
+        (*case[:5], replace(case[5], record_times=(0.0, 0.1))) for case in cases()))
+    read = script.read_ensemble
+
+    def read_last_snapshot(path):
+        ens = read(path)
+        return replace(ens, flagged=~np.isfinite(ens.X[-1]) | ~np.isfinite(ens.Y[-1]))
+
+    monkeypatch.setattr(script, "read_ensemble", read_last_snapshot)
+    assert script.run() == 1
+    err = capsys.readouterr().err.splitlines()
+    assert f"{blow_up} refined-basic drop-with-compensator: " \
+        "the ensemble file changes flagged" in err
+    assert all(line.endswith("the ensemble file changes flagged") for line in err)
 
 
 def test_bench_layers_tiny(tmp_path, monkeypatch, capsys):

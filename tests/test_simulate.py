@@ -13,6 +13,7 @@ from scipy import stats
 from nlbranch import simulate
 from nlbranch.config import PRESETS, load_scenario
 from nlbranch.errors import DomainError, ValidationError
+from nlbranch.estimate import w1_upper
 from nlbranch.model import (CoefficientSet, StableTruncatedMeasure,
                             cir_coefficients)
 from nlbranch.simulate import (CoupledEnsemble, SimConfig, ks_statistic,
@@ -446,14 +447,20 @@ def test_blow_up_paths_are_flagged():
         assert np.all(np.isnan(pair.Y[-1]))
 
 
-def test_blow_ups_after_the_last_record_time_are_flagged():
-    # the run goes on to t_end = 0.5 after its last record time 0.1, and the
-    # paths that blow up in between are flagged by their final state, though
-    # every value of their last snapshot is finite
+def late_blow_ups():
+    """(coeffs, cfg) of a partial blow-up whose run goes on to t_end = 0.5
+    after its last record time 0.1, so that some paths blow up after it."""
     x = lambda v: np.asarray(v, dtype=float)
     coeffs = CoefficientSet(gamma0=lambda v: 4.0 * x(v) * (x(v) - 1.0), gamma1=x, gamma2=x)
     cfg = SimConfig(h=1e-3, eps=0.1, t_end=0.5, n_paths=400, seed=20240811,
                     record_times=(0.0, 0.1))
+    return coeffs, cfg
+
+
+def test_blow_ups_after_the_last_record_time_are_flagged():
+    # the paths that blow up after the last record time are flagged by their
+    # final state, though every value of their last snapshot is finite
+    coeffs, cfg = late_blow_ups()
     single = simulate_single(coeffs, STABLE15, 0.9, cfg)
     pair = simulate_coupled(coeffs, STABLE15, 0.9, 0.45, cfg)
     assert np.all(np.isfinite(single.X)) and np.all(np.isfinite(pair.X))
@@ -462,6 +469,21 @@ def test_blow_ups_after_the_last_record_time_are_flagged():
         (89, "459dcd4f7ac2224d")
     assert (int(np.count_nonzero(pair.flagged)), _rows_digest(pair.flagged)) == \
         (104, "ba5fd5169ea879a0")
+
+
+def test_flags_survive_the_ensemble_file(tmp_path):
+    # the file keeps the kernel's flags: a path that blew up after the last
+    # record time stays flagged when read back, so W1 there stays the run's.
+    # Flags rebuilt from the last snapshot would number 0, and W1 read 0.5145
+    coeffs, cfg = late_blow_ups()
+    pair = simulate_coupled(coeffs, STABLE15, 0.9, 0.45, cfg)
+    path = tmp_path / "ens.nlbe"
+    write_ensemble(path, pair)
+    back = read_ensemble(path)
+    assert np.count_nonzero(back.flagged) == 104
+    assert np.array_equal(back.flagged, pair.flagged)
+    assert w1_upper(back, 0.1) == w1_upper(pair, 0.1)
+    assert w1_upper(pair, 0.1)[0] == pytest.approx(0.3104, abs=1e-4)
 
 
 def partial_blow_up(gamma2=lambda x: np.asarray(x, dtype=float)):
@@ -839,6 +861,29 @@ def test_gaussian_compensation_keeps_order(name):
     assert np.any(np.isfinite(ens.coalescence))
 
 
+def test_gaussian_compensation_without_jump_mass_above_eps():
+    # nu has no mass above eps (zmax = 0.05 < eps = 0.1), so no jump clock
+    # runs, yet the small jumps' Gaussian term, of variance
+    # gamma2(X) sigma_eps^2 h, still drives dX = -X dt + sqrt(sigma_eps^2 X) dW,
+    # whose Var X_1 from x0 = 1 is sigma_eps^2 e^-2 (e - 1)
+    nu = StableTruncatedMeasure(alpha=1.5, c0=1.0, zmax=0.05)
+    coeffs = CoefficientSet(gamma0=lambda x: -np.asarray(x, dtype=float), gamma1=None,
+                            gamma2=lambda x: np.asarray(x, dtype=float))
+    cfg = SimConfig(h=1e-3, eps=0.1, t_end=1.0, n_paths=4000, seed=20240811,
+                    small_jump_policy="gaussian-compensation")
+    assert nu.tail_mass(cfg.eps) == 0.0
+    x = simulate_single(coeffs, nu, 1.0, cfg).at(1.0)
+    exact = nu.trunc_second_moment(cfg.eps) * math.exp(-2.0) * math.expm1(1.0)
+    var = np.var(x)
+    se = math.sqrt((np.mean((x - x.mean()) ** 4) - var ** 2) / x.size)
+    assert abs(var - exact) < 4.0 * se
+    # the pair test counts the same term: a crossing it causes is a meeting,
+    # never an order violation
+    pair = simulate_coupled(coeffs, nu, 1.0, 0.5, cfg)
+    assert pair.order_violations == 0
+    assert np.any(np.isfinite(pair.coalescence))
+
+
 @pytest.mark.parametrize("name", ["cir", "case3-dyadic", "case2-stable", "logistic",
                                   "superexp"])
 def test_coupled_x_leg_is_the_marginal_run(name):
@@ -1067,16 +1112,18 @@ def test_ensemble_roundtrip(tmp_path):
 
 def test_read_ensemble_rejects_version_1(tmp_path):
     # version 1 files carry the counters of an earlier jump scheme in place
-    # of max_step_hazard
+    # of max_step_hazard, and versions 1 and 2 a header seed in place of
+    # the kernel's flags, which cannot be rebuilt from the record times
     cfg = SimConfig(h=1e-2, eps=0.1, t_end=0.1, n_paths=5, seed=4)
     path = tmp_path / "ens.nlbe"
     write_ensemble(path, simulate_coupled(linear_branching(), STABLE15, 1.0, 0.5, cfg))
     data = bytearray(path.read_bytes())
-    assert int.from_bytes(data[4:8], "little") == simulate._VERSION == 2
-    data[4:8] = (1).to_bytes(4, "little")
-    path.write_bytes(bytes(data))
-    with pytest.raises(ValidationError, match="version 1"):
-        read_ensemble(path)
+    assert int.from_bytes(data[4:8], "little") == simulate._VERSION == 3
+    for version in (1, 2):
+        data[4:8] = version.to_bytes(4, "little")
+        path.write_bytes(bytes(data))
+        with pytest.raises(ValidationError, match=f"unsupported ensemble version {version}"):
+            read_ensemble(path)
 
 
 def test_read_ensemble_rejects_bad_magic(tmp_path):
