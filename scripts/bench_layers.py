@@ -133,8 +133,7 @@ def _generator_layers(calls):
     for name in LYAPUNOV_PRESETS:
         sc = load_scenario(name)
         constants, fn = assemble_scenario(sc, sc.variant, noise_report(sc))
-        grid = lambda: verify_lyapunov(fn, constants.lam, sc.coeffs, sc.nu, sc.sim.kappa,
-                                       r_grid=np.logspace(-3, 1, 60))
+        grid = lambda: verify_lyapunov(fn, constants.lam, sc.coeffs, sc.nu, sc.sim.kappa)
         out[f"lyapunov_grid_ms.{name}"] = 1e-3 * _median_us(grid, min(calls, GRID_CALLS))
         if name == "case2-stable":
             out["coupling_L_us"] = _median_us(

@@ -101,8 +101,7 @@ def cmd_check(args):
             ok = False
 
     if "lyapunov" in sc.checks and constants is not None:
-        rep = verify_lyapunov(fn, constants.lam, sc.coeffs, sc.nu, sc.sim.kappa,
-                              r_grid=np.logspace(-3, 1, 60))
+        rep = verify_lyapunov(fn, constants.lam, sc.coeffs, sc.nu, sc.sim.kappa)
         lines.append(rep.to_text())
         ok &= rep.holds
 

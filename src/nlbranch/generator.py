@@ -30,6 +30,7 @@ INCONCLUSIVE = "inconclusive"   # some grid points could not be evaluated
 
 _VERIFY_TOL = 1e-6
 _LYAPUNOV_Y = (0.0, 0.5, 2.0)
+_LYAPUNOV_R = np.logspace(-3, 1, 60)
 # the interpolated test functions carry interpolation error ~1e-9; asking the
 # integrator for more than that only produces refusals
 _VERIFY_QUAD = QuadratureSpec(atol=1e-9, rtol=1e-7)
@@ -129,14 +130,13 @@ def _L(f, r, drift, var, rate, nu, q, extra=0.0):
     return out, errors
 
 
-def apply_L(f, x: float, coeffs: CoefficientSet, nu: LevyMeasure,
-            q: QuadratureSpec = DEFAULT_QUAD) -> float:
+def apply_L(f, x: float, coeffs: CoefficientSet, nu: LevyMeasure) -> float:
     """L f(x) within quadrature tolerance."""
     if x < 0:
         raise DomainError("the state space is [0, oo)")
     x = np.array([x], dtype=float)
     return _one(_L(f, x, _on(coeffs.gamma0, x), _on(coeffs.gamma1, x),
-                   _on(coeffs.gamma2, x), nu, q))
+                   _on(coeffs.gamma2, x), nu, DEFAULT_QUAD))
 
 
 def _coupling_L(f, x, y, r, coeffs: CoefficientSet, nu: LevyMeasure,
@@ -194,8 +194,7 @@ def apply_coupling_L(f, x: float, y: float, coeffs: CoefficientSet,
 
 
 def apply_synchronous_L(f, x: float, y: float, coeffs: CoefficientSet,
-                        nu: LevyMeasure,
-                        q: QuadratureSpec = DEFAULT_QUAD) -> float:
+                        nu: LevyMeasure) -> float:
     """Synchronous-coupling difference operator: no overlap bracket, common
     jumps cancel in the difference, and both coordinates share the noise."""
     if x <= y:
@@ -203,12 +202,12 @@ def apply_synchronous_L(f, x: float, y: float, coeffs: CoefficientSet,
     x, y = np.array([x], dtype=float), np.array([y], dtype=float)
     return _one(_L(f, x - y, _on(coeffs.gamma0, x) - _on(coeffs.gamma0, y),
                    (_on(coeffs.sigma, x) - _on(coeffs.sigma, y)) ** 2,
-                   _on(coeffs.gamma2, x) - _on(coeffs.gamma2, y), nu, q))
+                   _on(coeffs.gamma2, x) - _on(coeffs.gamma2, y), nu,
+                   DEFAULT_QUAD))
 
 
 def apply_coupling_L_sum(f, g, x: float, y: float, coeffs: CoefficientSet,
                          nu: LevyMeasure, kappa: float,
-                         q: QuadratureSpec = DEFAULT_QUAD,
                          synchronous: bool = False) -> float:
     """Full coupling operator applied to h(x, y) = f(x) + g(y).
 
@@ -219,7 +218,7 @@ def apply_coupling_L_sum(f, g, x: float, y: float, coeffs: CoefficientSet,
     """
     if x < y:
         # the construction is symmetric; swap roles
-        return apply_coupling_L_sum(g, f, y, x, coeffs, nu, kappa, q,
+        return apply_coupling_L_sum(g, f, y, x, coeffs, nu, kappa,
                                     synchronous=synchronous)
     g0x, g0y = _at(coeffs.gamma0, x), _at(coeffs.gamma0, y)
     g1x, g1y = _at(coeffs.gamma1, x), _at(coeffs.gamma1, y)
@@ -237,7 +236,7 @@ def apply_coupling_L_sum(f, g, x: float, y: float, coeffs: CoefficientSet,
            + (float(zsf[0]), float(zsg[0])))
 
     def jumps(integrand, points=pts):
-        return _one(nu.integrate(integrand, [points], q))
+        return _one(nu.integrate(integrand, [points], DEFAULT_QUAD))
 
     if synchronous or u == 0.0:
         common = min(g2x, g2y)
@@ -419,7 +418,7 @@ def check_noise_conditions(coeffs: CoefficientSet, nu: Optional[LevyMeasure],
 
 
 def verify_lyapunov(fn, lam: float, coeffs: CoefficientSet,
-                    nu: Optional[LevyMeasure], kappa: float, r_grid=None,
+                    nu: Optional[LevyMeasure], kappa: float, r_grid=_LYAPUNOV_R,
                     mode: str = "contraction") -> ConditionReport:
     """Report max over the grid of (L-tilde f + lambda f) (mode 'contraction')
     or (L-tilde f + lambda) (mode 'uniform', the strong-ergodicity target).
@@ -435,9 +434,9 @@ def verify_lyapunov(fn, lam: float, coeffs: CoefficientSet,
     with the coefficients taken at y + r and y.  The points are evaluated
     together: each distinct r's jump integral is one quadrature group,
     shared by its y values, in chunks of about 1e4 integrand nodes per call.
+    The default r grid, ``_LYAPUNOV_R``, is the 60 log-spaced points on
+    [1e-3, 10] that ``nlbranch check`` scans.
     """
-    if r_grid is None:
-        r_grid = np.logspace(-3, 1, 200)
     r_grid = np.asarray(r_grid, dtype=float)
     r = np.repeat(r_grid, len(_LYAPUNOV_Y))
     y = np.tile(_LYAPUNOV_Y, r_grid.size)
@@ -475,7 +474,7 @@ def verify_lyapunov(fn, lam: float, coeffs: CoefficientSet,
 # the two counterexample computations
 
 
-def invariant_density_residual(f, q: QuadratureSpec = DEFAULT_QUAD) -> float:
+def invariant_density_residual(f) -> float:
     """int_0^oo (x^2 f'' - x^2 f') x^-2 e^-x dx = int_0^oo (f'' - f') e^-x dx
     for the non-ergodic diffusion with drift -x^2 and variance 2 x^2.
 
@@ -485,20 +484,18 @@ def invariant_density_residual(f, q: QuadratureSpec = DEFAULT_QUAD) -> float:
     if abs(float(f.d1(0.0))) > 1e-8:
         raise DomainError("the residual identity needs f'(0) = 0")
     return integrate_interval(lambda x: (f.d2(x) - f.d1(x)) * np.exp(-x),
-                              0.0, math.inf, q)
+                              0.0, math.inf)
 
 
-def invariant_measure_mass(delta: float,
-                           q: QuadratureSpec = DEFAULT_QUAD) -> float:
+def invariant_measure_mass(delta: float) -> float:
     """int_delta^oo x^-2 e^-x dx = e^-delta / delta - E1(delta), the mass of
     the candidate invariant density above delta.  delta times it increases to
     1 as delta -> 0, so the total mass is infinite; over (0, oo) the integral
     diverges and raises QuadratureError."""
-    return integrate_interval(lambda x: np.exp(-x) / (x * x), delta, math.inf, q)
+    return integrate_interval(lambda x: np.exp(-x) / (x * x), delta, math.inf)
 
 
-def cir_expected_hitting_time(x: float, b: float, c: float, d: float,
-                              q: QuadratureSpec = DEFAULT_QUAD) -> float:
+def cir_expected_hitting_time(x: float, b: float, c: float, d: float) -> float:
     """Expected time for the mean-reverting square-root process to hit 1 from
     x >= 1:
 
@@ -524,4 +521,4 @@ def cir_expected_hitting_time(x: float, b: float, c: float, d: float,
         return (np.expm1(-z) - np.expm1(-x * z)) / (b * z + c * z * z) \
             * (1.0 + c * z / b) ** dc
 
-    return integrate_interval(integrand, 0.0, math.inf, q)
+    return integrate_interval(integrand, 0.0, math.inf)

@@ -130,7 +130,6 @@ class SimConfig:
     n_paths: int = 1000
     seed: int = 0
     small_jump_policy: str = "drop-with-compensator"
-    delta_c: Optional[float] = None   # default 1e-6 * (1 + x0) at run time
     kappa: float = 0.5
     coupling: str = "refined-basic"
     record_times: Optional[Sequence[float]] = None
@@ -148,17 +147,12 @@ class SimConfig:
             raise DomainError("need at least one path")
         if not 0 < self.kappa < math.inf:
             raise DomainError("kappa must be positive and finite")
-        if self.delta_c is not None and not 0 < self.delta_c < math.inf:
-            raise DomainError("coalescence threshold must be positive and finite")
         if self.small_jump_policy not in ("drop-with-compensator",
                                           "gaussian-compensation"):
             raise DomainError(f"unknown small-jump policy {self.small_jump_policy!r}")
         if self.coupling not in ("refined-basic", "synchronous"):
             raise DomainError(f"unknown coupling kind {self.coupling!r}")
         self.resolved_record_times()
-
-    def resolved_delta_c(self, x0):
-        return self.delta_c if self.delta_c is not None else 1e-6 * (1.0 + x0)
 
     def resolved_record_times(self):
         if self.record_times is not None:
@@ -304,9 +298,9 @@ def _simulate(coeffs, nu, starts, y0, cfg):
     (refined-basic) or shared (synchronous) ones of its path; X jumps at the
     dominating rate gamma2(X) nu((eps, oo)), and each of its jumps is assigned
     to a displacement row of Y by a uniform mark on [0, gamma2(X)) using the
-    overlap ratio rho at the current gap.  Once the gap falls within delta_c
-    the pair gets its coalescence time and leaves the state: from then on Y
-    is X.
+    overlap ratio rho at the current gap.  Once the gap falls within
+    delta_c = 1e-6 (1 + x0) the pair gets its coalescence time and leaves the
+    state: from then on Y is X.
     Returns one ensemble per start: a ``CoupledEnsemble`` with a partner, else
     ``SingleEnsemble``s.
     """
@@ -319,7 +313,7 @@ def _simulate(coeffs, nu, starts, y0, cfg):
     n_steps, rec_times, rec_steps = _record_plan(cfg)
 
     x0 = starts[0]
-    delta_c = cfg.resolved_delta_c(x0)
+    delta_c = 1e-6 * (1.0 + x0)
     # without a partner, or with one within delta_c, no pair is left to meet
     no_pairs = not coupled or x0 - y0 <= delta_c
     coal = np.full(n, 0.0 if no_pairs else math.inf)

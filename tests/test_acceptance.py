@@ -63,11 +63,11 @@ def test_criterion_1_cir_exact_w1_rate(cir_rate_ens, capsys):
 
 def test_criterion_2_lyapunov_grid(case2, case2_assembled, capsys):
     """Contraction inequality for the linear-branching stable instance on the
-    default 200-point log grid."""
+    200-point log grid on [1e-3, 10]."""
     consts, psi = case2_assembled
     assert consts.lam > 0
     rep = verify_lyapunov(psi, consts.lam, case2.coeffs, case2.nu,
-                          case2.sim.kappa)
+                          case2.sim.kappa, r_grid=np.logspace(-3, 1, 200))
     assert rep.holds, rep.to_text()
     assert rep.derived["max_margin"] <= 1e-6
     report(capsys, "criterion 2 PASS: Lyapunov holds-on-grid "

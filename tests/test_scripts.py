@@ -9,7 +9,7 @@ import numpy as np
 
 import nlbranch
 from nlbranch import generator
-from nlbranch.config import PRESETS
+from nlbranch.config import PRESETS, load_scenario
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 TRACER = SCRIPTS.parent / "perfbench" / "tracer.py"
@@ -113,6 +113,22 @@ def test_kernel_fingerprint_fails_when_the_file_loses_flags(monkeypatch, capsys)
     assert f"{blow_up} refined-basic drop-with-compensator: " \
         "the ensemble file changes flagged" in err
     assert all(line.endswith("the ensemble file changes flagged") for line in err)
+
+
+def test_kernel_fingerprint_hashes_outputs_not_the_config_echo(monkeypatch):
+    # a config-only edit (a field added, dropped or renamed) moves no digest;
+    # a value the kernel computed does
+    script = load_script("kernel_fingerprint", monkeypatch)
+    sc = load_scenario("case2-stable")
+    cfg = replace(sc.sim, n_paths=20, t_end=0.05, record_times=None)
+    ens = script.simulate_coupled(sc.coeffs, sc.nu, sc.x0, sc.y0, cfg)
+    digest = script._digest(ens)
+    assert script._digest(replace(ens, config={**ens.config, "extra": None})) == digest
+    assert script._digest(replace(ens, config={})) == digest
+    X = ens.X.copy()
+    X[-1, 0] = np.nextafter(X[-1, 0], np.inf)
+    assert script._digest(replace(ens, X=X)) != digest
+    assert script._digest(replace(ens, order_repairs=ens.order_repairs + 1)) != digest
 
 
 def test_bench_layers_tiny(tmp_path, monkeypatch, capsys):

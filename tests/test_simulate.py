@@ -90,7 +90,7 @@ def test_sim_config_validation():
     with pytest.raises(DomainError):
         SimConfig(h=1.0, t_end=0.4)
     # NaN fails every comparison, so each value is tested for finiteness too
-    for key in ("h", "eps", "t_end", "kappa", "delta_c"):
+    for key in ("h", "eps", "t_end", "kappa"):
         for bad in (math.nan, math.inf):
             with pytest.raises(DomainError, match="finite"):
                 SimConfig(**{key: bad})
@@ -146,15 +146,16 @@ def test_drift_overshooting_zero_ends_at_positive_zero():
     # a path at 0 meets the Milstein term (xi^2 - 1) h / 4 of gamma1' = 1:
     # the clamp sets these to +0.0 on the steps it runs, and the steps that
     # skip it hold no -0.0.  The digests are those of the kernel that
-    # clamped on every step
+    # clamped on every step.  Both legs reach 0 in the first step, where the
+    # pairs meet, so the two couplings give one ensemble
     coeffs = CoefficientSet(
         gamma0=lambda x: -1500.0 * np.asarray(x, dtype=float),
         gamma1=lambda x: np.asarray(x, dtype=float),
         gamma2=lambda x: 1.0 + 0.0 * np.asarray(x, dtype=float),
         gamma2_vanishes_at_zero=False, gamma1_prime=1.0)
     cfg = SimConfig(h=1e-3, eps=0.1, t_end=0.2, n_paths=300, seed=11)
-    for coupling, digest in (("refined-basic", "d0c0c17f91a9311a"),
-                             ("synchronous", "9f6f13743dd2dd07")):
+    for coupling, digest in (("refined-basic", "2be1e05b85a3d357"),
+                             ("synchronous", "2be1e05b85a3d357")):
         ens = simulate_coupled(coeffs, STABLE15, 1.0, 0.5, replace(cfg, coupling=coupling))
         values = np.concatenate((ens.X[1:], ens.Y[1:]))
         zeros = values[values == 0.0]
@@ -162,7 +163,7 @@ def test_drift_overshooting_zero_ends_at_positive_zero():
         assert not np.any(np.signbit(zeros))
         assert _digest(ens) == digest
     assert [_digest(ens) for ens in simulate_starts(coeffs, STABLE15, (1.0, 0.5), cfg)] \
-        == ["d8a4884a4587c7f7", "c1b11ea090936b4e"]
+        == ["c16dae962385c593", "90f71d71243c7dda"]
 
 
 @pytest.mark.parametrize("bad", [math.nan, -0.1, 1.5, math.inf])
@@ -177,8 +178,19 @@ def test_sim_config_echo_roundtrips_record_times():
     cfg = SimConfig(t_end=2.0, record_times=[0.0, 1.0, 2.0])
     echo = cfg.echo()
     assert echo["record_times"] == [0.0, 1.0, 2.0]
-    assert cfg.resolved_delta_c(1.0) == pytest.approx(2e-6)
-    assert SimConfig(delta_c=1e-4).resolved_delta_c(1.0) == 1e-4
+
+
+@pytest.mark.parametrize("gap, met", [(1.9e-6, True), (2.1e-6, False)])
+def test_pairs_within_the_coalescence_threshold_meet_at_once(gap, met):
+    # the kernel's threshold is 1e-6 (1 + x0): 2e-6 from x0 = 1
+    cfg = SimConfig(h=1e-2, eps=0.1, t_end=0.1, n_paths=50, seed=4)
+    ens = simulate_coupled(linear_branching(), STABLE15, 1.0, 1.0 - gap, cfg)
+    if met:
+        assert np.all(ens.coalescence == 0.0)
+        assert np.array_equal(ens.Y, ens.X)
+    else:
+        assert np.all(ens.coalescence > 0.0)
+        assert np.all(ens.Y[0] == 1.0 - gap)
 
 
 # ---------------------------------------------------------------------------
@@ -966,9 +978,9 @@ def test_steps_with_several_events_are_pinned():
     pair = simulate_coupled(coeffs, STABLE15, 40.0, 0.01, cfg)
     for ens in stacked + (pair,):
         assert np.all(np.isnan(ens.X[-1][ens.flagged]))
-    pinned = [(51.03796100280632, 100, "66fa14718c8d5fe5"),
-              (0.005979324086911873, 0, "5787c2061e49c4dc"),
-              (51.03796100280632, 100, "4be7b8f10bbbe372")]
+    pinned = [(51.03796100280632, 100, "7781335614850979"),
+              (0.005979324086911873, 0, "9a9adee8de40e27d"),
+              (51.03796100280632, 100, "be50a2c1284a4b14")]
     for ens, pin in zip(stacked + (pair,), pinned):
         assert (ens.max_step_hazard, int(np.count_nonzero(ens.flagged)),
                 _digest(ens)) == pin
@@ -996,8 +1008,11 @@ COMMITTED = {tuple(line.split()[:4]): line.split()[4] for line in
              (SCRIPTS / "kernel_fingerprint.txt").read_text().splitlines()}
 
 
+# each id is the tag of the fingerprint line without its digest, so that a
+# re-pin renames no test
 @pytest.mark.parametrize("name, coupling, policy, digest",
-                         [(*pin, COMMITTED[(*pin, "coupled")][:16]) for pin in COUPLED_PINS])
+                         [(*pin, COMMITTED[(*pin, "coupled")][:16]) for pin in COUPLED_PINS],
+                         ids=["-".join((*pin, "coupled")) for pin in COUPLED_PINS])
 def test_coupled_ensembles_are_pinned(name, coupling, policy, digest):
     sc = load_scenario(name)
     cfg = replace(sc.sim, n_paths=400, t_end=0.5, record_times=None,
@@ -1050,7 +1065,7 @@ def test_synchronous_coupling_shares_noise():
         gamma2=lambda x: np.zeros_like(np.asarray(x, dtype=float)),
         gamma1_vanishes_at_zero=False)
     cfg = SimConfig(h=1e-3, t_end=1.0, n_paths=50, seed=9,
-                    coupling="synchronous", delta_c=1e-12)
+                    coupling="synchronous")
     ens = simulate_coupled(coeffs, None, 20.0, 19.0, cfg)
     gap = ens.gap_at(1.0)
     alivemask = ~np.isfinite(ens.coalescence)
