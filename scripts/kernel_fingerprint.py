@@ -1,21 +1,30 @@
 #!/usr/bin/env python3
-"""Print one SHA-256 per simulator configuration, to compare kernels bit for bit.
+"""Print one SHA-256 per distinct simulator ensemble, to compare kernels bit for bit.
 
 Runs ``simulate_coupled`` from (x0, y0) and ``simulate_single`` from x0 and
 from y0 (simulator ``single-y0``) on every bundled preset, on the partial
 blow-up models of ``BLOW_UPS`` and on ``MANY_EVENTS``, whose steps take
 several jumps each and whose paths from x0 sometimes meet the event bound,
-under both couplings and both small-jump policies, with 400 paths and
-t_end = min(t_end, 0.5).  Each output line is
+with 400 paths and t_end = min(t_end, 0.5).  Each output line is
 
     <case> <coupling> <small-jump policy> <simulator> <sha256>
 
-where the hash covers what the kernel computes: the raw bytes of every
-array of the ensemble (paths, coalescence times, flags) and the values of
-its counters and starts.  The ``config`` echo is not hashed, so an edit that
+and each ensemble the kernel computes differently is run and printed once:
+the coupled run under both couplings and both small-jump policies, the
+single runs once per policy, since a run without a partner reads no
+coupling.  A ``-`` stands in a field the kernel does not read: the coupling
+of a single run, and the policy of a case without a Levy measure, whose
+small jumps are none.  The ``cir-rate`` preset is left out: it is ``cir``
+with more paths, which the 400-path override makes ``cir`` line for line.
+``blowup-zero-gamma1`` prints the lines of ``blowup-jumps`` on purpose, as
+the witness that a zero gamma1 adds only +-0.
+
+The hash covers what the kernel computes: the raw bytes of every array of
+the ensemble (paths, coalescence times, flags) and the values of its
+counters and starts.  The ``config`` echo is not hashed, so an edit that
 only adds, drops or renames a ``SimConfig`` field moves no line.  Two source
 trees give the same ensembles exactly when their outputs are equal, so
-`diff` of two runs names every configuration a kernel change moved:
+`diff` of two runs names every ensemble a kernel change moved:
 
     PYTHONPATH=src python3 scripts/kernel_fingerprint.py > after.txt
 
@@ -26,11 +35,11 @@ on purpose regenerates it:
 
     PYTHONPATH=src python3 scripts/kernel_fingerprint.py > scripts/kernel_fingerprint.txt
 
-It also runs ``simulate_starts`` from (x0, y0) in one pass, and writes each
-coupled ensemble with ``write_ensemble`` and reads it back; it exits 1 (after
-a message on stderr) where the stacked run does not reproduce both single
-digests, or where the file does not give back every field of the coupled
-ensemble.
+It also runs ``simulate_starts`` from (x0, y0) in one pass next to the
+single runs, and writes each coupled ensemble with ``write_ensemble`` and
+reads it back; it exits 1 (after a message on stderr) where the stacked run
+does not reproduce both single digests, or where the file does not give
+back every field of the coupled ensemble.
 """
 
 import hashlib
@@ -48,6 +57,8 @@ from nlbranch.simulate import (SimConfig, read_ensemble, simulate_coupled,
 
 N_PATHS = 400
 T_END = 0.5
+COUPLINGS = ("refined-basic", "synchronous")
+POLICIES = ("drop-with-compensator", "gaussian-compensation")
 
 
 def _x(x):
@@ -77,9 +88,11 @@ MANY_EVENTS = dict(gamma0=lambda x: -8.0 * _x(x), gamma1=None,
 
 
 def _cases():
-    """(name, coeffs, nu, x0, y0, cfg) for every preset, blow-up model and
-    the many-events model, in that order."""
+    """(name, coeffs, nu, x0, y0, cfg) for every preset but ``cir-rate``,
+    blow-up model and the many-events model, in that order."""
     for name in sorted(PRESETS):
+        if name == "cir-rate":
+            continue
         sc = load_scenario(name)
         cfg = replace(sc.sim, n_paths=N_PATHS, t_end=min(sc.sim.t_end, T_END),
                       record_times=None)
@@ -129,27 +142,31 @@ def _file_changes(ens):
 def run():
     code = 0
     for name, coeffs, nu, x0, y0, base in _cases():
-        for coupling in ("refined-basic", "synchronous"):
-            for policy in ("drop-with-compensator", "gaussian-compensation"):
-                cfg = replace(base, coupling=coupling, small_jump_policy=policy)
+        # without nu the kernel has no small jumps to drop or compensate
+        for policy in POLICIES if nu is not None else ("-",):
+            cfg = base if policy == "-" else replace(base, small_jump_policy=policy)
+            for coupling in COUPLINGS:
                 tag = f"{name} {coupling} {policy}"
-                pair = simulate_coupled(coeffs, nu, x0, y0, cfg)
+                pair = simulate_coupled(coeffs, nu, x0, y0,
+                                        replace(cfg, coupling=coupling))
                 print(tag, "coupled", _digest(pair), flush=True)
                 changed = _file_changes(pair)
                 if changed:
                     print(f"{tag}: the ensemble file changes {', '.join(changed)}",
                           file=sys.stderr)
                     code = 1
-                singles = [_digest(simulate_single(coeffs, nu, start, cfg))
-                           for start in (x0, y0)]
-                print(tag, "single", singles[0], flush=True)
-                print(tag, "single-y0", singles[1], flush=True)
-                stacked = [_digest(ens) for ens in
-                           simulate_starts(coeffs, nu, (x0, y0), cfg)]
-                if stacked != singles:
-                    print(f"{tag}: simulate_starts differs from the single runs",
-                          file=sys.stderr)
-                    code = 1
+            # a run without a partner reads no coupling
+            tag = f"{name} - {policy}"
+            singles = [_digest(simulate_single(coeffs, nu, start, cfg))
+                       for start in (x0, y0)]
+            print(tag, "single", singles[0], flush=True)
+            print(tag, "single-y0", singles[1], flush=True)
+            stacked = [_digest(ens) for ens in
+                       simulate_starts(coeffs, nu, (x0, y0), cfg)]
+            if stacked != singles:
+                print(f"{tag}: simulate_starts differs from the single runs",
+                      file=sys.stderr)
+                code = 1
     return code
 
 

@@ -126,7 +126,6 @@ class CoefficientSet:
     gamma0: Callable
     gamma1: Optional[Callable]
     gamma2: Callable
-    gamma1_vanishes_at_zero: bool = True
     gamma2_vanishes_at_zero: bool = True
     name: str = ""
     gamma1_prime: Union[Callable, float, None] = None
@@ -148,7 +147,7 @@ class CoefficientSet:
             raise ValidationError(f"gamma0(0) = {g0[0]} must be >= 0")
         if np.any(g1 < -tol):
             raise ValidationError("gamma1 must be nonnegative")
-        if self.gamma1_vanishes_at_zero and abs(g1[0]) > tol:
+        if abs(g1[0]) > tol:
             raise ValidationError(f"gamma1(0) = {g1[0]} must vanish")
         if self.gamma2_vanishes_at_zero and abs(g2[0]) > tol:
             raise ValidationError(f"gamma2(0) = {g2[0]} must vanish")

@@ -42,31 +42,41 @@ def test_kernel_fingerprint(monkeypatch, capsys):
     monkeypatch.setattr(script, "BLOW_UPS", {blow_up: script.BLOW_UPS[blow_up]})
     assert script.run() == 0
     lines = capsys.readouterr().out.splitlines()
-    # two couplings x two small-jump policies x three simulator lines per case:
-    # the presets, the blow-up model and the many-events model
-    assert len(lines) == 12 * (len(SUBSET) + 2)
+    # two coupled lines and two single lines per small-jump policy: two
+    # policies for case2-stable, the blow-up model and the many-events
+    # model, and none to read for cir, which has no jumps
+    assert len(lines) == 8 * 3 + 4
     committed = set((SCRIPTS / "kernel_fingerprint.txt").read_text().splitlines())
     for line in lines:
         name, coupling, policy, simulator, _ = line.split()
         assert name in SUBSET + (blow_up, "many-events")
         assert simulator in ("coupled", "single", "single-y0")
+        assert (coupling == "-") == (simulator != "coupled")
+        assert (policy == "-") == (name == "cir")
         # the ensembles are the ones the committed fingerprint records
         assert line in committed
-    assert sum(line.startswith(blow_up + " ") for line in lines) == 12
-    assert sum(line.startswith("many-events ") for line in lines) == 12
+    assert sum(line.startswith(blow_up + " ") for line in lines) == 8
+    assert sum(line.startswith("many-events ") for line in lines) == 8
 
 
 def test_committed_fingerprint_names_every_configuration(monkeypatch):
     # CI diffs a fresh run against the committed output, so the file must
-    # hold one line per configuration the script prints, in its order
+    # hold one line per ensemble the script prints, in its order: a single
+    # run reads no coupling, and a case without jumps no small-jump policy
     script = load_script("kernel_fingerprint", monkeypatch)
     monkeypatch.setattr(script, "PRESETS", PRESETS)
-    tags = [f"{case[0]} {coupling} {policy} {simulator}" for case in script._cases()
-            for coupling in ("refined-basic", "synchronous")
-            for policy in ("drop-with-compensator", "gaussian-compensation")
-            for simulator in ("coupled", "single", "single-y0")]
+    tags = []
+    for name, _, nu, *_ in script._cases():
+        policies = ("drop-with-compensator", "gaussian-compensation")
+        for policy in policies if nu is not None else ("-",):
+            tags += [f"{name} {coupling} {policy} coupled"
+                     for coupling in ("refined-basic", "synchronous")]
+            tags += [f"{name} - {policy} {simulator}"
+                     for simulator in ("single", "single-y0")]
     lines = (SCRIPTS / "kernel_fingerprint.txt").read_text().splitlines()
     assert [line.rsplit(" ", 1)[0] for line in lines] == tags
+    assert len(set(tags)) == len(tags) <= 100
+    assert "cir-rate" not in {tag.split()[0] for tag in tags}
     assert all(len(line.rsplit(" ", 1)[1]) == 64 for line in lines)
 
 
@@ -84,9 +94,9 @@ def test_kernel_fingerprint_fails_when_stacking_differs(monkeypatch, capsys):
                         stacked(coeffs, nu, starts[::-1], cfg))
     assert script.run() == 1
     out, err = capsys.readouterr()
-    # the blow-up model and the many-events model
-    assert len(out.splitlines()) == 24
-    assert err.count("simulate_starts differs from the single runs") == 8
+    # the blow-up model and the many-events model, each under two policies
+    assert len(out.splitlines()) == 16
+    assert err.count("simulate_starts differs from the single runs") == 4
 
 
 def test_kernel_fingerprint_fails_when_the_file_loses_flags(monkeypatch, capsys):

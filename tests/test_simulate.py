@@ -146,23 +146,38 @@ def test_drift_overshooting_zero_ends_at_positive_zero():
     # a path at 0 meets the Milstein term (xi^2 - 1) h / 4 of gamma1' = 1:
     # the clamp sets these to +0.0 on the steps it runs, and the steps that
     # skip it hold no -0.0.  The digests are those of the kernel that
-    # clamped on every step.  Both legs reach 0 in the first step, where the
-    # pairs meet, so the two couplings give one ensemble
-    coeffs = CoefficientSet(
-        gamma0=lambda x: -1500.0 * np.asarray(x, dtype=float),
-        gamma1=lambda x: np.asarray(x, dtype=float),
-        gamma2=lambda x: 1.0 + 0.0 * np.asarray(x, dtype=float),
-        gamma2_vanishes_at_zero=False, gamma1_prime=1.0)
+    # clamped on every step.  From (1, 0.5) both legs reach 0 in the first
+    # step, where the pairs meet, so the two couplings give one ensemble.
+    # From (10, 0.2) under gamma0 = -1500 min(x, 0.5) no pair meets in the
+    # first step, where 296 of the 300 Y legs are clamped to +0.0, while X
+    # needs more than twelve steps to reach 0: the clamp runs on live pairs,
+    # whose legs are recorded at every step until the last pair meets at
+    # t = 0.016, and the couplings' partner noise makes two ensembles
+    def coeffs(gamma0):
+        return CoefficientSet(
+            gamma0=gamma0,
+            gamma1=lambda x: np.asarray(x, dtype=float),
+            gamma2=lambda x: 1.0 + 0.0 * np.asarray(x, dtype=float),
+            gamma2_vanishes_at_zero=False, gamma1_prime=1.0)
+
+    linear = coeffs(lambda x: -1500.0 * np.asarray(x, dtype=float))
+    capped = coeffs(lambda x: -1500.0 * np.minimum(np.asarray(x, dtype=float), 0.5))
     cfg = SimConfig(h=1e-3, eps=0.1, t_end=0.2, n_paths=300, seed=11)
-    for coupling, digest in (("refined-basic", "2be1e05b85a3d357"),
-                             ("synchronous", "2be1e05b85a3d357")):
-        ens = simulate_coupled(coeffs, STABLE15, 1.0, 0.5, replace(cfg, coupling=coupling))
-        values = np.concatenate((ens.X[1:], ens.Y[1:]))
-        zeros = values[values == 0.0]
-        assert zeros.size > values.size // 2
-        assert not np.any(np.signbit(zeros))
-        assert _digest(ens) == digest
-    assert [_digest(ens) for ens in simulate_starts(coeffs, STABLE15, (1.0, 0.5), cfg)] \
+    steps = replace(cfg, record_times=np.arange(21) * 1e-3)
+    for model, x0, y0, run, digests in (
+            (linear, 1.0, 0.5, cfg, ("2be1e05b85a3d357", "2be1e05b85a3d357")),
+            (capped, 10.0, 0.2, steps, ("f371ea2936ab5958", "f7ca6a708b0e7ed3"))):
+        for coupling, digest in zip(("refined-basic", "synchronous"), digests):
+            ens = simulate_coupled(model, STABLE15, x0, y0, replace(run, coupling=coupling))
+            values = np.concatenate((ens.X[1:], ens.Y[1:]))
+            zeros = values[values == 0.0]
+            assert zeros.size > values.size // 2
+            assert not np.any(np.signbit(zeros))
+            assert _digest(ens) == digest
+    # the last run, from (10, 0.2): all pairs live after the first step
+    assert np.all(ens.coalescence > 0.001) and ens.coalescence.max() == 0.016
+    assert np.count_nonzero(ens.Y[1] == 0.0) == 296
+    assert [_digest(ens) for ens in simulate_starts(linear, STABLE15, (1.0, 0.5), cfg)] \
         == ["c16dae962385c593", "90f71d71243c7dda"]
 
 
@@ -209,7 +224,8 @@ def test_simulation_is_bit_identical_for_fixed_seed():
     assert np.array_equal(c.X, d.X)
 
 
-@pytest.mark.parametrize("name", ["case2-stable", "logistic", "case3-dyadic"])
+@pytest.mark.parametrize("name", ["case2-stable", "logistic", "case3-dyadic",
+                                  "superexp", "xlog-drift"])
 def test_paths_do_not_depend_on_path_count(name):
     # streams are keyed per (slot, step, event) and each path runs on its own
     # clock, so the first 200 paths of a larger run are the paths of the
@@ -900,18 +916,21 @@ def test_gaussian_compensation_without_jump_mass_above_eps():
                                   "superexp"])
 def test_coupled_x_leg_is_the_marginal_run(name):
     # both simulators run one kernel: without order repairs (which move X to
-    # the midpoint of a crossing pair) the coupled X leg is the marginal run.
-    # On the jump presets this also says that the partners' marks, which
-    # come from a slot of their own, never shift the X leg's refills and sizes
+    # the midpoint of a crossing pair) the coupled X leg is the marginal run,
+    # and a run without a partner reads no coupling, so the marginal run is
+    # one under both.  On the jump presets this also says that the partners'
+    # marks, which come from a slot of their own, never shift the X leg's
+    # refills and sizes
     sc = load_scenario(name)
     cfg = replace(sc.sim, n_paths=200, t_end=0.3, record_times=None,
                   small_jump_policy="drop-with-compensator")
-    single = simulate_single(sc.coeffs, sc.nu, sc.x0, cfg)
     coupled = simulate_coupled(sc.coeffs, sc.nu, sc.x0, sc.y0, cfg)
     assert coupled.order_repairs == 0
-    assert np.array_equal(single.X, coupled.X)
-    assert np.array_equal(single.flagged, coupled.flagged)
-    assert single.max_step_hazard == coupled.max_step_hazard
+    for coupling in ("refined-basic", "synchronous"):
+        single = simulate_single(sc.coeffs, sc.nu, sc.x0, replace(cfg, coupling=coupling))
+        assert np.array_equal(single.X, coupled.X)
+        assert np.array_equal(single.flagged, coupled.flagged)
+        assert single.max_step_hazard == coupled.max_step_hazard
 
 
 # ---------------------------------------------------------------------------
@@ -1056,14 +1075,14 @@ def test_simulate_starts_rejects_bad_starts():
 
 
 def test_synchronous_coupling_shares_noise():
-    # with gamma1 constant the shared Brownian increment cancels in the gap,
-    # which then follows the deterministic ODE gap' = -gap on every path;
-    # starting far from zero keeps the boundary clamp out of play
+    # with gamma1 constant where the paths run the shared Brownian increment
+    # cancels in the gap, which then follows the deterministic ODE
+    # gap' = -gap on every path; starting far from zero keeps the paths above
+    # 1, where gamma1 = min(x, 1) is 1, and the boundary clamp out of play
     coeffs = CoefficientSet(
         gamma0=lambda x: -np.asarray(x, dtype=float),
-        gamma1=lambda x: np.full_like(np.asarray(x, dtype=float), 1.0),
-        gamma2=lambda x: np.zeros_like(np.asarray(x, dtype=float)),
-        gamma1_vanishes_at_zero=False)
+        gamma1=lambda x: np.minimum(np.asarray(x, dtype=float), 1.0),
+        gamma2=lambda x: np.zeros_like(np.asarray(x, dtype=float)))
     cfg = SimConfig(h=1e-3, t_end=1.0, n_paths=50, seed=9,
                     coupling="synchronous")
     ens = simulate_coupled(coeffs, None, 20.0, 19.0, cfg)
